@@ -37,6 +37,7 @@ use std::time::{Duration, Instant};
 use hecmix_obs::json::Object;
 
 use crate::router::splitmix64;
+use crate::server::accept_until;
 
 /// One impairment mode.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -330,6 +331,8 @@ const PUMP_TICK: Duration = Duration::from_millis(25);
 pub struct ChaosProxy {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
+    /// Wakes the accept thread out of its wait on the listener.
+    poller: Arc<poll::Poller>,
     accept: Option<JoinHandle<()>>,
 }
 
@@ -350,15 +353,21 @@ impl ChaosProxy {
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
         let stop = Arc::new(AtomicBool::new(false));
+        let poller = Arc::new(poll::Poller::new()?);
         let accept = {
-            let stop = Arc::clone(&stop);
+            let (stop, poller) = (Arc::clone(&stop), Arc::clone(&poller));
             std::thread::Builder::new()
                 .name(format!("chaos-proxy-{replica}"))
-                .spawn(move || accept_loop(&listener, replica, upstream, &schedule, epoch, &stop))?
+                .spawn(move || {
+                    accept_loop(
+                        &listener, &poller, replica, upstream, &schedule, epoch, &stop,
+                    );
+                })?
         };
         Ok(Self {
             addr,
-            stop: Arc::clone(&stop),
+            stop,
+            poller,
             accept: Some(accept),
         })
     }
@@ -373,6 +382,7 @@ impl ChaosProxy {
 impl Drop for ChaosProxy {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
+        let _ = self.poller.notify();
         if let Some(t) = self.accept.take() {
             let _ = t.join();
         }
@@ -381,6 +391,7 @@ impl Drop for ChaosProxy {
 
 fn accept_loop(
     listener: &TcpListener,
+    poller: &poll::Poller,
     replica: usize,
     upstream: SocketAddr,
     schedule: &Arc<ChaosSchedule>,
@@ -388,32 +399,24 @@ fn accept_loop(
     stop: &Arc<AtomicBool>,
 ) {
     let mut conn_no = 0u64;
-    while !stop.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((client, _peer)) => {
-                let conn = conn_no;
-                conn_no += 1;
-                let elapsed = epoch.elapsed().as_secs_f64();
-                if schedule.kill_active(replica, elapsed) || schedule.reset_active(replica, elapsed)
-                {
-                    // Closing immediately after accept is the client-visible
-                    // "reset": the in-flight request dies with a broken read.
-                    drop(client);
-                    continue;
-                }
-                let Ok(server) = TcpStream::connect_timeout(&upstream, Duration::from_millis(500))
-                else {
-                    drop(client);
-                    continue;
-                };
+    accept_until(
+        listener,
+        poller,
+        || stop.load(Ordering::Relaxed),
+        |client| {
+            let conn = conn_no;
+            conn_no += 1;
+            let elapsed = epoch.elapsed().as_secs_f64();
+            if schedule.kill_active(replica, elapsed) || schedule.reset_active(replica, elapsed) {
+                // Closing immediately after accept is the client-visible
+                // "reset": the in-flight request dies with a broken read.
+                return;
+            }
+            if let Ok(server) = TcpStream::connect_timeout(&upstream, Duration::from_millis(500)) {
                 spawn_pumps(replica, conn, client, server, schedule, epoch, stop);
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(2)),
-        }
-    }
+        },
+    );
 }
 
 /// Two relay threads per connection (client→upstream and upstream→client).

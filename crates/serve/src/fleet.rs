@@ -30,6 +30,17 @@
 //!   ([`hecmix_obs::Event::RequestHedged`]). One slow replica cannot own
 //!   the tail.
 //!
+//! Forwards travel over per-replica pools of idle keep-alive connections,
+//! so a forward normally costs one request/response exchange: no connect,
+//! no accept. The primary attempt runs on the calling (forward-worker)
+//! thread, which waits up to the hedge delay for the first response byte;
+//! only when that delay passes do the primary and the hedge finish on
+//! threads of their own and race. A pooled connection the replica retired
+//! while it sat idle fails before any response byte; that request is sent
+//! once more on a fresh connection, which costs no retry and no health or
+//! breaker failure. Probes and the `/reload` fan-out always dial fresh,
+//! because a probe must exercise connect and accept.
+//!
 //! When a replica is marked down, its hash range implicitly re-maps to
 //! the next preference entry — and the fleet *re-warms* the dead
 //! replica's recorded hot keys through the normal forward path, so the
@@ -40,10 +51,10 @@
 
 use std::collections::HashSet;
 use std::collections::VecDeque;
-use std::io::Write as _;
+use std::io::{ErrorKind, Write as _};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -223,8 +234,40 @@ struct Replica {
     forwards: AtomicU64,
     /// Transport/5xx failures attributed to this replica.
     failures: AtomicU64,
+    /// Fresh upstream connections opened by forwards (probes and the
+    /// `/reload` fan-out not included).
+    connects: AtomicU64,
+    /// Idle keep-alive connections, most recently used on top.
+    idle: Mutex<Vec<TcpStream>>,
     /// Recently served keys, oldest first (bounded; drained on failover).
     hot: Mutex<VecDeque<(u64, HotReq)>>,
+}
+
+/// Idle keep-alive connections pooled per replica: one for each forward
+/// worker of a large gateway, plus hedges. Connections past the cap are
+/// closed after use rather than pooled.
+const POOL_CAP: usize = 32;
+
+impl Replica {
+    fn checkout(&self) -> Option<TcpStream> {
+        self.idle.lock().expect("pool poisoned").pop()
+    }
+
+    /// Pool `conn` for the next forward, unless the pool is full or the
+    /// replica is no longer trusted (breaker open or marked down).
+    fn checkin(&self, conn: TcpStream) {
+        let mut idle = self.idle.lock().expect("pool poisoned");
+        let trusted = self.healthy.load(Ordering::Relaxed)
+            && self.breaker.lock().expect("breaker poisoned").state != BreakerState::Open;
+        if trusted && idle.len() < POOL_CAP {
+            idle.push(conn);
+        }
+    }
+
+    /// Close every idle connection.
+    fn evict(&self) {
+        self.idle.lock().expect("pool poisoned").clear();
+    }
 }
 
 /// Keys displaced by a failover, watched for their first post-rewarm
@@ -234,12 +277,8 @@ struct RehitWatch {
     keys: HashSet<u64>,
 }
 
-/// One outcome of one upstream attempt. (Latency accounting happens in
-/// the attempt thread itself, so losing racers still contribute.)
-struct AttemptOutcome {
-    replica: usize,
-    result: Result<(u16, Option<u64>, Vec<u8>), String>,
-}
+/// One upstream answer: `(status, Retry-After seconds, body)`.
+type Answer = (u16, Option<u64>, Vec<u8>);
 
 /// The gateway's replica fleet. Shared (`Arc`) between the compute pool
 /// (which runs [`Fleet::forward`]), the prober thread, and `/statz`.
@@ -289,6 +328,8 @@ impl Fleet {
                 breaker: Mutex::new(Breaker::new()),
                 forwards: AtomicU64::new(0),
                 failures: AtomicU64::new(0),
+                connects: AtomicU64::new(0),
+                idle: Mutex::new(Vec::new()),
                 hot: Mutex::new(VecDeque::new()),
             });
         }
@@ -341,6 +382,35 @@ impl Fleet {
     #[must_use]
     pub fn hedge_count(&self) -> u64 {
         self.hedges.load(Ordering::Relaxed)
+    }
+
+    /// Forwarded requests answered definitively, summed over replicas.
+    #[must_use]
+    pub fn forward_count(&self) -> u64 {
+        self.replicas
+            .iter()
+            .map(|r| r.forwards.load(Ordering::Relaxed))
+            .sum()
+    }
+
+    /// Fresh upstream connections opened by forwards, summed over
+    /// replicas. Far below [`Fleet::forward_count`] when the pools work.
+    #[must_use]
+    pub fn connect_count(&self) -> u64 {
+        self.replicas
+            .iter()
+            .map(|r| r.connects.load(Ordering::Relaxed))
+            .sum()
+    }
+
+    /// Idle keep-alive connections pooled for `replica`.
+    #[must_use]
+    pub fn pooled(&self, replica: usize) -> usize {
+        self.replicas[replica]
+            .idle
+            .lock()
+            .expect("pool poisoned")
+            .len()
     }
 
     /// Healthy→down transitions observed so far.
@@ -444,14 +514,19 @@ impl Fleet {
     fn note_failure(self: &Arc<Self>, idx: usize, why: &str) {
         let r = &self.replicas[idx];
         r.failures.fetch_add(1, Ordering::Relaxed);
-        r.breaker
-            .lock()
-            .expect("breaker poisoned")
-            .on_failure(idx, self.cfg.breaker_threshold);
+        let open = {
+            let mut breaker = r.breaker.lock().expect("breaker poisoned");
+            breaker.on_failure(idx, self.cfg.breaker_threshold);
+            breaker.state == BreakerState::Open
+        };
+        if open {
+            r.evict();
+        }
         r.consec_ok.store(0, Ordering::Relaxed);
         let fails = r.consec_fail.fetch_add(1, Ordering::Relaxed) + 1;
         if r.healthy.load(Ordering::Relaxed) && fails >= u64::from(self.cfg.fail_threshold) {
             r.healthy.store(false, Ordering::Relaxed);
+            r.evict();
             self.failovers.fetch_add(1, Ordering::Relaxed);
             let (addr, reason, consecutive) = (r.addr.clone(), why.to_owned(), fails as u32);
             emit(|| Event::ReplicaHealthChange {
@@ -621,9 +696,7 @@ impl Fleet {
             }
             let hedge = self.pick_hedge(&cands, primary);
             match self.race(primary, hedge, path, body) {
-                Ok(outcome) => {
-                    let (status, retry_after, resp_body) =
-                        outcome.result.expect("race returns transport successes");
+                Ok((replica, (status, retry_after, resp_body))) => {
                     if status == 503 {
                         // Admission backpressure, not death: honor the
                         // advertised Retry-After on the next backoff.
@@ -637,7 +710,7 @@ impl Fleet {
                     }
                     let text = String::from_utf8_lossy(&resp_body).into_owned();
                     if status == 200 {
-                        self.record_hot(outcome.replica, key, path, body);
+                        self.record_hot(replica, key, path, body);
                         self.check_rehit(key, &text);
                     }
                     let mut resp = Response::json(status, text);
@@ -667,114 +740,144 @@ impl Fleet {
         })
     }
 
-    /// Race one attempt against an optional hedge: the primary gets
-    /// [`Fleet::hedge_delay`] to answer alone; then the hedge (if any)
-    /// fires and the first transport-level success wins. Health and
-    /// breaker accounting happens inside the attempt threads, so even a
-    /// losing attempt's failure is recorded.
+    /// Race one attempt against an optional hedge. The primary runs on the
+    /// calling thread, which waits up to [`Fleet::hedge_delay`] for the
+    /// first response byte; an answer by then, or no hedge to fire, is
+    /// read right here with no thread spawned. Otherwise the primary and
+    /// the hedge finish on threads of their own and the first
+    /// transport-level success wins. Every attempt counts itself in
+    /// health and breaker accounting, so a losing attempt's failure is
+    /// still recorded.
     fn race(
         self: &Arc<Self>,
         primary: usize,
         hedge: Option<usize>,
         path: &'static str,
         body: &str,
-    ) -> Result<AttemptOutcome, String> {
-        let (tx, rx) = mpsc::channel::<AttemptOutcome>();
-        self.spawn_attempt(primary, path, body, tx.clone());
-        let mut in_flight = 1usize;
-        let mut received = 0usize;
-        let mut last_err: Option<String> = None;
-
-        match rx.recv_timeout(self.hedge_delay()) {
-            Ok(outcome) => {
-                received += 1;
-                match outcome.result {
-                    Ok(_) => return Ok(outcome),
-                    Err(ref e) => last_err = Some(e.clone()),
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                if let Some(h) = hedge {
-                    let delay_ms = self.hedge_delay().as_millis() as u64;
-                    self.hedges.fetch_add(1, Ordering::Relaxed);
-                    {
-                        let path = path.to_owned();
-                        emit(move || Event::RequestHedged {
-                            path,
-                            primary,
-                            hedge: h,
-                            delay_ms,
-                        });
-                    }
-                    self.spawn_attempt(h, path, body, tx.clone());
-                    in_flight += 1;
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => {}
+    ) -> Result<(usize, Answer), String> {
+        let t0 = Instant::now();
+        // Read once, so the hedge event reports the delay actually waited.
+        let delay = self.hedge_delay();
+        let timeout = self.cfg.attempt_timeout;
+        let (conn, answering) = self.start(primary, path, body, delay.min(timeout))?;
+        let hedge = match hedge {
+            Some(h) if !answering && delay < timeout => h,
+            _ => return self.finish(primary, conn, t0).map(|a| (primary, a)),
+        };
+        self.hedges.fetch_add(1, Ordering::Relaxed);
+        {
+            let (path, delay_ms) = (path.to_owned(), delay.as_millis() as u64);
+            emit(move || Event::RequestHedged {
+                path,
+                primary,
+                hedge,
+                delay_ms,
+            });
         }
+        let (tx, rx) = mpsc::channel();
+        self.spawn_racer(&tx, primary, move |fleet| fleet.finish(primary, conn, t0));
+        let body = body.to_owned();
+        self.spawn_racer(&tx, hedge, move |fleet| fleet.attempt(hedge, path, &body));
         drop(tx);
 
-        let deadline = Instant::now() + self.cfg.attempt_timeout;
-        while received < in_flight {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                break;
-            }
-            match rx.recv_timeout(remaining) {
-                Ok(outcome) => {
-                    received += 1;
-                    match outcome.result {
-                        Ok(_) => return Ok(outcome),
-                        Err(ref e) => last_err = Some(e.clone()),
-                    }
-                }
-                Err(_) => break,
+        let deadline = Instant::now() + timeout;
+        let mut last_err = None;
+        while let Ok((replica, result)) =
+            rx.recv_timeout(deadline.saturating_duration_since(Instant::now()))
+        {
+            match result {
+                Ok(answer) => return Ok((replica, answer)),
+                Err(why) => last_err = Some(why),
             }
         }
         Err(last_err.unwrap_or_else(|| "attempt timeout".to_owned()))
     }
 
-    /// One upstream attempt on its own thread; reports into the fleet's
-    /// health accounting and sends its outcome back on `tx`. The send can
-    /// fail (the race already has a winner) — accounting still happened.
-    fn spawn_attempt(
+    /// Finish one racer on its own thread and send its outcome on `tx`.
+    /// The send fails once the race has a winner; the racer has counted
+    /// itself in health and breaker accounting regardless.
+    fn spawn_racer(
         self: &Arc<Self>,
+        tx: &mpsc::Sender<(usize, Result<Answer, String>)>,
         replica: usize,
-        path: &'static str,
-        body: &str,
-        tx: mpsc::Sender<AttemptOutcome>,
+        racer: impl FnOnce(&Arc<Self>) -> Result<Answer, String> + Send + 'static,
     ) {
-        let fleet = Arc::clone(self);
-        let body = body.to_owned();
+        let (fleet, tx) = (Arc::clone(self), tx.clone());
         let _ = std::thread::Builder::new()
             .name("hecmix-fleet-attempt".to_owned())
             .spawn(move || {
-                let t0 = Instant::now();
-                let result = attempt_once(
-                    &fleet.replicas[replica].sock,
-                    "POST",
-                    path,
-                    &body,
-                    fleet.cfg.connect_timeout,
-                    fleet.cfg.attempt_timeout,
-                );
-                let latency = t0.elapsed();
-                match &result {
-                    Ok((status, ..)) if *status == 503 => {
-                        // Alive but shedding: neither a health nor a
-                        // breaker signal.
-                    }
-                    Ok((status, ..)) if *status >= 500 => {
-                        fleet.note_failure(replica, &format!("status {status}"));
-                    }
-                    Ok(_) => fleet.note_success(replica, Some(latency)),
-                    Err(why) => {
-                        let why = why.clone();
-                        fleet.note_failure(replica, &why);
-                    }
-                }
-                let _ = tx.send(AttemptOutcome { replica, result });
+                let _ = tx.send((replica, racer(&fleet)));
             });
+    }
+
+    /// One whole attempt on `replica`, on the calling thread.
+    fn attempt(self: &Arc<Self>, replica: usize, path: &str, body: &str) -> Result<Answer, String> {
+        let t0 = Instant::now();
+        let (conn, _) = self.start(replica, path, body, self.cfg.attempt_timeout)?;
+        self.finish(replica, conn, t0)
+    }
+
+    /// Send a request to `replica` on a pooled connection, or on a fresh
+    /// one when the pool is empty, and wait up to `wait` for the first
+    /// response byte. Returns the connection and whether that byte came.
+    ///
+    /// A pooled connection can fail before that byte (write error, EOF or
+    /// reset) because the replica retired it while it sat idle. The
+    /// request then goes once more on a fresh connection, and this
+    /// keep-alive race counts as nothing. Any other failure is counted in
+    /// health and breaker accounting here.
+    fn start(
+        self: &Arc<Self>,
+        replica: usize,
+        path: &str,
+        body: &str,
+        wait: Duration,
+    ) -> Result<(TcpStream, bool), String> {
+        let r = &self.replicas[replica];
+        let wire = http::format_request("POST", path, body);
+        if let Some(conn) = r.checkout() {
+            if let Ok(started) = send(conn, &wire, wait) {
+                return Ok(started);
+            }
+        }
+        let started = dial(&r.sock, self.cfg.connect_timeout).and_then(|conn| {
+            r.connects.fetch_add(1, Ordering::Relaxed);
+            send(conn, &wire, wait)
+        });
+        if let Err(why) = &started {
+            self.note_failure(replica, why);
+        }
+        started
+    }
+
+    /// Read the answer to the request [`Fleet::start`]ed at `t0` on
+    /// `conn`, pool the connection again if the answer left it reusable,
+    /// and count the attempt in health and breaker accounting.
+    fn finish(
+        self: &Arc<Self>,
+        replica: usize,
+        mut conn: TcpStream,
+        t0: Instant,
+    ) -> Result<Answer, String> {
+        let remaining = self.cfg.attempt_timeout.saturating_sub(t0.elapsed());
+        let result = read_timeout(&conn, remaining)
+            .and_then(|()| read_answer(&mut conn))
+            .map(|(answer, keep_alive)| {
+                if keep_alive {
+                    self.replicas[replica].checkin(conn);
+                }
+                answer
+            });
+        match &result {
+            // Alive but shedding: neither a health nor a breaker signal.
+            Ok((503, ..)) => {}
+            Ok((status, ..)) if *status >= 500 => {
+                self.note_failure(replica, &format!("status {status}"));
+            }
+            Ok(_) => self.note_success(replica, Some(t0.elapsed())),
+            Err(why) => self.note_failure(replica, why),
+        }
+        result
     }
 
     /// Remember that `replica` served `key` (bounded LRU; the newest keys
@@ -889,6 +992,7 @@ impl Fleet {
             );
             ro.u64("forwards", r.forwards.load(Ordering::Relaxed));
             ro.u64("failures", r.failures.load(Ordering::Relaxed));
+            ro.u64("connects", r.connects.load(Ordering::Relaxed));
             rows.push_str(&ro.finish());
         }
         rows.push(']');
@@ -897,30 +1001,67 @@ impl Fleet {
     }
 }
 
-/// One blocking HTTP exchange on a fresh connection. Returns
-/// `(status, Retry-After seconds, body)` or a transport error string.
+/// One blocking HTTP exchange on a fresh connection, closed afterwards
+/// (probes and the `/reload` fan-out). Returns the answer or a transport
+/// error string.
 fn attempt_once(
     addr: &SocketAddr,
     method: &str,
     path: &str,
     body: &str,
     connect_timeout: Duration,
-    read_timeout: Duration,
-) -> Result<(u16, Option<u64>, Vec<u8>), String> {
-    let mut conn =
-        TcpStream::connect_timeout(addr, connect_timeout).map_err(|e| format!("connect: {e}"))?;
-    let _ = conn.set_nodelay(true);
-    conn.set_read_timeout(Some(read_timeout))
-        .map_err(|e| format!("timeout: {e}"))?;
+    timeout: Duration,
+) -> Result<Answer, String> {
+    let mut conn = dial(addr, connect_timeout)?;
+    read_timeout(&conn, timeout)?;
     conn.write_all(http::format_request(method, path, body).as_bytes())
         .map_err(|e| format!("send: {e}"))?;
-    let (status, headers, resp_body) =
-        http::read_response(&mut conn).map_err(|e| format!("read: {e:?}"))?;
-    let retry_after = headers
-        .iter()
-        .find(|(k, _)| k == "retry-after")
-        .and_then(|(_, v)| v.trim().parse().ok());
-    Ok((status, retry_after, resp_body))
+    read_answer(&mut conn).map(|(answer, _)| answer)
+}
+
+fn dial(addr: &SocketAddr, timeout: Duration) -> Result<TcpStream, String> {
+    let conn = TcpStream::connect_timeout(addr, timeout).map_err(|e| format!("connect: {e}"))?;
+    let _ = conn.set_nodelay(true);
+    Ok(conn)
+}
+
+/// Bound every blocking read on `conn` by `timeout` (at least 1 ms: a
+/// zero timeout is an error to the OS, not an immediate one).
+fn read_timeout(conn: &TcpStream, timeout: Duration) -> Result<(), String> {
+    conn.set_read_timeout(Some(timeout.max(Duration::from_millis(1))))
+        .map_err(|e| format!("timeout: {e}"))
+}
+
+/// Write `wire` on `conn` and wait up to `wait` for the first byte of the
+/// answer, without consuming it. `Ok((conn, false))` means the wait
+/// passed with the connection still open; EOF is an error.
+fn send(mut conn: TcpStream, wire: &str, wait: Duration) -> Result<(TcpStream, bool), String> {
+    conn.write_all(wire.as_bytes())
+        .map_err(|e| format!("send: {e}"))?;
+    read_timeout(&conn, wait)?;
+    match conn.peek(&mut [0u8]) {
+        Ok(0) => Err("read: closed before the response".to_owned()),
+        Ok(_) => Ok((conn, true)),
+        Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+            Ok((conn, false))
+        }
+        Err(e) => Err(format!("read: {e}")),
+    }
+}
+
+/// Read one response: the answer, and whether the connection can carry
+/// another request (the replica did not answer `Connection: close`).
+fn read_answer(conn: &mut TcpStream) -> Result<(Answer, bool), String> {
+    let (status, headers, body) = http::read_response(conn).map_err(|e| format!("read: {e:?}"))?;
+    let header = |name: &str| {
+        headers
+            .iter()
+            .find(|(k, _)| k == name)
+            .map(|(_, v)| v.trim())
+    };
+    let retry_after = header("retry-after").and_then(|v| v.parse().ok());
+    let keep_alive = !header("connection").is_some_and(|v| v.eq_ignore_ascii_case("close"));
+    Ok(((status, retry_after, body), keep_alive))
 }
 
 #[cfg(test)]
@@ -1011,6 +1152,28 @@ mod tests {
             f.upstream_hist.record(1_000); // 1 µs, far below hedge_min
         }
         assert_eq!(f.hedge_delay(), f.cfg.hedge_min, "clamped to the floor");
+    }
+
+    #[test]
+    fn pool_is_capped_and_refuses_untrusted_replicas() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let conn = || TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let f = fleet(1);
+        let r = &f.replicas[0];
+        for _ in 0..POOL_CAP + 3 {
+            r.checkin(conn());
+        }
+        assert_eq!(f.pooled(0), POOL_CAP, "the pool is capped");
+        r.evict();
+        assert_eq!(f.pooled(0), 0, "eviction closes every idle connection");
+
+        r.healthy.store(false, Ordering::Relaxed);
+        r.checkin(conn());
+        assert_eq!(f.pooled(0), 0, "a replica marked down pools nothing");
+        r.healthy.store(true, Ordering::Relaxed);
+        r.breaker.lock().unwrap().transition(0, BreakerState::Open);
+        r.checkin(conn());
+        assert_eq!(f.pooled(0), 0, "nor does one whose breaker is open");
     }
 
     #[test]

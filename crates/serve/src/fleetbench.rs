@@ -13,9 +13,9 @@
 //! 4. drives the gateway with loadgen (closed loop, `arm_sweep` so the
 //!    key space spreads across the ring) for `duration_s`;
 //! 5. gates: **zero client-visible errors**, a minimum success count, a
-//!    bounded p99/p50 tail ratio, at least one observed failover, and —
-//!    when the killed replica held hot keys — a recorded
-//!    failover→first-rehit time;
+//!    bounded p99/p50 tail ratio, at least one observed failover, and at
+//!    most one fresh upstream connection per ten forwards (the pools are
+//!    in use);
 //! 6. encodes everything (chaos schedule included, byte-identical per
 //!    seed) as the `hecmix-bench-fleet-v1` JSON artifact.
 //!
@@ -33,6 +33,12 @@ use crate::chaos::{ChaosProxy, ChaosSchedule};
 use crate::fleet::{Fleet, FleetConfig};
 use crate::loadgen::{self, LoadgenConfig};
 use crate::server::{self, ServeConfig};
+
+/// Gate: fresh upstream connections per forwarded request. Forwards ride
+/// pooled keep-alive connections, so only pool fills, keep-alive races
+/// and the crash should connect; a ratio, not a time, so the gate holds
+/// on any runner.
+const MAX_CONNECTS_PER_FORWARD: f64 = 0.1;
 
 /// Scenario knobs for one fleet chaos run.
 #[derive(Debug, Clone)]
@@ -168,6 +174,14 @@ pub fn run(cfg: &FleetBenchConfig, build_store: &ReloadFn) -> Result<FleetBenchO
     if failovers == 0 {
         problems.push("chaos killed a replica but no failover was observed".to_owned());
     }
+    let (connects, forwards) = (fleet.connect_count(), fleet.forward_count());
+    if connects as f64 > MAX_CONNECTS_PER_FORWARD * forwards as f64 {
+        problems.push(format!(
+            "{connects} upstream connects for {forwards} forwards: above \
+             {MAX_CONNECTS_PER_FORWARD} per forward, so forwards are not reusing \
+             pooled connections"
+        ));
+    }
     let gate = if problems.is_empty() {
         Ok(())
     } else {
@@ -190,8 +204,8 @@ pub fn run(cfg: &FleetBenchConfig, build_store: &ReloadFn) -> Result<FleetBenchO
 
     let summary = format!(
         "fleet bench: {} replicas, killed replica {} at t={:.1}s (seed {}): \
-         {} ok, {} errors, {} retries, {} hedges, {} failovers, {} rewarmed, \
-         first rehit {} — {}",
+         {} ok, {} errors, {} retries, {} hedges, {} upstream connects for {} forwards, \
+         {} failovers, {} rewarmed, first rehit {} — {}",
         replicas,
         kill_replica,
         cfg.kill_at_s,
@@ -200,6 +214,8 @@ pub fn run(cfg: &FleetBenchConfig, build_store: &ReloadFn) -> Result<FleetBenchO
         report.errors,
         fleet.retry_count(),
         fleet.hedge_count(),
+        connects,
+        forwards,
         failovers,
         fleet.rewarmed_count(),
         first_rehit_ms.map_or("n/a".to_owned(), |ms| format!("{ms:.1} ms")),

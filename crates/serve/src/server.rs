@@ -23,7 +23,8 @@
 //!   `max_connections` it answers `503 Service Unavailable` with
 //!   `Retry-After` itself, so overload is visible to clients immediately.
 //!   Admitted sockets are made nonblocking and round-robined across the
-//!   I/O loops.
+//!   I/O loops. Between connections it waits in `poll(2)` on the
+//!   listener, so a new connection is accepted the moment it arrives.
 //! * Each **I/O loop** (the private `event_loop` module) multiplexes hundreds to
 //!   thousands of keep-alive connections over one `poll(2)` registration
 //!   set. Everything it does is bounded-time: parse, cache lookup, format,
@@ -255,6 +256,8 @@ pub(crate) struct Shared {
     pub(crate) flight: SingleFlight<Waiter>,
     pub(crate) jobs: JobQueue,
     pub(crate) loops: Vec<Mailbox>,
+    /// Wakes the accept thread out of its wait on the listener.
+    accept_poller: poll::Poller,
     shutdown: AtomicBool,
 }
 
@@ -327,6 +330,7 @@ impl ServerHandle {
     /// [`ServerHandle::join`].
     pub fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::Relaxed);
+        let _ = self.shared.accept_poller.notify();
         self.shared.jobs.wake_all();
         for mailbox in &self.shared.loops {
             let _ = mailbox.poller.notify();
@@ -371,6 +375,7 @@ pub fn start(config: ServeConfig, state: Arc<AppState>) -> io::Result<ServerHand
         flight: SingleFlight::new(),
         jobs: JobQueue::new(config.queue_capacity.max(1)),
         loops,
+        accept_poller: poll::Poller::new()?,
         shutdown: AtomicBool::new(false),
     });
 
@@ -410,35 +415,60 @@ pub fn start(config: ServeConfig, state: Arc<AppState>) -> io::Result<ServerHand
     })
 }
 
-fn accept_loop(listener: &TcpListener, shared: &Shared) {
-    let mut next = 0usize;
-    while !shared.shutting_down() {
+/// Hand every connection the nonblocking `listener` accepts to `on_conn`
+/// until `stop()` holds. While none is pending the thread waits in
+/// `poll(2)` on the listener, so a connection is accepted the moment it
+/// arrives; `poller.notify()` wakes it to re-check `stop`. The daemon's
+/// accept thread and the chaos proxy's both run on this.
+pub(crate) fn accept_until(
+    listener: &TcpListener,
+    poller: &poll::Poller,
+    stop: impl Fn() -> bool,
+    mut on_conn: impl FnMut(TcpStream),
+) {
+    let _ = poller.add(listener, poll::Event::readable(0));
+    let mut ready = Vec::new();
+    while !stop() {
         match listener.accept() {
-            Ok((stream, _peer)) => {
-                let open = shared.state.metrics.connections.load(Ordering::Relaxed);
-                if open >= shared.config.max_connections {
-                    reject(stream, shared);
-                    continue;
-                }
-                let _ = stream.set_nodelay(true);
-                if stream.set_nonblocking(true).is_err() {
-                    continue;
-                }
-                shared
-                    .state
-                    .metrics
-                    .connections
-                    .fetch_add(1, Ordering::Relaxed);
-                shared.loops[next % shared.loops.len()].send(Msg::Conn(stream));
-                next += 1;
-            }
+            Ok((stream, _peer)) => on_conn(stream),
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                // Nonblocking accept doubles as the shutdown poll point.
-                std::thread::sleep(Duration::from_millis(5));
+                ready.clear();
+                if poller.wait(&mut ready, None).is_err() {
+                    std::thread::sleep(Duration::from_millis(5));
+                }
             }
+            // Out of descriptors and the like: the listener stays
+            // readable, so back off rather than spin.
             Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
     }
+}
+
+fn accept_loop(listener: &TcpListener, shared: &Shared) {
+    let mut next = 0usize;
+    accept_until(
+        listener,
+        &shared.accept_poller,
+        || shared.shutting_down(),
+        |stream| {
+            let open = shared.state.metrics.connections.load(Ordering::Relaxed);
+            if open >= shared.config.max_connections {
+                reject(stream, shared);
+                return;
+            }
+            let _ = stream.set_nodelay(true);
+            if stream.set_nonblocking(true).is_err() {
+                return;
+            }
+            shared
+                .state
+                .metrics
+                .connections
+                .fetch_add(1, Ordering::Relaxed);
+            shared.loops[next % shared.loops.len()].send(Msg::Conn(stream));
+            next += 1;
+        },
+    );
     // Listener drops here: new connects are refused while everyone drains.
     shared.jobs.wake_all();
     for mailbox in &shared.loops {

@@ -1,7 +1,7 @@
 //! Replica-fleet integration: a real gateway daemon routing over real
 //! replica daemons, all on ephemeral ports in-process.
 //!
-//! Four claims, each proven over live sockets:
+//! Five claims, each proven over live sockets:
 //!
 //! 1. **Partitioning** — consistent hashing over the plan-cache key sends
 //!    each key to exactly one replica, so the fleet's LRUs hold disjoint
@@ -14,6 +14,10 @@
 //!    `200`.
 //! 4. **Hedging** — a slow owner is raced by a hedge to another replica
 //!    after the configured delay, and the hedge wins.
+//! 5. **Keep-alive pools** — sequential forwards share one upstream
+//!    connection, a pooled connection the replica retired while idle is
+//!    redone on a fresh one without counting as a failure, and a tripped
+//!    breaker empties its replica's pool.
 
 use std::io::Write as _;
 use std::net::TcpStream;
@@ -63,25 +67,28 @@ impl Replica {
     }
 }
 
+/// A replica that retires keep-alive connections idle past `read_timeout`.
+fn boot_replica(read_timeout: Duration) -> Replica {
+    let state = Arc::new(AppState::new(build_store(), 2, 256));
+    let config = ServeConfig {
+        io_threads: 2,
+        workers: 2,
+        max_connections: 256,
+        queue_capacity: 64,
+        read_timeout,
+        queue_deadline: Duration::from_secs(30),
+        ..ServeConfig::default()
+    };
+    let handle = start(config, Arc::clone(&state)).expect("replica starts");
+    Replica {
+        handle: Some(handle),
+        state,
+    }
+}
+
 fn boot_replicas(n: usize) -> Vec<Replica> {
     (0..n)
-        .map(|_| {
-            let state = Arc::new(AppState::new(build_store(), 2, 256));
-            let config = ServeConfig {
-                io_threads: 2,
-                workers: 2,
-                max_connections: 256,
-                queue_capacity: 64,
-                read_timeout: Duration::from_secs(5),
-                queue_deadline: Duration::from_secs(30),
-                ..ServeConfig::default()
-            };
-            let handle = start(config, Arc::clone(&state)).expect("replica starts");
-            Replica {
-                handle: Some(handle),
-                state,
-            }
-        })
+        .map(|_| boot_replica(Duration::from_secs(5)))
         .collect()
 }
 
@@ -135,6 +142,31 @@ fn key_for_arm(arm: u32) -> u64 {
         units: entry.default_units,
     }
     .key(entry.hash)
+}
+
+/// Replica `idx`'s row of the fleet's `/statz` object.
+fn member(fleet: &Fleet, idx: usize) -> Value {
+    let statz = json::parse(&fleet.statz_object()).expect("statz JSON");
+    statz
+        .get("members")
+        .and_then(Value::as_array)
+        .expect("members array")[idx]
+        .clone()
+}
+
+fn member_u64(fleet: &Fleet, idx: usize, field: &str) -> u64 {
+    member(fleet, idx)
+        .get(field)
+        .and_then(Value::as_u64)
+        .unwrap_or_else(|| panic!("member {idx} has no {field}"))
+}
+
+fn breaker(fleet: &Fleet, idx: usize) -> String {
+    member(fleet, idx)
+        .get("breaker")
+        .and_then(Value::as_str)
+        .expect("breaker state")
+        .to_owned()
 }
 
 /// `(status, cached)` of one `/frontier` exchange on a keep-alive conn.
@@ -404,4 +436,69 @@ fn hedged_request_beats_a_slow_owner() {
     for mut r in replicas {
         r.kill();
     }
+}
+
+#[test]
+fn pooled_connection_the_replica_retired_is_redone_without_a_failure() {
+    // The replica retires keep-alive connections idle for 200 ms, so the
+    // second forward finds a pooled connection the replica has closed.
+    let mut replica = boot_replica(Duration::from_millis(200));
+    let fleet = Arc::new(Fleet::new(fleet_config(vec![replica.addr()])).expect("fleet"));
+
+    assert_eq!(
+        fleet.forward(key_for_arm(1), "/frontier", &body(1)).status,
+        200
+    );
+    assert_eq!(fleet.pooled(0), 1, "the first forward pools its connection");
+    // Past the idle timeout and the replica's sweep period.
+    std::thread::sleep(Duration::from_millis(1200));
+
+    let resp = fleet.forward(key_for_arm(1), "/frontier", &body(1));
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    assert_eq!(fleet.retry_count(), 0, "the keep-alive race is not a retry");
+    assert_eq!(member_u64(&fleet, 0, "failures"), 0, "nor a health failure");
+    assert_eq!(breaker(&fleet, 0), "closed", "nor a breaker failure");
+    assert_eq!(
+        member_u64(&fleet, 0, "connects"),
+        2,
+        "the retired connection was redone on a fresh one"
+    );
+
+    replica.kill();
+}
+
+#[test]
+fn forwards_share_one_pooled_connection_until_the_breaker_trips() {
+    let mut replica = boot_replica(Duration::from_secs(5));
+    let mut cfg = fleet_config(vec![replica.addr()]);
+    // Only the breaker reacts to failures here, so it alone must evict.
+    cfg.fail_threshold = 1_000;
+    let fleet = Arc::new(Fleet::new(cfg).expect("fleet"));
+
+    // No prober: the forwards are the only upstream traffic.
+    for i in 0..50 {
+        let arm = 1 + i % 5;
+        let resp = fleet.forward(key_for_arm(arm), "/frontier", &body(arm));
+        assert_eq!(resp.status, 200, "forward {i}: {}", resp.body);
+    }
+    assert_eq!(
+        member_u64(&fleet, 0, "connects"),
+        1,
+        "50 sequential forwards open exactly one upstream connection"
+    );
+    assert_eq!(member_u64(&fleet, 0, "forwards"), 50);
+    assert_eq!(fleet.pooled(0), 1);
+
+    // Kill the replica and let failing probes trip its breaker; the
+    // pooled connection must go with it.
+    replica.kill();
+    fleet.start_probing();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while breaker(&fleet, 0) != "open" {
+        assert!(Instant::now() < deadline, "the breaker never tripped");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(fleet.pooled(0), 0, "a tripped breaker empties the pool");
+
+    fleet.stop();
 }
