@@ -1,7 +1,8 @@
-//! Queueing benchmarks — the Fig. 10 machinery.
+//! Queueing benchmarks — the Fig. 10 machinery and the tail planner's DES.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
+use hecmix_queueing::des::{self, CoreLayout, DesConfig, ServiceDist, UNBOUNDED};
 use hecmix_queueing::{simulate_md1, window_energy, MD1};
 
 fn bench_closed_forms(c: &mut Criterion) {
@@ -33,6 +34,22 @@ fn bench_des_crosscheck(c: &mut Criterion) {
     g.throughput(criterion::Throughput::Elements(100_000));
     g.bench_function("md1_des_100k_jobs", |b| {
         b.iter(|| black_box(simulate_md1(black_box(50.0), 0.01, 100_000, 7).unwrap()))
+    });
+    // The tail planner's exact confirmation run: 200 k requests on one
+    // deterministic server at ρ = 0.7, reading only the p99.
+    let planner = DesConfig {
+        pps: 0.7 / 100e-6,
+        n_requests: 200_000,
+        layout: CoreLayout::Combined { cores: 1 },
+        service: ServiceDist::Constant(100e-6),
+        net_cost_s: 0.0,
+        queue_cap: UNBOUNDED,
+        flows: 1,
+        seed: 42,
+    };
+    g.throughput(criterion::Throughput::Elements(planner.n_requests));
+    g.bench_function("des_tail_quantile_200k", |b| {
+        b.iter(|| black_box(des::sojourn_quantile(black_box(&planner), 0.99).unwrap()))
     });
     g.finish();
 }

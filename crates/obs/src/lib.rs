@@ -439,7 +439,7 @@ pub enum Event {
 
     // ---- hecmix-queueing: request-level DES + tail planning ----
     /// One request-level discrete-event simulation completed
-    /// (`hecmix_queueing::des::simulate`).
+    /// (`hecmix_queueing::des::simulate` or `des::sojourn_quantile`).
     DesRun {
         /// Offered Poisson arrival rate, requests/second.
         pps: f64,

@@ -13,6 +13,8 @@
 //! [`DesConfig`] (including `seed`) reproduces the exact per-request
 //! latency samples, so CDFs compare bit-for-bit across machines.
 
+use std::collections::VecDeque;
+
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -207,10 +209,24 @@ pub struct DesConfig {
 /// Sentinel for [`DesConfig::queue_cap`]: never drop.
 pub const UNBOUNDED: usize = usize::MAX;
 
+/// Largest fraction of the mean per-request service that the arrival
+/// clock's f64 spacing may reach (see [`DesConfig::validate`]).
+const CLOCK_RESOLUTION: f64 = 1e-3;
+
 impl DesConfig {
     /// Validate every field (positive finite rate, at least one request,
     /// valid layout/distribution, non-negative finite net cost, at least
-    /// one flow and a queue capacity of at least one).
+    /// one flow and a queue capacity of at least one), and that the
+    /// arrival clock can resolve the service times.
+    ///
+    /// The clock runs to about `n_requests / pps` seconds, where its f64
+    /// spacing is about `f64::EPSILON · n_requests / pps`. Every sojourn
+    /// is a difference `(t + s) − t` on that clock, so once the spacing
+    /// nears the service time a sojourn rounds to 0, and a clock past
+    /// `f64::MAX` turns it into NaN. The config is rejected when the
+    /// spacing exceeds 0.1 % of the mean per-request service
+    /// (`net_cost_s` plus the mean application service): at 200 000
+    /// requests, only below a utilisation of about 4·10⁻⁸.
     pub fn validate(&self) -> Result<()> {
         if !(self.pps > 0.0) || !self.pps.is_finite() {
             return Err(Error::InvalidInput(format!(
@@ -239,6 +255,16 @@ impl DesConfig {
         if self.flows == 0 {
             return Err(Error::InvalidInput("DesConfig needs flows >= 1".into()));
         }
+        let horizon_s = self.n_requests as f64 / self.pps;
+        let service_s = self.net_cost_s + self.service.mean_s();
+        if !horizon_s.is_finite() || f64::EPSILON * horizon_s > CLOCK_RESOLUTION * service_s {
+            return Err(Error::InvalidInput(format!(
+                "DesConfig arrival clock cannot resolve a {service_s:e} s service over \
+                 {} requests at pps {:e} (horizon {horizon_s:e} s); raise pps or lower \
+                 n_requests",
+                self.n_requests, self.pps
+            )));
+        }
         Ok(())
     }
 }
@@ -252,7 +278,9 @@ pub struct LatencyCdf {
 
 impl LatencyCdf {
     fn from_samples(mut samples: Vec<f64>) -> Self {
-        samples.sort_by(f64::total_cmp);
+        // Samples equal under `total_cmp` have equal bits, so the unstable
+        // sort's order is the stable one, without its scratch buffer.
+        samples.sort_unstable_by(f64::total_cmp);
         Self { samples }
     }
 
@@ -279,12 +307,7 @@ impl LatencyCdf {
     /// `q` outside `(0, 1]`.
     #[must_use]
     pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.samples.is_empty() || !(q > 0.0) || q > 1.0 {
-            return None;
-        }
-        let n = self.samples.len();
-        let rank = (q * n as f64).ceil() as usize;
-        Some(self.samples[rank.clamp(1, n) - 1])
+        Some(self.samples[quantile_index(self.samples.len(), q)?])
     }
 
     /// Median (p50).
@@ -322,6 +345,26 @@ impl LatencyCdf {
     }
 }
 
+/// Zero-based index of the exact order-statistic `q`-quantile among `n`
+/// samples, the ⌈q·n⌉-th smallest; `None` when `n` is zero or `q` lies
+/// outside `(0, 1]`. [`LatencyCdf::quantile`] reads this index of the
+/// sorted samples, [`sojourn_quantile`] selects it.
+fn quantile_index(n: usize, q: f64) -> Option<usize> {
+    if n == 0 || !(q > 0.0) || q > 1.0 {
+        return None;
+    }
+    let rank = (q * n as f64).ceil() as usize;
+    Some(rank.clamp(1, n) - 1)
+}
+
+/// The `q`-quantile of unsorted `samples`, selected in linear time (the
+/// slice is left partitioned around it). Samples equal under `total_cmp`
+/// have equal bits, so this is exactly the element a full sort puts there.
+fn select_quantile(samples: &mut [f64], q: f64) -> Option<f64> {
+    let i = quantile_index(samples.len(), q)?;
+    Some(*samples.select_nth_unstable_by(i, f64::total_cmp).1)
+}
+
 /// Result of one request-level simulation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DesOutcome {
@@ -340,87 +383,111 @@ pub struct DesOutcome {
     pub duration_s: f64,
 }
 
-/// Per-core single-server FIFO with a bounded in-system count.
+/// Per-core single-server FIFO.
 ///
-/// Requests are fed in non-decreasing arrival order, so the in-system
-/// count at each arrival is exact: departures are popped from the front
-/// of a deque of scheduled departure times.
+/// Requests are fed in non-decreasing arrival order, and a FIFO server
+/// starts each one at `max(arrival, last departure)`, so an unbounded
+/// queue needs nothing but its last departure. A bounded queue also keeps
+/// the departure times still in system in a deque, popped from the front
+/// as they pass, so its in-system count at each arrival is exact.
 struct CoreQueue {
-    in_system: std::collections::VecDeque<f64>,
-    cap: usize,
+    /// Departure time of the last admitted request (0 before the first).
+    last_depart: f64,
+    /// Capacity and scheduled departures of a bounded queue; `None` for
+    /// [`UNBOUNDED`].
+    bounded: Option<(usize, VecDeque<f64>)>,
 }
 
 impl CoreQueue {
     fn new(cap: usize) -> Self {
         Self {
-            in_system: std::collections::VecDeque::new(),
-            cap,
+            last_depart: 0.0,
+            bounded: (cap != UNBOUNDED).then(|| (cap, VecDeque::new())),
         }
     }
 
     /// Offer an arrival at time `t` needing `service` seconds. Returns the
     /// departure time, or `None` if the core's queue is full.
     fn offer(&mut self, t: f64, service: f64) -> Option<f64> {
-        while self.in_system.front().is_some_and(|&d| d <= t) {
-            self.in_system.pop_front();
+        let depart = self.last_depart.max(t) + service;
+        if let Some((cap, in_system)) = &mut self.bounded {
+            while in_system.front().is_some_and(|&d| d <= t) {
+                in_system.pop_front();
+            }
+            if in_system.len() >= *cap {
+                return None;
+            }
+            in_system.push_back(depart);
         }
-        if self.in_system.len() >= self.cap {
-            return None;
-        }
-        let start = self.in_system.back().map_or(t, |&d| d.max(t));
-        let depart = start + service;
-        self.in_system.push_back(depart);
+        self.last_depart = depart;
         Some(depart)
     }
 }
 
-/// Map a flow id onto a core through the RSS indirection table (slots
-/// assigned round-robin over the cores, flows hashed by id).
-fn rss_core(flow: u32, cores: u32) -> usize {
-    (flow as usize % RSS_TABLE_ENTRIES) % cores as usize
+/// An RSS-style indirection table: a flow hash picks one of
+/// [`RSS_TABLE_ENTRIES`] slots, and slot `i` names core `i mod cores`
+/// (slots assigned round-robin over the cores).
+struct RssTable([usize; RSS_TABLE_ENTRIES]);
+
+impl RssTable {
+    fn new(cores: u32) -> Self {
+        Self(std::array::from_fn(|slot| slot % cores as usize))
+    }
+
+    /// The core serving flow hash `hash`.
+    fn core(&self, hash: usize) -> usize {
+        self.0[hash % RSS_TABLE_ENTRIES]
+    }
 }
 
-/// Run the request-level simulation.
-///
-/// Arrivals are generated in time order, so each stage is simulated with
-/// per-core deques instead of a global event heap; stage-2 arrivals are
-/// re-sorted per application core by `(time, sequence)` to keep the run
-/// deterministic. Same `cfg` ⇒ bit-identical [`DesOutcome`].
-pub fn simulate(cfg: &DesConfig) -> Result<DesOutcome> {
-    cfg.validate()?;
-    let mut rng = SmallRng::seed_from_u64(cfg.seed);
+/// What one run of the simulation core counted.
+struct RunTotals {
+    completed: u64,
+    dropped: u64,
+    duration_s: f64,
+}
 
-    // Draw all arrivals up front: time, flow, and application service.
-    // One pass in arrival order fixes the RNG stream regardless of how
-    // the stages interleave.
-    let n = cfg.n_requests as usize;
+/// The simulation core behind [`simulate`] and [`sojourn_quantile`], for
+/// a `cfg` that passed [`DesConfig::validate`].
+///
+/// Each arrival is drawn — time, flow, then application service, the
+/// order that fixes the RNG stream — and offered at once, so no arrival is
+/// buffered. Arrivals come in time order, so each stage is simulated with
+/// per-core queues instead of a global event heap. Stage-1 departures of a
+/// dedicated layout are not ordered across network cores, so each
+/// application core's handoff is sorted by `(time, sequence)` first.
+/// Every completed request's `(sojourn, wait)` goes to `complete`.
+fn run(cfg: &DesConfig, mut complete: impl FnMut(f64, f64)) -> RunTotals {
+    let mut rng = SmallRng::seed_from_u64(cfg.seed);
     let mut clock = 0.0f64;
-    let mut arrivals = Vec::with_capacity(n);
-    for _ in 0..n {
+    let mut next_arrival = || {
         let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
         clock += -u.ln() / cfg.pps; // exponential inter-arrival
         let flow = rng.gen_range(0..cfg.flows);
-        let app_service = cfg.service.sample(&mut rng);
-        arrivals.push((clock, flow, app_service));
-    }
-
-    let mut dropped = 0u64;
-    let mut duration_s = 0.0f64;
-    let mut sojourn = Vec::with_capacity(n);
-    let mut wait = Vec::with_capacity(n);
+        (clock, flow as usize, cfg.service.sample(&mut rng))
+    };
+    let new_queues = |cores: u32| -> Vec<CoreQueue> {
+        (0..cores).map(|_| CoreQueue::new(cfg.queue_cap)).collect()
+    };
+    let mut totals = RunTotals {
+        completed: 0,
+        dropped: 0,
+        duration_s: 0.0,
+    };
 
     match cfg.layout {
         CoreLayout::Combined { cores } => {
-            let mut queues: Vec<CoreQueue> =
-                (0..cores).map(|_| CoreQueue::new(cfg.queue_cap)).collect();
-            for &(t, flow, app_service) in &arrivals {
+            let rss = RssTable::new(cores);
+            let mut queues = new_queues(cores);
+            for _ in 0..cfg.n_requests {
+                let (t, flow, app_service) = next_arrival();
                 let service = cfg.net_cost_s + app_service;
-                match queues[rss_core(flow, cores)].offer(t, service) {
-                    None => dropped += 1,
+                match queues[rss.core(flow)].offer(t, service) {
+                    None => totals.dropped += 1,
                     Some(depart) => {
-                        sojourn.push(depart - t);
-                        wait.push(depart - t - service);
-                        duration_s = duration_s.max(depart);
+                        complete(depart - t, depart - t - service);
+                        totals.completed += 1;
+                        totals.duration_s = totals.duration_s.max(depart);
                     }
                 }
             }
@@ -430,67 +497,116 @@ pub fn simulate(cfg: &DesConfig) -> Result<DesOutcome> {
             app_cores,
         } => {
             // Stage 1: network cores, constant per-request cost.
-            let mut net: Vec<CoreQueue> = (0..net_cores)
-                .map(|_| CoreQueue::new(cfg.queue_cap))
-                .collect();
+            let net_rss = RssTable::new(net_cores);
+            let app_rss = RssTable::new(app_cores);
+            let mut net = new_queues(net_cores);
             // (app arrival, sequence, original arrival, app service)
-            let mut handoff: Vec<Vec<(f64, usize, f64, f64)>> =
-                vec![Vec::new(); app_cores as usize];
-            for (seq, &(t, flow, app_service)) in arrivals.iter().enumerate() {
-                match net[rss_core(flow, net_cores)].offer(t, cfg.net_cost_s) {
-                    None => dropped += 1,
+            let mut handoff: Vec<Vec<(f64, u64, f64, f64)>> = vec![Vec::new(); app_cores as usize];
+            for seq in 0..cfg.n_requests {
+                let (t, flow, app_service) = next_arrival();
+                match net[net_rss.core(flow)].offer(t, cfg.net_cost_s) {
+                    None => totals.dropped += 1,
                     Some(net_depart) => {
                         // Second flow-hashed stage: offset the table walk
                         // so net and app assignments decorrelate.
-                        let app = (flow as usize / net_cores as usize + flow as usize)
-                            % RSS_TABLE_ENTRIES
-                            % app_cores as usize;
+                        let app = app_rss.core(flow / net_cores as usize + flow);
                         handoff[app].push((net_depart, seq, t, app_service));
                     }
                 }
             }
-            // Stage 2: application cores. Per-core arrivals are sorted by
-            // (time, sequence) — stage-1 departures are not globally
-            // ordered across net cores.
-            let mut apps: Vec<CoreQueue> = (0..app_cores)
-                .map(|_| CoreQueue::new(cfg.queue_cap))
-                .collect();
-            for (core, list) in handoff.iter_mut().enumerate() {
-                list.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            // Stage 2: application cores, each fed in (time, sequence)
+            // order; the keys are unique, so an unstable sort is exact.
+            for (app, list) in new_queues(app_cores).iter_mut().zip(&mut handoff) {
+                list.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
                 for &(at, _seq, t0, app_service) in list.iter() {
-                    match apps[core].offer(at, app_service) {
-                        None => dropped += 1,
+                    match app.offer(at, app_service) {
+                        None => totals.dropped += 1,
                         Some(depart) => {
-                            sojourn.push(depart - t0);
-                            wait.push(depart - t0 - cfg.net_cost_s - app_service);
-                            duration_s = duration_s.max(depart);
+                            complete(depart - t0, depart - t0 - cfg.net_cost_s - app_service);
+                            totals.completed += 1;
+                            totals.duration_s = totals.duration_s.max(depart);
                         }
                     }
                 }
             }
         }
     }
+    totals
+}
 
-    let completed = sojourn.len() as u64;
+/// Emit the `des_run` event of a finished run. `tails` yields the sojourn
+/// p50 and p99 and is only called when a sink is installed.
+fn emit_des_run(
+    cfg: &DesConfig,
+    totals: &RunTotals,
+    tails: impl FnOnce() -> (Option<f64>, Option<f64>),
+) {
+    hecmix_obs::emit(|| {
+        let (p50, p99) = tails();
+        hecmix_obs::Event::DesRun {
+            pps: cfg.pps,
+            requests: cfg.n_requests,
+            completed: totals.completed,
+            dropped: totals.dropped,
+            p50_s: p50.unwrap_or(f64::NAN),
+            p99_s: p99.unwrap_or(f64::NAN),
+            duration_s: totals.duration_s,
+            seed: cfg.seed,
+        }
+    });
+}
+
+/// Run the request-level simulation and keep both latency CDFs.
+///
+/// Arrivals are drawn and offered one at a time, so memory is the sojourn
+/// and wait samples (plus the stage-2 handoff of a dedicated layout).
+/// Both are sorted in full for the CDFs; a caller that needs one quantile
+/// of the sojourn should use [`sojourn_quantile`]. Same `cfg` ⇒
+/// bit-identical [`DesOutcome`].
+///
+/// # Errors
+/// [`Error::InvalidInput`] when `cfg` fails [`DesConfig::validate`].
+pub fn simulate(cfg: &DesConfig) -> Result<DesOutcome> {
+    cfg.validate()?;
+    let n = cfg.n_requests as usize;
+    let mut sojourn = Vec::with_capacity(n);
+    let mut wait = Vec::with_capacity(n);
+    let totals = run(cfg, |s, w| {
+        sojourn.push(s);
+        wait.push(w);
+    });
     let out = DesOutcome {
         offered: cfg.n_requests,
-        completed,
-        dropped,
+        completed: totals.completed,
+        dropped: totals.dropped,
         sojourn: LatencyCdf::from_samples(sojourn),
         wait: LatencyCdf::from_samples(wait),
-        duration_s,
+        duration_s: totals.duration_s,
     };
-    hecmix_obs::emit(|| hecmix_obs::Event::DesRun {
-        pps: cfg.pps,
-        requests: cfg.n_requests,
-        completed: out.completed,
-        dropped: out.dropped,
-        p50_s: out.sojourn.p50().unwrap_or(f64::NAN),
-        p99_s: out.sojourn.p99().unwrap_or(f64::NAN),
-        duration_s: out.duration_s,
-        seed: cfg.seed,
-    });
+    emit_des_run(cfg, &totals, || (out.sojourn.p50(), out.sojourn.p99()));
     Ok(out)
+}
+
+/// The `q`-quantile of the sojourn time: the same run and `des_run` event
+/// as [`simulate`], bit-identical to `simulate(cfg)?.sojourn.quantile(q)`,
+/// at a fraction of the cost. Only the sojourn samples are kept, and the
+/// one order statistic is selected in linear time instead of sorting.
+/// `Ok(None)` when nothing completed or `q` lies outside `(0, 1]`.
+///
+/// # Errors
+/// [`Error::InvalidInput`] when `cfg` fails [`DesConfig::validate`].
+pub fn sojourn_quantile(cfg: &DesConfig, q: f64) -> Result<Option<f64>> {
+    cfg.validate()?;
+    let mut sojourn = Vec::with_capacity(cfg.n_requests as usize);
+    let totals = run(cfg, |s, _| sojourn.push(s));
+    let value = select_quantile(&mut sojourn, q);
+    emit_des_run(cfg, &totals, || {
+        (
+            select_quantile(&mut sojourn, 0.50),
+            select_quantile(&mut sojourn, 0.99),
+        )
+    });
+    Ok(value)
 }
 
 #[cfg(test)]
@@ -511,31 +627,162 @@ mod tests {
         }
     }
 
-    #[test]
-    fn seeded_runs_are_bit_identical() {
-        let cfg = DesConfig {
-            pps: 5_000.0,
+    const BIMODAL: ServiceDist = ServiceDist::Bimodal {
+        fast_s: 50e-6,
+        slow_s: 500e-6,
+        slow_weight: 0.1,
+    };
+
+    /// 2 network × 4 application cores, cap 64, bimodal service.
+    fn dedicated_2x4(pps: f64) -> DesConfig {
+        DesConfig {
+            pps,
             n_requests: 50_000,
             layout: CoreLayout::Dedicated {
                 net_cores: 2,
                 app_cores: 4,
             },
-            service: ServiceDist::Bimodal {
-                fast_s: 50e-6,
-                slow_s: 500e-6,
-                slow_weight: 0.1,
-            },
+            service: BIMODAL,
             net_cost_s: 5e-6,
             queue_cap: 64,
             flows: 256,
             seed: 99,
-        };
+        }
+    }
+
+    /// FNV-1a over the little-endian bytes of every sample's bits.
+    fn fnv1a(samples: &[f64]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for byte in samples.iter().flat_map(|x| x.to_bits().to_le_bytes()) {
+            h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h
+    }
+
+    #[test]
+    fn seeded_runs_are_bit_identical() {
+        let cfg = dedicated_2x4(5_000.0);
         let a = simulate(&cfg).unwrap();
         let b = simulate(&cfg).unwrap();
         // Bit-identical, not approximately equal: full sample vectors.
         assert_eq!(a, b);
         let c = simulate(&DesConfig { seed: 100, ..cfg }).unwrap();
         assert_ne!(a.sojourn, c.sojourn, "different seed must differ");
+    }
+
+    #[test]
+    fn des_stream_is_pinned() {
+        // Expected bits were captured from the simulator that drew every
+        // arrival up front; a change to the RNG draw order or to the queue
+        // arithmetic moves them.
+        struct Pin {
+            completed: u64,
+            dropped: u64,
+            duration_s: u64,
+            /// Sojourn p50, p99 and p999.
+            sojourn: [u64; 3],
+            wait_p99: u64,
+            sojourn_fnv: u64,
+        }
+        let qs = [0.5, 0.99, 0.999];
+        // The tail planner's shape: one core, constant service, unbounded.
+        let planner = single_server(0.7 / 100e-6, ServiceDist::Constant(100e-6), 200_000, 7);
+        let pins = [
+            (
+                planner,
+                Pin {
+                    completed: 200_000,
+                    dropped: 0,
+                    duration_s: 0x403c_753a_59bb_9655,
+                    sojourn: [
+                        0x3f26_e0b6_d52e_0000,
+                        0x3f49_81e8_c66f_8000,
+                        0x3f53_127e_7bac_c000,
+                    ],
+                    wait_p99: 0x3f46_3b0c_690b_f79a,
+                    sojourn_fnv: 0x703d_a7c4_6ee3_38a3,
+                },
+            ),
+            // Loaded until the cap-64 queues drop.
+            (
+                dedicated_2x4(40_000.0),
+                Pin {
+                    completed: 49_687,
+                    dropped: 313,
+                    duration_s: 0x3ff3_f07b_fea8_e592,
+                    sojourn: [
+                        0x3f5e_da13_4b55_e600,
+                        0x3f7c_401b_0354_4e00,
+                        0x3f82_86f6_d896_93e0,
+                    ],
+                    wait_p99: 0x3f7b_a19a_ced1_d220,
+                    sojourn_fnv: 0x1856_5c1b_b355_c48c,
+                },
+            ),
+        ];
+        for (cfg, pin) in &pins {
+            let out = simulate(cfg).unwrap();
+            assert_eq!(out.completed, pin.completed, "{cfg:?}");
+            assert_eq!(out.dropped, pin.dropped, "{cfg:?}");
+            assert_eq!(out.duration_s.to_bits(), pin.duration_s, "{cfg:?}");
+            let sojourn = qs.map(|q| out.sojourn.quantile(q).unwrap().to_bits());
+            assert_eq!(sojourn, pin.sojourn, "{cfg:?}");
+            assert_eq!(out.wait.p99().unwrap().to_bits(), pin.wait_p99, "{cfg:?}");
+            assert_eq!(fnv1a(out.sojourn.sorted()), pin.sojourn_fnv, "{cfg:?}");
+        }
+        let selected = qs.map(|q| sojourn_quantile(&planner, q).unwrap().unwrap().to_bits());
+        assert_eq!(selected, pins[0].1.sojourn);
+    }
+
+    #[test]
+    fn selected_quantile_equals_sorted_quantile() {
+        let layouts = [
+            CoreLayout::Combined { cores: 1 },
+            CoreLayout::Combined { cores: 3 },
+            CoreLayout::Dedicated {
+                net_cores: 2,
+                app_cores: 4,
+            },
+        ];
+        let services = [
+            ServiceDist::Constant(100e-6),
+            ServiceDist::Exponential(100e-6),
+            BIMODAL,
+        ];
+        let mut drops = 0;
+        for layout in layouts {
+            let app_cores = match layout {
+                CoreLayout::Combined { cores } => cores,
+                CoreLayout::Dedicated { app_cores, .. } => app_cores,
+            };
+            for queue_cap in [8, UNBOUNDED] {
+                for service in services {
+                    let cfg = DesConfig {
+                        pps: 0.9 * f64::from(app_cores) / (service.mean_s() + 5e-6),
+                        n_requests: 4_000,
+                        layout,
+                        service,
+                        net_cost_s: 5e-6,
+                        queue_cap,
+                        flows: 64,
+                        seed: 3,
+                    };
+                    let out = simulate(&cfg).unwrap();
+                    drops += out.dropped;
+                    for q in [1e-6, 0.5, 0.99, 0.999, 1.0] {
+                        let sorted = out.sojourn.quantile(q).map(f64::to_bits);
+                        assert!(sorted.is_some());
+                        let selected = sojourn_quantile(&cfg, q).unwrap().map(f64::to_bits);
+                        assert_eq!(selected, sorted, "{cfg:?} at q={q}");
+                    }
+                    for q in [0.0, 1.1, f64::NAN] {
+                        assert_eq!(out.sojourn.quantile(q), None);
+                        assert_eq!(sojourn_quantile(&cfg, q).unwrap(), None);
+                    }
+                }
+            }
+        }
+        assert!(drops > 0, "the cap-8 runs must exercise dropping");
     }
 
     #[test]
@@ -725,6 +972,18 @@ mod tests {
         .is_err());
         assert!(simulate(&DesConfig { queue_cap: 0, ..ok }).is_err());
         assert!(simulate(&DesConfig { flows: 0, ..ok }).is_err());
+        // The arrival clock must resolve the 1 ms service: at pps 1e-10
+        // its spacing near n/pps = 1e11 s is ~2e-5 s, past 0.1 % of the
+        // service; at pps 1e-310, n/pps overflows to infinity.
+        for pps in [1e-10, 1e-310] {
+            let coarse = DesConfig { pps, ..ok };
+            assert!(matches!(simulate(&coarse), Err(Error::InvalidInput(_))));
+            assert!(matches!(
+                sojourn_quantile(&coarse, 0.99),
+                Err(Error::InvalidInput(_))
+            ));
+        }
+        assert!(simulate(&DesConfig { pps: 1e-8, ..ok }).is_ok());
     }
 
     #[test]

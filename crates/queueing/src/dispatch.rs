@@ -361,17 +361,20 @@ fn des_tail(
     n_requests: u64,
     seed: u64,
 ) -> Result<f64> {
-    let out = des::simulate(&DesConfig {
-        pps: lambda,
-        n_requests,
-        layout: des::CoreLayout::Combined { cores: 1 },
-        service: ServiceDist::Constant(service_s),
-        net_cost_s: 0.0,
-        queue_cap: des::UNBOUNDED,
-        flows: 1,
-        seed,
-    })?;
-    out.sojourn.quantile(percentile).ok_or_else(|| {
+    des::sojourn_quantile(
+        &DesConfig {
+            pps: lambda,
+            n_requests,
+            layout: des::CoreLayout::Combined { cores: 1 },
+            service: ServiceDist::Constant(service_s),
+            net_cost_s: 0.0,
+            queue_cap: des::UNBOUNDED,
+            flows: 1,
+            seed,
+        },
+        percentile,
+    )?
+    .ok_or_else(|| {
         Error::InvalidInput(format!(
             "DES produced no completions for percentile {percentile}"
         ))

@@ -482,6 +482,13 @@ fn error_paths_return_typed_statuses() {
             r#"{"workload":"ep","p99_s":10,"lambda":0}"#,
             422,
         ),
+        // So slow that the DES clock cannot resolve the service time.
+        (
+            "POST",
+            "/plan",
+            r#"{"workload":"ep","p99_s":10,"lambda":1e-300}"#,
+            422,
+        ),
         (
             "POST",
             "/plan",
