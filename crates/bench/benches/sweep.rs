@@ -5,7 +5,9 @@
 //! derivation; `fig6_budget_rung` times one rung of the 1 kW ladder.
 //! The `streaming` group runs the same frontiers through the rate-table
 //! engine (old path vs new path), plus a 128-node space (~740k points)
-//! that the materializing path would need hundreds of MB to hold.
+//! that the materializing path would need hundreds of MB to hold, and the
+//! two halves of the largest `/plan` request: pruning a 512 × 128 space and
+//! folding the pruned table.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -13,7 +15,7 @@ use hecmix_bench::bundles;
 use hecmix_core::budget::BudgetMix;
 use hecmix_core::config::ConfigSpace;
 use hecmix_core::pareto::ParetoFrontier;
-use hecmix_core::rate_table::{stream_frontier, stream_frontier_pruned};
+use hecmix_core::rate_table::{stream_frontier, stream_frontier_pruned, RateTable};
 use hecmix_core::sweep::{sweep_space, EvaluatedConfig};
 use hecmix_workloads::ep::Ep;
 use hecmix_workloads::memcached::Memcached;
@@ -161,6 +163,22 @@ fn bench_streaming_engine(c: &mut Criterion) {
             })
         },
     );
+
+    // The largest `/plan` caps, 512 ARM x 128 AMD, split into its two
+    // halves: pruning the options, then folding the pruned table.
+    let caps = ConfigSpace::two_type(
+        models[0].platform.clone(),
+        512,
+        models[1].platform.clone(),
+        128,
+    );
+    let table = RateTable::build_pruned(&caps, &models).unwrap();
+    group.bench_function("frontier_512x128_pruned", |b| {
+        b.iter(|| black_box(black_box(&table).frontier(units).unwrap()))
+    });
+    group.bench_function("build_pruned_512x128", |b| {
+        b.iter(|| black_box(RateTable::build_pruned(black_box(&caps), &models).unwrap()))
+    });
     group.finish();
 }
 

@@ -13,6 +13,8 @@
 
 #![warn(missing_docs)]
 
+use std::time::{Duration, Instant};
+
 use hecmix_core::profile::WorkloadModel;
 use hecmix_profile::characterize_pair;
 use hecmix_sim::{reference_amd_arch, reference_arm_arch, NodeArch};
@@ -29,4 +31,25 @@ pub fn arches() -> [NodeArch; 2] {
 pub fn bundles(w: &dyn Workload) -> Vec<WorkloadModel> {
     let [arm, amd] = arches();
     characterize_pair(&arm, &amd, &w.trace(), 0xBE7C)
+}
+
+/// Best-of-`n` wall times of `a` and `b`, run alternately so a slow spell
+/// of the machine hits both. Min (not mean) so a noisy CI neighbour cannot
+/// fail a cost gate on its own. The CI cost gates compare the two times,
+/// never either one against a constant, so runner speed cannot flap them.
+pub fn best_of<A, B>(
+    n: usize,
+    mut a: impl FnMut() -> A,
+    mut b: impl FnMut() -> B,
+) -> (Duration, Duration) {
+    fn time<T>(f: impl FnOnce() -> T) -> Duration {
+        let t0 = Instant::now();
+        std::hint::black_box(f());
+        t0.elapsed()
+    }
+    (0..n)
+        .map(|_| (time(&mut a), time(&mut b)))
+        .fold((Duration::MAX, Duration::MAX), |(a, b), (ta, tb)| {
+            (a.min(ta), b.min(tb))
+        })
 }

@@ -9,8 +9,8 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::time::{Duration, Instant};
 
+use hecmix_bench::best_of;
 use hecmix_queueing::des::{self, CoreLayout, DesConfig, ServiceDist, UNBOUNDED};
 
 thread_local! {
@@ -58,28 +58,6 @@ fn allocated_by<T>(f: impl FnOnce() -> T) -> (T, usize) {
     let before = ALLOCATED.with(Cell::get);
     let out = f();
     (out, ALLOCATED.with(Cell::get) - before)
-}
-
-/// Wall time of one call of `f`.
-fn time<T>(f: impl FnOnce() -> T) -> Duration {
-    let t0 = Instant::now();
-    std::hint::black_box(f());
-    t0.elapsed()
-}
-
-/// Best-of-`n` wall times of `a` and `b`, run alternately so a slow spell
-/// of the machine hits both. Min (not mean) so a noisy CI neighbour cannot
-/// fail the gate on its own.
-fn best_of<A, B>(
-    n: usize,
-    mut a: impl FnMut() -> A,
-    mut b: impl FnMut() -> B,
-) -> (Duration, Duration) {
-    (0..n)
-        .map(|_| (time(&mut a), time(&mut b)))
-        .fold((Duration::MAX, Duration::MAX), |(a, b), (ta, tb)| {
-            (a.min(ta), b.min(tb))
-        })
 }
 
 #[test]

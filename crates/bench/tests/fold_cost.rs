@@ -1,0 +1,52 @@
+//! CI gate on the cost of the rate-table fold and of pruning. Both checks
+//! are ratios between two code paths timed alternately on the same
+//! machine, so runner speed cannot flap them:
+//!
+//! * `RateTable::frontier` (rows over columns, in-row dominance skips,
+//!   hinted inserts) must take at most 0.3× the per-point reference fold
+//!   in `hecmix-check`, which evaluates and bisects every point;
+//! * `RateTable::build_pruned` must take at most 1.5× `RateTable::build`
+//!   on the same space: pruning may not cost more than half a build.
+//!
+//! One `#[test]` runs both in turn: the fold spawns workers, and a second
+//! test timing alongside it on a two-core runner reads their noise.
+
+use hecmix_bench::best_of;
+use hecmix_check::reference::per_point_fold;
+use hecmix_core::config::ConfigSpace;
+use hecmix_core::profile::WorkloadModel;
+use hecmix_core::rate_table::RateTable;
+use hecmix_core::types::Platform;
+
+#[test]
+fn row_fold_and_pruning_stay_cheap() {
+    // The `/plan` shape at its largest caps: 512 ARM × 128 AMD nodes.
+    let (arm, amd) = (Platform::reference_arm(), Platform::reference_amd());
+    let models = vec![
+        WorkloadModel::synthetic_cpu_bound(&arm, "gate", 40.0),
+        WorkloadModel::synthetic_cpu_bound(&amd, "gate", 60.0),
+    ];
+    let space = ConfigSpace::two_type(arm, 512, amd, 128);
+
+    let table = RateTable::build_pruned(&space, &models).unwrap();
+    let w = 1e8;
+    assert_eq!(
+        table.frontier(w).unwrap().len(),
+        per_point_fold(&table, w).len()
+    );
+    let (fold, reference) = best_of(5, || table.frontier(w), || per_point_fold(&table, w));
+    assert!(
+        fold.as_secs_f64() <= 0.3 * reference.as_secs_f64(),
+        "the row fold took {fold:?}, the per-point fold {reference:?}"
+    );
+
+    let (pruned, full) = best_of(
+        5,
+        || RateTable::build_pruned(&space, &models),
+        || RateTable::build(&space, &models),
+    );
+    assert!(
+        pruned.as_secs_f64() <= 1.5 * full.as_secs_f64(),
+        "build_pruned took {pruned:?}, build {full:?}"
+    );
+}

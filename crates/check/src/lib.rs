@@ -17,7 +17,9 @@
 //!   frontier-merge idempotence, time monotonicity in work;
 //! * [`fuzz`] — a seeded random-configuration driver that replays the
 //!   cheap checks over arbitrary cluster points and *shrinks* any failure
-//!   to a minimal reproducing configuration, emitted as one-line JSON.
+//!   to a minimal reproducing configuration, emitted as one-line JSON;
+//! * [`reference`](mod@reference) — slow, plain versions of production fast paths, kept
+//!   only so tests and benchmarks can compare against them.
 //!
 //! [`run_all`] wires everything into one report. Violations and the final
 //! summary are published as [`hecmix_obs`] events (`check_violation`,
@@ -31,6 +33,7 @@ pub mod fuzz;
 #[cfg(feature = "check")]
 pub mod invariants;
 pub mod oracles;
+pub mod reference;
 
 use hecmix_core::config::ConfigSpace;
 use hecmix_core::profile::WorkloadModel;

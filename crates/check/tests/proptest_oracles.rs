@@ -6,10 +6,11 @@
 use proptest::prelude::*;
 
 use hecmix_check::fuzz::check_point;
-use hecmix_check::oracles;
+use hecmix_check::{oracles, reference};
 use hecmix_core::config::{ClusterPoint, ConfigSpace, NodeConfig, TypeBounds};
 use hecmix_core::profile::WorkloadModel;
-use hecmix_core::types::Platform;
+use hecmix_core::rate_table::RateTable;
+use hecmix_core::types::{Frequency, Platform};
 
 /// Random two-type scenario: reference platforms with random node caps,
 /// random per-type instruction demand, CPU- or I/O-bound profiles, and a
@@ -199,6 +200,82 @@ proptest! {
             oracles::ladder_degenerate_vs_legacy(seed),
             Vec::<String>::new()
         );
+    }
+}
+
+/// Random one- to three-type table: the reference platforms plus a
+/// third, node caps that may leave a type out (but not every type),
+/// CPU- or I/O-bound profiles with instruction demand over seven decades,
+/// pruned or not, and a random job size. Unpruned spaces get smaller caps
+/// so the per-point reference stays quick.
+fn fold_scenario() -> impl Strategy<Value = (RateTable, f64)> {
+    (
+        1usize..=3,
+        (0u32..=40, 0u32..=40, 0u32..=40),
+        (2.0f64..9.0, 2.0f64..9.0, 2.0f64..9.0),
+        any::<bool>(),
+        any::<bool>(),
+        1e3f64..1e8,
+    )
+        .prop_map(|(types, caps, demand, io_bound, pruned, w)| {
+            let mid = Platform {
+                name: "ARM Cortex-A15".to_owned(),
+                freqs: vec![Frequency::from_ghz(0.6), Frequency::from_ghz(1.8)],
+                peak_power_w: 9.0,
+                idle_power_w: 2.6,
+                ..Platform::reference_arm()
+            };
+            let platforms = [Platform::reference_arm(), Platform::reference_amd(), mid];
+            let limit = if pruned { 40 } else { [40, 6, 3][types - 1] };
+            let mut caps = [caps.0, caps.1, caps.2].map(|c| c * limit / 40);
+            if caps[..types].iter().all(|&c| c == 0) {
+                caps[0] = 1;
+            }
+            let demand = [demand.0, demand.1, demand.2];
+            let bounds = (0..types)
+                .map(|t| TypeBounds {
+                    platform: platforms[t].clone(),
+                    max_nodes: caps[t],
+                })
+                .collect();
+            let models: Vec<WorkloadModel> = (0..types)
+                .map(|t| {
+                    let i_ps = 10f64.powf(demand[t]);
+                    if io_bound {
+                        WorkloadModel::synthetic_io_bound(&platforms[t], "fold", i_ps, 512.0)
+                    } else {
+                        WorkloadModel::synthetic_cpu_bound(&platforms[t], "fold", i_ps)
+                    }
+                })
+                .collect();
+            let space = ConfigSpace::new(bounds);
+            let table = if pruned {
+                RateTable::build_pruned(&space, &models)
+            } else {
+                RateTable::build(&space, &models)
+            };
+            (table.expect("valid scenario"), w)
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    // The row-by-row fold (column sums, in-row dominance skips, hinted
+    // inserts, parallel chunks) must return exactly the per-point fold's
+    // frontier: same bits, same configurations. A table's flat indices
+    // decode to distinct configurations, so equal configurations mean
+    // equal flat indices.
+    #[test]
+    fn prop_row_fold_equals_per_point_fold((table, w) in fold_scenario()) {
+        let fast = table.frontier(w).unwrap();
+        let slow = reference::per_point_fold(&table, w);
+        prop_assert_eq!(fast.len(), slow.len());
+        for (f, s) in fast.points.iter().zip(&slow) {
+            prop_assert_eq!(f.time_s.to_bits(), s.time_s.to_bits());
+            prop_assert_eq!(f.energy_j.to_bits(), s.energy_j.to_bits());
+            prop_assert_eq!(&f.config, &table.decode(s.flat));
+        }
     }
 }
 

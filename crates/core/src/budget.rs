@@ -190,6 +190,15 @@ impl PowerBudget {
                 self.watts, high.name
             )));
         }
+        // The all-low rung has the most low nodes; if its count fits, every
+        // rung's does.
+        if max_high.checked_mul(ratio.low_per_high).is_none() {
+            return Err(Error::InvalidInput(format!(
+                "budget {} W fits {max_high} `{}` nodes, and {} `{}` nodes each \
+                 overflow the node count",
+                self.watts, high.name, ratio.low_per_high, low.name
+            )));
+        }
         let mut mixes = Vec::new();
         let mut high_nodes = max_high;
         loop {
@@ -254,6 +263,40 @@ mod tests {
         let fine_pairs: Vec<(u32, u32)> =
             fine.iter().map(|m| (m.low_nodes, m.high_nodes)).collect();
         assert!(fine_pairs.contains(&(88, 5)));
+    }
+
+    #[test]
+    fn huge_budgets_overflow_to_a_typed_error() {
+        let (arm, amd) = platforms();
+        // 1e11 W fits 1.67e9 AMD nodes; substituting all of them would need
+        // 1.3e10 ARM nodes, past `u32`. No rung may wrap.
+        for step in [1, 2, 64] {
+            assert!(matches!(
+                PowerBudget::new(1e11).substitution_ladder(&arm, &amd, step),
+                Err(Error::InvalidInput(_))
+            ));
+        }
+        // 1 kW still gives the paper's step-2 ladder, rung for rung.
+        let pairs: Vec<(u32, u32)> = PowerBudget::new(1000.0)
+            .substitution_ladder(&arm, &amd, 2)
+            .unwrap()
+            .iter()
+            .map(|m| (m.low_nodes, m.high_nodes))
+            .collect();
+        assert_eq!(
+            pairs,
+            vec![
+                (0, 16),
+                (16, 14),
+                (32, 12),
+                (48, 10),
+                (64, 8),
+                (80, 6),
+                (96, 4),
+                (112, 2),
+                (128, 0)
+            ]
+        );
     }
 
     #[test]

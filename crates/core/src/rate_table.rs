@@ -28,6 +28,14 @@
 //!   Peak memory is `O(threads × frontier)`, independent of the space
 //!   size, and only frontier survivors are ever decoded back into
 //!   [`ClusterPoint`]s.
+//! * **Rows over columns.** Each type's `r` and `b` live in their own
+//!   columns with a `0.0` sentinel at digit 0, so a configuration's sums
+//!   take no branch. A chunk is decoded once; the fold then walks digit 0
+//!   along contiguous columns and carries the other digits like an
+//!   odometer. Within a chunk it skips every point an earlier point of
+//!   the same chunk already dominates, and survivors enter the partial
+//!   frontier through an insert that starts searching where the last one
+//!   landed.
 //!
 //! ## Soundness of the `(r, b)` aggregation
 //!
@@ -43,7 +51,9 @@
 //! associativity — property-tested to 1e-9 relative tolerance in
 //! `tests/streaming_equivalence.rs`.
 
+use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 use crate::config::{ClusterPoint, ConfigSpace, NodeConfig};
 use crate::energy::EnergyModel;
@@ -78,6 +88,63 @@ pub struct RateOption {
     pub opp: Option<usize>,
 }
 
+/// Lone-run aggregates of one option at one work unit: the execution rate
+/// `r` and the average power `b = E_alone(1)·r`, from a single `predict`
+/// call. This is the single-type path of `mix_match::evaluate` bit for
+/// bit: the job lasts `1/r` and the share is exactly 1.
+pub(crate) fn lone_run(model: &WorkloadModel, cfg: &NodeConfig) -> Result<(f64, f64)> {
+    let etm = ExecTimeModel::new(model);
+    etm.check_config(cfg)?;
+    let tb = etm.predict(cfg, 1.0);
+    // `1/total`, as `rate_units_per_s` computes it; a non-positive or NaN
+    // total fails the check below either way.
+    let rate = 1.0 / tb.total;
+    if !(rate > 0.0) || !rate.is_finite() {
+        return Err(Error::MatchingFailed(format!(
+            "option {cfg:?} of `{}` has execution rate {rate} units/s",
+            model.platform.name
+        )));
+    }
+    let power_w = EnergyModel::new(model).energy(cfg, &tb, 1.0 / rate).total() * rate;
+    if !(power_w > 0.0) || !power_w.is_finite() {
+        return Err(Error::InvalidInput(format!(
+            "option {cfg:?} of `{}` has lone-run power {power_w} W",
+            model.platform.name
+        )));
+    }
+    Ok((rate, power_w))
+}
+
+/// One type's options as columns indexed by digit: entry 0 is the `0.0`
+/// sentinel for "type unused", entry `d ≥ 1` is option `d - 1`. Rates and
+/// powers are positive, and `x + 0.0 == x` for every `x ≥ +0`, so summing
+/// the sentinel leaves a configuration's `Σr` and `Σb` bit-unchanged.
+#[derive(Debug, Clone)]
+struct Column {
+    rate: Vec<f64>,
+    power: Vec<f64>,
+}
+
+impl Column {
+    fn new(opts: &[RateOption]) -> Self {
+        let col =
+            |f: fn(&RateOption) -> f64| std::iter::once(0.0).chain(opts.iter().map(f)).collect();
+        Self {
+            rate: col(|o| o.rate),
+            power: col(|o| o.power_w),
+        }
+    }
+
+    /// The digit's radix: the options plus the unused digit.
+    fn radix(&self) -> usize {
+        self.rate.len()
+    }
+
+    fn at(&self, d: usize) -> (f64, f64) {
+        (self.rate[d], self.power[d])
+    }
+}
+
 /// Per-type `(r, b)` tables over a configuration space, plus the flat
 /// mixed-radix indexing that turns the space into a single integer range.
 ///
@@ -88,6 +155,8 @@ pub struct RateOption {
 #[derive(Debug, Clone)]
 pub struct RateTable {
     per_type: Vec<Vec<RateOption>>,
+    /// The kernel's view of `per_type`, one column pair per type.
+    columns: Vec<Column>,
     /// Σ over types of `option_count + 1` before any pruning (the "+1" is
     /// the unused digit), kept for [`PruneStats`] accounting.
     unpruned_options: usize,
@@ -101,10 +170,7 @@ impl RateTable {
         check_space(space)?;
         let per_type = Self::type_options(space, models)?;
         let unpruned_options = per_type.iter().map(|o| o.len() + 1).sum();
-        Ok(Self {
-            per_type,
-            unpruned_options,
-        })
+        Ok(Self::from_options(per_type, unpruned_options))
     }
 
     /// Build a dominance-pruned table: within each type, keep only the
@@ -115,28 +181,25 @@ impl RateTable {
     /// energy-per-deadline curve.
     pub fn build_pruned(space: &ConfigSpace, models: &[WorkloadModel]) -> Result<Self> {
         check_space(space)?;
-        let mut per_type = Self::type_options(space, models)?;
+        let per_type = Self::type_options(space, models)?;
         let unpruned_options = per_type.iter().map(|o| o.len() + 1).sum();
-        for opts in &mut per_type {
-            opts.sort_by(|a, c| {
-                c.rate
-                    .total_cmp(&a.rate)
-                    .then(a.power_w.total_cmp(&c.power_w))
-            });
-            let mut best_b = f64::INFINITY;
-            opts.retain(|o| {
-                if o.power_w < best_b {
-                    best_b = o.power_w;
-                    true
-                } else {
-                    false
-                }
-            });
-        }
-        Ok(Self {
+        let per_type = per_type
+            .iter()
+            .map(|opts| {
+                let keys: Vec<(f64, f64)> = opts.iter().map(|o| (o.rate, o.power_w)).collect();
+                pareto_order(&keys).into_iter().map(|i| opts[i]).collect()
+            })
+            .collect();
+        Ok(Self::from_options(per_type, unpruned_options))
+    }
+
+    fn from_options(per_type: Vec<Vec<RateOption>>, unpruned_options: usize) -> Self {
+        let columns = per_type.iter().map(|o| Column::new(o)).collect();
+        Self {
             per_type,
+            columns,
             unpruned_options,
-        })
+        }
     }
 
     fn type_options(space: &ConfigSpace, models: &[WorkloadModel]) -> Result<Vec<Vec<RateOption>>> {
@@ -151,8 +214,6 @@ impl RateTable {
             .iter()
             .zip(models)
             .map(|(t, model)| {
-                let etm = ExecTimeModel::new(model);
-                let enm = EnergyModel::new(model);
                 // Legacy models enumerate the platform P-state list via
                 // `decode_option`; ladder models enumerate per-(type, OPP)
                 // in the same (nodes, freq-axis, cores) nesting, with the
@@ -168,36 +229,18 @@ impl RateTable {
                         .map(|idx| (t.decode_option(idx), None))
                         .collect(),
                 };
-                let mut opts = Vec::with_capacity(enumerated.len());
-                for (cfg, opp) in enumerated {
-                    etm.check_config(&cfg)?;
-                    let rate = etm.rate_units_per_s(&cfg);
-                    if !(rate > 0.0) || !rate.is_finite() {
-                        return Err(Error::MatchingFailed(format!(
-                            "option {cfg:?} of `{}` has execution rate {rate} units/s",
-                            t.platform.name
-                        )));
-                    }
-                    // Lone-run evaluation at one work unit, matching the
-                    // single-type path of `mix_match::evaluate` bit for bit:
-                    // the job duration is 1/r and the share is exactly 1.
-                    let time_s = 1.0 / rate;
-                    let tb = etm.predict(&cfg, 1.0);
-                    let power_w = enm.energy(&cfg, &tb, time_s).total() * rate;
-                    if !(power_w > 0.0) || !power_w.is_finite() {
-                        return Err(Error::InvalidInput(format!(
-                            "option {cfg:?} of `{}` has lone-run power {power_w} W",
-                            t.platform.name
-                        )));
-                    }
-                    opts.push(RateOption {
-                        cfg,
-                        rate,
-                        power_w,
-                        opp,
-                    });
-                }
-                Ok(opts)
+                enumerated
+                    .into_iter()
+                    .map(|(cfg, opp)| {
+                        let (rate, power_w) = lone_run(model, &cfg)?;
+                        Ok(RateOption {
+                            cfg,
+                            rate,
+                            power_w,
+                            opp,
+                        })
+                    })
+                    .collect()
             })
             .collect()
     }
@@ -211,9 +254,9 @@ impl RateTable {
     /// Number of valid configurations (flat indices `1 ..= count()`).
     #[must_use]
     pub fn count(&self) -> u64 {
-        self.per_type
+        self.columns
             .iter()
-            .map(|o| o.len() as u64 + 1)
+            .map(|c| c.radix() as u64)
             .product::<u64>()
             .saturating_sub(1)
     }
@@ -223,7 +266,7 @@ impl RateTable {
     pub fn prune_stats(&self, space: &ConfigSpace) -> PruneStats {
         PruneStats {
             total_options: self.unpruned_options,
-            kept_options: self.per_type.iter().map(|o| o.len() + 1).sum(),
+            kept_options: self.columns.iter().map(Column::radix).sum(),
             evaluated_configs: self.count(),
             full_space: space.count(),
         }
@@ -238,15 +281,12 @@ impl RateTable {
         let mut rest = flat;
         let mut sum_r = 0.0;
         let mut sum_b = 0.0;
-        for opts in &self.per_type {
-            let radix = opts.len() as u64 + 1;
-            let d = rest % radix;
+        for col in &self.columns {
+            let radix = col.radix() as u64;
+            let (r, b) = col.at((rest % radix) as usize);
             rest /= radix;
-            if d != 0 {
-                let o = &opts[(d - 1) as usize];
-                sum_r += o.rate;
-                sum_b += o.power_w;
-            }
+            sum_r += r;
+            sum_b += b;
         }
         let time_s = w_units / sum_r;
         SweepOutcome {
@@ -285,8 +325,15 @@ impl RateTable {
     /// and chunk scheduling.
     pub fn frontier(&self, w_units: f64) -> Result<ParetoFrontier> {
         validate_work(w_units)?;
-        let entries = stream_fold(self.count(), |flat| Some(self.entry(flat, w_units)))?;
-        Ok(ParetoFrontier {
+        let entries = stream_fold(self.count(), |start, end, partial| {
+            self.fold_rows(start, end, w_units, partial);
+        })?;
+        Ok(self.frontier_of(entries))
+    }
+
+    /// Decode folded entries into the frontier they stand for.
+    pub(crate) fn frontier_of(&self, entries: Vec<Entry>) -> ParetoFrontier {
+        ParetoFrontier {
             points: entries
                 .into_iter()
                 .map(|e| ParetoPoint {
@@ -295,22 +342,179 @@ impl RateTable {
                     config: self.decode(e.flat),
                 })
                 .collect(),
-        })
+        }
     }
 
-    #[inline]
-    fn entry(&self, flat: u64, w_units: f64) -> Entry {
-        let out = self.outcome(flat, w_units);
-        Entry {
-            time_s: out.time_s,
-            energy_j: out.energy_j,
-            flat,
+    /// Fold flat indices `start ..= end` into `partial`, with exactly the
+    /// outcome of [`Self::outcome`] for every point.
+    ///
+    /// `start` is decoded once. Digit 0 is the inner loop over contiguous
+    /// columns; the other digits' `(r, b)` are row constants, refreshed
+    /// only when a row ends and the odometer carries.
+    ///
+    /// A point is skipped when an earlier point of this chunk dominates it.
+    /// The fold keeps the time of the previous finite point and the least
+    /// energy since time last decreased: every point of that run has a time
+    /// no larger than the current one and a smaller flat index, so a
+    /// current energy at or above the run's least means an earlier point
+    /// keys below it with no more energy. That point went into `partial`
+    /// (or lost there to a point keyed lower still with no more energy), so
+    /// `partial` would reject the skipped point anyway and ends up exactly
+    /// as if every point had been pushed. Non-finite points never enter a
+    /// run. In a pruned table digit 0 runs from the unused sentinel to
+    /// ever slower options, so each row is two runs and most points cost
+    /// two adds, a divide, a multiply and one predictable compare.
+    fn fold_rows(&self, start: u64, end: u64, w_units: f64, partial: &mut PartialFrontier) {
+        let (first, rest) = self
+            .columns
+            .split_first()
+            .expect("a table has at least one type");
+        let mut digits = Vec::with_capacity(self.columns.len());
+        let mut left = start;
+        for col in &self.columns {
+            let radix = col.radix() as u64;
+            digits.push((left % radix) as usize);
+            left /= radix;
+        }
+        // The row constants, per type after the first, in type order.
+        let mut row: Vec<(f64, f64)> = rest
+            .iter()
+            .zip(&digits[1..])
+            .map(|(c, &d)| c.at(d))
+            .collect();
+        let (mut last_t, mut run_min_e) = (f64::NEG_INFINITY, f64::INFINITY);
+        let mut flat = start;
+        let mut d0 = digits[0];
+        loop {
+            // The rest of this row, or of the chunk if it ends first.
+            let len = ((first.radix() - d0) as u64).min(end - flat + 1) as usize;
+            let cells = first.rate[d0..d0 + len]
+                .iter()
+                .zip(&first.power[d0..d0 + len]);
+            for (k, (&r, &b)) in cells.enumerate() {
+                let (mut sum_r, mut sum_b) = (r, b);
+                for &(r, b) in &row {
+                    sum_r += r;
+                    sum_b += b;
+                }
+                let time_s = w_units / sum_r;
+                let energy_j = time_s * sum_b;
+                if !(time_s.is_finite() && energy_j.is_finite()) {
+                    continue;
+                }
+                if time_s < last_t {
+                    run_min_e = f64::INFINITY;
+                }
+                last_t = time_s;
+                if energy_j >= run_min_e {
+                    continue;
+                }
+                run_min_e = energy_j;
+                partial.push(Entry {
+                    time_s,
+                    energy_j,
+                    flat: flat + k as u64,
+                });
+            }
+            flat += len as u64;
+            if flat > end {
+                return;
+            }
+            d0 = 0;
+            for ((d, col), cell) in digits[1..].iter_mut().zip(rest).zip(&mut row) {
+                *d += 1;
+                if *d < col.radix() {
+                    *cell = col.at(*d);
+                    break;
+                }
+                *d = 0;
+                *cell = col.at(0);
+            }
         }
     }
 }
 
+/// Kept options of one type as indices into `keys = (rate, power)`, in
+/// rate-descending order: the `(max r, min b)` Pareto set that a stable
+/// sort by rate descending then power ascending, followed by a pass
+/// keeping each option that strictly beats every earlier power, selects.
+///
+/// Most options fall before the sort. Rates are bucketed by
+/// `((r − r_min)/width) as usize`, about one bucket per 8 options, a map
+/// monotone in `r`. An option is dropped when an option of a strictly
+/// higher bucket (hence strictly faster) matches or beats its power, or
+/// when its own bucket's leader (max rate, then min power, then min index)
+/// does. Either dominator sorts before it, so the pass would drop it too.
+/// The pass keeps exactly the options whose power beats every option
+/// sorted before them; those have no dominator of either kind and hold
+/// every prefix minimum of power, so running the pass over the survivors
+/// alone keeps the same options. The survivors are sorted by
+/// `(rate desc, power asc, index asc)`, the order the stable sort gave.
+fn pareto_order(keys: &[(f64, f64)]) -> Vec<usize> {
+    let (r_min, r_max) = keys
+        .iter()
+        .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &(r, _)| {
+            (lo.min(r), hi.max(r))
+        });
+    let buckets = (keys.len() / 8).max(1);
+    let width = (r_max - r_min) / buckets as f64;
+    let bucket_of: Vec<usize> = keys
+        .iter()
+        .map(|&(r, _)| {
+            if width > 0.0 {
+                (((r - r_min) / width) as usize).min(buckets - 1)
+            } else {
+                0
+            }
+        })
+        .collect();
+    let mut leader = vec![usize::MAX; buckets];
+    let mut min_power = vec![f64::INFINITY; buckets];
+    for (i, (&(r, b), &k)) in keys.iter().zip(&bucket_of).enumerate() {
+        min_power[k] = min_power[k].min(b);
+        let l = leader[k];
+        if l == usize::MAX || r > keys[l].0 || (r == keys[l].0 && b < keys[l].1) {
+            leader[k] = i;
+        }
+    }
+    // Least power over every bucket strictly above `k`.
+    let mut above = vec![f64::INFINITY; buckets];
+    for k in (0..buckets - 1).rev() {
+        above[k] = above[k + 1].min(min_power[k + 1]);
+    }
+    let mut survivors: Vec<(f64, f64, usize)> = keys
+        .iter()
+        .zip(&bucket_of)
+        .enumerate()
+        .filter(|&(i, (&(_, b), &k))| b < above[k] && (i == leader[k] || b < keys[leader[k]].1))
+        .map(|(i, (&(r, b), _))| (r, b, i))
+        .collect();
+    survivors.sort_unstable_by(|a, c| {
+        c.0.total_cmp(&a.0)
+            .then(a.1.total_cmp(&c.1))
+            .then(a.2.cmp(&c.2))
+    });
+    let mut best_b = f64::INFINITY;
+    survivors
+        .into_iter()
+        .filter(|&(_, b, _)| {
+            let keep = b < best_b;
+            best_b = best_b.min(b);
+            keep
+        })
+        .map(|(_, _, i)| i)
+        .collect()
+}
+
 /// Below this many configurations per thread, spawning is not worth it.
 const MIN_CHUNK: u64 = 4096;
+
+/// Threads the fold may use, read once: `available_parallelism` reads
+/// cgroup files on every call, which costs more than a small fold.
+fn parallelism() -> usize {
+    static CPUS: OnceLock<usize> = OnceLock::new();
+    *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
+}
 
 /// Shared work-size validation for every public sweep entry point.
 pub(crate) fn validate_work(w_units: f64) -> Result<()> {
@@ -332,29 +536,28 @@ pub(crate) fn check_space(space: &ConfigSpace) -> Result<()> {
     Ok(())
 }
 
-/// Stream flat indices `1..=count` through `eval`, folding survivors into
-/// sorted frontier entries — the chunked parallel core shared by
-/// [`RateTable::frontier`] and the degraded-mode sweeps in
-/// [`crate::resilience`]. `eval` returning `None` skips the index (e.g. a
-/// configuration that cannot tolerate the requested failures).
+/// Fold flat indices `1..=count` into sorted frontier entries — the
+/// chunked parallel core shared by [`RateTable::frontier`] and the
+/// degraded-mode sweeps in [`crate::resilience`]. Each chunk reaches
+/// `fold` as `(start, end, partial)`: `fold` pushes the survivors among
+/// `start ..= end` into its worker's partial frontier, skipping any index
+/// it likes (e.g. a configuration that cannot tolerate the requested
+/// failures).
 ///
 /// Worker panics are captured and surfaced as [`Error::WorkerPanic`]
 /// instead of aborting the caller's thread; every worker is still joined
 /// before returning, so no detached thread outlives the call.
-pub(crate) fn stream_fold<F>(count: u64, eval: F) -> Result<Vec<Entry>>
+pub(crate) fn stream_fold<F>(count: u64, fold: F) -> Result<Vec<Entry>>
 where
-    F: Fn(u64) -> Option<Entry> + Sync,
+    F: Fn(u64, u64, &mut PartialFrontier) + Sync,
 {
     if count == 0 {
         return Ok(Vec::new());
     }
-    let threads = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-        .min(count.div_ceil(MIN_CHUNK) as usize);
+    let threads = parallelism().min(count.div_ceil(MIN_CHUNK) as usize);
     // Telemetry granularity is per chunk / per worker, never per point:
-    // the `outcome` kernel stays untouched and the disabled cost of the
-    // whole fold is this one flag read.
+    // the kernel stays untouched and the disabled cost of the whole fold
+    // is this one flag read.
     let tracing = hecmix_obs::enabled();
     let sweep_t0 = tracing.then(std::time::Instant::now);
     if tracing {
@@ -368,11 +571,7 @@ where
         // `WorkerPanic` regardless of how the fold was scheduled.
         return std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut partial = PartialFrontier::default();
-            for flat in 1..=count {
-                if let Some(e) = eval(flat) {
-                    partial.push(e);
-                }
-            }
+            fold(1, count, &mut partial);
             if tracing {
                 hecmix_obs::emit(|| hecmix_obs::Event::SweepWorker {
                     worker: 0,
@@ -391,9 +590,9 @@ where
     std::thread::scope(|s| {
         let workers: Vec<_> = (0..threads)
             .map(|worker| {
-                // Move only copies and references into the worker: `eval`
+                // Move only copies and references into the worker: `fold`
                 // itself stays owned by the caller.
-                let (eval, cursor) = (&eval, &cursor);
+                let (fold, cursor) = (&fold, &cursor);
                 s.spawn(move || {
                     let mut partial = PartialFrontier::default();
                     let (mut chunks, mut scanned) = (0u64, 0u64);
@@ -403,11 +602,7 @@ where
                             break;
                         }
                         let end = count.min(start + chunk - 1);
-                        for flat in start..=end {
-                            if let Some(e) = eval(flat) {
-                                partial.push(e);
-                            }
-                        }
+                        fold(start, end, &mut partial);
                         if tracing {
                             chunks += 1;
                             scanned += end - start + 1;
@@ -505,27 +700,64 @@ fn key_lt(a: &Entry, b: &Entry) -> bool {
 /// strictly increasing time and strictly decreasing energy (the same
 /// invariant as [`ParetoFrontier::from_points`] output).
 #[derive(Debug, Default)]
-struct PartialFrontier {
+pub(crate) struct PartialFrontier {
     entries: Vec<Entry>,
+    /// Where the last candidate landed: one past the last insertion, or a
+    /// rejected candidate's position. A fold's consecutive survivors land
+    /// close together, so each search starts here.
+    hint: usize,
 }
 
 impl PartialFrontier {
-    fn push(&mut self, c: Entry) {
+    /// Insert `c` unless an entry keyed below it has no more energy, and
+    /// drop the entries keyed above it that it dominates. The insertion
+    /// index is `partition_point(key < c)`, found from the hint: if the
+    /// entry before the hint keys below `c` the index is at or past the
+    /// hint (and `c` is rejected in O(1) when that entry has no more
+    /// energy), so the search gallops forward; otherwise it bisects below.
+    pub(crate) fn push(&mut self, c: Entry) {
         if !c.time_s.is_finite() || !c.energy_j.is_finite() {
             return;
         }
-        let i = self.entries.partition_point(|p| key_lt(p, &c));
+        let hint = self.hint;
+        let i = if hint == 0 || key_lt(&self.entries[hint - 1], &c) {
+            if hint > 0 && self.entries[hint - 1].energy_j <= c.energy_j {
+                return;
+            }
+            hint + gallop(&self.entries[hint..], |p| key_lt(p, &c))
+        } else {
+            self.entries[..hint - 1].partition_point(|p| key_lt(p, &c))
+        };
         // Entries before `i` are keyed below `c`, so the one at `i-1` has
         // the minimum energy among them; `c` is dominated iff it does not
         // strictly beat that energy.
         if i > 0 && self.entries[i - 1].energy_j <= c.energy_j {
+            self.hint = i;
             return;
         }
         // Entries from `i` on are keyed above `c`; the prefix with energy
         // ≥ `c`'s is dominated by `c`.
-        let k = self.entries[i..].partition_point(|p| p.energy_j >= c.energy_j);
-        self.entries.splice(i..i + k, std::iter::once(c));
+        let k = gallop(&self.entries[i..], |p| p.energy_j >= c.energy_j);
+        if k == 0 {
+            self.entries.insert(i, c);
+        } else {
+            self.entries[i] = c;
+            self.entries.drain(i + 1..i + k);
+        }
+        self.hint = i + 1;
     }
+}
+
+/// `slice.partition_point(pred)` found by galloping from the front, in
+/// `O(log k)` steps for an answer `k`.
+fn gallop<T>(slice: &[T], pred: impl Fn(&T) -> bool) -> usize {
+    let mut hi = 1;
+    while hi <= slice.len() && pred(&slice[hi - 1]) {
+        hi *= 2;
+    }
+    // `pred` holds on `slice[..hi/2]` and fails at `hi-1` if that exists.
+    let lo = hi / 2;
+    lo + slice[lo..hi.min(slice.len())].partition_point(pred)
 }
 
 /// Merge two partial frontiers in `O(n + m)`: a sorted merge by key with
@@ -660,6 +892,27 @@ mod tests {
         }
     }
 
+    /// The per-point fold: every flat index evaluated on its own and pushed.
+    fn per_point_entries(table: &RateTable, start: u64, end: u64, w: f64) -> Vec<Entry> {
+        let mut partial = PartialFrontier::default();
+        for flat in start..=end {
+            let out = table.outcome(flat, w);
+            partial.push(Entry {
+                time_s: out.time_s,
+                energy_j: out.energy_j,
+                flat,
+            });
+        }
+        partial.entries
+    }
+
+    fn bits(entries: &[Entry]) -> Vec<(u64, u64, u64)> {
+        entries
+            .iter()
+            .map(|e| (e.time_s.to_bits(), e.energy_j.to_bits(), e.flat))
+            .collect()
+    }
+
     #[test]
     fn streaming_is_deterministic_across_chunkings() {
         // Force the sequential path (small count) and compare against the
@@ -671,11 +924,12 @@ mod tests {
         let mut parts: Vec<Vec<Entry>> = Vec::new();
         let mut flat = 1;
         while flat <= table.count() {
-            let mut partial = PartialFrontier::default();
-            for f in flat..=table.count().min(flat + 96) {
-                partial.push(table.entry(f, w));
-            }
-            parts.push(partial.entries);
+            parts.push(per_point_entries(
+                &table,
+                flat,
+                table.count().min(flat + 96),
+                w,
+            ));
             flat += 97;
         }
         let merged = parts
@@ -686,6 +940,51 @@ mod tests {
             assert_eq!(m.time_s, r.time_s);
             assert_eq!(m.energy_j, r.energy_j);
             assert_eq!(table.decode(m.flat), r.config);
+        }
+    }
+
+    #[test]
+    fn mid_row_chunks_fold_like_one_chunk() {
+        // Rows of the 3+2 table are 61 points long; chunk lengths that are
+        // not multiples of it start and end mid-row, and single points
+        // exercise a carry after every row of one. The three-type table
+        // also carries from its second digit into its third.
+        let (space, models) = setup();
+        let mut third = space.types[0].clone();
+        third.max_nodes = 1;
+        let space3 = ConfigSpace::new(vec![space.types[0].clone(), space.types[1].clone(), third]);
+        let models3 = vec![models[0].clone(), models[1].clone(), models[0].clone()];
+        let w = 3e6;
+        for table in [
+            RateTable::build(&space, &models).unwrap(),
+            RateTable::build_pruned(&space, &models).unwrap(),
+            RateTable::build(&space3, &models3).unwrap(),
+            RateTable::build_pruned(&space3, &models3).unwrap(),
+        ] {
+            let count = table.count();
+            let whole = {
+                let mut partial = PartialFrontier::default();
+                table.fold_rows(1, count, w, &mut partial);
+                partial.entries
+            };
+            assert_eq!(bits(&whole), bits(&per_point_entries(&table, 1, count, w)));
+            for chunk in [1, 2, 7, 60, 61, 62, 97, 1000] {
+                let mut merged = Vec::new();
+                let mut start = 1;
+                while start <= count {
+                    let end = count.min(start + chunk - 1);
+                    let mut partial = PartialFrontier::default();
+                    table.fold_rows(start, end, w, &mut partial);
+                    assert_eq!(
+                        bits(&partial.entries),
+                        bits(&per_point_entries(&table, start, end, w)),
+                        "chunk {start}..={end}"
+                    );
+                    merged = merge_entries(&merged, &partial.entries);
+                    start = end + 1;
+                }
+                assert_eq!(bits(&merged), bits(&whole), "chunk length {chunk}");
+            }
         }
     }
 
@@ -786,11 +1085,12 @@ mod tests {
     #[test]
     fn worker_panic_surfaces_as_error() {
         // Sequential path (count below the spawn threshold).
-        let got = stream_fold(16, |flat| {
-            if flat == 7 {
-                panic!("boom at {flat}");
+        let got = stream_fold(16, |start, end, _| {
+            for flat in start..=end {
+                if flat == 7 {
+                    panic!("boom at {flat}");
+                }
             }
-            None
         });
         assert!(
             matches!(&got, Err(Error::WorkerPanic(msg)) if msg.contains("boom at 7")),
@@ -798,23 +1098,24 @@ mod tests {
         );
         // Threaded path: enough indices that workers are spawned (when the
         // host has more than one CPU; otherwise this re-checks sequential).
-        let got = stream_fold(MIN_CHUNK * 64, |flat| {
-            if flat % (MIN_CHUNK + 1) == 0 {
+        let got = stream_fold(MIN_CHUNK * 64, |start, end, _| {
+            if (start..=end).any(|flat| flat % (MIN_CHUNK + 1) == 0) {
                 panic!("threaded boom");
             }
-            None
         });
         assert!(
             matches!(&got, Err(Error::WorkerPanic(msg)) if msg.contains("threaded boom")),
             "{got:?}"
         );
         // And a clean fold still works after the captured panics.
-        let ok = stream_fold(8, |flat| {
-            Some(Entry {
-                time_s: flat as f64,
-                energy_j: -(flat as f64),
-                flat,
-            })
+        let ok = stream_fold(8, |start, end, partial| {
+            for flat in start..=end {
+                partial.push(Entry {
+                    time_s: flat as f64,
+                    energy_j: -(flat as f64),
+                    flat,
+                });
+            }
         })
         .unwrap();
         assert_eq!(ok.len(), 8);
@@ -840,5 +1141,123 @@ mod tests {
             .map(|p| (p.time_s, p.energy_j, p.flat))
             .collect();
         assert_eq!(got, vec![(1.0, 10.0, 11), (2.0, 8.0, 9), (3.0, 1.0, 13)]);
+    }
+
+    #[test]
+    fn hinted_push_matches_plain_insert() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        // The plain insert: bisect the whole frontier for every candidate.
+        fn plain_push(entries: &mut Vec<Entry>, c: Entry) {
+            if !c.time_s.is_finite() || !c.energy_j.is_finite() {
+                return;
+            }
+            let i = entries.partition_point(|p| key_lt(p, &c));
+            if i > 0 && entries[i - 1].energy_j <= c.energy_j {
+                return;
+            }
+            let k = entries[i..].partition_point(|p| p.energy_j >= c.energy_j);
+            entries.splice(i..i + k, std::iter::once(c));
+        }
+
+        let mut rng = SmallRng::seed_from_u64(15);
+        for case in 0..200 {
+            // Coarse grids make equal times and equal energies common;
+            // monotone stretches mimic a fold's runs.
+            let grid: f64 = [4.0, 16.0, 1e3][case % 3];
+            let mut hinted = PartialFrontier::default();
+            let mut plain = Vec::new();
+            let mut t = 0.0;
+            for flat in 0..rng.gen_range(1..400u64) {
+                t = if rng.gen_bool(0.7) {
+                    t + rng.gen_range(0.0..grid).floor()
+                } else {
+                    rng.gen_range(0.0..grid * 8.0).floor()
+                };
+                let e = if rng.gen_bool(0.02) {
+                    f64::NAN
+                } else {
+                    rng.gen_range(0.0..grid * 8.0).floor()
+                };
+                let c = Entry {
+                    time_s: t,
+                    energy_j: e,
+                    flat: rng.gen_range(0..1000u64) * 1000 + flat,
+                };
+                hinted.push(c);
+                plain_push(&mut plain, c);
+                assert_eq!(bits(&hinted.entries), bits(&plain), "case {case}");
+            }
+        }
+    }
+
+    /// Pruning by a full stable sort by `(rate desc, power asc)`, keeping
+    /// each option that strictly beats every earlier power.
+    fn pareto_order_by_sort(keys: &[(f64, f64)]) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..keys.len()).collect();
+        order.sort_by(|&a, &c| {
+            keys[c]
+                .0
+                .total_cmp(&keys[a].0)
+                .then(keys[a].1.total_cmp(&keys[c].1))
+        });
+        let mut best_b = f64::INFINITY;
+        order.retain(|&i| {
+            let keep = keys[i].1 < best_b;
+            best_b = best_b.min(keys[i].1);
+            keep
+        });
+        order
+    }
+
+    #[test]
+    fn prefiltered_pruning_matches_sort_and_retain() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        let crafted: Vec<Vec<(f64, f64)>> = vec![
+            // A single option.
+            vec![(2.0, 3.0)],
+            // All rates equal: zero bucket width, min power then index wins.
+            vec![(1.0, 5.0), (1.0, 4.0), (1.0, 4.0), (1.0, 6.0)],
+            (0..40).map(|i| (7.0, f64::from(40 - i % 7))).collect(),
+            // Equal powers: only the fastest survives, first index on ties.
+            vec![(1.0, 2.0), (3.0, 2.0), (3.0, 2.0), (2.0, 2.0)],
+            (0..40).map(|i| (f64::from(i % 9), 1.0)).collect(),
+            // Equal rates within buckets, powers tied across buckets.
+            (0..64)
+                .map(|i| (f64::from(i / 4), f64::from(100 - (i / 4) * 3 + i % 3)))
+                .collect(),
+            // A strict staircase keeps everything.
+            (0..33)
+                .map(|i| (f64::from(i), f64::from(i) * 2.0))
+                .collect(),
+            // Rates spread over many magnitudes, faster is hungrier.
+            (0..50)
+                .map(|i| (1e-3 * 1.4f64.powi(i), 1.0 + f64::from(i % 11)))
+                .collect(),
+        ];
+        for keys in &crafted {
+            assert_eq!(pareto_order(keys), pareto_order_by_sort(keys), "{keys:?}");
+        }
+        let mut rng = SmallRng::seed_from_u64(8);
+        for case in 0..300 {
+            let n = rng.gen_range(1..300usize);
+            let grid: f64 = [3.0, 20.0, 1e6][case % 3];
+            let keys: Vec<(f64, f64)> = (0..n)
+                .map(|_| {
+                    (
+                        1.0 + rng.gen_range(0.0..grid).floor(),
+                        1.0 + rng.gen_range(0.0..grid).floor(),
+                    )
+                })
+                .collect();
+            assert_eq!(
+                pareto_order(&keys),
+                pareto_order_by_sort(&keys),
+                "case {case}"
+            );
+        }
     }
 }

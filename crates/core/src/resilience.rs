@@ -36,12 +36,10 @@
 use std::cell::RefCell;
 
 use crate::config::{ConfigSpace, NodeConfig};
-use crate::energy::EnergyModel;
 use crate::error::{Error, Result};
-use crate::exec_time::ExecTimeModel;
-use crate::pareto::{ParetoFrontier, ParetoPoint};
+use crate::pareto::ParetoFrontier;
 use crate::profile::WorkloadModel;
-use crate::rate_table::{stream_fold, validate_work, Entry, RateTable, SweepOutcome};
+use crate::rate_table::{lone_run, stream_fold, validate_work, Entry, RateTable, SweepOutcome};
 
 /// A rate table plus the per-type digit strides needed to re-encode a
 /// configuration with nodes removed.
@@ -163,26 +161,19 @@ impl ResilientTable {
         if k == 0 {
             return self.table.frontier(w_units);
         }
-        let entries = stream_fold(self.table.count(), |flat| {
-            self.degraded_flat(flat, k).map(|d| {
-                let out = self.table.outcome(d, w_units);
-                Entry {
-                    time_s: out.time_s,
-                    energy_j: out.energy_j,
-                    flat,
+        let entries = stream_fold(self.table.count(), |start, end, partial| {
+            for flat in start..=end {
+                if let Some(d) = self.degraded_flat(flat, k) {
+                    let out = self.table.outcome(d, w_units);
+                    partial.push(Entry {
+                        time_s: out.time_s,
+                        energy_j: out.energy_j,
+                        flat,
+                    });
                 }
-            })
+            }
         })?;
-        Ok(ParetoFrontier {
-            points: entries
-                .into_iter()
-                .map(|e| ParetoPoint {
-                    time_s: e.time_s,
-                    energy_j: e.energy_j,
-                    config: self.table.decode(e.flat),
-                })
-                .collect(),
-        })
+        Ok(self.table.frontier_of(entries))
     }
 
     /// Frontiers for every tolerance level `0 ..= k_max`, sharing one table
@@ -219,22 +210,10 @@ pub struct TypeRate {
 }
 
 impl TypeRate {
-    /// Compute the aggregates for `cfg` under `model`, matching the rate
-    /// table's lone-run evaluation bit for bit.
+    /// Compute the aggregates for `cfg` under `model` with the rate table's
+    /// own lone-run evaluation, so they match its options bit for bit.
     pub fn from_model(model: &WorkloadModel, cfg: &NodeConfig) -> Result<Self> {
-        let etm = ExecTimeModel::new(model);
-        let enm = EnergyModel::new(model);
-        etm.check_config(cfg)?;
-        let rate = etm.rate_units_per_s(cfg);
-        if !(rate > 0.0) || !rate.is_finite() {
-            return Err(Error::MatchingFailed(format!(
-                "config {cfg:?} of `{}` has execution rate {rate} units/s",
-                model.platform.name
-            )));
-        }
-        let time_s = 1.0 / rate;
-        let tb = etm.predict(cfg, 1.0);
-        let power_w = enm.energy(cfg, &tb, time_s).total() * rate;
+        let (rate, power_w) = lone_run(model, cfg)?;
         Ok(Self {
             rate,
             power_w,
@@ -375,6 +354,7 @@ pub fn predict_crash_run(
 mod tests {
     use super::*;
     use crate::config::ClusterPoint;
+    use crate::exec_time::ExecTimeModel;
     use crate::types::Platform;
 
     fn setup() -> (ConfigSpace, Vec<WorkloadModel>) {

@@ -1311,6 +1311,18 @@ fn parse_whatif(store: &ModelStore, v: &Value) -> Result<(ComputeSpec, RespCtx),
     let Some(budget_w) = v.get("budget_w").and_then(Value::as_f64) else {
         return Err(Response::error(400, "missing budget_w"));
     };
+    // The all-low rung is the largest; hold it to the `/plan` node cap.
+    let low = &entry.models[0].platform;
+    let low_nodes = PowerBudget::new(budget_w).max_nodes(low);
+    if low_nodes > MAX_NODES {
+        return Err(Response::error(
+            422,
+            &format!(
+                "budget_w {budget_w} W fits {low_nodes} `{}` nodes; at most {MAX_NODES} are served",
+                low.name
+            ),
+        ));
+    }
     let units = optional_f64(v, "units", entry.default_units)?;
     let step_high = v
         .get("step_high")
@@ -1387,6 +1399,10 @@ pub fn cache_key(parts: &[u64]) -> u64 {
 
 type Common<'a> = (&'a ModelEntry, &'a str, u32, u32, f64);
 
+/// Most nodes of one type a request may span: the `arm`/`amd` caps of
+/// `/plan` and `/frontier`, and the all-low rung of a `/whatif` ladder.
+const MAX_NODES: u32 = 512;
+
 /// Parse the fields `/plan` and `/frontier` share: workload (required),
 /// arm/amd node caps (default 10), units (default: the workload's
 /// analysis size).
@@ -1401,10 +1417,10 @@ fn parse_common<'a>(store: &'a ModelStore, v: &'a Value) -> Result<Common<'a>, R
         match v.get(field) {
             None => Ok(10),
             Some(x) => match x.as_u64() {
-                Some(n) if n <= 512 => Ok(n as u32),
+                Some(n) if n <= u64::from(MAX_NODES) => Ok(n as u32),
                 _ => Err(Response::error(
                     422,
-                    &format!("{field} must be an integer in 0..=512"),
+                    &format!("{field} must be an integer in 0..={MAX_NODES}"),
                 )),
             },
         }

@@ -509,6 +509,19 @@ fn error_paths_return_typed_statuses() {
             422,
         ),
         ("POST", "/whatif", r#"{"workload":"ep","budget_w":-1}"#, 422),
+        // Budgets whose all-ARM rung exceeds the 512-node cap.
+        (
+            "POST",
+            "/whatif",
+            r#"{"workload":"ep","budget_w":1e11}"#,
+            422,
+        ),
+        (
+            "POST",
+            "/whatif",
+            r#"{"workload":"ep","budget_w":5000}"#,
+            422,
+        ),
         ("POST", "/frontier", "{not json", 400),
         ("GET", "/plan", "", 405),
         ("POST", "/healthz", "", 405),
