@@ -3,7 +3,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use hecmix_queueing::des::{self, CoreLayout, DesConfig, ServiceDist, UNBOUNDED};
-use hecmix_queueing::{simulate_md1, window_energy, MD1};
+use hecmix_queueing::{window_energy, MD1};
 
 fn bench_closed_forms(c: &mut Criterion) {
     c.bench_function("queueing/md1_response", |b| {
@@ -31,10 +31,6 @@ fn bench_closed_forms(c: &mut Criterion) {
 fn bench_des_crosscheck(c: &mut Criterion) {
     let mut g = c.benchmark_group("queueing");
     g.sample_size(20);
-    g.throughput(criterion::Throughput::Elements(100_000));
-    g.bench_function("md1_des_100k_jobs", |b| {
-        b.iter(|| black_box(simulate_md1(black_box(50.0), 0.01, 100_000, 7).unwrap()))
-    });
     // The tail planner's exact confirmation run: 200 k requests on one
     // deterministic server at ρ = 0.7, reading only the p99.
     let planner = DesConfig {
@@ -47,6 +43,18 @@ fn bench_des_crosscheck(c: &mut Criterion) {
         flows: 1,
         seed: 42,
     };
+    // The M/D/1 cross-check run: the same single server at ρ = 0.5.
+    let md1 = DesConfig {
+        pps: 50.0,
+        n_requests: 100_000,
+        service: ServiceDist::Constant(0.01),
+        seed: 7,
+        ..planner
+    };
+    g.throughput(criterion::Throughput::Elements(md1.n_requests));
+    g.bench_function("md1_des_100k_jobs", |b| {
+        b.iter(|| black_box(des::simulate(black_box(&md1)).unwrap()))
+    });
     g.throughput(criterion::Throughput::Elements(planner.n_requests));
     g.bench_function("des_tail_quantile_200k", |b| {
         b.iter(|| black_box(des::sojourn_quantile(black_box(&planner), 0.99).unwrap()))

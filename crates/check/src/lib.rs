@@ -173,7 +173,6 @@ pub fn run_all(seed: u64) -> CheckReport {
             "faulted-empty-vs-plain",
             oracles::faulted_empty_vs_plain(seed),
         ),
-        CheckResult::new("md1-formula-vs-des", oracles::md1_formula_vs_des(seed)),
         CheckResult::new("des-mean-wait-vs-pk", oracles::des_mean_wait_vs_pk(seed)),
         CheckResult::new(
             "des-p99-vs-md1-quantile",

@@ -143,6 +143,7 @@ fn corrupt_model_files_fail_to_load_without_panicking() {
         "empty_spi_mem.model",
         "nan_frequency.model",
         "nonmonotone_opp.model",
+        "sleep_above_idle.model",
     ] {
         match hecmix_core::persist::load(&corpus_path(name)) {
             Err(Error::InvalidInput(_)) => {}

@@ -25,7 +25,7 @@ fn run_all_is_clean_and_publishes_a_summary() {
         );
     }
     assert!(report.is_clean());
-    let expected = if cfg!(feature = "check") { 16 } else { 11 };
+    let expected = if cfg!(feature = "check") { 15 } else { 10 };
     assert_eq!(report.checks(), expected);
     let outcome = report.outcome();
     assert_eq!(outcome.checks, expected);

@@ -365,15 +365,27 @@ pub struct WorkloadModel {
 }
 
 impl WorkloadModel {
-    /// Validate all components.
+    /// Validate all components, and that a DVFS extension's deep-sleep
+    /// floor does not exceed the model's idle floor (parking a node must
+    /// never cost more than idling it).
     pub fn validate(&self) -> Result<()> {
         self.platform.validate()?;
         self.profile.validate()?;
         self.power.validate()?;
-        match &self.dvfs {
-            Some(d) => d.validate(),
-            None => Ok(()),
+        let Some(d) = &self.dvfs else {
+            return Ok(());
+        };
+        d.validate()?;
+        if d.domain.asleep_w() > self.power.idle_w {
+            return Err(Error::InvalidInput(format!(
+                "model {}/{}: deep-sleep floor {} W exceeds the idle floor {} W",
+                self.workload,
+                self.platform.name,
+                d.domain.asleep_w(),
+                self.power.idle_w
+            )));
         }
+        Ok(())
     }
 
     /// Builder-style attachment of a DVFS extension.

@@ -7,7 +7,7 @@ use hecmix_core::pareto::ParetoFrontier;
 use hecmix_core::profile::WorkloadModel;
 use hecmix_core::sweep::{sweep_frontier_pruned, sweep_space, EvaluatedConfig, PruneStats};
 use hecmix_queueing::dispatch::{
-    best_choice, best_choice_tail, run_day, ConfigChoice, DayOutcome, DiurnalProfile,
+    best_choice, best_choice_tail, menu_from_frontier, run_day, DayOutcome, DiurnalProfile,
     TailDesConfig, TailTarget,
 };
 use hecmix_sim::NodeArch;
@@ -109,34 +109,6 @@ pub struct PolicyDay {
     pub outcome: DayOutcome,
 }
 
-/// Build a menu of [`ConfigChoice`]s from a frontier.
-fn menu_from(frontier: &ParetoFrontier, models: &[WorkloadModel]) -> Vec<ConfigChoice> {
-    frontier
-        .points
-        .iter()
-        .map(|p| {
-            let idle_power_w = p
-                .config
-                .per_type
-                .iter()
-                .zip(models)
-                .filter_map(|(cfg, m)| cfg.map(|c| f64::from(c.nodes) * m.power.idle_w))
-                .sum();
-            ConfigChoice {
-                label: p.config.label(
-                    &models
-                        .iter()
-                        .map(|m| m.platform.clone())
-                        .collect::<Vec<_>>(),
-                ),
-                service_s: p.time_s,
-                job_energy_j: p.energy_j,
-                idle_power_w,
-            }
-        })
-        .collect()
-}
-
 /// Compare four dispatch policies over a sinusoidal day on the 16 ARM +
 /// 14 AMD hardware: AMD pool only, ARM pool only, switching (either pool
 /// per slot), and mix-and-match (any heterogeneous configuration).
@@ -163,8 +135,8 @@ pub fn diurnal_study(
         },
     ];
     let series = mix_frontiers(lab, w, &mixes);
-    let amd_menu = menu_from(&series[0].frontier, &models);
-    let arm_menu = menu_from(&series[1].frontier, &models);
+    let amd_menu = menu_from_frontier(&series[0].frontier, &models);
+    let arm_menu = menu_from_frontier(&series[1].frontier, &models);
     let mut switching_menu = amd_menu.clone();
     switching_menu.extend(arm_menu.iter().cloned());
     // The mixed cluster can run every configuration the pools can, plus
@@ -172,7 +144,7 @@ pub fn diurnal_study(
     // alone would not be enough here: a slot's best configuration also
     // depends on its *idle power*, a third dimension, so pool points
     // dominated per-job can still win a quiet slot.)
-    let mut mix_menu = menu_from(&series[2].frontier, &models);
+    let mut mix_menu = menu_from_frontier(&series[2].frontier, &models);
     mix_menu.extend(switching_menu.iter().cloned());
 
     vec![
@@ -260,7 +232,7 @@ pub fn dvfs_ladder_study(
 ) -> DvfsLadderResult {
     use hecmix_core::dvfs::NodeDvfs;
     use hecmix_core::rate_table::stream_frontier;
-    use hecmix_queueing::dispatch::{run_day_parking, ParkableChoice};
+    use hecmix_queueing::dispatch::ParkableChoice;
     use hecmix_queueing::SleepPolicy;
 
     let base = lab.models(w);
@@ -296,7 +268,7 @@ pub fn dvfs_ladder_study(
 
     // Dispatch the same day from the *ladder* frontier twice, so the
     // plain/parked gap isolates the cluster-sleep credit.
-    let menu = menu_from(&ladder_frontier, &ladder);
+    let menu = menu_from_frontier(&ladder_frontier, &ladder);
     let parkable: Vec<ParkableChoice> = ladder_frontier
         .points
         .iter()
@@ -329,8 +301,8 @@ pub fn dvfs_ladder_study(
         .collect();
     let plain_day =
         run_day(&menu, profile, slo_response_s).expect("ladder menu and SLO are well-formed");
-    let parked_day = run_day_parking(&parkable, profile, slo_response_s)
-        .expect("parkable menu and SLO are well-formed");
+    let parked_day =
+        run_day(&parkable, profile, slo_response_s).expect("parkable menu and SLO are well-formed");
 
     DvfsLadderResult {
         workload: w.name().to_owned(),
@@ -389,7 +361,7 @@ pub fn tail_planning_study(lab: &Lab, w: &dyn Workload, seed: u64) -> Vec<TailPl
     let units = w.analysis_units() as f64;
     let space = ConfigSpace::two_type(lab.arm.platform.clone(), 16, lab.amd.platform.clone(), 14);
     let (frontier, _) = sweep_frontier_pruned(&space, &models, units).expect("valid space");
-    let menu = menu_from(&frontier, &models);
+    let menu = menu_from_frontier(&frontier, &models);
     let t_min = frontier.min_time_s().expect("non-empty frontier");
     let window_s = 20.0_f64.max(100.0 * t_min);
     let des_cfg = TailDesConfig {

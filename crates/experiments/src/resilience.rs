@@ -5,12 +5,10 @@
 
 use hecmix_core::config::{ClusterPoint, ConfigSpace, NodeConfig, TypeBounds};
 use hecmix_core::mix_match::{evaluate, TypeDeployment};
-use hecmix_core::pareto::ParetoFrontier;
-use hecmix_core::profile::WorkloadModel;
 use hecmix_core::resilience::{predict_crash_run, CrashPlan, ResilientTable, TypeRate};
 use hecmix_core::stats::relative_error_pct;
 use hecmix_queueing::dispatch::{
-    run_day, run_day_resilient, ConfigChoice, DayOutcome, DiurnalProfile, ResilientChoice,
+    menu_from_frontier, run_day, ConfigChoice, DayOutcome, DiurnalProfile, ResilientChoice,
 };
 use hecmix_sim::{run_cluster_faulted, ClusterSpec, FaultSchedule, RecoveryPolicy, TypeAssignment};
 use hecmix_workloads::Workload;
@@ -207,29 +205,6 @@ pub struct DispatchComparison {
     pub premium_pct: f64,
 }
 
-fn idle_power_w(point: &ClusterPoint, models: &[WorkloadModel]) -> f64 {
-    point
-        .per_type
-        .iter()
-        .zip(models)
-        .filter_map(|(cfg, m)| cfg.map(|c| f64::from(c.nodes) * m.power.idle_w))
-        .sum()
-}
-
-fn nominal_menu(frontier: &ParetoFrontier, models: &[WorkloadModel]) -> Vec<ConfigChoice> {
-    let platforms: Vec<_> = models.iter().map(|m| m.platform.clone()).collect();
-    frontier
-        .points
-        .iter()
-        .map(|p| ConfigChoice {
-            label: p.config.label(&platforms),
-            service_s: p.time_s,
-            job_energy_j: p.energy_j,
-            idle_power_w: idle_power_w(&p.config, models),
-        })
-        .collect()
-}
-
 /// Price failure-aware provisioning: run a diurnal day once with the
 /// nominal (`k = 0`) frontier as the menu, and once with the `k = 1`
 /// frontier where each entry is annotated with its worst-case one-loss
@@ -249,10 +224,10 @@ pub fn resilient_dispatch(
     let nominal_frontier = rt.frontier(units, 0).expect("valid work size");
     let degraded_frontier = rt.frontier(units, 1).expect("valid work size");
 
-    let naive_menu = nominal_menu(&nominal_frontier, &models);
+    let naive_menu = menu_from_frontier(&nominal_frontier, &models);
     // Each k = 1 frontier point carries the *deployed* configuration with
-    // worst-case degraded time/energy; its nominal behaviour is the same
-    // flat index evaluated without losses.
+    // its worst-case degraded time; its nominal behaviour is the same flat
+    // index evaluated without losses.
     let platforms: Vec<_> = models.iter().map(|m| m.platform.clone()).collect();
     let resilient_menu: Vec<ResilientChoice> = degraded_frontier
         .points
@@ -265,21 +240,21 @@ pub fn resilient_dispatch(
                 .expect("frontier config comes from the space");
             let nominal = rt.table().outcome(flat, units);
             ResilientChoice {
-                nominal: ConfigChoice {
-                    label: p.config.label(&platforms),
-                    service_s: nominal.time_s,
-                    job_energy_j: nominal.energy_j,
-                    idle_power_w: idle_power_w(&p.config, &models),
-                },
+                nominal: ConfigChoice::for_config(
+                    &p.config,
+                    &platforms,
+                    &models,
+                    nominal.time_s,
+                    nominal.energy_j,
+                ),
                 degraded_service_s: p.time_s,
-                degraded_job_energy_j: p.energy_j,
             }
         })
         .collect();
 
     let naive =
         run_day(&naive_menu, profile, slo_response_s).expect("naive dispatch menu is well-formed");
-    let resilient = run_day_resilient(&resilient_menu, profile, slo_response_s)
+    let resilient = run_day(&resilient_menu, profile, slo_response_s)
         .expect("resilient dispatch menu is well-formed");
     let premium_pct = if naive.energy_j > 0.0 {
         100.0 * (resilient.energy_j / naive.energy_j - 1.0)

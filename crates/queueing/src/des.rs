@@ -905,6 +905,19 @@ mod tests {
         let out = simulate(&open).unwrap();
         assert_eq!(out.dropped, 0);
         assert_eq!(out.completed, out.offered);
+
+        // ρ = 2 has no stationary distribution, but an unbounded
+        // finite-horizon run is still well-defined: the queue just grows,
+        // nothing is dropped and the server stays busy throughout.
+        let overloaded = single_server(2.0 / service, ServiceDist::Constant(service), 20_000, 7);
+        let out = simulate(&overloaded).unwrap();
+        assert_eq!(out.dropped, 0);
+        assert_eq!(out.completed, out.offered);
+        let wait = out.wait.mean().unwrap();
+        assert!(wait.is_finite() && wait > 0.0, "mean wait {wait}");
+        assert!(out.sojourn.sorted().iter().all(|s| s.is_finite()));
+        let busy = out.completed as f64 * service / out.duration_s;
+        assert!((busy - 1.0).abs() < 0.05, "busy fraction {busy}");
     }
 
     #[test]

@@ -18,9 +18,19 @@
 //! best feasible configuration still misses the response-time SLO counts
 //! as a violation (the policy then picks the fastest configuration and
 //! eats the miss, as an operator would).
+//!
+//! One planner, [`best_choice`] and [`run_day`], serves every menu kind;
+//! an entry's [`SlotPricer`] says how it prices a slot: plain
+//! ([`ConfigChoice`]), parking clusters in idle gaps ([`ParkableChoice`]),
+//! or judged after worst-case node losses ([`ResilientChoice`]).
+//! [`best_choice_tail`] plans against a percentile deadline instead.
 
 use serde::{Deserialize, Serialize};
 
+use hecmix_core::config::ClusterPoint;
+use hecmix_core::pareto::ParetoFrontier;
+use hecmix_core::profile::WorkloadModel;
+use hecmix_core::types::Platform;
 use hecmix_core::{Error, Result};
 
 use crate::des::{self, DesConfig, ServiceDist};
@@ -38,6 +48,87 @@ pub struct ConfigChoice {
     pub job_energy_j: f64,
     /// Idle power of the powered nodes, watts (unused nodes are off).
     pub idle_power_w: f64,
+}
+
+impl ConfigChoice {
+    /// The entry for `config` serving one job in `service_s` for
+    /// `job_energy_j`. `platforms` and `models` are in type order: the
+    /// label names the platforms, and the idle draw is each powered type's
+    /// nodes × its model's `idle_w`, summed in type order.
+    #[must_use]
+    pub fn for_config(
+        config: &ClusterPoint,
+        platforms: &[Platform],
+        models: &[WorkloadModel],
+        service_s: f64,
+        job_energy_j: f64,
+    ) -> Self {
+        Self {
+            label: config.label(platforms),
+            service_s,
+            job_energy_j,
+            idle_power_w: config
+                .per_type
+                .iter()
+                .zip(models)
+                .filter_map(|(cfg, m)| cfg.map(|c| f64::from(c.nodes) * m.power.idle_w))
+                .sum(),
+        }
+    }
+}
+
+/// The dispatch menu of a frontier: one [`ConfigChoice::for_config`] entry
+/// per point, with the point's makespan as its service time.
+#[must_use]
+pub fn menu_from_frontier(
+    frontier: &ParetoFrontier,
+    models: &[WorkloadModel],
+) -> Vec<ConfigChoice> {
+    let platforms: Vec<Platform> = models.iter().map(|m| m.platform.clone()).collect();
+    frontier
+        .points
+        .iter()
+        .map(|p| ConfigChoice::for_config(&p.config, &platforms, models, p.time_s, p.energy_j))
+        .collect()
+}
+
+/// How a menu entry prices one slot for the mean-SLO planner
+/// ([`best_choice`], [`run_day`]).
+pub trait SlotPricer {
+    /// Whether the entries are provisioned against degraded capacity;
+    /// reported as `resilient` in each `dispatch_decision` event.
+    const RESILIENT: bool = false;
+
+    /// Reject an entry with a non-finite or out-of-range parameter.
+    ///
+    /// # Errors
+    /// [`Error::InvalidInput`] naming the entry.
+    fn validate(&self) -> Result<()>;
+
+    /// `(window energy, response the SLO judges, fallback rank)` at
+    /// arrival rate `lambda` over `window_s` seconds, or `None` when the
+    /// entry is saturated. The fallback picks the entry of least rank and
+    /// reports its rank as its response.
+    fn price(&self, lambda: f64, window_s: f64) -> Option<(f64, f64, f64)>;
+}
+
+impl SlotPricer for ConfigChoice {
+    fn validate(&self) -> Result<()> {
+        validate_choice("menu entry", self)
+    }
+
+    /// Priced by [`window_energy`]; the rank is the mean response.
+    fn price(&self, lambda: f64, window_s: f64) -> Option<(f64, f64, f64)> {
+        let we = window_energy(
+            lambda,
+            window_s,
+            self.service_s,
+            self.job_energy_j,
+            self.idle_power_w,
+        )
+        .ok()?;
+        Some((we.total_j(), we.response_s, we.response_s))
+    }
 }
 
 /// A sinusoidal diurnal arrival profile:
@@ -101,8 +192,8 @@ impl DiurnalProfile {
     /// boundary (the last slot's midpoint connects to the first slot's —
     /// hour 23 interpolates into hour 0, not into a phantom hour 24).
     ///
-    /// The per-slot [`Self::lambda_at`] used by `run_day`/`run_day_parking`
-    /// treats each slot as a constant plateau and wraps by `slot % slots`;
+    /// The per-slot [`Self::lambda_at`] used by [`run_day`] treats each
+    /// slot as a constant plateau and wraps by `slot % slots`;
     /// this is its continuous counterpart for trace replay (`hecmix-sched`
     /// synthesizes Poisson arrivals against it). At every slot midpoint
     /// the two agree exactly. Times outside `[0, day)` wrap via
@@ -204,46 +295,36 @@ fn validate_choice(what: &str, c: &ConfigChoice) -> Result<()> {
     Ok(())
 }
 
-/// For one slot, pick the cheapest menu entry whose mean response meets
-/// the SLO; fall back to the fastest-response feasible entry (counted as
-/// a violation) when none does. Returns `Ok(None)` only when every entry
-/// is saturated at this `λ`.
+/// For one slot, pick the cheapest menu entry whose judged response meets
+/// the SLO; fall back to the entry of least rank (counted as a violation)
+/// when none does. Returns `Ok((index, energy, response, violated))`, or
+/// `Ok(None)` only when every entry is saturated at this `λ`.
 ///
 /// # Errors
 /// [`Error::InvalidInput`] when `lambda`, `window_s`, or `slo_response_s`
-/// is non-finite or non-positive, or a menu entry carries a non-finite or
-/// negative parameter.
-pub fn best_choice(
-    menu: &[ConfigChoice],
+/// is non-finite or non-positive, or a menu entry fails
+/// [`SlotPricer::validate`].
+pub fn best_choice<P: SlotPricer>(
+    menu: &[P],
     lambda: f64,
     window_s: f64,
     slo_response_s: f64,
 ) -> Result<Option<(usize, f64, f64, bool)>> {
     validate_slot_inputs(lambda, window_s, slo_response_s)?;
-    for c in menu {
-        validate_choice("menu entry", c)?;
+    for entry in menu {
+        entry.validate()?;
     }
     let mut best_ok: Option<(usize, f64, f64)> = None; // (idx, energy, response)
-    let mut best_fallback: Option<(usize, f64, f64)> = None; // fastest response
-    for (idx, c) in menu.iter().enumerate() {
-        let Ok(we) = window_energy(
-            lambda,
-            window_s,
-            c.service_s,
-            c.job_energy_j,
-            c.idle_power_w,
-        ) else {
+    let mut best_fallback: Option<(usize, f64, f64)> = None; // (idx, energy, rank)
+    for (idx, entry) in menu.iter().enumerate() {
+        let Some((e, response_s, rank)) = entry.price(lambda, window_s) else {
             continue; // saturated
         };
-        let e = we.total_j();
-        if we.response_s <= slo_response_s && best_ok.as_ref().is_none_or(|(_, be, _)| e < *be) {
-            best_ok = Some((idx, e, we.response_s));
+        if response_s <= slo_response_s && best_ok.as_ref().is_none_or(|(_, be, _)| e < *be) {
+            best_ok = Some((idx, e, response_s));
         }
-        if best_fallback
-            .as_ref()
-            .is_none_or(|(_, _, br)| we.response_s < *br)
-        {
-            best_fallback = Some((idx, e, we.response_s));
+        if best_fallback.as_ref().is_none_or(|(_, _, br)| rank < *br) {
+            best_fallback = Some((idx, e, rank));
         }
     }
     Ok(match (best_ok, best_fallback) {
@@ -423,29 +504,30 @@ pub fn best_choice_tail(
     let target = TailTarget::new(target.percentile, target.deadline_s)?;
     des_cfg.validate()?;
     for c in menu {
-        validate_choice("menu entry", c)?;
+        c.validate()?;
     }
 
     // Analytical screen: saturated entries are out entirely; entries whose
     // M/D/1 mean response already misses the deadline are out without a
-    // DES run.
+    // DES run, and the fastest of them is kept for the fallback.
     let mut screened_out = 0usize;
+    let mut fastest_screened: Option<(usize, f64, f64)> = None; // (idx, energy, mean response)
     let mut survivors: Vec<(usize, f64, f64)> = Vec::new(); // (idx, energy, mean response)
     for (idx, c) in menu.iter().enumerate() {
-        let Ok(we) = window_energy(
-            lambda,
-            window_s,
-            c.service_s,
-            c.job_energy_j,
-            c.idle_power_w,
-        ) else {
+        let Some((energy_j, response_s, _)) = c.price(lambda, window_s) else {
             continue; // saturated
         };
-        if we.response_s > target.deadline_s {
+        if response_s > target.deadline_s {
             screened_out += 1;
+            if fastest_screened
+                .as_ref()
+                .is_none_or(|(_, _, r)| response_s < *r)
+            {
+                fastest_screened = Some((idx, energy_j, response_s));
+            }
             continue;
         }
-        survivors.push((idx, we.total_j(), we.response_s));
+        survivors.push((idx, energy_j, response_s));
     }
     if survivors.is_empty() && screened_out == 0 {
         return Ok(None); // everything saturated
@@ -503,55 +585,35 @@ pub fn best_choice_tail(
         f.des_runs = des_runs;
     }
 
-    // Fallback when nothing passed: if every survivor was also screened
-    // away without a DES run (impossible here since survivors got runs),
-    // or the menu only had screened-out entries, measure the fastest
-    // screened entry so the caller still sees a concrete tail.
+    // Every survivor got a DES run, so nothing chosen and no fallback
+    // means every stable entry was screened out analytically: report the
+    // fastest of them as the violating fallback, with its DES tail
+    // measured once.
     let result = match (chosen, fallback) {
         (Some(c), _) => Some(c),
         (None, Some(f)) => Some(f),
-        (None, None) => {
-            // All candidates were screened out analytically. Report the
-            // entry with the smallest mean response as the violating
-            // fallback, with its DES tail measured once.
-            let best = menu
-                .iter()
-                .enumerate()
-                .filter_map(|(idx, c)| {
-                    let we = window_energy(
-                        lambda,
-                        window_s,
-                        c.service_s,
-                        c.job_energy_j,
-                        c.idle_power_w,
-                    )
-                    .ok()?;
-                    Some((idx, we.total_j(), we.response_s))
+        (None, None) => match fastest_screened {
+            None => None,
+            Some((idx, energy_j, mean_response_s)) => {
+                let tail = des_tail(
+                    lambda,
+                    menu[idx].service_s,
+                    target.percentile,
+                    des_cfg.exact_requests,
+                    exact_seed(des_cfg.seed, idx),
+                )?;
+                des_runs += 1;
+                Some(TailChoiceOutcome {
+                    index: idx,
+                    energy_j,
+                    tail_response_s: tail,
+                    mean_response_s,
+                    violated: true,
+                    screened_out,
+                    des_runs,
                 })
-                .min_by(|a, b| a.2.total_cmp(&b.2));
-            match best {
-                None => None,
-                Some((idx, energy_j, mean_response_s)) => {
-                    let tail = des_tail(
-                        lambda,
-                        menu[idx].service_s,
-                        target.percentile,
-                        des_cfg.exact_requests,
-                        exact_seed(des_cfg.seed, idx),
-                    )?;
-                    des_runs += 1;
-                    Some(TailChoiceOutcome {
-                        index: idx,
-                        energy_j,
-                        tail_response_s: tail,
-                        mean_response_s,
-                        violated: true,
-                        screened_out,
-                        des_runs,
-                    })
-                }
             }
-        }
+        },
     };
     if let Some(ref out) = result {
         hecmix_obs::emit(|| hecmix_obs::Event::TailPlan {
@@ -575,8 +637,8 @@ pub fn best_choice_tail(
 ///
 /// # Errors
 /// [`Error::InvalidInput`] from [`best_choice`] for a bad SLO or menu.
-pub fn run_day(
-    menu: &[ConfigChoice],
+pub fn run_day<P: SlotPricer>(
+    menu: &[P],
     profile: &DiurnalProfile,
     slo_response_s: f64,
 ) -> Result<DayOutcome> {
@@ -594,7 +656,7 @@ pub fn run_day(
                     energy_j: e,
                     response_s,
                     violated,
-                    resilient: false,
+                    resilient: P::RESILIENT,
                 });
                 energy_j += e;
                 violations += u32::from(violated);
@@ -638,141 +700,39 @@ pub struct ParkableChoice {
     pub sleep: Option<SleepPolicy>,
 }
 
-/// [`best_choice`] over a parkable menu: entries with a sleep capability
-/// are priced with [`window_energy_sleep`], so in low-`λ` troughs (long
-/// exponential idle gaps) whole clusters earn their deep-sleep credit and
-/// become cheaper than their always-on pricing. Response times are
-/// unchanged — parking happens strictly between jobs.
-///
-/// # Errors
-/// [`Error::InvalidInput`] as [`best_choice`], plus for invalid sleep
-/// policies.
-pub fn best_choice_parking(
-    menu: &[ParkableChoice],
-    lambda: f64,
-    window_s: f64,
-    slo_response_s: f64,
-) -> Result<Option<(usize, f64, f64, bool)>> {
-    validate_slot_inputs(lambda, window_s, slo_response_s)?;
-    for p in menu {
-        validate_choice("parkable menu entry", &p.choice)?;
-        if let Some(sleep) = &p.sleep {
-            if !sleep.sleep_power_w.is_finite()
-                || sleep.sleep_power_w < 0.0
-                || sleep.sleep_power_w > p.choice.idle_power_w
-                || !sleep.residency_s.is_finite()
-                || sleep.residency_s < 0.0
-            {
-                return Err(Error::InvalidInput(format!(
-                    "parkable menu entry `{}`: invalid sleep policy \
-                     (sleep_power_w={}, residency_s={})",
-                    p.choice.label, sleep.sleep_power_w, sleep.residency_s
-                )));
-            }
-        }
-    }
-    let mut best_ok: Option<(usize, f64, f64)> = None;
-    let mut best_fallback: Option<(usize, f64, f64)> = None;
-    for (idx, p) in menu.iter().enumerate() {
-        let c = &p.choice;
-        let we = match &p.sleep {
-            Some(sleep) => window_energy_sleep(
-                lambda,
-                window_s,
-                c.service_s,
-                c.job_energy_j,
-                c.idle_power_w,
-                sleep,
-            ),
-            None => window_energy(
-                lambda,
-                window_s,
-                c.service_s,
-                c.job_energy_j,
-                c.idle_power_w,
-            ),
-        };
-        let Ok(we) = we else {
-            continue; // saturated
-        };
-        let e = we.total_j();
-        if we.response_s <= slo_response_s && best_ok.as_ref().is_none_or(|(_, be, _)| e < *be) {
-            best_ok = Some((idx, e, we.response_s));
-        }
-        if best_fallback
+impl SlotPricer for ParkableChoice {
+    fn validate(&self) -> Result<()> {
+        validate_choice("parkable menu entry", &self.choice)?;
+        self.sleep
             .as_ref()
-            .is_none_or(|(_, _, br)| we.response_s < *br)
-        {
-            best_fallback = Some((idx, e, we.response_s));
-        }
+            .map_or(Ok(()), |sleep| sleep.validate(self.choice.idle_power_w))
     }
-    Ok(match (best_ok, best_fallback) {
-        (Some((i, e, r)), _) => Some((i, e, r, false)),
-        (None, Some((i, e, r))) => Some((i, e, r, true)),
-        (None, None) => None,
-    })
+
+    /// With a sleep capability, priced by [`window_energy_sleep`]: in
+    /// low-`λ` troughs (long exponential idle gaps) whole clusters earn
+    /// their deep-sleep credit. Responses are unchanged — parking happens
+    /// strictly between jobs. Without one, priced as its
+    /// [`ConfigChoice`].
+    fn price(&self, lambda: f64, window_s: f64) -> Option<(f64, f64, f64)> {
+        let Some(sleep) = &self.sleep else {
+            return self.choice.price(lambda, window_s);
+        };
+        let c = &self.choice;
+        let we = window_energy_sleep(
+            lambda,
+            window_s,
+            c.service_s,
+            c.job_energy_j,
+            c.idle_power_w,
+            sleep,
+        )
+        .ok()?;
+        Some((we.total_j(), we.response_s, we.response_s))
+    }
 }
 
-/// [`run_day`] over a parkable menu: diurnal dispatch that may park whole
-/// clusters in the troughs.
-///
-/// # Errors
-/// [`Error::InvalidInput`] from [`best_choice_parking`].
-pub fn run_day_parking(
-    menu: &[ParkableChoice],
-    profile: &DiurnalProfile,
-    slo_response_s: f64,
-) -> Result<DayOutcome> {
-    let mut slots = Vec::with_capacity(profile.slots as usize);
-    let mut energy_j = 0.0;
-    let mut violations = 0;
-    for slot in 0..profile.slots {
-        let lambda = profile.lambda_at(slot);
-        match best_choice_parking(menu, lambda, profile.slot_s, slo_response_s)? {
-            Some((choice, e, response_s, violated)) => {
-                hecmix_obs::emit(|| hecmix_obs::Event::DispatchDecision {
-                    slot: slot as usize,
-                    lambda,
-                    choice,
-                    energy_j: e,
-                    response_s,
-                    violated,
-                    resilient: false,
-                });
-                energy_j += e;
-                violations += u32::from(violated);
-                slots.push(SlotOutcome {
-                    slot,
-                    lambda,
-                    choice,
-                    energy_j: e,
-                    response_s,
-                    violated,
-                });
-            }
-            None => {
-                violations += 1;
-                slots.push(SlotOutcome {
-                    slot,
-                    lambda,
-                    choice: usize::MAX,
-                    energy_j: 0.0,
-                    response_s: f64::INFINITY,
-                    violated: true,
-                });
-            }
-        }
-    }
-    Ok(DayOutcome {
-        energy_j,
-        violations,
-        slots,
-    })
-}
-
-/// A menu entry annotated with its worst-case `k`-failure behaviour: the
-/// degraded service time and per-job energy of the same deployment after
-/// losing its `k` most valuable nodes (from
+/// A menu entry annotated with its worst-case `k`-failure service time:
+/// the same deployment after losing its `k` most valuable nodes (from
 /// `hecmix_core::resilience::ResilientTable::degraded_outcome`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ResilientChoice {
@@ -781,165 +741,43 @@ pub struct ResilientChoice {
     /// Job service time after the worst-case `k` node losses, seconds
     /// (`≥ nominal.service_s`).
     pub degraded_service_s: f64,
-    /// Per-job energy in the degraded deployment, joules.
-    pub degraded_job_energy_j: f64,
 }
 
-/// Failure-aware slot choice: feasibility (queue stability and the SLO)
-/// is judged against the *degraded* service time — the slot must still
-/// meet its SLO after the worst-case `k` node losses — while the reported
-/// energy is the *nominal* one, since that is what the cluster spends in
-/// the (overwhelmingly common) fault-free slot.
-///
-/// Returns `Ok((index, nominal energy, degraded response, violated))`;
-/// `Ok(None)` only when every entry is saturated at `lambda` even
-/// nominally.
-///
-/// # Errors
-/// [`Error::InvalidInput`] when `lambda`, `window_s`, or `slo_response_s`
-/// is non-finite or non-positive, or a menu entry carries a non-finite or
-/// negative parameter (nominal or degraded).
-pub fn best_choice_resilient(
-    menu: &[ResilientChoice],
-    lambda: f64,
-    window_s: f64,
-    slo_response_s: f64,
-) -> Result<Option<(usize, f64, f64, bool)>> {
-    validate_slot_inputs(lambda, window_s, slo_response_s)?;
-    for c in menu {
-        validate_choice("resilient menu entry", &c.nominal)?;
-        if !(c.degraded_service_s >= c.nominal.service_s) || !c.degraded_service_s.is_finite() {
+impl SlotPricer for ResilientChoice {
+    const RESILIENT: bool = true;
+
+    fn validate(&self) -> Result<()> {
+        validate_choice("resilient menu entry", &self.nominal)?;
+        if !(self.degraded_service_s >= self.nominal.service_s)
+            || !self.degraded_service_s.is_finite()
+        {
             return Err(Error::InvalidInput(format!(
                 "resilient menu entry `{}`: degraded service time must be finite and ≥ nominal ({}), got {}",
-                c.nominal.label, c.nominal.service_s, c.degraded_service_s
+                self.nominal.label, self.nominal.service_s, self.degraded_service_s
             )));
         }
-        if !(c.degraded_job_energy_j >= 0.0) || !c.degraded_job_energy_j.is_finite() {
-            return Err(Error::InvalidInput(format!(
-                "resilient menu entry `{}`: degraded job energy must be finite and non-negative, got {}",
-                c.nominal.label, c.degraded_job_energy_j
-            )));
-        }
+        Ok(())
     }
-    let mut best_ok: Option<(usize, f64, f64)> = None; // (idx, energy, degraded response)
-    let mut best_fallback: Option<(usize, f64, f64)> = None; // fastest degraded response
-    for (idx, c) in menu.iter().enumerate() {
-        let Ok(nominal) = window_energy(
-            lambda,
-            window_s,
-            c.nominal.service_s,
-            c.nominal.job_energy_j,
-            c.nominal.idle_power_w,
-        ) else {
-            continue; // saturated even with every node up
-        };
-        let e = nominal.total_j();
-        // The degraded queue may be saturated where the nominal one is
-        // not; such an entry survives only as a (violating) fallback,
-        // ranked by its nominal response.
-        let degraded_response = window_energy(
-            lambda,
-            window_s,
-            c.degraded_service_s,
-            c.degraded_job_energy_j,
-            c.nominal.idle_power_w,
-        )
-        .map_or(f64::INFINITY, |we| we.response_s);
-        if degraded_response <= slo_response_s && best_ok.as_ref().is_none_or(|(_, be, _)| e < *be)
-        {
-            best_ok = Some((idx, e, degraded_response));
-        }
-        let rank = if degraded_response.is_finite() {
-            degraded_response
-        } else {
-            nominal.response_s
-        };
-        if best_fallback.as_ref().is_none_or(|(_, _, br)| rank < *br) {
-            best_fallback = Some((idx, e, rank));
-        }
-    }
-    Ok(match (best_ok, best_fallback) {
-        (Some((i, e, r)), _) => Some((i, e, r, false)),
-        (None, Some((i, e, r))) => Some((i, e, r, true)),
-        (None, None) => None,
-    })
-}
 
-/// Run a whole day under a failure-aware menu: every slot is provisioned
-/// so that it would still meet the SLO after the worst-case node losses
-/// its menu entries were annotated with. Reported energy is nominal.
-///
-/// # Errors
-/// [`Error::InvalidInput`] from [`best_choice_resilient`] for a bad SLO
-/// or menu.
-pub fn run_day_resilient(
-    menu: &[ResilientChoice],
-    profile: &DiurnalProfile,
-    slo_response_s: f64,
-) -> Result<DayOutcome> {
-    let mut slots = Vec::with_capacity(profile.slots as usize);
-    let mut energy_j = 0.0;
-    let mut violations = 0;
-    for slot in 0..profile.slots {
-        let lambda = profile.lambda_at(slot);
-        match best_choice_resilient(menu, lambda, profile.slot_s, slo_response_s)? {
-            Some((choice, e, response_s, violated)) => {
-                hecmix_obs::emit(|| hecmix_obs::Event::DispatchDecision {
-                    slot: slot as usize,
-                    lambda,
-                    choice,
-                    energy_j: e,
-                    response_s,
-                    violated,
-                    resilient: true,
-                });
-                energy_j += e;
-                violations += u32::from(violated);
-                slots.push(SlotOutcome {
-                    slot,
-                    lambda,
-                    choice,
-                    energy_j: e,
-                    response_s,
-                    violated,
-                });
-            }
-            None => {
-                violations += 1;
-                slots.push(SlotOutcome {
-                    slot,
-                    lambda,
-                    choice: usize::MAX,
-                    energy_j: 0.0,
-                    response_s: f64::INFINITY,
-                    violated: true,
-                });
-            }
-        }
-    }
-    Ok(DayOutcome {
-        energy_j,
-        violations,
-        slots,
-    })
-}
-
-/// Convenience: the highest arrival rate any menu entry can stabilize
-/// (`max_i 1/T_i`, exclusive).
-#[must_use]
-pub fn saturation_lambda(menu: &[ConfigChoice]) -> f64 {
-    menu.iter().map(|c| 1.0 / c.service_s).fold(0.0, f64::max)
-}
-
-/// Sanity helper: would this menu meet the SLO at `lambda` at all?
-#[must_use]
-pub fn feasible(menu: &[ConfigChoice], lambda: f64, slo_response_s: f64) -> bool {
-    menu.iter().any(|c| {
-        MD1::new(lambda, c.service_s)
+    /// Failure-aware pricing: the SLO judges the M/D/1 mean response of
+    /// the *degraded* service time — the slot must still meet its SLO
+    /// after the worst-case `k` node losses — while energy and saturation
+    /// are *nominal*, since that is what the cluster spends in the
+    /// (overwhelmingly common) fault-free slot. A degraded queue that
+    /// saturates judges as ∞, so the entry survives only as a fallback,
+    /// ranked by its nominal response.
+    fn price(&self, lambda: f64, window_s: f64) -> Option<(f64, f64, f64)> {
+        let (energy_j, nominal_response_s, _) = self.nominal.price(lambda, window_s)?;
+        let degraded_response_s = MD1::new(lambda, self.degraded_service_s)
             .and_then(|q| q.mean_response_s())
-            .map(|r| r <= slo_response_s)
-            .unwrap_or(false)
-    })
+            .unwrap_or(f64::INFINITY);
+        let rank = if degraded_response_s.is_finite() {
+            degraded_response_s
+        } else {
+            nominal_response_s
+        };
+        Some((energy_j, degraded_response_s, rank))
+    }
 }
 
 #[cfg(test)]
@@ -1027,8 +865,8 @@ mod tests {
         assert!((p.lambda_at_time(-1.0) - p.lambda_at_time(day - 1.0)).abs() < 1e-9);
         assert!((p.lambda_at_time(2.0 * day + 7.0) - p.lambda_at_time(7.0)).abs() < 1e-9);
 
-        // The discrete lookup run_day_parking uses wraps too (hour 24 ==
-        // hour 0) — pinned here next to the continuous case.
+        // The discrete lookup run_day uses wraps too (hour 24 == hour 0) —
+        // pinned here next to the continuous case.
         assert_eq!(p.lambda_at(24), p.lambda_at(0));
     }
 
@@ -1071,10 +909,11 @@ mod tests {
         let profile = DiurnalProfile::new(1.0, 0.1, 24, 3600.0).unwrap();
         let slo = 1.0;
         let plain = run_day(&menu(), &profile, slo).unwrap();
-        let parked = run_day_parking(&parkable_menu(), &profile, slo).unwrap();
+        let parked = run_day(&parkable_menu(), &profile, slo).unwrap();
         assert!(parked.energy_j < plain.energy_j, "no cluster-sleep savings");
         assert!(parked.violations <= plain.violations);
-        // A sleep-less parkable menu reproduces the plain day exactly.
+        // A sleep-less parkable menu, and a resilient menu that loses no
+        // capacity, reproduce the plain day exactly — saturated slots too.
         let no_sleep: Vec<ParkableChoice> = menu()
             .into_iter()
             .map(|choice| ParkableChoice {
@@ -1082,9 +921,19 @@ mod tests {
                 sleep: None,
             })
             .collect();
-        let same = run_day_parking(&no_sleep, &profile, slo).unwrap();
-        assert_eq!(same.energy_j, plain.energy_j);
-        assert_eq!(same.violations, plain.violations);
+        let no_loss: Vec<ResilientChoice> = menu()
+            .into_iter()
+            .map(|nominal| ResilientChoice {
+                degraded_service_s: nominal.service_s,
+                nominal,
+            })
+            .collect();
+        let peaked = DiurnalProfile::new(30.0, 0.5, 24, 3600.0).unwrap();
+        for profile in [profile, peaked] {
+            let plain = run_day(&menu(), &profile, slo).unwrap();
+            assert_eq!(run_day(&no_sleep, &profile, slo).unwrap(), plain);
+            assert_eq!(run_day(&no_loss, &profile, slo).unwrap(), plain);
+        }
     }
 
     #[test]
@@ -1096,7 +945,7 @@ mod tests {
         let plain_menu = vec![menu().remove(1)];
         let park_menu = vec![parkable_menu().remove(1)];
         let plain = run_day(&plain_menu, &profile, slo).unwrap();
-        let parked = run_day_parking(&park_menu, &profile, slo).unwrap();
+        let parked = run_day(&park_menu, &profile, slo).unwrap();
         // Idle gaps are long when λ is small, so the deep-sleep credit
         // must be larger in the trough than at the peak.
         let (mut trough_saving, mut peak_saving) = (0.0f64, 0.0f64);
@@ -1121,13 +970,13 @@ mod tests {
             sleep_power_w: m[0].choice.idle_power_w + 1.0,
             residency_s: 0.0,
         });
-        assert!(best_choice_parking(&m, 0.5, 3600.0, 1.0).is_err());
+        assert!(best_choice(&m, 0.5, 3600.0, 1.0).is_err());
         let mut m = parkable_menu();
         m[1].sleep = Some(SleepPolicy {
             sleep_power_w: f64::NAN,
             residency_s: 0.0,
         });
-        assert!(best_choice_parking(&m, 0.5, 3600.0, 1.0).is_err());
+        assert!(best_choice(&m, 0.5, 3600.0, 1.0).is_err());
     }
 
     #[test]
@@ -1188,12 +1037,10 @@ mod tests {
             ResilientChoice {
                 nominal: menu()[0].clone(),
                 degraded_service_s: 0.030,
-                degraded_job_energy_j: 22.0,
             },
             ResilientChoice {
                 nominal: menu()[1].clone(),
                 degraded_service_s: 0.80,
-                degraded_job_energy_j: 8.0,
             },
         ]
     }
@@ -1204,9 +1051,7 @@ mod tests {
         // At an SLO of 1.5 s both degraded queues are fine at low λ (the
         // cheap entry's degraded response is ≈ 1.07 s): the cheap entry
         // still wins, and energy is the nominal one.
-        let (idx, e, _, violated) = best_choice_resilient(&m, 0.5, 3600.0, 1.5)
-            .unwrap()
-            .unwrap();
+        let (idx, e, _, violated) = best_choice(&m, 0.5, 3600.0, 1.5).unwrap().unwrap();
         assert_eq!(idx, 1);
         assert!(!violated);
         let (nidx, ne, _, _) = best_choice(&menu(), 0.5, 3600.0, 1.5).unwrap().unwrap();
@@ -1216,9 +1061,7 @@ mod tests {
         // An SLO of 0.9 s passes nominally for the cheap entry but fails
         // after a failure (degraded response > 0.9): the resilient policy
         // must pay for the fast entry where the naive one would not.
-        let (idx, _, _, violated) = best_choice_resilient(&m, 1.1, 3600.0, 0.9)
-            .unwrap()
-            .unwrap();
+        let (idx, _, _, violated) = best_choice(&m, 1.1, 3600.0, 0.9).unwrap().unwrap();
         assert_eq!(idx, 0);
         assert!(!violated);
         let (nidx, _, _, _) = best_choice(&menu(), 1.1, 3600.0, 0.9).unwrap().unwrap();
@@ -1227,7 +1070,7 @@ mod tests {
         // Whole-day: provisioning for failures can only cost more energy.
         let p = DiurnalProfile::new(1.0, 0.6, 24, 600.0).unwrap();
         let naive = run_day(&menu(), &p, 0.5).unwrap();
-        let resilient = run_day_resilient(&m, &p, 0.5).unwrap();
+        let resilient = run_day(&m, &p, 0.5).unwrap();
         assert!(resilient.energy_j >= naive.energy_j - 1e-9);
         assert_eq!(resilient.violations, 0);
     }
@@ -1238,9 +1081,7 @@ mod tests {
         // not its nominal one; SLO impossible for everyone. The fallback
         // must rank the fast entry first (finite degraded response).
         let m = resilient_menu();
-        let (idx, _, _, violated) = best_choice_resilient(&m, 2.0, 3600.0, 1e-4)
-            .unwrap()
-            .unwrap();
+        let (idx, _, _, violated) = best_choice(&m, 2.0, 3600.0, 1e-4).unwrap().unwrap();
         assert_eq!(idx, 0);
         assert!(violated);
     }
@@ -1353,13 +1194,5 @@ mod tests {
             ..quick_des()
         };
         assert!(best_choice_tail(&m, 1.0, 3600.0, t, &bad).is_err());
-    }
-
-    #[test]
-    fn saturation_and_feasibility() {
-        let m = menu();
-        assert!((saturation_lambda(&m) - 40.0).abs() < 1e-9);
-        assert!(feasible(&m, 1.0, 0.5));
-        assert!(!feasible(&m, 100.0, 0.5));
     }
 }

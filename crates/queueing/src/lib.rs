@@ -11,12 +11,15 @@
 //!
 //! * [`MD1`] — the analytical model (Pollaczek–Khinchine mean waiting
 //!   time), plus [`MM1`] for comparison;
-//! * [`simulate_md1`] — a discrete-event simulation of the same queue that
+//! * [`des`] — a request-level discrete-event simulation whose
+//!   single-core, constant-service run is the same queue and
 //!   cross-validates the closed forms;
 //! * [`window_energy`] — the paper's observation-window energy accounting
 //!   (Fig. 10): over a 20 s window, jobs × per-job energy plus the idle
 //!   energy of the configuration's nodes between jobs, with unused nodes
-//!   switched off.
+//!   switched off;
+//! * [`dispatch`] — the per-slot configuration choice under a mean or
+//!   percentile response deadline.
 
 // `!(x > 0.0)` deliberately rejects NaN along with non-positive values;
 // rewriting with `partial_cmp` would hide that intent.
@@ -27,8 +30,6 @@
 pub mod des;
 pub mod dispatch;
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use hecmix_core::{Error, Result};
@@ -263,62 +264,6 @@ impl MG1 {
     }
 }
 
-/// Statistics from the discrete-event M/D/1 simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SimStats {
-    /// Jobs completed.
-    pub jobs: u64,
-    /// Mean waiting time in queue, seconds.
-    pub mean_wait_s: f64,
-    /// Mean response time, seconds.
-    pub mean_response_s: f64,
-    /// Fraction of time the server was busy.
-    pub utilization: f64,
-}
-
-/// Discrete-event simulation of an M/D/1 queue: `n_jobs` Poisson arrivals,
-/// FIFO service. Used to cross-validate the Pollaczek–Khinchine formula.
-///
-/// Saturated rates (`ρ ≥ 1`) are allowed — a finite-horizon transient is
-/// well-defined even where no stationary distribution exists — but
-/// non-finite or non-positive `lambda`/`service_s` and `n_jobs == 0` are
-/// rejected with [`Error::InvalidInput`].
-pub fn simulate_md1(lambda: f64, service_s: f64, n_jobs: u64, seed: u64) -> Result<SimStats> {
-    if !(lambda > 0.0)
-        || !lambda.is_finite()
-        || !(service_s > 0.0)
-        || !service_s.is_finite()
-        || n_jobs == 0
-    {
-        return Err(Error::InvalidInput(format!(
-            "simulate_md1 needs positive finite lambda/service and n_jobs >= 1, \
-             got λ={lambda}, T={service_s}, n_jobs={n_jobs}"
-        )));
-    }
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut clock = 0.0f64; // arrival clock
-    let mut server_free_at = 0.0f64;
-    let mut total_wait = 0.0f64;
-    let mut busy = 0.0f64;
-    let mut last_departure = 0.0f64;
-    for _ in 0..n_jobs {
-        let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-        clock += -u.ln() / lambda; // exponential inter-arrival
-        let start = clock.max(server_free_at);
-        total_wait += start - clock;
-        server_free_at = start + service_s;
-        busy += service_s;
-        last_departure = server_free_at;
-    }
-    let jobs = n_jobs;
-    Ok(SimStats {
-        jobs,
-        mean_wait_s: total_wait / jobs as f64,
-        mean_response_s: total_wait / jobs as f64 + service_s,
-        utilization: busy / last_departure,
-    })
-}
-
 /// Energy of one configuration over an observation window (Fig. 10):
 /// per-job energy times the jobs served, plus the *idle* energy of the
 /// configuration's powered nodes between jobs. Nodes not in the
@@ -407,6 +352,30 @@ pub struct SleepPolicy {
     pub residency_s: f64,
 }
 
+impl SleepPolicy {
+    /// Check the policy against the idle power of the configuration it
+    /// parks.
+    ///
+    /// # Errors
+    /// [`Error::InvalidInput`] unless `sleep_power_w` is finite and within
+    /// `[0, idle_power_w]` and `residency_s` is finite and non-negative.
+    pub fn validate(&self, idle_power_w: f64) -> Result<()> {
+        if !self.sleep_power_w.is_finite()
+            || self.sleep_power_w < 0.0
+            || self.sleep_power_w > idle_power_w
+            || !self.residency_s.is_finite()
+            || self.residency_s < 0.0
+        {
+            return Err(Error::InvalidInput(format!(
+                "sleep policy needs finite 0 <= sleep_power_w <= idle_power_w and finite \
+                 non-negative residency, got sleep_power_w={}, residency_s={}, idle_power_w={}",
+                self.sleep_power_w, self.residency_s, idle_power_w
+            )));
+        }
+        Ok(())
+    }
+}
+
 /// [`window_energy`] with cluster sleep: idle gaps of the M/D/1 server are
 /// exponential with rate `λ` (PASTA: a gap ends at the next arrival), so
 /// of the total idle time `L·(1−ρ)` the expected share spent *past* the
@@ -425,9 +394,8 @@ pub struct SleepPolicy {
 /// dispatch wants to park whole clusters.
 ///
 /// # Errors
-/// Same domain errors as [`window_energy`], plus [`Error::InvalidInput`]
-/// for a non-finite/negative sleep policy or `sleep_power_w` above the
-/// configuration's idle power.
+/// Same domain errors as [`window_energy`], plus those of
+/// [`SleepPolicy::validate`].
 pub fn window_energy_sleep(
     lambda: f64,
     window_s: f64,
@@ -436,18 +404,7 @@ pub fn window_energy_sleep(
     idle_power_w: f64,
     sleep: &SleepPolicy,
 ) -> Result<WindowEnergy> {
-    if !sleep.sleep_power_w.is_finite()
-        || sleep.sleep_power_w < 0.0
-        || sleep.sleep_power_w > idle_power_w
-        || !sleep.residency_s.is_finite()
-        || sleep.residency_s < 0.0
-    {
-        return Err(Error::InvalidInput(format!(
-            "sleep policy needs finite 0 <= sleep_power_w <= idle_power_w and finite \
-             non-negative residency, got sleep_power_w={}, residency_s={}, idle_power_w={}",
-            sleep.sleep_power_w, sleep.residency_s, idle_power_w
-        )));
-    }
+    sleep.validate(idle_power_w)?;
     let mut we = window_energy(lambda, window_s, service_s, job_energy_j, idle_power_w)?;
     let idle_s = window_s * (1.0 - we.utilization);
     let sleepable_s = idle_s * (-lambda * sleep.residency_s).exp();
@@ -548,27 +505,6 @@ mod tests {
     }
 
     #[test]
-    fn simulation_matches_pollaczek_khinchine() {
-        for rho in [0.05f64, 0.25, 0.5, 0.8] {
-            let service = 0.01;
-            let lambda = rho / service;
-            let analytic = MD1::new(lambda, service).unwrap().mean_wait_s().unwrap();
-            let sim = simulate_md1(lambda, service, 400_000, 42).unwrap();
-            let rel = if analytic > 0.0 {
-                (sim.mean_wait_s - analytic).abs() / analytic
-            } else {
-                sim.mean_wait_s
-            };
-            assert!(
-                rel < 0.05,
-                "ρ={rho}: sim {} vs analytic {analytic} (rel {rel})",
-                sim.mean_wait_s
-            );
-            assert!((sim.utilization - rho).abs() < 0.05 * rho.max(0.1));
-        }
-    }
-
-    #[test]
     fn mg1_rejects_non_finite_rate_and_service() {
         // Pre-fix regression: `f64::INFINITY > 0.0` passed the positivity
         // guard, so an infinite λ or E[S] produced NaN waits downstream.
@@ -577,32 +513,6 @@ mod tests {
         assert!(MG1::new(f64::NAN, 0.1, 0.5).is_err());
         assert!(MG1::new(1.0, f64::NAN, 0.5).is_err());
         assert!(MG1::new(1.0, 0.1, 0.5).is_ok());
-    }
-
-    #[test]
-    fn simulate_md1_rejects_degenerate_inputs() {
-        // Pre-fix these were panicking `assert!`s, inconsistent with the
-        // crate's fallible-input policy.
-        assert!(matches!(
-            simulate_md1(0.0, 0.1, 10, 1),
-            Err(Error::InvalidInput(_))
-        ));
-        assert!(simulate_md1(-1.0, 0.1, 10, 1).is_err());
-        assert!(simulate_md1(1.0, 0.0, 10, 1).is_err());
-        assert!(simulate_md1(1.0, 0.1, 0, 1).is_err());
-        assert!(simulate_md1(f64::NAN, 0.1, 10, 1).is_err());
-        assert!(simulate_md1(1.0, f64::INFINITY, 10, 1).is_err());
-    }
-
-    #[test]
-    fn simulate_md1_saturated_transient_is_finite() {
-        // ρ ≥ 1 has no stationary distribution, but a finite-horizon run
-        // is still well-defined: the queue just grows. The simulator must
-        // return finite stats with utilization pinned near 1.
-        let sim = simulate_md1(20.0, 0.1, 20_000, 7).unwrap(); // ρ = 2
-        assert!(sim.mean_wait_s.is_finite() && sim.mean_wait_s > 0.0);
-        assert!(sim.mean_response_s.is_finite());
-        assert!((sim.utilization - 1.0).abs() < 0.05);
     }
 
     #[test]

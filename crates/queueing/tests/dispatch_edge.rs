@@ -3,8 +3,7 @@
 //! flags, `usize::MAX` sentinel) rather than panic or fabricate energy.
 
 use hecmix_queueing::dispatch::{
-    best_choice, best_choice_resilient, run_day, run_day_resilient, ConfigChoice, DiurnalProfile,
-    ResilientChoice,
+    best_choice, run_day, ConfigChoice, DiurnalProfile, ResilientChoice,
 };
 
 fn fast() -> ConfigChoice {
@@ -27,13 +26,15 @@ fn cheap() -> ConfigChoice {
 
 #[test]
 fn empty_menu_yields_no_choice_and_all_violations() {
-    assert!(best_choice(&[], 1.0, 600.0, 0.5).unwrap().is_none());
-    assert!(best_choice_resilient(&[], 1.0, 600.0, 0.5)
+    assert!(best_choice::<ConfigChoice>(&[], 1.0, 600.0, 0.5)
+        .unwrap()
+        .is_none());
+    assert!(best_choice::<ResilientChoice>(&[], 1.0, 600.0, 0.5)
         .unwrap()
         .is_none());
 
     let p = DiurnalProfile::new(1.0, 0.5, 24, 600.0).unwrap();
-    let day = run_day(&[], &p, 0.5).unwrap();
+    let day = run_day::<ConfigChoice>(&[], &p, 0.5).unwrap();
     assert_eq!(day.violations, 24);
     assert_eq!(day.energy_j, 0.0);
     assert!(day
@@ -41,7 +42,7 @@ fn empty_menu_yields_no_choice_and_all_violations() {
         .iter()
         .all(|s| s.choice == usize::MAX && s.violated && s.energy_j == 0.0));
 
-    let day = run_day_resilient(&[], &p, 0.5).unwrap();
+    let day = run_day::<ResilientChoice>(&[], &p, 0.5).unwrap();
     assert_eq!(day.violations, 24);
     assert_eq!(day.energy_j, 0.0);
 }
@@ -109,11 +110,8 @@ fn resilient_entry_with_saturated_degraded_queue_survives_as_fallback() {
     let menu = vec![ResilientChoice {
         nominal: cheap(),
         degraded_service_s: 2.0, // saturation at λ = 0.5
-        degraded_job_energy_j: 9.0,
     }];
-    let (idx, energy, _, violated) = best_choice_resilient(&menu, 1.0, 600.0, 1.0)
-        .unwrap()
-        .unwrap();
+    let (idx, energy, _, violated) = best_choice(&menu, 1.0, 600.0, 1.0).unwrap().unwrap();
     assert_eq!(idx, 0);
     assert!(violated, "degraded saturation cannot meet any SLO");
     assert!(energy > 0.0);
@@ -133,14 +131,13 @@ fn non_finite_or_non_positive_slot_inputs_are_rejected() {
         let rmenu = vec![ResilientChoice {
             nominal: cheap(),
             degraded_service_s: 0.8,
-            degraded_job_energy_j: 9.0,
         }];
-        assert!(best_choice_resilient(&rmenu, bad, 600.0, 0.5).is_err());
-        assert!(best_choice_resilient(&rmenu, 1.0, 600.0, bad).is_err());
+        assert!(best_choice(&rmenu, bad, 600.0, 0.5).is_err());
+        assert!(best_choice(&rmenu, 1.0, 600.0, bad).is_err());
     }
     let p = DiurnalProfile::new(1.0, 0.5, 24, 600.0).unwrap();
     assert!(run_day(&menu, &p, f64::NAN).is_err());
-    assert!(run_day_resilient(&[], &p, -0.5).is_err());
+    assert!(run_day::<ResilientChoice>(&[], &p, -0.5).is_err());
 }
 
 #[test]
@@ -161,13 +158,11 @@ fn corrupt_menu_entries_are_rejected() {
     let shrunk = ResilientChoice {
         nominal: cheap(),
         degraded_service_s: 0.1, // faster after losing a node: nonsense
-        degraded_job_energy_j: 9.0,
     };
-    assert!(best_choice_resilient(&[shrunk], 1.0, 600.0, 0.5).is_err());
+    assert!(best_choice(&[shrunk], 1.0, 600.0, 0.5).is_err());
     let nan_degraded = ResilientChoice {
         nominal: cheap(),
         degraded_service_s: f64::NAN,
-        degraded_job_energy_j: 9.0,
     };
-    assert!(best_choice_resilient(&[nan_degraded], 1.0, 600.0, 0.5).is_err());
+    assert!(best_choice(&[nan_degraded], 1.0, 600.0, 0.5).is_err());
 }

@@ -47,8 +47,9 @@
 //!
 //! Idle gaps on every node are priced ex post with
 //! [`hecmix_queueing::idle_gap_energy_j`] — the per-gap counterpart of the
-//! expected-value slot pricing `run_day_parking` uses — so parking
-//! economics carry over unchanged.
+//! expected-value slot pricing of a parkable dispatch menu
+//! ([`hecmix_queueing::window_energy_sleep`]) — so parking economics carry
+//! over unchanged.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

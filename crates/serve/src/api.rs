@@ -53,7 +53,7 @@ use hecmix_core::types::Platform;
 use hecmix_obs::json::{self, Object, Value};
 use hecmix_obs::{emit, Event};
 use hecmix_queueing::dispatch::{
-    best_choice_tail, ConfigChoice, TailChoiceOutcome, TailDesConfig, TailTarget,
+    best_choice_tail, menu_from_frontier, TailChoiceOutcome, TailDesConfig, TailTarget,
 };
 
 use crate::cache::ShardedLru;
@@ -93,12 +93,10 @@ pub enum CachedCompute {
 /// produce byte-identical outcomes — the property memoization and
 /// single-flight coalescing rely on.
 pub struct TailPlanResult {
-    /// The planner outcome; `None` when every menu entry saturates at the
-    /// requested arrival rate.
-    pub outcome: Option<TailChoiceOutcome>,
-    /// Human-readable labels of the frontier-derived menu, indexed by
-    /// [`TailChoiceOutcome::index`].
-    pub labels: Vec<String>,
+    /// The planner outcome with the display label of the entry it chose;
+    /// `None` when every menu entry saturates at the requested arrival
+    /// rate.
+    pub outcome: Option<(TailChoiceOutcome, String)>,
 }
 
 /// Cached result of a `/whatif` ladder computation.
@@ -281,9 +279,9 @@ pub enum RespCtx {
         /// Deadline to plan for, milliseconds.
         deadline_ms: f64,
     },
-    /// `POST /plan` with a percentile deadline (`p99_s`): the menu index
-    /// and tail numbers live in the cached [`TailPlanResult`], so the
-    /// context only needs the echo fields.
+    /// `POST /plan` with a percentile deadline (`p99_s`): the chosen
+    /// label and tail numbers live in the cached [`TailPlanResult`], so
+    /// the context only needs the echo fields.
     TailPlan {
         /// Workload name.
         workload: String,
@@ -956,7 +954,7 @@ pub fn compute_plan(
             let frontier = table
                 .frontier(units)
                 .map_err(|e| Response::error(422, &format!("sweep failed: {e}")))?;
-            let (menu, labels) = tail_menu(&frontier, entry, &platforms);
+            let menu = menu_from_frontier(&frontier, &entry.models);
             let target = TailTarget::new(0.99, p99_s)
                 .map_err(|e| Response::error(422, &format!("bad tail target: {e}")))?;
             // Default DES budget and a fixed seed: identical requests get
@@ -964,8 +962,9 @@ pub fn compute_plan(
             // coalescing both depend on.
             let outcome =
                 best_choice_tail(&menu, lambda, window_s, target, &TailDesConfig::default())
-                    .map_err(|e| Response::error(422, &format!("tail planning failed: {e}")))?;
-            CachedCompute::TailPlan(TailPlanResult { outcome, labels })
+                    .map_err(|e| Response::error(422, &format!("tail planning failed: {e}")))?
+                    .map(|out| (out, menu[out.index].label.clone()));
+            CachedCompute::TailPlan(TailPlanResult { outcome })
         }
     };
     let compute_us = t0.elapsed().as_micros() as u64;
@@ -1066,9 +1065,9 @@ pub fn format_response(
             o.f64("p99_s", *p99_s);
             o.f64("window_s", *window_s);
             match &result.outcome {
-                Some(out) => {
+                Some((out, label)) => {
                     o.bool("feasible", !out.violated);
-                    o.str("config", &result.labels[out.index]);
+                    o.str("config", label);
                     o.f64("p99_response_s", out.tail_response_s);
                     o.f64("mean_response_s", out.mean_response_s);
                     o.f64("window_energy_j", out.energy_j);
@@ -1345,37 +1344,6 @@ fn parse_whatif(store: &ModelStore, v: &Value) -> Result<(ComputeSpec, RespCtx),
             deadline_ms,
         },
     ))
-}
-
-/// Build the serving menu `best_choice_tail` scores: one [`ConfigChoice`]
-/// per frontier point (service time = the point's makespan, idle draw =
-/// exactly the powered nodes), plus the display labels kept for the
-/// response formatter.
-fn tail_menu(
-    frontier: &ParetoFrontier,
-    entry: &ModelEntry,
-    platforms: &[Platform; 2],
-) -> (Vec<ConfigChoice>, Vec<String>) {
-    let mut menu = Vec::with_capacity(frontier.points.len());
-    let mut labels = Vec::with_capacity(frontier.points.len());
-    for p in &frontier.points {
-        let idle_power_w = p
-            .config
-            .per_type
-            .iter()
-            .zip(entry.models.iter())
-            .filter_map(|(cfg, m)| cfg.map(|c| f64::from(c.nodes) * m.power.idle_w))
-            .sum();
-        let label = p.config.label(platforms);
-        labels.push(label.clone());
-        menu.push(ConfigChoice {
-            label,
-            service_s: p.time_s,
-            job_energy_j: p.energy_j,
-            idle_power_w,
-        });
-    }
-    (menu, labels)
 }
 
 /// The `[low, high]` platform pair of a bundle (cloned; labels and spaces

@@ -13,7 +13,8 @@
 
 use hecmix_experiments::figures::fig10;
 use hecmix_experiments::lab::Lab;
-use hecmix_queueing::{simulate_md1, MD1};
+use hecmix_queueing::des::{self, CoreLayout, DesConfig, ServiceDist, UNBOUNDED};
+use hecmix_queueing::MD1;
 use hecmix_workloads::memcached::Memcached;
 
 fn main() {
@@ -56,11 +57,24 @@ fn main() {
     let analytic = MD1::new(lambda, service)
         .and_then(|q| q.mean_wait_s())
         .expect("stable queue");
-    let sim = simulate_md1(lambda, service, 200_000, 7).expect("valid simulation inputs");
+    // One combined core, constant service and one flow: the DES runs the
+    // same M/D/1 queue.
+    let sim = des::simulate(&DesConfig {
+        pps: lambda,
+        n_requests: 200_000,
+        layout: CoreLayout::Combined { cores: 1 },
+        service: ServiceDist::Constant(service),
+        net_cost_s: 0.0,
+        queue_cap: UNBOUNDED,
+        flows: 1,
+        seed: 7,
+    })
+    .expect("valid simulation inputs");
+    let simulated = sim.wait.mean().expect("an open queue completes requests");
     println!(
         "M/D/1 cross-check at λ={lambda:.2}, T={service}s: analytic wait {:.2} ms vs simulated {:.2} ms",
         analytic * 1e3,
-        sim.mean_wait_s * 1e3
+        simulated * 1e3
     );
 }
 

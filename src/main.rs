@@ -26,7 +26,7 @@ use hecmix_core::pareto::ParetoFrontier;
 use hecmix_core::sweep::{sweep_frontier_pruned, sweep_space, EvaluatedConfig};
 use hecmix_experiments::lab::Lab;
 use hecmix_queueing::dispatch::{
-    best_choice, best_choice_tail, ConfigChoice, TailDesConfig, TailTarget,
+    best_choice, best_choice_tail, menu_from_frontier, TailDesConfig, TailTarget,
 };
 use hecmix_workloads::{workload_by_name, Workload};
 
@@ -1034,25 +1034,7 @@ fn cmd_queueing(flags: &HashMap<String, String>) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let menu: Vec<ConfigChoice> = frontier
-        .points
-        .iter()
-        .map(|p| {
-            let idle_power_w = p
-                .config
-                .per_type
-                .iter()
-                .zip(models.iter())
-                .filter_map(|(cfg, m)| cfg.map(|c| f64::from(c.nodes) * m.power.idle_w))
-                .sum();
-            ConfigChoice {
-                label: p.config.label(&lab.platforms()),
-                service_s: p.time_s,
-                job_energy_j: p.energy_j,
-                idle_power_w,
-            }
-        })
-        .collect();
+    let menu = menu_from_frontier(&frontier, &models);
     // A p99 deadline switches to the DES-scored tail planner: the menu is
     // screened analytically, then the survivors are simulated until one
     // meets the percentile deadline.
