@@ -166,9 +166,7 @@ impl Value {
     #[must_use]
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => {
-                Some(*n as u64)
-            }
+            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < 2f64.powi(53) => Some(*n as u64),
             _ => None,
         }
     }
@@ -471,6 +469,18 @@ mod tests {
         let tags = v.get("tags").and_then(Value::as_array).unwrap();
         assert_eq!(tags[0].as_str(), Some("a\"b"));
         assert_eq!(tags[1].as_str(), Some("c\\d"));
+    }
+
+    #[test]
+    fn as_u64_takes_only_exactly_parsed_integers() {
+        let u = |text: &str| parse(text).unwrap().as_u64();
+        assert_eq!(u("0"), Some(0));
+        assert_eq!(u("9007199254740991"), Some((1 << 53) - 1));
+        // 2^53 and 2^53 + 1 parse to the same f64, so neither is exact.
+        assert_eq!(u("9007199254740992"), None);
+        assert_eq!(u("9007199254740993"), None);
+        assert_eq!(u("1.5"), None);
+        assert_eq!(u("-1"), None);
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //!   simulator (phase transitions, memory contention, DVFS switches, fault
 //!   lifecycle), the sweep engine (chunk/scan/merge counters, timers), the
 //!   dispatcher (per-slot decisions), and the experiment runner (CSV
-//!   warnings, artifact manifests).
+//!   warnings, artifact manifests). Each variant is declared once, in the
+//!   `events!` table, which also yields the machine-readable
+//!   [`Event::SCHEMA`] that [`Event::check_json`] validates records against.
 //! - [`Sink`]: where events go. [`JsonlSink`] appends one JSON object per
 //!   line to a file; [`RingSink`] keeps the last N events in memory for
 //!   tests; the default is no sink at all.
@@ -38,15 +40,104 @@ pub mod manifest;
 
 pub use manifest::{RunManifest, SelfCheckOutcome};
 
-/// One structured telemetry event. Variants group by emitting subsystem;
-/// every variant serializes to a flat JSON object with a `"kind"` tag (see
-/// [`Event::to_json`], the schema documented in DESIGN.md §9).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Event {
+/// The JSON type an [`Event`] field encodes to, as listed in
+/// [`Event::SCHEMA`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FieldType {
+    /// A non-negative integer (`u16`, `u32`, `u64` or `usize` in Rust).
+    U64,
+    /// A number; NaN and ±∞ encode as `null`.
+    F64,
+    /// `true` or `false`.
+    Bool,
+    /// A string (`&'static str` or `String` in Rust).
+    Str,
+}
+
+/// A Rust type an [`Event`] field may have: its JSON type and its encoder.
+trait Field {
+    const TYPE: FieldType;
+    fn put(&self, o: &mut json::Object, key: &str);
+}
+
+macro_rules! fields {
+    ($($ty:ty => $json:ident, |$o:ident, $k:ident, $v:ident| $put:expr;)*) => {$(
+        impl Field for $ty {
+            const TYPE: FieldType = FieldType::$json;
+            fn put(&self, $o: &mut json::Object, $k: &str) {
+                let $v = self;
+                $put;
+            }
+        }
+    )*};
+}
+
+fields! {
+    u16 => U64, |o, k, v| o.u64(k, u64::from(*v));
+    u32 => U64, |o, k, v| o.u64(k, u64::from(*v));
+    u64 => U64, |o, k, v| o.u64(k, *v);
+    usize => U64, |o, k, v| o.u64(k, *v as u64);
+    f64 => F64, |o, k, v| o.f64(k, *v);
+    bool => Bool, |o, k, v| o.bool(k, *v);
+    &'static str => Str, |o, k, v| o.str(k, v);
+    String => Str, |o, k, v| o.str(k, v);
+}
+
+/// The one definition of the event schema. Each `Variant = "kind" { field:
+/// Type, … }` entry of the table below yields the [`Event`] variant, its
+/// [`Event::kind`] tag, its [`Event::to_json`] encoding (`"kind"` first,
+/// then the fields in declaration order) and its [`Event::SCHEMA`] row.
+macro_rules! events {
+    ($(
+        $(#[$vmeta:meta])*
+        $variant:ident = $kind:literal {
+            $($(#[$fmeta:meta])* $field:ident: $ty:ty,)*
+        },
+    )*) => {
+        /// One structured telemetry event. Variants group by emitting
+        /// subsystem; every variant serializes to a flat JSON object with a
+        /// `"kind"` tag (see [`Event::to_json`] and [`Event::SCHEMA`], the
+        /// schema documented in DESIGN.md §9).
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum Event {
+            $($(#[$vmeta])* $variant { $($(#[$fmeta])* $field: $ty,)* },)*
+        }
+
+        impl Event {
+            /// Every kind with its fields' names and JSON types, in the
+            /// order [`Event::to_json`] writes them after `"kind"`.
+            pub const SCHEMA: &'static [(&'static str, &'static [(&'static str, FieldType)])] =
+                &[$(($kind, &[$((stringify!($field), <$ty as Field>::TYPE),)*]),)*];
+
+            /// The `"kind"` tag used in the JSON encoding.
+            #[must_use]
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $(Event::$variant { .. } => $kind,)*
+                }
+            }
+
+            /// Encode as a single-line JSON object (the JSONL record format).
+            #[must_use]
+            pub fn to_json(&self) -> String {
+                let mut o = json::Object::new();
+                o.str("kind", self.kind());
+                match self {
+                    $(Event::$variant { $($field,)* } => {
+                        $(Field::put($field, &mut o, stringify!($field));)*
+                    })*
+                }
+                o.finish()
+            }
+        }
+    };
+}
+
+events! {
     // ---- hecmix-sim: node engine ----
     /// A core parked (left the active set) or a node-level phase stalled.
     /// `reason` is one of `"nic-backpressure"`, `"starved"`.
-    CorePark {
+    CorePark = "core_park" {
         /// Node RNG seed (identifies the node within a cluster run).
         seed: u64,
         /// Core index that parked.
@@ -57,7 +148,7 @@ pub enum Event {
         reason: &'static str,
     },
     /// A parked core resumed execution.
-    CoreResume {
+    CoreResume = "core_resume" {
         /// Node RNG seed.
         seed: u64,
         /// Core index that resumed.
@@ -66,7 +157,7 @@ pub enum Event {
         t_s: f64,
     },
     /// Memory-contention stall accounting for one executed chunk.
-    MemContention {
+    MemContention = "mem_contention" {
         /// Node RNG seed.
         seed: u64,
         /// Simulated start time of the chunk, seconds.
@@ -77,7 +168,7 @@ pub enum Event {
         stall_ns: u64,
     },
     /// The ondemand governor switched the operating frequency.
-    DvfsSwitch {
+    DvfsSwitch = "dvfs_switch" {
         /// Node RNG seed.
         seed: u64,
         /// Simulated time of the switch, seconds.
@@ -89,7 +180,7 @@ pub enum Event {
     },
     /// The node stepped to a different OPP of its DVFS ladder (the
     /// ladder-indexed companion of [`Event::DvfsSwitch`]).
-    OppChange {
+    OppChange = "opp_change" {
         /// Node RNG seed.
         seed: u64,
         /// Simulated time of the change, seconds.
@@ -103,7 +194,7 @@ pub enum Event {
     },
     /// A power domain entered its deep idle state (all children idle and
     /// the residency horizon passed).
-    DomainSleep {
+    DomainSleep = "domain_sleep" {
         /// Node RNG seed.
         seed: u64,
         /// Simulated time the domain entered the deep state, seconds.
@@ -114,7 +205,7 @@ pub enum Event {
         sleep_w: f64,
     },
     /// A power domain left its deep idle state.
-    DomainWake {
+    DomainWake = "domain_wake" {
         /// Node RNG seed.
         seed: u64,
         /// Simulated wake time, seconds.
@@ -127,14 +218,14 @@ pub enum Event {
 
     // ---- hecmix-sim: fault lifecycle ----
     /// A faulted cluster run started.
-    FaultedRunStart {
+    FaultedRunStart = "faulted_run_start" {
         /// Total work units across the cluster.
         total_units: u64,
         /// Number of scheduled crashes.
         crashes: usize,
     },
     /// A node crashed.
-    Crash {
+    Crash = "crash" {
         /// Node type index in the cluster spec.
         type_idx: usize,
         /// Node index within its type.
@@ -147,7 +238,7 @@ pub enum Event {
         lost_in_flight_units: u64,
     },
     /// The heartbeat monitor detected a crash.
-    HeartbeatTimeout {
+    HeartbeatTimeout = "heartbeat_timeout" {
         /// Crashed node type index.
         type_idx: usize,
         /// Crashed node index within its type.
@@ -156,7 +247,7 @@ pub enum Event {
         detected_s: f64,
     },
     /// Leftover work was redistributed (or abandoned) after detection.
-    Redistribution {
+    Redistribution = "redistribution" {
         /// Crashed node type index.
         type_idx: usize,
         /// Crashed node index within its type.
@@ -169,7 +260,7 @@ pub enum Event {
         abandoned_units: u64,
     },
     /// One survivor's share of a redistribution.
-    RedistributionShare {
+    RedistributionShare = "redistribution_share" {
         /// Receiving node type index.
         to_type: usize,
         /// Receiving node index within its type.
@@ -178,7 +269,7 @@ pub enum Event {
         units: u64,
     },
     /// A faulted cluster run completed.
-    FaultedRunEnd {
+    FaultedRunEnd = "faulted_run_end" {
         /// Makespan, seconds.
         duration_s: f64,
         /// Units actually completed.
@@ -190,21 +281,21 @@ pub enum Event {
     // ---- hecmix-core: streaming sweep ----
     /// Per-type dominance pruning shrank the configuration space before a
     /// sweep.
-    SweepPruned {
+    SweepPruned = "sweep_pruned" {
         /// Points in the unpruned space.
         total_points: u64,
         /// Points surviving the pruning.
         kept_points: u64,
     },
     /// A streaming frontier sweep started.
-    SweepStart {
+    SweepStart = "sweep_start" {
         /// Points in the (possibly pruned) configuration space.
         points: u64,
         /// Worker threads (1 = sequential path).
         workers: usize,
     },
     /// One worker's totals for a sweep.
-    SweepWorker {
+    SweepWorker = "sweep_worker" {
         /// Worker index.
         worker: usize,
         /// Chunks claimed from the shared cursor.
@@ -215,7 +306,7 @@ pub enum Event {
         kept: usize,
     },
     /// One pairwise merge of partial frontiers.
-    SweepMerge {
+    SweepMerge = "sweep_merge" {
         /// Entries on the left input.
         left: usize,
         /// Entries on the right input.
@@ -224,7 +315,7 @@ pub enum Event {
         merged: usize,
     },
     /// A streaming frontier sweep finished.
-    SweepEnd {
+    SweepEnd = "sweep_end" {
         /// Points scanned in total.
         points: u64,
         /// Frontier size.
@@ -235,7 +326,7 @@ pub enum Event {
 
     // ---- hecmix-queueing: dispatch ----
     /// One slot's provisioning decision in a diurnal dispatch run.
-    DispatchDecision {
+    DispatchDecision = "dispatch_decision" {
         /// Slot index within the day.
         slot: usize,
         /// Offered load for the slot, jobs/s.
@@ -255,7 +346,7 @@ pub enum Event {
     // ---- hecmix-experiments ----
     /// A CSV cell held a non-finite value and was replaced by the `NA`
     /// sentinel.
-    CsvNonFinite {
+    CsvNonFinite = "csv_non_finite" {
         /// Artifact (CSV stem) being written.
         artifact: String,
         /// Row index (0-based, excluding header).
@@ -264,7 +355,7 @@ pub enum Event {
         column: String,
     },
     /// An artifact (CSV + manifest sidecar) was written.
-    ArtifactWritten {
+    ArtifactWritten = "artifact_written" {
         /// Artifact (CSV stem).
         artifact: String,
         /// Data rows written.
@@ -274,7 +365,7 @@ pub enum Event {
     // ---- self-check (hecmix-check) ----
     /// A differential oracle or metamorphic invariant found a disagreement
     /// between two computational paths that must agree.
-    CheckViolation {
+    CheckViolation = "check_violation" {
         /// Oracle or invariant name (e.g. `closed_form_vs_numeric`).
         check: String,
         /// Seed of the self-check run that found it.
@@ -284,7 +375,7 @@ pub enum Event {
     },
     /// Summary of one self-check run: how many checks ran and how many
     /// violations they reported.
-    CheckSummary {
+    CheckSummary = "check_summary" {
         /// Seed of the self-check run.
         seed: u64,
         /// Number of oracle/invariant checks executed.
@@ -297,14 +388,14 @@ pub enum Event {
 
     // ---- hecmix-serve: planning daemon ----
     /// A request was dequeued by a worker and its handler started.
-    RequestStart {
+    RequestStart = "request_start" {
         /// Request path (e.g. `/plan`).
         path: String,
         /// Queue depth observed when the request was dequeued.
         queue_depth: usize,
     },
     /// A request finished and its response was written.
-    RequestDone {
+    RequestDone = "request_done" {
         /// Request path.
         path: String,
         /// HTTP status code of the response.
@@ -315,30 +406,30 @@ pub enum Event {
         cached: bool,
     },
     /// Admission control rejected a connection (bounded queue full).
-    RequestRejected {
+    RequestRejected = "request_rejected" {
         /// Queue depth at rejection (== capacity).
         queue_depth: usize,
         /// `Retry-After` value sent with the 503, seconds.
         retry_after_s: u64,
     },
     /// A plan-cache lookup hit.
-    CacheHit {
+    CacheHit = "cache_hit" {
         /// Cache key (content hash of models + query shape).
         key: u64,
     },
     /// A plan-cache lookup missed and the value was computed.
-    CacheMiss {
+    CacheMiss = "cache_miss" {
         /// Cache key.
         key: u64,
     },
     /// A plan-cache entry was evicted (LRU capacity pressure).
-    CacheEvict {
+    CacheEvict = "cache_evict" {
         /// Evicted entry's key.
         key: u64,
     },
     /// A request joined an in-flight compute for the same cache key
     /// instead of starting its own (single-flight coalescing).
-    RequestCoalesced {
+    RequestCoalesced = "request_coalesced" {
         /// Request path.
         path: String,
         /// Cache key of the shared in-flight compute.
@@ -346,13 +437,13 @@ pub enum Event {
     },
     /// `POST /reload` started re-computing the hot key set against the new
     /// model store before swapping it in.
-    CacheWarmStart {
+    CacheWarmStart = "cache_warm_start" {
         /// Cached entries snapshotted for warming.
         keys: usize,
     },
     /// Background cache warming finished; the store and warmed entries
     /// were swapped in.
-    CacheWarmDone {
+    CacheWarmDone = "cache_warm_done" {
         /// Cached entries snapshotted for warming.
         keys: usize,
         /// Entries successfully recomputed and reinserted.
@@ -362,7 +453,7 @@ pub enum Event {
     },
     /// One event-loop iteration woke with work to do (ready sources
     /// and/or mailbox messages). Quiet timeout ticks are not emitted.
-    EventLoopWakeup {
+    EventLoopWakeup = "eventloop_wakeup" {
         /// I/O thread index.
         io_thread: usize,
         /// Readiness events delivered by the poller.
@@ -374,7 +465,7 @@ pub enum Event {
     // ---- hecmix-serve: replica fleet (gateway) ----
     /// The gateway's view of a replica flipped between healthy and
     /// unhealthy (active probe or passive forward failure).
-    ReplicaHealthChange {
+    ReplicaHealthChange = "replica_health_change" {
         /// Replica index in the fleet.
         replica: usize,
         /// Replica upstream address.
@@ -388,7 +479,7 @@ pub enum Event {
     },
     /// A per-replica circuit breaker changed state
     /// (`closed` → `open` → `half_open` → `closed`).
-    BreakerTransition {
+    BreakerTransition = "breaker_transition" {
         /// Replica index in the fleet.
         replica: usize,
         /// State before the transition.
@@ -400,7 +491,7 @@ pub enum Event {
     },
     /// The gateway is retrying a forwarded request after a failed or
     /// shed upstream attempt.
-    RequestRetry {
+    RequestRetry = "request_retry" {
         /// Request path.
         path: String,
         /// Replica the retry is aimed at.
@@ -414,7 +505,7 @@ pub enum Event {
     },
     /// The gateway fired a hedged duplicate because the primary attempt
     /// outlived the adaptive tail-latency delay.
-    RequestHedged {
+    RequestHedged = "request_hedged" {
         /// Request path.
         path: String,
         /// Replica the primary attempt went to.
@@ -426,7 +517,7 @@ pub enum Event {
     },
     /// After a replica was marked down, its displaced hot keys were
     /// re-driven through the ring so the new owners' caches are warm.
-    FailoverRewarm {
+    FailoverRewarm = "failover_rewarm" {
         /// Replica whose hash range was re-mapped.
         from_replica: usize,
         /// Displaced hot keys replayed.
@@ -440,7 +531,7 @@ pub enum Event {
     // ---- hecmix-queueing: request-level DES + tail planning ----
     /// One request-level discrete-event simulation completed
     /// (`hecmix_queueing::des::simulate` or `des::sojourn_quantile`).
-    DesRun {
+    DesRun = "des_run" {
         /// Offered Poisson arrival rate, requests/second.
         pps: f64,
         /// Requests generated.
@@ -462,7 +553,7 @@ pub enum Event {
     },
     /// A percentile-deadline plan was decided
     /// (`hecmix_queueing::dispatch::best_choice_tail`).
-    TailPlan {
+    TailPlan = "tail_plan" {
         /// Arrival rate planned for, jobs/second.
         lambda: f64,
         /// Target quantile (0.99 = p99).
@@ -487,7 +578,7 @@ pub enum Event {
     // ---- hecmix-sched: online energy-aware task scheduler ----
     /// A job entered the scheduler's admission stage (replay or live
     /// `/submit`). Emitted for every job, admitted or not.
-    JobSubmitted {
+    JobSubmitted = "job_submitted" {
         /// Job id (trace order or daemon-assigned).
         job: u64,
         /// Workload name.
@@ -503,7 +594,7 @@ pub enum Event {
     },
     /// A task was placed (initially or after a migration) on one node at
     /// one OPP by the α-score.
-    TaskPlaced {
+    TaskPlaced = "task_placed" {
         /// Job id.
         job: u64,
         /// Node type index in the pool.
@@ -524,7 +615,7 @@ pub enum Event {
     /// A fault (crash/straggler/power-cap) forced a task off its
     /// reservation; committed chunks stay charged, the in-flight chunk is
     /// rolled back, and the remainder is re-placed.
-    TaskMigrated {
+    TaskMigrated = "task_migrated" {
         /// Job id.
         job: u64,
         /// Node type the task was driven from.
@@ -545,7 +636,7 @@ pub enum Event {
         lost_units: f64,
     },
     /// A job finished after its deadline.
-    DeadlineMiss {
+    DeadlineMiss = "deadline_miss" {
         /// Job id.
         job: u64,
         /// The deadline it missed, seconds.
@@ -555,7 +646,7 @@ pub enum Event {
     },
     /// Periodic scheduler heartbeat (virtual time in replay, wall time
     /// behind `/submit`).
-    SchedTick {
+    SchedTick = "sched_tick" {
         /// Scheduler clock, seconds.
         t_s: f64,
         /// Tasks executing at the tick.
@@ -566,538 +657,70 @@ pub enum Event {
 
     // ---- generic ----
     /// A named wall-clock span measured by [`ScopedTimer`].
-    Timer {
+    Timer = "timer" {
         /// Span name.
         name: &'static str,
         /// Wall time, seconds.
         wall_s: f64,
     },
     /// A human-directed warning that is part of normal (degraded) operation.
-    Warning {
+    Warning = "warning" {
         /// Message text.
         message: String,
     },
 }
 
 impl Event {
-    /// The `"kind"` tag used in the JSON encoding.
-    #[must_use]
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Event::CorePark { .. } => "core_park",
-            Event::CoreResume { .. } => "core_resume",
-            Event::MemContention { .. } => "mem_contention",
-            Event::DvfsSwitch { .. } => "dvfs_switch",
-            Event::OppChange { .. } => "opp_change",
-            Event::DomainSleep { .. } => "domain_sleep",
-            Event::DomainWake { .. } => "domain_wake",
-            Event::FaultedRunStart { .. } => "faulted_run_start",
-            Event::Crash { .. } => "crash",
-            Event::HeartbeatTimeout { .. } => "heartbeat_timeout",
-            Event::Redistribution { .. } => "redistribution",
-            Event::RedistributionShare { .. } => "redistribution_share",
-            Event::FaultedRunEnd { .. } => "faulted_run_end",
-            Event::SweepPruned { .. } => "sweep_pruned",
-            Event::SweepStart { .. } => "sweep_start",
-            Event::SweepWorker { .. } => "sweep_worker",
-            Event::SweepMerge { .. } => "sweep_merge",
-            Event::SweepEnd { .. } => "sweep_end",
-            Event::DispatchDecision { .. } => "dispatch_decision",
-            Event::CsvNonFinite { .. } => "csv_non_finite",
-            Event::ArtifactWritten { .. } => "artifact_written",
-            Event::CheckViolation { .. } => "check_violation",
-            Event::CheckSummary { .. } => "check_summary",
-            Event::RequestStart { .. } => "request_start",
-            Event::RequestDone { .. } => "request_done",
-            Event::RequestRejected { .. } => "request_rejected",
-            Event::CacheHit { .. } => "cache_hit",
-            Event::CacheMiss { .. } => "cache_miss",
-            Event::CacheEvict { .. } => "cache_evict",
-            Event::RequestCoalesced { .. } => "request_coalesced",
-            Event::CacheWarmStart { .. } => "cache_warm_start",
-            Event::CacheWarmDone { .. } => "cache_warm_done",
-            Event::EventLoopWakeup { .. } => "eventloop_wakeup",
-            Event::ReplicaHealthChange { .. } => "replica_health_change",
-            Event::BreakerTransition { .. } => "breaker_transition",
-            Event::RequestRetry { .. } => "request_retry",
-            Event::RequestHedged { .. } => "request_hedged",
-            Event::FailoverRewarm { .. } => "failover_rewarm",
-            Event::DesRun { .. } => "des_run",
-            Event::TailPlan { .. } => "tail_plan",
-            Event::JobSubmitted { .. } => "job_submitted",
-            Event::TaskPlaced { .. } => "task_placed",
-            Event::TaskMigrated { .. } => "task_migrated",
-            Event::DeadlineMiss { .. } => "deadline_miss",
-            Event::SchedTick { .. } => "sched_tick",
-            Event::Timer { .. } => "timer",
-            Event::Warning { .. } => "warning",
+    /// Check one parsed JSONL record against [`Event::SCHEMA`] and return
+    /// its kind. The kind must be known; the keys must be exactly `"kind"`
+    /// and then the kind's fields, in schema order; and each value must have
+    /// its field's JSON type: an exact integer ([`json::Value::as_u64`]) for
+    /// [`FieldType::U64`], a number for [`FieldType::F64`], a boolean or a
+    /// string for the other two.
+    ///
+    /// Each `(kind, field)` pair in `loose` is checked one step weaker, for
+    /// values the encoder writes but a strict reader cannot take back: a
+    /// `U64` field may be any number (a 64-bit hash at or above 2⁵³ does not
+    /// parse exactly), and an `F64` field may be `null` (a non-finite value).
+    ///
+    /// # Errors
+    /// Describes the first way the record departs from the schema.
+    pub fn check_json(
+        record: &json::Value,
+        loose: &[(&str, &str)],
+    ) -> Result<&'static str, String> {
+        let json::Value::Object(pairs) = record else {
+            return Err("record is not an object".to_owned());
+        };
+        let kind = match pairs.first() {
+            Some((key, value)) if key == "kind" => value.as_str(),
+            _ => None,
         }
-    }
-
-    /// Encode as a single-line JSON object (the JSONL record format).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut o = json::Object::new();
-        o.str("kind", self.kind());
-        match self {
-            Event::CorePark {
-                seed,
-                core,
-                t_s,
-                reason,
-            } => {
-                o.u64("seed", *seed);
-                o.u64("core", u64::from(*core));
-                o.f64("t_s", *t_s);
-                o.str("reason", reason);
-            }
-            Event::CoreResume { seed, core, t_s } => {
-                o.u64("seed", *seed);
-                o.u64("core", u64::from(*core));
-                o.f64("t_s", *t_s);
-            }
-            Event::MemContention {
-                seed,
-                t_s,
-                contending,
-                stall_ns,
-            } => {
-                o.u64("seed", *seed);
-                o.f64("t_s", *t_s);
-                o.u64("contending", u64::from(*contending));
-                o.u64("stall_ns", *stall_ns);
-            }
-            Event::DvfsSwitch {
-                seed,
-                t_s,
-                from_ghz,
-                to_ghz,
-            } => {
-                o.u64("seed", *seed);
-                o.f64("t_s", *t_s);
-                o.f64("from_ghz", *from_ghz);
-                o.f64("to_ghz", *to_ghz);
-            }
-            Event::OppChange {
-                seed,
-                t_s,
-                from_opp,
-                to_opp,
-                to_ghz,
-            } => {
-                o.u64("seed", *seed);
-                o.f64("t_s", *t_s);
-                o.u64("from_opp", u64::from(*from_opp));
-                o.u64("to_opp", u64::from(*to_opp));
-                o.f64("to_ghz", *to_ghz);
-            }
-            Event::DomainSleep {
-                seed,
-                t_s,
-                domain,
-                sleep_w,
-            } => {
-                o.u64("seed", *seed);
-                o.f64("t_s", *t_s);
-                o.str("domain", domain);
-                o.f64("sleep_w", *sleep_w);
-            }
-            Event::DomainWake {
-                seed,
-                t_s,
-                domain,
-                slept_s,
-            } => {
-                o.u64("seed", *seed);
-                o.f64("t_s", *t_s);
-                o.str("domain", domain);
-                o.f64("slept_s", *slept_s);
-            }
-            Event::FaultedRunStart {
-                total_units,
-                crashes,
-            } => {
-                o.u64("total_units", *total_units);
-                o.u64("crashes", *crashes as u64);
-            }
-            Event::Crash {
-                type_idx,
-                node_idx,
-                crash_s,
-                leftover_units,
-                lost_in_flight_units,
-            } => {
-                o.u64("type_idx", *type_idx as u64);
-                o.u64("node_idx", *node_idx as u64);
-                o.f64("crash_s", *crash_s);
-                o.u64("leftover_units", *leftover_units);
-                o.u64("lost_in_flight_units", *lost_in_flight_units);
-            }
-            Event::HeartbeatTimeout {
-                type_idx,
-                node_idx,
-                detected_s,
-            } => {
-                o.u64("type_idx", *type_idx as u64);
-                o.u64("node_idx", *node_idx as u64);
-                o.f64("detected_s", *detected_s);
-            }
-            Event::Redistribution {
-                type_idx,
-                node_idx,
-                redistributed_s,
-                moved_units,
-                abandoned_units,
-            } => {
-                o.u64("type_idx", *type_idx as u64);
-                o.u64("node_idx", *node_idx as u64);
-                o.f64("redistributed_s", *redistributed_s);
-                o.u64("moved_units", *moved_units);
-                o.u64("abandoned_units", *abandoned_units);
-            }
-            Event::RedistributionShare {
-                to_type,
-                to_node,
-                units,
-            } => {
-                o.u64("to_type", *to_type as u64);
-                o.u64("to_node", *to_node as u64);
-                o.u64("units", *units);
-            }
-            Event::FaultedRunEnd {
-                duration_s,
-                completed_units,
-                abandoned_units,
-            } => {
-                o.f64("duration_s", *duration_s);
-                o.u64("completed_units", *completed_units);
-                o.u64("abandoned_units", *abandoned_units);
-            }
-            Event::SweepPruned {
-                total_points,
-                kept_points,
-            } => {
-                o.u64("total_points", *total_points);
-                o.u64("kept_points", *kept_points);
-            }
-            Event::SweepStart { points, workers } => {
-                o.u64("points", *points);
-                o.u64("workers", *workers as u64);
-            }
-            Event::SweepWorker {
-                worker,
-                chunks,
-                scanned,
-                kept,
-            } => {
-                o.u64("worker", *worker as u64);
-                o.u64("chunks", *chunks);
-                o.u64("scanned", *scanned);
-                o.u64("kept", *kept as u64);
-            }
-            Event::SweepMerge {
-                left,
-                right,
-                merged,
-            } => {
-                o.u64("left", *left as u64);
-                o.u64("right", *right as u64);
-                o.u64("merged", *merged as u64);
-            }
-            Event::SweepEnd {
-                points,
-                frontier,
-                wall_s,
-            } => {
-                o.u64("points", *points);
-                o.u64("frontier", *frontier as u64);
-                o.f64("wall_s", *wall_s);
-            }
-            Event::DispatchDecision {
-                slot,
-                lambda,
-                choice,
-                energy_j,
-                response_s,
-                violated,
-                resilient,
-            } => {
-                o.u64("slot", *slot as u64);
-                o.f64("lambda", *lambda);
-                o.u64("choice", *choice as u64);
-                o.f64("energy_j", *energy_j);
-                o.f64("response_s", *response_s);
-                o.bool("violated", *violated);
-                o.bool("resilient", *resilient);
-            }
-            Event::CsvNonFinite {
-                artifact,
-                row,
-                column,
-            } => {
-                o.str("artifact", artifact);
-                o.u64("row", *row as u64);
-                o.str("column", column);
-            }
-            Event::ArtifactWritten { artifact, rows } => {
-                o.str("artifact", artifact);
-                o.u64("rows", *rows as u64);
-            }
-            Event::CheckViolation {
-                check,
-                seed,
-                detail,
-            } => {
-                o.str("check", check);
-                o.u64("seed", *seed);
-                o.str("detail", detail);
-            }
-            Event::CheckSummary {
-                seed,
-                checks,
-                violations,
-                wall_s,
-            } => {
-                o.u64("seed", *seed);
-                o.u64("checks", *checks);
-                o.u64("violations", *violations);
-                o.f64("wall_s", *wall_s);
-            }
-            Event::RequestStart { path, queue_depth } => {
-                o.str("path", path);
-                o.u64("queue_depth", *queue_depth as u64);
-            }
-            Event::RequestDone {
-                path,
-                status,
-                wall_s,
-                cached,
-            } => {
-                o.str("path", path);
-                o.u64("status", u64::from(*status));
-                o.f64("wall_s", *wall_s);
-                o.bool("cached", *cached);
-            }
-            Event::RequestRejected {
-                queue_depth,
-                retry_after_s,
-            } => {
-                o.u64("queue_depth", *queue_depth as u64);
-                o.u64("retry_after_s", *retry_after_s);
-            }
-            Event::CacheHit { key } => {
-                o.u64("key", *key);
-            }
-            Event::CacheMiss { key } => {
-                o.u64("key", *key);
-            }
-            Event::CacheEvict { key } => {
-                o.u64("key", *key);
-            }
-            Event::RequestCoalesced { path, key } => {
-                o.str("path", path);
-                o.u64("key", *key);
-            }
-            Event::CacheWarmStart { keys } => {
-                o.u64("keys", *keys as u64);
-            }
-            Event::CacheWarmDone {
-                keys,
-                warmed,
-                wall_s,
-            } => {
-                o.u64("keys", *keys as u64);
-                o.u64("warmed", *warmed as u64);
-                o.f64("wall_s", *wall_s);
-            }
-            Event::EventLoopWakeup {
-                io_thread,
-                events,
-                messages,
-            } => {
-                o.u64("io_thread", *io_thread as u64);
-                o.u64("events", *events as u64);
-                o.u64("messages", *messages as u64);
-            }
-            Event::ReplicaHealthChange {
-                replica,
-                addr,
-                healthy,
-                reason,
-                consecutive,
-            } => {
-                o.u64("replica", *replica as u64);
-                o.str("addr", addr);
-                o.bool("healthy", *healthy);
-                o.str("reason", reason);
-                o.u64("consecutive", u64::from(*consecutive));
-            }
-            Event::BreakerTransition {
-                replica,
-                from,
-                to,
-                failures,
-            } => {
-                o.u64("replica", *replica as u64);
-                o.str("from", from);
-                o.str("to", to);
-                o.u64("failures", u64::from(*failures));
-            }
-            Event::RequestRetry {
-                path,
-                replica,
-                attempt,
-                backoff_ms,
-                why,
-            } => {
-                o.str("path", path);
-                o.u64("replica", *replica as u64);
-                o.u64("attempt", u64::from(*attempt));
-                o.u64("backoff_ms", *backoff_ms);
-                o.str("why", why);
-            }
-            Event::RequestHedged {
-                path,
-                primary,
-                hedge,
-                delay_ms,
-            } => {
-                o.str("path", path);
-                o.u64("primary", *primary as u64);
-                o.u64("hedge", *hedge as u64);
-                o.u64("delay_ms", *delay_ms);
-            }
-            Event::FailoverRewarm {
-                from_replica,
-                keys,
-                rewarmed,
-                wall_s,
-            } => {
-                o.u64("from_replica", *from_replica as u64);
-                o.u64("keys", *keys as u64);
-                o.u64("rewarmed", *rewarmed as u64);
-                o.f64("wall_s", *wall_s);
-            }
-            Event::DesRun {
-                pps,
-                requests,
-                completed,
-                dropped,
-                p50_s,
-                p99_s,
-                duration_s,
-                seed,
-            } => {
-                o.f64("pps", *pps);
-                o.u64("requests", *requests);
-                o.u64("completed", *completed);
-                o.u64("dropped", *dropped);
-                o.f64("p50_s", *p50_s);
-                o.f64("p99_s", *p99_s);
-                o.f64("duration_s", *duration_s);
-                o.u64("seed", *seed);
-            }
-            Event::TailPlan {
-                lambda,
-                percentile,
-                deadline_s,
-                candidates,
-                screened_out,
-                des_runs,
-                chosen,
-                tail_s,
-                violated,
-            } => {
-                o.f64("lambda", *lambda);
-                o.f64("percentile", *percentile);
-                o.f64("deadline_s", *deadline_s);
-                o.u64("candidates", *candidates as u64);
-                o.u64("screened_out", *screened_out as u64);
-                o.u64("des_runs", *des_runs);
-                o.u64("chosen", *chosen as u64);
-                o.f64("tail_s", *tail_s);
-                o.bool("violated", *violated);
-            }
-            Event::JobSubmitted {
-                job,
-                workload,
-                size_units,
-                arrival_s,
-                deadline_s,
-                admitted,
-            } => {
-                o.u64("job", *job);
-                o.str("workload", workload);
-                o.f64("size_units", *size_units);
-                o.f64("arrival_s", *arrival_s);
-                o.f64("deadline_s", *deadline_s);
-                o.bool("admitted", *admitted);
-            }
-            Event::TaskPlaced {
-                job,
-                type_idx,
-                node_idx,
-                opt,
-                start_s,
-                finish_s,
-                units,
-                energy_j,
-            } => {
-                o.u64("job", *job);
-                o.u64("type_idx", *type_idx as u64);
-                o.u64("node_idx", u64::from(*node_idx));
-                o.u64("opt", *opt as u64);
-                o.f64("start_s", *start_s);
-                o.f64("finish_s", *finish_s);
-                o.f64("units", *units);
-                o.f64("energy_j", *energy_j);
-            }
-            Event::TaskMigrated {
-                job,
-                from_type,
-                from_node,
-                to_type,
-                to_node,
-                at_s,
-                reason,
-                lost_units,
-            } => {
-                o.u64("job", *job);
-                o.u64("from_type", *from_type as u64);
-                o.u64("from_node", u64::from(*from_node));
-                o.u64("to_type", *to_type as u64);
-                o.u64("to_node", u64::from(*to_node));
-                o.f64("at_s", *at_s);
-                o.str("reason", reason);
-                o.f64("lost_units", *lost_units);
-            }
-            Event::DeadlineMiss {
-                job,
-                deadline_s,
-                finish_s,
-            } => {
-                o.u64("job", *job);
-                o.f64("deadline_s", *deadline_s);
-                o.f64("finish_s", *finish_s);
-            }
-            Event::SchedTick {
-                t_s,
-                running,
-                outstanding,
-            } => {
-                o.f64("t_s", *t_s);
-                o.u64("running", *running as u64);
-                o.u64("outstanding", *outstanding as u64);
-            }
-            Event::Timer { name, wall_s } => {
-                o.str("name", name);
-                o.f64("wall_s", *wall_s);
-            }
-            Event::Warning { message } => {
-                o.str("message", message);
+        .ok_or("record does not start with a string `kind`")?;
+        let &(kind, fields) = Event::SCHEMA
+            .iter()
+            .find(|(k, _)| *k == kind)
+            .ok_or_else(|| format!("unknown kind `{kind}`"))?;
+        let keys: Vec<&str> = pairs[1..].iter().map(|(k, _)| k.as_str()).collect();
+        let want: Vec<&str> = fields.iter().map(|&(f, _)| f).collect();
+        if keys != want {
+            return Err(format!("{kind}: keys {keys:?}, schema {want:?}"));
+        }
+        for (&(field, ty), (_, value)) in fields.iter().zip(&pairs[1..]) {
+            let loose = loose.contains(&(kind, field));
+            let ok = match ty {
+                FieldType::U64 => value.as_u64().is_some() || (loose && value.as_f64().is_some()),
+                FieldType::F64 => {
+                    value.as_f64().is_some() || (loose && *value == json::Value::Null)
+                }
+                FieldType::Bool => value.as_bool().is_some(),
+                FieldType::Str => value.as_str().is_some(),
+            };
+            if !ok {
+                return Err(format!("{kind}.{field}: {value:?} is not {ty:?}"));
             }
         }
-        o.finish()
+        Ok(kind)
     }
 }
 
@@ -1359,272 +982,178 @@ mod tests {
     }
 
     #[test]
-    fn every_variant_kind_is_unique() {
-        let variants = [
-            Event::CorePark {
-                seed: 0,
-                core: 0,
-                t_s: 0.0,
-                reason: "starved",
-            },
-            Event::CoreResume {
-                seed: 0,
-                core: 0,
-                t_s: 0.0,
-            },
-            Event::MemContention {
-                seed: 0,
-                t_s: 0.0,
-                contending: 1,
-                stall_ns: 0,
-            },
-            Event::DvfsSwitch {
-                seed: 0,
-                t_s: 0.0,
-                from_ghz: 1.0,
-                to_ghz: 2.0,
-            },
-            Event::OppChange {
-                seed: 0,
-                t_s: 0.0,
-                from_opp: 0,
-                to_opp: 1,
-                to_ghz: 2.0,
-            },
-            Event::DomainSleep {
-                seed: 0,
-                t_s: 0.0,
-                domain: "cluster0",
-                sleep_w: 0.2,
-            },
-            Event::DomainWake {
-                seed: 0,
-                t_s: 0.0,
-                domain: "cluster0",
-                slept_s: 0.5,
-            },
-            Event::FaultedRunStart {
-                total_units: 0,
-                crashes: 0,
-            },
-            Event::Crash {
-                type_idx: 0,
-                node_idx: 0,
-                crash_s: 0.0,
-                leftover_units: 0,
-                lost_in_flight_units: 0,
-            },
-            Event::HeartbeatTimeout {
-                type_idx: 0,
-                node_idx: 0,
-                detected_s: 0.0,
-            },
-            Event::Redistribution {
-                type_idx: 0,
-                node_idx: 0,
-                redistributed_s: 0.0,
-                moved_units: 0,
-                abandoned_units: 0,
-            },
-            Event::RedistributionShare {
-                to_type: 0,
-                to_node: 0,
-                units: 0,
-            },
-            Event::FaultedRunEnd {
-                duration_s: 0.0,
-                completed_units: 0,
-                abandoned_units: 0,
-            },
-            Event::SweepPruned {
-                total_points: 0,
-                kept_points: 0,
-            },
-            Event::SweepStart {
-                points: 0,
-                workers: 1,
-            },
-            Event::SweepWorker {
-                worker: 0,
-                chunks: 0,
-                scanned: 0,
-                kept: 0,
-            },
-            Event::SweepMerge {
-                left: 0,
-                right: 0,
-                merged: 0,
-            },
-            Event::SweepEnd {
-                points: 0,
-                frontier: 0,
-                wall_s: 0.0,
-            },
-            Event::DispatchDecision {
-                slot: 0,
-                lambda: 1.0,
-                choice: 0,
-                energy_j: 0.0,
-                response_s: 0.0,
-                violated: false,
-                resilient: false,
-            },
-            Event::CsvNonFinite {
-                artifact: String::new(),
-                row: 0,
-                column: String::new(),
-            },
-            Event::ArtifactWritten {
-                artifact: String::new(),
-                rows: 0,
-            },
-            Event::CheckViolation {
-                check: String::new(),
-                seed: 0,
-                detail: String::new(),
-            },
-            Event::CheckSummary {
-                seed: 0,
-                checks: 0,
-                violations: 0,
-                wall_s: 0.0,
-            },
-            Event::RequestStart {
-                path: String::new(),
-                queue_depth: 0,
-            },
-            Event::RequestDone {
-                path: String::new(),
-                status: 200,
-                wall_s: 0.0,
-                cached: false,
-            },
-            Event::RequestRejected {
-                queue_depth: 0,
-                retry_after_s: 1,
-            },
-            Event::CacheHit { key: 0 },
-            Event::CacheMiss { key: 0 },
-            Event::CacheEvict { key: 0 },
-            Event::RequestCoalesced {
-                path: String::new(),
-                key: 0,
-            },
-            Event::CacheWarmStart { keys: 0 },
-            Event::CacheWarmDone {
-                keys: 0,
-                warmed: 0,
-                wall_s: 0.0,
-            },
-            Event::EventLoopWakeup {
-                io_thread: 0,
-                events: 0,
-                messages: 0,
-            },
-            Event::ReplicaHealthChange {
-                replica: 0,
-                addr: String::new(),
-                healthy: false,
-                reason: String::new(),
-                consecutive: 0,
-            },
-            Event::BreakerTransition {
-                replica: 0,
-                from: "closed",
-                to: "open",
-                failures: 0,
-            },
-            Event::RequestRetry {
-                path: String::new(),
-                replica: 0,
-                attempt: 1,
-                backoff_ms: 0,
-                why: String::new(),
-            },
-            Event::RequestHedged {
-                path: String::new(),
-                primary: 0,
-                hedge: 1,
-                delay_ms: 0,
-            },
-            Event::FailoverRewarm {
-                from_replica: 0,
-                keys: 0,
-                rewarmed: 0,
-                wall_s: 0.0,
-            },
-            Event::DesRun {
-                pps: 0.0,
-                requests: 0,
-                completed: 0,
-                dropped: 0,
-                p50_s: 0.0,
-                p99_s: 0.0,
-                duration_s: 0.0,
-                seed: 0,
-            },
-            Event::TailPlan {
-                lambda: 0.0,
-                percentile: 0.0,
-                deadline_s: 0.0,
-                candidates: 0,
-                screened_out: 0,
-                des_runs: 0,
-                chosen: 0,
-                tail_s: 0.0,
-                violated: false,
-            },
-            Event::JobSubmitted {
-                job: 0,
-                workload: String::new(),
-                size_units: 0.0,
-                arrival_s: 0.0,
-                deadline_s: 0.0,
-                admitted: true,
-            },
-            Event::TaskPlaced {
-                job: 0,
-                type_idx: 0,
-                node_idx: 0,
-                opt: 0,
-                start_s: 0.0,
-                finish_s: 0.0,
-                units: 0.0,
-                energy_j: 0.0,
-            },
-            Event::TaskMigrated {
-                job: 0,
-                from_type: 0,
-                from_node: 0,
-                to_type: 0,
-                to_node: 0,
-                at_s: 0.0,
-                reason: "crash",
-                lost_units: 0.0,
-            },
-            Event::DeadlineMiss {
-                job: 0,
-                deadline_s: 0.0,
-                finish_s: 0.0,
-            },
-            Event::SchedTick {
-                t_s: 0.0,
-                running: 0,
-                outstanding: 0,
-            },
-            Event::Timer {
-                name: "x",
-                wall_s: 0.0,
-            },
-            Event::Warning {
-                message: String::new(),
-            },
-        ];
-        let mut kinds: Vec<&str> = variants.iter().map(Event::kind).collect();
+    fn schema_kinds_are_unique_and_fields_never_shadow_the_tag() {
+        let mut kinds: Vec<&str> = Event::SCHEMA.iter().map(|&(kind, _)| kind).collect();
         let n = kinds.len();
         kinds.sort_unstable();
         kinds.dedup();
         assert_eq!(kinds.len(), n, "duplicate kind tags");
+        for &(kind, fields) in Event::SCHEMA {
+            assert!(
+                fields.iter().all(|&(field, _)| field != "kind"),
+                "{kind} has a field named `kind`"
+            );
+        }
+    }
+
+    fn pinned_events() -> [(Event, &'static str); 4] {
+        [
+            (
+                Event::TaskMigrated {
+                    job: u64::MAX,
+                    from_type: usize::MAX,
+                    from_node: u32::MAX,
+                    to_type: 0,
+                    to_node: 7,
+                    at_s: f64::NAN,
+                    reason: "a\"b\\c\nd\u{1}e\u{2028}f — é",
+                    lost_units: f64::INFINITY,
+                },
+                concat!(
+                    r#"{"kind":"task_migrated","job":18446744073709551615,"#,
+                    r#""from_type":18446744073709551615,"from_node":4294967295,"#,
+                    r#""to_type":0,"to_node":7,"at_s":null,"reason":"a\"b\\c\nd\u0001e"#,
+                    "\u{2028}",
+                    r#"f — é","lost_units":null}"#,
+                ),
+            ),
+            (
+                Event::TaskPlaced {
+                    job: 0,
+                    type_idx: 1,
+                    node_idx: 2,
+                    opt: usize::MAX,
+                    start_s: -0.0,
+                    finish_s: 1e21,
+                    units: 1.5e-300,
+                    energy_j: f64::NEG_INFINITY,
+                },
+                concat!(
+                    r#"{"kind":"task_placed","job":0,"type_idx":1,"node_idx":2,"#,
+                    r#""opt":18446744073709551615,"start_s":-0.0,"finish_s":1e21,"#,
+                    r#""units":1.5e-300,"energy_j":null}"#,
+                ),
+            ),
+            (
+                Event::RequestDone {
+                    path: "/p\"q\\r\ns\u{1}t\u{2028}u héllo 日本".to_owned(),
+                    status: u16::MAX,
+                    wall_s: 0.1,
+                    cached: true,
+                },
+                concat!(
+                    r#"{"kind":"request_done","path":"/p\"q\\r\ns\u0001t"#,
+                    "\u{2028}",
+                    r#"u héllo 日本","status":65535,"wall_s":0.1,"cached":true}"#,
+                ),
+            ),
+            (
+                Event::JobSubmitted {
+                    job: 1 << 53,
+                    workload: String::new(),
+                    size_units: 1e-7,
+                    arrival_s: 123_456_789.125,
+                    deadline_s: f64::INFINITY,
+                    admitted: false,
+                },
+                concat!(
+                    r#"{"kind":"job_submitted","job":9007199254740992,"workload":"","#,
+                    r#""size_units":1e-7,"arrival_s":123456789.125,"deadline_s":null,"#,
+                    r#""admitted":false}"#,
+                ),
+            ),
+        ]
+    }
+
+    /// The encoding of every Rust field type the table carries (u16, u32,
+    /// u64, usize, f64, bool, `&'static str`, `String`) at its edge values,
+    /// byte for byte: trace readers parse these lines.
+    #[test]
+    fn encoder_pins_every_field_type() {
+        for (event, line) in pinned_events() {
+            assert_eq!(event.to_json(), line);
+        }
+    }
+
+    #[test]
+    fn check_json_reads_back_what_the_encoder_writes() {
+        // Values a strict reader cannot take back: integers at or above
+        // 2^53, and non-finite floats (encoded as null).
+        let loose = [
+            ("task_migrated", "job"),
+            ("task_migrated", "from_type"),
+            ("task_migrated", "at_s"),
+            ("task_migrated", "lost_units"),
+            ("task_placed", "opt"),
+            ("task_placed", "energy_j"),
+            ("job_submitted", "job"),
+            ("job_submitted", "deadline_s"),
+        ];
+        for (event, line) in pinned_events() {
+            let record = json::parse(line).unwrap();
+            assert_eq!(Event::check_json(&record, &loose), Ok(event.kind()));
+            let strict = Event::check_json(&record, &[]);
+            assert_eq!(strict.is_ok(), event.kind() == "request_done", "{strict:?}");
+        }
+    }
+
+    #[test]
+    fn check_json_names_each_departure_from_the_schema() {
+        let check = |text: &str, loose: &[(&str, &str)]| {
+            Event::check_json(&json::parse(text).unwrap(), loose)
+        };
+        let ok = r#"{"kind":"request_done","path":"/","status":200,"wall_s":0.5,"cached":true}"#;
+        assert_eq!(check(ok, &[]), Ok("request_done"));
+        for (bad, why) in [
+            ("[1]".to_owned(), "not an object"),
+            (r#"{"kind":7}"#.to_owned(), "kind not a string"),
+            (ok.replace("request_done", "nope"), "unknown kind"),
+            (
+                ok.replace(
+                    r#""kind":"request_done","path":"/""#,
+                    r#""path":"/","kind":"request_done""#,
+                ),
+                "kind not first",
+            ),
+            (ok.replace(r#","cached":true"#, ""), "missing key"),
+            (
+                ok.replace(r#""path":"/","status":200"#, r#""status":200,"path":"/""#),
+                "keys out of order",
+            ),
+            (ok.replace("true}", r#"true,"x":1}"#), "extra key"),
+            (ok.replace("200", "200.5"), "integer field holds a fraction"),
+            (ok.replace("0.5", "null"), "float field holds null"),
+            (ok.replace(r#""/""#, "1"), "string field holds a number"),
+            (ok.replace("true", "1"), "bool field holds a number"),
+        ] {
+            assert!(check(&bad, &[]).is_err(), "{why}: {bad}");
+        }
+        // A loose pair relaxes only its own field, and only one step.
+        let null_wall = ok.replace("0.5", "null");
+        assert_eq!(
+            check(&null_wall, &[("request_done", "wall_s")]),
+            Ok("request_done")
+        );
+        assert!(check(&null_wall, &[("request_start", "wall_s")]).is_err());
+        let str_wall = ok.replace("0.5", r#""x""#);
+        assert!(check(&str_wall, &[("request_done", "wall_s")]).is_err());
+        let hit = Event::CacheHit { key: u64::MAX }.to_json();
+        assert!(check(&hit, &[]).is_err());
+        assert_eq!(check(&hit, &[("cache_hit", "key")]), Ok("cache_hit"));
+    }
+
+    #[test]
+    fn design_section_9_documents_every_kind() {
+        let design = include_str!("../../../DESIGN.md");
+        let start = design.find("\n## 9. ").expect("DESIGN.md has a §9");
+        let end = start + design[start..].find("\n## 10. ").expect("§10 follows §9");
+        let section = &design[start..end];
+        let missing: Vec<&str> = Event::SCHEMA
+            .iter()
+            .map(|&(kind, _)| kind)
+            .filter(|kind| !section.contains(&format!("`{kind}`")))
+            .collect();
+        assert!(missing.is_empty(), "DESIGN.md §9 omits {missing:?}");
     }
 
     #[test]

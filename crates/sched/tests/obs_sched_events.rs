@@ -1,8 +1,8 @@
 //! Scheduler telemetry: runs a faulted, tick-enabled scenario with a
 //! `JsonlSink` installed and asserts the JSONL stream carries all five
 //! scheduler events — `job_submitted`, `task_placed`, `task_migrated`,
-//! `deadline_miss`, `sched_tick` — with their documented schemas
-//! (following `tests/obs_fleet_events.rs`).
+//! `deadline_miss`, `sched_tick` — and that every line matches
+//! `Event::SCHEMA` (following `tests/obs_fleet_events.rs`).
 //!
 //! The obs sink is process-global, so this file holds exactly **one**
 //! test in its own integration-test binary.
@@ -12,21 +12,13 @@ use std::sync::Arc;
 use hecmix_core::profile::WorkloadModel;
 use hecmix_core::types::Platform;
 use hecmix_obs::json::{self, Value};
-use hecmix_obs::JsonlSink;
+use hecmix_obs::{Event, JsonlSink};
 use hecmix_sched::{JobSpec, Pool, SchedConfig, Scheduler};
 use hecmix_sim::faults::FaultSchedule;
 
-fn has_u64(line: &Value, key: &str) -> bool {
-    line.get(key).and_then(Value::as_u64).is_some()
-}
-
-fn has_f64(line: &Value, key: &str) -> bool {
-    line.get(key).and_then(Value::as_f64).is_some()
-}
-
-fn has_str(line: &Value, key: &str) -> bool {
-    line.get(key).and_then(Value::as_str).is_some()
-}
+/// The `(kind, field)` pairs read one step looser than their schema type:
+/// a job without a deadline submits `deadline_s = +inf`, encoded as `null`.
+const LOOSE: &[(&str, &str)] = &[("job_submitted", "deadline_s")];
 
 #[test]
 fn scheduler_emits_schema_complete_jsonl_events() {
@@ -83,73 +75,20 @@ fn scheduler_emits_schema_complete_jsonl_events() {
     assert!(out.misses >= 1);
 
     let text = std::fs::read_to_string(&path).expect("events file");
-    let mut kinds = std::collections::HashMap::<String, u64>::new();
+    let mut kinds = std::collections::HashMap::<&str, u64>::new();
     let mut saw_rejected = false;
     for line in text.lines() {
         let v = json::parse(line).unwrap_or_else(|e| panic!("bad JSONL line ({e}): {line}"));
-        let kind = v
-            .get("kind")
-            .and_then(Value::as_str)
-            .unwrap_or_else(|| panic!("record without kind: {line}"))
-            .to_owned();
-        match kind.as_str() {
-            "job_submitted" => {
-                assert!(
-                    has_u64(&v, "job")
-                        && has_str(&v, "workload")
-                        && has_f64(&v, "size_units")
-                        && has_f64(&v, "arrival_s")
-                        && v.get("admitted").and_then(Value::as_bool).is_some(),
-                    "job_submitted schema: {line}"
-                );
-                // `deadline_s` is null for +inf deadlines, but the key
-                // must always be present.
-                assert!(v.get("deadline_s").is_some(), "deadline key: {line}");
-                if v.get("admitted").and_then(Value::as_bool) == Some(false) {
-                    saw_rejected = true;
-                }
-            }
-            "task_placed" => {
-                assert!(
-                    has_u64(&v, "job")
-                        && has_u64(&v, "type_idx")
-                        && has_u64(&v, "node_idx")
-                        && has_u64(&v, "opt")
-                        && has_f64(&v, "start_s")
-                        && has_f64(&v, "finish_s")
-                        && has_f64(&v, "units")
-                        && has_f64(&v, "energy_j"),
-                    "task_placed schema: {line}"
-                );
+        let kind = Event::check_json(&v, LOOSE).unwrap_or_else(|e| panic!("{e}: {line}"));
+        match kind {
+            "job_submitted" if v.get("admitted").and_then(Value::as_bool) == Some(false) => {
+                saw_rejected = true;
             }
             "task_migrated" => {
-                assert!(
-                    has_u64(&v, "job")
-                        && has_u64(&v, "from_type")
-                        && has_u64(&v, "from_node")
-                        && has_u64(&v, "to_type")
-                        && has_u64(&v, "to_node")
-                        && has_f64(&v, "at_s")
-                        && has_str(&v, "reason")
-                        && has_f64(&v, "lost_units"),
-                    "task_migrated schema: {line}"
-                );
                 assert_eq!(
                     v.get("reason").and_then(Value::as_str),
                     Some("crash"),
                     "{line}"
-                );
-            }
-            "deadline_miss" => {
-                assert!(
-                    has_u64(&v, "job") && has_f64(&v, "deadline_s") && has_f64(&v, "finish_s"),
-                    "deadline_miss schema: {line}"
-                );
-            }
-            "sched_tick" => {
-                assert!(
-                    has_f64(&v, "t_s") && has_u64(&v, "running") && has_u64(&v, "outstanding"),
-                    "sched_tick schema: {line}"
                 );
             }
             _ => {}

@@ -1268,9 +1268,14 @@ fn parse_frontier(store: &ModelStore, v: &Value) -> Result<(ComputeSpec, RespCtx
     let (_, name, arm, amd, units) = parse_common(store, v)?;
     let resilient_k = match v.get("resilient_k") {
         None => None,
-        Some(k) => match k.as_u64() {
-            Some(k) if k >= 1 => Some(k as u32),
-            _ => return Err(Response::error(422, "resilient_k must be an integer >= 1")),
+        Some(k) => match k.as_u64().map(u32::try_from) {
+            Some(Ok(k)) if k >= 1 => Some(k),
+            _ => {
+                return Err(Response::error(
+                    422,
+                    "resilient_k must be an integer in 1..=4294967295",
+                ))
+            }
         },
     };
     let spec = match resilient_k {

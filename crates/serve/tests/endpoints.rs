@@ -508,6 +508,19 @@ fn error_paths_return_typed_statuses() {
             r#"{"workload":"ep","resilient_k":0}"#,
             422,
         ),
+        // Beyond u32: must not wrap to 0 or 1.
+        (
+            "POST",
+            "/frontier",
+            r#"{"workload":"ep","resilient_k":4294967296}"#,
+            422,
+        ),
+        (
+            "POST",
+            "/frontier",
+            r#"{"workload":"ep","resilient_k":4294967297}"#,
+            422,
+        ),
         ("POST", "/whatif", r#"{"workload":"ep","budget_w":-1}"#, 422),
         // Budgets whose all-ARM rung exceeds the 512-node cap.
         (

@@ -1,6 +1,7 @@
 //! Serving-path telemetry: drives a live daemon with a `JsonlSink`
 //! installed and asserts the JSONL stream carries the event-loop,
-//! coalescing, and warm-reload records with their documented schemas.
+//! coalescing, and warm-reload records, and that every line matches
+//! `Event::SCHEMA`.
 //!
 //! The obs sink is process-global, so this file holds exactly **one**
 //! test in its own integration-test binary — sharing a process with other
@@ -12,8 +13,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use hecmix_experiments::Lab;
-use hecmix_obs::json::{self, Value};
-use hecmix_obs::JsonlSink;
+use hecmix_obs::{json, Event, JsonlSink};
 use hecmix_serve::http;
 use hecmix_serve::{start, AppState, ModelStore, ServeConfig, ServerHandle};
 
@@ -40,10 +40,14 @@ fn call(handle: &ServerHandle, method: &str, path: &str, body: &str) -> u16 {
     status
 }
 
-/// Assert `line` (a parsed JSONL record) has a `u64` field `key`.
-fn has_u64(line: &Value, key: &str) -> bool {
-    line.get(key).and_then(Value::as_u64).is_some()
-}
+/// The `(kind, field)` pairs read one step looser than their schema type:
+/// a cache `key` is a full 64-bit FNV hash, beyond the JSON parser's
+/// exact-integer range, so it is checked as a number.
+const LOOSE: &[(&str, &str)] = &[
+    ("request_coalesced", "key"),
+    ("cache_hit", "key"),
+    ("cache_miss", "key"),
+];
 
 #[test]
 fn serving_path_emits_schema_complete_jsonl_events() {
@@ -103,60 +107,12 @@ fn serving_path_emits_schema_complete_jsonl_events() {
     handle.join();
     hecmix_obs::uninstall();
 
-    // Replay the JSONL stream and check each serving event's schema.
+    // Replay the JSONL stream and check every line against the schema.
     let text = std::fs::read_to_string(&path).expect("events file");
-    let mut kinds = std::collections::HashMap::<String, u64>::new();
+    let mut kinds = std::collections::HashMap::<&str, u64>::new();
     for line in text.lines() {
         let v = json::parse(line).unwrap_or_else(|e| panic!("bad JSONL line ({e}): {line}"));
-        let kind = v
-            .get("kind")
-            .and_then(Value::as_str)
-            .unwrap_or_else(|| panic!("record without kind: {line}"))
-            .to_owned();
-        match kind.as_str() {
-            "request_coalesced" => {
-                // `key` is a full 64-bit FNV hash — beyond the JSON
-                // parser's exact-integer range, so check it as a number.
-                assert!(
-                    v.get("path").and_then(Value::as_str).is_some()
-                        && v.get("key").and_then(Value::as_f64).is_some(),
-                    "request_coalesced schema: {line}"
-                );
-            }
-            "cache_warm_start" => {
-                assert!(has_u64(&v, "keys"), "cache_warm_start schema: {line}");
-            }
-            "cache_warm_done" => {
-                assert!(
-                    has_u64(&v, "keys")
-                        && has_u64(&v, "warmed")
-                        && v.get("wall_s").and_then(Value::as_f64).is_some(),
-                    "cache_warm_done schema: {line}"
-                );
-            }
-            "eventloop_wakeup" => {
-                assert!(
-                    has_u64(&v, "io_thread") && has_u64(&v, "events") && has_u64(&v, "messages"),
-                    "eventloop_wakeup schema: {line}"
-                );
-            }
-            "request_start" => {
-                assert!(
-                    v.get("path").and_then(Value::as_str).is_some() && has_u64(&v, "queue_depth"),
-                    "request_start schema: {line}"
-                );
-            }
-            "request_done" => {
-                assert!(
-                    v.get("path").and_then(Value::as_str).is_some()
-                        && has_u64(&v, "status")
-                        && v.get("wall_s").and_then(Value::as_f64).is_some()
-                        && v.get("cached").and_then(Value::as_bool).is_some(),
-                    "request_done schema: {line}"
-                );
-            }
-            _ => {}
-        }
+        let kind = Event::check_json(&v, LOOSE).unwrap_or_else(|e| panic!("{e}: {line}"));
         *kinds.entry(kind).or_default() += 1;
     }
 
