@@ -107,7 +107,7 @@ fn bench_pruned_vs_exhaustive(c: &mut Criterion) {
     group.bench_function("fig4_pruned_frontier", |b| {
         b.iter(|| {
             black_box(
-                hecmix_core::sweep::sweep_frontier_pruned(
+                hecmix_core::rate_table::stream_frontier_pruned(
                     black_box(&space),
                     &models,
                     w.analysis_units() as f64,

@@ -183,8 +183,8 @@ pub fn run_all(seed: u64) -> CheckReport {
             oracles::resilient_k0_vs_plain(&space, &models, w),
         ),
         CheckResult::new(
-            "ladder-degenerate-vs-legacy",
-            oracles::ladder_degenerate_vs_legacy(seed),
+            "ladder-lift-vs-two-point",
+            oracles::ladder_lift_vs_two_point(seed),
         ),
         CheckResult::new(
             "ladder-stream-vs-exhaustive",

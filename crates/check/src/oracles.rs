@@ -7,7 +7,7 @@
 //! going so one broken layer does not mask another.
 
 use hecmix_core::config::{ClusterPoint, ConfigSpace, NodeConfig};
-use hecmix_core::dvfs::exhaustive_ladder_frontier;
+use hecmix_core::energy::EnergyBreakdown;
 use hecmix_core::exec_time::ExecTimeModel;
 use hecmix_core::mix_match::{evaluate, match_two_numeric, mix_and_match, TypeDeployment};
 use hecmix_core::profile::WorkloadModel;
@@ -424,80 +424,113 @@ pub fn resilient_k0_vs_plain(
     }
 }
 
-/// A degenerate 1-OPP ladder must reproduce the legacy two-point model
-/// **bit for bit**: the effective frequency of the single OPP is the
-/// configured frequency itself (`capacity/capacity == 1.0` exactly), so
-/// every per-point evaluation and the streamed frontier must be
-/// `assert_eq`-identical, not merely close. The platforms are restricted
-/// to one random P-state so both paths enumerate the same option set.
+/// A two-point model's lift must price exactly like the two-point table
+/// it came from, **bit for bit**: its rate table lists the
+/// `(nodes, P-state, cores)` options in that nesting — so every OPP's
+/// effective frequency is its P-state — each with the rate of its lone run
+/// and the power [`reference::two_point_energy`] prices it at, and every
+/// per-type energy of a sampled cluster point is that reference's. The
+/// P-state sets are seeded random subsets of the 0.1-GHz multiples up to
+/// 4 GHz that always include 0.9 and 1.4 GHz (where `f_top · (f_j /
+/// f_top)` misses `f_j` by an ulp), and half the `core_w` entries are moved
+/// off their P-states, so the nearest-pair lookup is exercised too.
+///
+/// [`reference::two_point_energy`]: crate::reference::two_point_energy
 #[must_use]
-pub fn ladder_degenerate_vs_legacy(seed: u64) -> Vec<String> {
+pub fn ladder_lift_vs_two_point(seed: u64) -> Vec<String> {
+    use crate::reference::two_point_energy;
     use hecmix_core::dvfs::NodeDvfs;
+    use hecmix_core::types::Frequency;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
     let mut rng = SmallRng::seed_from_u64(seed ^ 0xd1f5);
-    let mut mk = |platform: &Platform, i_ps: f64| {
-        let mut p = platform.clone();
-        let f = p.freqs[rng.gen_range(0..p.freqs.len())];
-        p.freqs = vec![f];
-        let legacy = WorkloadModel::synthetic_cpu_bound(&p, "ladder-oracle", i_ps);
-        let dvfs = NodeDvfs::degenerate(&legacy.power, f);
-        let ladder = legacy.clone().with_dvfs(dvfs);
-        (p, legacy, ladder)
-    };
-    let (arm, legacy_a, ladder_a) = mk(&Platform::reference_arm(), 2.0e9);
-    let (amd, legacy_b, ladder_b) = mk(&Platform::reference_amd(), 1.6e9);
-    let w = rng.gen_range(1e5..1e7);
-    let space = ConfigSpace::two_type(arm, 3, amd, 2);
-    let legacy_models = [legacy_a, legacy_b];
-    let ladder_models = [ladder_a, ladder_b];
-
-    let mut violations = Vec::new();
-    for point in sample_points(&space) {
-        let lhs = evaluate(&point, &legacy_models, w);
-        let rhs = evaluate(&point, &ladder_models, w);
-        match (lhs, rhs) {
-            (Ok(l), Ok(r)) => {
-                if l.time_s != r.time_s || l.energy_j != r.energy_j {
-                    violations.push(format!(
-                        "degenerate ladder diverges on {point:?}: \
-                         ({:.17e} s, {:.17e} J) vs ({:.17e} s, {:.17e} J)",
-                        l.time_s, l.energy_j, r.time_s, r.energy_j
-                    ));
-                }
+    let mut mk = |base: Platform, i_ps: f64| {
+        let freqs = (1..=40u32)
+            .filter(|&k| k == 9 || k == 14 || rng.gen_bool(0.15))
+            .map(|k| Frequency::from_ghz(f64::from(k) / 10.0))
+            .collect();
+        let platform = Platform { freqs, ..base };
+        let mut model = WorkloadModel::synthetic_cpu_bound(&platform, "lift-oracle", i_ps);
+        for entry in &mut model.power.core_w {
+            if rng.gen_bool(0.5) {
+                entry.0 = Frequency::from_ghz(entry.0.ghz() + rng.gen_range(-0.04..0.04));
             }
-            (l, r) => violations.push(format!(
-                "evaluation parity broken on {point:?}: legacy {l:?} vs ladder {r:?}"
-            )),
         }
-    }
-    let lhs = stream_frontier(&space, &legacy_models, w);
-    let rhs = stream_frontier(&space, &ladder_models, w);
-    match (lhs, rhs) {
-        (Ok(l), Ok(r)) => {
-            if l != r {
+        model.dvfs = NodeDvfs::lift(&model.platform, &model.power);
+        model
+    };
+    let models = [
+        mk(Platform::reference_arm(), 2.0e9),
+        mk(Platform::reference_amd(), 1.6e9),
+    ];
+    let w = rng.gen_range(1e5..1e7);
+    let space = ConfigSpace::two_type(models[0].platform.clone(), 3, models[1].platform.clone(), 2);
+
+    let table = match RateTable::build(&space, &models) {
+        Ok(t) => t,
+        Err(e) => return vec![format!("lifted rate table failed: {e}")],
+    };
+    let mut violations = Vec::new();
+    for ((bounds, m), opts) in space.types.iter().zip(&models).zip(table.options()) {
+        let p = &bounds.platform;
+        let expected: Vec<(NodeConfig, usize)> = (1..=bounds.max_nodes)
+            .flat_map(|n| {
+                p.freqs.iter().enumerate().flat_map(move |(opp, &f)| {
+                    (1..=p.cores).map(move |c| (NodeConfig::new(n, c, f), opp))
+                })
+            })
+            .collect();
+        if opts.len() != expected.len() {
+            violations.push(format!(
+                "{}: lifted table has {} options, the P-state space {}",
+                p.name,
+                opts.len(),
+                expected.len()
+            ));
+        }
+        for (o, &(cfg, opp)) in opts.iter().zip(&expected) {
+            let tb = ExecTimeModel::new(m).predict(&cfg, 1.0);
+            let rate = 1.0 / tb.total;
+            let power_w = two_point_energy(m, &cfg, &tb, 1.0 / rate).total() * rate;
+            if (o.cfg, o.opp, o.rate.to_bits(), o.power_w.to_bits())
+                != (cfg, opp, rate.to_bits(), power_w.to_bits())
+            {
                 violations.push(format!(
-                    "degenerate-ladder frontier is not bit-identical to the \
-                     legacy frontier: {} vs {} points",
-                    l.len(),
-                    r.len()
+                    "lifted option {:?} (OPP {}) = ({:.17e}, {:.17e}) vs two-point {cfg:?} \
+                     (P-state {opp}) = ({rate:.17e}, {power_w:.17e})",
+                    o.cfg, o.opp, o.rate, o.power_w
                 ));
             }
         }
-        (l, r) => violations.push(format!(
-            "frontier parity broken: legacy {:?} vs ladder {:?}",
-            l.map(|f| f.len()),
-            r.map(|f| f.len())
-        )),
+    }
+    for point in sample_points(&space) {
+        let out = match evaluate(&point, &models, w) {
+            Ok(out) => out,
+            Err(e) => {
+                violations.push(format!("evaluation of {point:?} failed: {e}"));
+                continue;
+            }
+        };
+        for (t, (cfg, tb)) in point.per_type.iter().zip(&out.per_type_times).enumerate() {
+            let (Some(cfg), Some(tb), Some(got)) = (cfg, tb, out.per_type_energy[t]) else {
+                continue;
+            };
+            let want = two_point_energy(&models[t], cfg, tb, out.time_s);
+            let bits = |e: EnergyBreakdown| [e.e_core, e.e_mem, e.e_io, e.e_idle].map(f64::to_bits);
+            if bits(got) != bits(want) {
+                violations.push(format!(
+                    "type {t} of {point:?}: lifted energy {got:?} vs two-point {want:?}"
+                ));
+            }
+        }
     }
     violations
 }
 
-/// Streamed per-`(type, OPP)` rate-table frontier vs the exhaustive
-/// ladder sweep on seeded random valid ladders and domain trees. Same
-/// comparison as [`exhaustive_vs_streaming`]: the energy-per-deadline
-/// curves must agree both ways at `1e-9` relative.
+/// Streamed per-`(type, OPP)` rate-table frontier vs the exhaustive sweep
+/// on seeded random valid ladders and domain trees: the
+/// [`exhaustive_vs_streaming`] comparison over ladder models.
 #[must_use]
 pub fn ladder_stream_vs_exhaustive(seed: u64) -> Vec<String> {
     use rand::rngs::SmallRng;
@@ -511,59 +544,7 @@ pub fn ladder_stream_vs_exhaustive(seed: u64) -> Vec<String> {
     let model_b = WorkloadModel::synthetic_cpu_bound(&amd, "ladder-oracle", 1.6e9)
         .with_dvfs(random_node_dvfs(&mut rng));
     let space = ConfigSpace::two_type(arm, 2, amd, 2);
-    let models = [model_a, model_b];
-    ladder_stream_vs_exhaustive_models(&space, &models, 1e6)
-}
-
-/// The comparison core of [`ladder_stream_vs_exhaustive`], reusable from
-/// property tests with externally generated ladders/domains.
-#[must_use]
-pub fn ladder_stream_vs_exhaustive_models(
-    space: &ConfigSpace,
-    models: &[WorkloadModel],
-    w_units: f64,
-) -> Vec<String> {
-    for (i, m) in models.iter().enumerate() {
-        if let Err(e) = m.validate() {
-            return vec![format!("model {i} fails validation: {e}")];
-        }
-    }
-    let exhaustive = match exhaustive_ladder_frontier(&space.types, models, w_units) {
-        Ok(f) => f,
-        Err(e) => return vec![format!("exhaustive ladder sweep failed: {e}")],
-    };
-    let streamed = match stream_frontier(space, models, w_units) {
-        Ok(f) => f,
-        Err(e) => return vec![format!("streamed ladder sweep failed: {e}")],
-    };
-    let mut violations = Vec::new();
-    for p in &exhaustive.points {
-        match streamed.min_energy_for_deadline(p.time_s) {
-            Some(got) if (got.energy_j - p.energy_j).abs() <= 1e-9 * p.energy_j => {}
-            Some(got) => violations.push(format!(
-                "streamed ladder curve off at deadline {:.6e} s: {:.12e} J vs exhaustive {:.12e} J",
-                p.time_s, got.energy_j, p.energy_j
-            )),
-            None => violations.push(format!(
-                "streamed ladder frontier has no point at deadline {:.6e} s",
-                p.time_s
-            )),
-        }
-    }
-    for p in &streamed.points {
-        match exhaustive.min_energy_for_deadline(p.time_s) {
-            Some(got) if got.energy_j <= p.energy_j + 1e-9 * p.energy_j => {}
-            Some(got) => violations.push(format!(
-                "streamed ladder point ({:.6e} s, {:.12e} J) beats the exhaustive curve ({:.12e} J)",
-                p.time_s, p.energy_j, got.energy_j
-            )),
-            None => violations.push(format!(
-                "exhaustive ladder frontier has no point at deadline {:.6e} s",
-                p.time_s
-            )),
-        }
-    }
-    violations
+    exhaustive_vs_streaming(&space, &[model_a, model_b], 1e6)
 }
 
 /// Degenerate online scheduler vs offline mix-and-match: with a single
@@ -796,8 +777,14 @@ mod tests {
 
     #[test]
     fn ladder_oracles_hold_on_several_seeds() {
+        for seed in 1..=32u64 {
+            assert_eq!(
+                ladder_lift_vs_two_point(seed),
+                Vec::<String>::new(),
+                "seed {seed}"
+            );
+        }
         for seed in [0u64, 1, 42, 1337] {
-            assert_eq!(ladder_degenerate_vs_legacy(seed), Vec::<String>::new());
             assert_eq!(ladder_stream_vs_exhaustive(seed), Vec::<String>::new());
         }
     }

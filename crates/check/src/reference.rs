@@ -5,6 +5,10 @@
 //! cleverly, kept so the clever version can be compared with it bit for
 //! bit.
 
+use hecmix_core::config::NodeConfig;
+use hecmix_core::energy::EnergyBreakdown;
+use hecmix_core::exec_time::TimeBreakdown;
+use hecmix_core::profile::WorkloadModel;
 use hecmix_core::rate_table::RateTable;
 
 /// One frontier point of [`per_point_fold`]: its time and energy, and the
@@ -57,4 +61,28 @@ pub fn per_point_fold(table: &RateTable, w_units: f64) -> Vec<FoldPoint> {
         entries.splice(i..i + k, std::iter::once(c));
     }
     entries
+}
+
+/// Energy of `cfg.nodes` nodes of `model`'s type over a job lasting
+/// `job_duration_s`, by the paper's two-point table alone: Eq. 12–19 with
+/// the `core_w` pair nearest `cfg.freq` (stall power over `T_CPU − T_act`,
+/// as `EnergyModel` charges it). A lift must price exactly like this.
+#[must_use]
+pub fn two_point_energy(
+    model: &WorkloadModel,
+    cfg: &NodeConfig,
+    times: &TimeBreakdown,
+    job_duration_s: f64,
+) -> EnergyBreakdown {
+    let n = f64::from(cfg.nodes);
+    let power = &model.power;
+    let (p_act, p_stall) = (power.core_active_w(cfg.freq), power.core_stall_w(cfg.freq));
+    let t_stall_busy = (times.t_cpu - times.t_act).max(0.0);
+    let e_core = (p_act * times.t_act + p_stall * t_stall_busy) * times.c_act;
+    EnergyBreakdown {
+        e_core: e_core * n,
+        e_mem: power.mem_w * times.t_mem * n,
+        e_io: power.io_w * times.t_io_busy * n,
+        e_idle: power.idle_w * job_duration_s * n,
+    }
 }

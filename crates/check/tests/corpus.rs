@@ -144,12 +144,58 @@ fn corrupt_model_files_fail_to_load_without_panicking() {
         "nan_frequency.model",
         "nonmonotone_opp.model",
         "sleep_above_idle.model",
+        "negative_opp_power.model",
+        "nan_opp_power.model",
     ] {
         match hecmix_core::persist::load(&corpus_path(name)) {
             Err(Error::InvalidInput(_)) => {}
             other => panic!("{name} must load as InvalidInput, got {other:?}"),
         }
     }
+}
+
+/// FNV-1a over the model's content hash, the bits of every option of its
+/// single-type rate table, and its frontier's times, energies and
+/// configurations; plus the frontier's length.
+fn frontier_fingerprint(model: &WorkloadModel) -> (usize, u64) {
+    use hecmix_core::config::{ConfigSpace, TypeBounds};
+    let space = ConfigSpace::new(vec![TypeBounds {
+        platform: model.platform.clone(),
+        max_nodes: 4,
+    }]);
+    let models = std::slice::from_ref(model);
+    let table = hecmix_core::rate_table::RateTable::build(&space, models).expect("valid space");
+    let frontier = table.frontier(1e6).expect("valid work");
+    let node = |c: &NodeConfig| {
+        [
+            u64::from(c.nodes),
+            u64::from(c.cores),
+            c.freq.hz().to_bits(),
+        ]
+    };
+    let mut words = vec![model.content_hash()];
+    for o in &table.options()[0] {
+        words.extend(node(&o.cfg));
+        words.extend([o.rate.to_bits(), o.power_w.to_bits()]);
+    }
+    for p in &frontier.points {
+        words.extend([p.time_s.to_bits(), p.energy_j.to_bits()]);
+        words.extend(node(&p.config.per_type[0].expect("one type")));
+    }
+    let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+    (frontier.len(), hecmix_core::persist::fnv1a(&bytes))
+}
+
+#[test]
+fn two_point_model_with_a_zero_watt_pstate_prices_as_pinned() {
+    // A `core_w` entry of 0 W active power, and one off its P-state: the
+    // file loads, re-serializes byte for byte, and prices the frontier
+    // captured before every model carried a ladder.
+    let path = corpus_path("zero_watt_pstate.model");
+    let model = hecmix_core::persist::load(&path).expect("two-point model loads");
+    let text = std::fs::read_to_string(&path).unwrap();
+    assert_eq!(hecmix_core::persist::to_string(&model), text);
+    assert_eq!(frontier_fingerprint(&model), (1, 0x9670_fbf4_33de_0876));
 }
 
 #[test]

@@ -168,9 +168,9 @@ fn node_dvfs() -> impl Strategy<Value = hecmix_core::dvfs::NodeDvfs> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    // Satellite coverage for the DVFS tentpole: any valid random ladder
-    // and domain tree must (a) pass validation and (b) make the streamed
-    // per-(type, OPP) frontier agree with the exhaustive ladder sweep.
+    // Any valid random ladder and domain tree must (a) pass validation
+    // and (b) make the streamed per-(type, OPP) frontier agree with the
+    // exhaustive sweep over the same ladders.
     #[test]
     fn prop_ladder_stream_matches_exhaustive(
         dvfs_a in node_dvfs(),
@@ -187,17 +187,7 @@ proptest! {
         prop_assert!(models[1].validate().is_ok());
         let space = ConfigSpace::two_type(arm, 2, amd, 2);
         prop_assert_eq!(
-            oracles::ladder_stream_vs_exhaustive_models(&space, &models, w),
-            Vec::<String>::new()
-        );
-    }
-
-    // The degenerate 1-OPP ladder must stay bit-identical to the legacy
-    // model for any seed (random platform frequency and job size inside).
-    #[test]
-    fn prop_degenerate_ladder_is_bit_identical(seed in 0u64..(1u64 << 32)) {
-        prop_assert_eq!(
-            oracles::ladder_degenerate_vs_legacy(seed),
+            oracles::exhaustive_vs_streaming(&space, &models, w),
             Vec::<String>::new()
         );
     }

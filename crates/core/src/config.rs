@@ -11,6 +11,12 @@
 //! mixes, plus `200` ARM-only and `180` AMD-only homogeneous configurations:
 //! **36 380** in total. Generalized to `k` node types, the space is the sum
 //! over all non-empty subsets `S` of types of `Π_{t∈S} n_t·|f_t|·|c_t|`.
+//!
+//! A type's options themselves come from its model's OPP ladder
+//! ([`crate::dvfs::ladder_options`]), which for a two-point model is one
+//! OPP per platform P-state, so [`ConfigSpace::count`] is the size of a
+//! two-point space; [`crate::rate_table::RateTable::count`] is the size of
+//! any space.
 
 use serde::{Deserialize, Serialize};
 
@@ -25,7 +31,9 @@ pub struct NodeConfig {
     pub nodes: u32,
     /// Cores enabled per node (`1 ..= platform.cores`).
     pub cores: u32,
-    /// Core clock frequency (one of the platform's P-states).
+    /// Effective frequency of the operating point: one of the model
+    /// ladder's [`crate::dvfs::OppLadder::effective_freq`]s, which for a
+    /// two-point model are the platform's P-states.
     pub freq: Frequency,
 }
 
@@ -102,43 +110,7 @@ pub struct TypeBounds {
     pub max_nodes: u32,
 }
 
-impl TypeBounds {
-    /// Number of per-type choices when the type participates:
-    /// `n · |f| · |c|`.
-    #[must_use]
-    pub fn option_count(&self) -> u64 {
-        u64::from(self.max_nodes)
-            * self.platform.freqs.len() as u64
-            * u64::from(self.platform.cores)
-    }
-
-    /// Decode option index `idx ∈ [0, option_count)` into its
-    /// [`NodeConfig`]. The index order is fixed — nodes outermost, then
-    /// frequency, then cores — and shared by every space-enumeration path
-    /// (the lazy [`ConfigSpace::iter`] odometer and the
-    /// [`crate::rate_table::RateTable`] flat indexing), so an option index
-    /// means the same configuration everywhere.
-    ///
-    /// # Panics
-    /// Panics if `idx >= option_count()`.
-    #[must_use]
-    pub fn decode_option(&self, idx: u64) -> NodeConfig {
-        assert!(idx < self.option_count(), "option index out of range");
-        let nf = self.platform.freqs.len() as u64;
-        let nc = u64::from(self.platform.cores);
-        let n = idx / (nf * nc);
-        let rem = idx % (nf * nc);
-        let f = rem / nc;
-        let c = rem % nc;
-        NodeConfig {
-            nodes: n as u32 + 1,
-            cores: c as u32 + 1,
-            freq: self.platform.freqs[f as usize],
-        }
-    }
-}
-
-/// The enumerable configuration space over a set of node types.
+/// The configuration space over a set of node types.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ConfigSpace {
     /// Per-type bounds, fixed order.
@@ -167,93 +139,23 @@ impl ConfigSpace {
         ])
     }
 
-    /// Exact size of the space: `Σ over non-empty subsets S of
-    /// Π_{t∈S} n_t·|f_t|·|c_t|` — equivalently `Π (choices_t + 1) − 1`.
+    /// Size of the space over the platforms' P-states: `Σ over non-empty
+    /// subsets S of Π_{t∈S} n_t·|f_t|·|c_t|` — equivalently
+    /// `Π (choices_t + 1) − 1`. A ladder with a different OPP count gives
+    /// a different size; [`crate::rate_table::RateTable::count`] counts
+    /// that.
     ///
     /// For the paper's 10 ARM + 10 AMD this is 36 380.
     #[must_use]
     pub fn count(&self) -> u64 {
         self.types
             .iter()
-            .map(|t| t.option_count() + 1)
+            .map(|t| {
+                let p = &t.platform;
+                u64::from(t.max_nodes) * p.freqs.len() as u64 * u64::from(p.cores) + 1
+            })
             .product::<u64>()
             .saturating_sub(1)
-    }
-
-    /// Iterate over every configuration point (lazily).
-    pub fn iter(&self) -> impl Iterator<Item = ClusterPoint> + '_ {
-        SpaceIter::new(self)
-    }
-
-    /// Materialize the whole space. Prefer [`Self::iter`] or
-    /// [`crate::sweep::sweep_space`] for large spaces.
-    #[must_use]
-    pub fn enumerate(&self) -> Vec<ClusterPoint> {
-        self.iter().collect()
-    }
-}
-
-/// Lazy odometer-style iterator over the configuration space.
-///
-/// Each type's digit ranges over `None` plus all `(n, c, f)` combinations;
-/// the all-`None` point is skipped.
-struct SpaceIter<'a> {
-    space: &'a ConfigSpace,
-    /// Digit per type: `0 = None`, `1..=choices` maps to an `(n, c, f)`.
-    digits: Vec<u64>,
-    /// Cached per-type choice counts.
-    choices: Vec<u64>,
-    done: bool,
-}
-
-impl<'a> SpaceIter<'a> {
-    fn new(space: &'a ConfigSpace) -> Self {
-        let choices = space.types.iter().map(TypeBounds::option_count).collect();
-        let mut it = Self {
-            space,
-            digits: vec![0; space.types.len()],
-            choices,
-            done: space.types.is_empty(),
-        };
-        // Skip the all-None (empty cluster) point.
-        it.advance();
-        it
-    }
-
-    fn advance(&mut self) {
-        for i in 0..self.digits.len() {
-            if self.digits[i] < self.choices[i] {
-                self.digits[i] += 1;
-                return;
-            }
-            self.digits[i] = 0;
-        }
-        self.done = true;
-    }
-
-    fn decode(&self, type_idx: usize, digit: u64) -> Option<NodeConfig> {
-        if digit == 0 {
-            return None;
-        }
-        Some(self.space.types[type_idx].decode_option(digit - 1))
-    }
-}
-
-impl Iterator for SpaceIter<'_> {
-    type Item = ClusterPoint;
-
-    fn next(&mut self) -> Option<ClusterPoint> {
-        if self.done {
-            return None;
-        }
-        let per_type = self
-            .digits
-            .iter()
-            .enumerate()
-            .map(|(i, &d)| self.decode(i, d))
-            .collect();
-        self.advance();
-        Some(ClusterPoint { per_type })
     }
 }
 
@@ -275,41 +177,6 @@ mod tests {
         // §IV-B footnote 2: 36 000 mixed + 200 ARM-only + 180 AMD-only.
         let space = paper_space(10, 10);
         assert_eq!(space.count(), 36_380);
-    }
-
-    #[test]
-    fn count_matches_enumeration() {
-        let space = paper_space(2, 3);
-        let pts = space.enumerate();
-        assert_eq!(pts.len() as u64, space.count());
-        // 2·5·4 = 40 ARM choices; 3·3·6 = 54 AMD choices;
-        // 40·54 + 40 + 54 = 2254.
-        assert_eq!(space.count(), 2254);
-    }
-
-    #[test]
-    fn no_empty_point_and_no_duplicates() {
-        let space = paper_space(2, 2);
-        let pts = space.enumerate();
-        assert!(pts.iter().all(|p| p.types_used() >= 1));
-        let mut labels: Vec<String> = pts.iter().map(|p| format!("{:?}", p)).collect();
-        labels.sort();
-        labels.dedup();
-        assert_eq!(labels.len(), pts.len(), "duplicate configurations emitted");
-    }
-
-    #[test]
-    fn decoded_configs_are_valid() {
-        let space = paper_space(3, 2);
-        for p in space.iter() {
-            for (t, cfg) in space.types.iter().zip(&p.per_type) {
-                if let Some(c) = cfg {
-                    assert!(c.nodes >= 1 && c.nodes <= t.max_nodes);
-                    assert!(c.cores >= 1 && c.cores <= t.platform.cores);
-                    assert!(t.platform.supports_frequency(c.freq));
-                }
-            }
-        }
     }
 
     #[test]
@@ -354,7 +221,6 @@ mod tests {
         }]);
         // 10 × 5 × 4 = 200 (paper footnote 2, ARM-only term).
         assert_eq!(space.count(), 200);
-        assert_eq!(space.enumerate().len(), 200);
     }
 
     #[test]
@@ -376,6 +242,5 @@ mod tests {
         ]);
         // choices per type: 1·5·4 = 20 → (20+1)^3 − 1 = 9260.
         assert_eq!(space.count(), 9260);
-        assert_eq!(space.enumerate().len(), 9260);
     }
 }

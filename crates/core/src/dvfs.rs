@@ -1,13 +1,13 @@
 //! Per-type DVFS ladders and hierarchical power domains.
 //!
-//! The paper's energy model (Eqs. 13–14) gives each node type a single
-//! busy/idle power pair, so the sweep axis `(nodes, cores, freq)` treats
-//! frequency as a free scalar. Real heterogeneous parts expose an
-//! *operating-point ladder*: a short list of (frequency, capacity, power)
-//! triples per core type, plus a ladder of idle states (WFI, core sleep,
-//! cluster sleep) with minimum-residency costs, organised under nested
-//! power domains — a cluster can only enter its deeper idle state when
-//! every core inside it is idle. This module models that structure:
+//! The paper prices each P-state with its own measured active/stall power
+//! pair (Eq. 15–17, §II-D-2). Real heterogeneous parts expose the same
+//! thing as an *operating-point ladder*: a short list of (frequency,
+//! capacity, power) triples per core type, plus a ladder of idle states
+//! (WFI, core sleep, cluster sleep) with minimum-residency costs, organised
+//! under nested power domains — a cluster can only enter its deeper idle
+//! state when every core inside it is idle. This module models that
+//! structure, and it is the only node representation:
 //!
 //! - [`ActiveState`] — one OPP: real frequency, relative capacity, and
 //!   per-core active/stall power at that point.
@@ -17,19 +17,19 @@
 //! - [`PowerDomain`] — a nested domain tree; [`PowerDomain::floor_w`]
 //!   credits a domain's `sleep_w` only when **all** leaves beneath it are
 //!   idle, else the domain stays at `idle_w` and recurses into children.
-//! - [`NodeDvfs`] — the pair `(ladder, domain)` attached to a
-//!   [`WorkloadModel`] as an optional extension.
+//! - [`NodeDvfs`] — the pair `(ladder, domain)` every
+//!   [`WorkloadModel`](crate::profile::WorkloadModel) carries.
 //!
-//! # Degenerate-ladder equivalence
+//! # The two-point model is a lift
 //!
-//! The legacy two-point model is exactly the 1-OPP ladder: a single
-//! [`ActiveState`] whose `power_w`/`stall_w` are copied from the
-//! [`PowerProfile`] at the chosen frequency. Because
-//! [`OppLadder::effective_freq`] computes `f · (capacity / capacity_top)`
-//! and `c / c == 1.0` bit-exactly, every downstream quantity (execution
-//! times, energies, streamed frontiers) is **bit-identical** to the legacy
-//! path — asserted by the `ladder_degenerate_vs_legacy` oracle in
-//! `hecmix-check`.
+//! A model measured as the paper's two-point table (a [`PowerProfile`]
+//! over the platform's P-states) carries [`NodeDvfs::lift`]: one OPP per
+//! P-state whose capacity is the P-state's clock in Hz and whose powers
+//! are the profile's active/stall pair at that P-state, and one `node`
+//! domain that is awake and asleep at `idle_w`. Every lifted OPP runs at
+//! its P-state bit for bit (see below), so execution times, energies and
+//! frontiers are exactly those of the two-point equations — checked by
+//! the `ladder-lift-vs-two-point` oracle in `hecmix-check`.
 //!
 //! # Capacity and effective frequency
 //!
@@ -37,19 +37,22 @@
 //! Ladder capacities are abstract throughput units (ARM convention: the
 //! biggest OPP of the biggest core is 1024), and capacity is *not*
 //! proportional to frequency across heterogeneous OPPs. We therefore map
-//! OPP `j` to the *effective frequency* `f_top · cap_j / cap_top` and feed
-//! that single scalar through the unchanged time model: the top OPP runs
-//! at its real frequency and every lower OPP at a capacity-proportional
-//! rate, which is the lisa/EAS interpretation of a capacity table.
+//! OPP `j` to the *effective frequency* `cap_j · (f_top / cap_top)` and
+//! feed that single scalar through the unchanged time model: the top OPP
+//! runs at its real frequency and every lower OPP at a
+//! capacity-proportional rate, which is the lisa/EAS interpretation of a
+//! capacity table. With `cap_top` a power of two the division is exact,
+//! so this rounds like `f_top · (cap_j / cap_top)`; for a lift the scale
+//! is `f_top / f_top == 1.0`, so each OPP's effective frequency is its
+//! capacity, the P-state itself. A configuration's frequency must be one
+//! of the ladder's effective frequencies exactly.
 
 use serde::{Deserialize, Serialize};
 
-use crate::config::{ClusterPoint, TypeBounds};
+use crate::config::{NodeConfig, TypeBounds};
 use crate::error::{Error, Result};
-use crate::mix_match;
-use crate::pareto::{ParetoFrontier, ParetoPoint};
-use crate::profile::{PowerProfile, WorkloadModel};
-use crate::types::Frequency;
+use crate::profile::PowerProfile;
+use crate::types::{Frequency, Platform};
 
 /// One operating performance point of a core type: the real clock
 /// frequency, the relative compute capacity delivered at that point, and
@@ -106,7 +109,8 @@ pub struct IdleState {
 /// persistence boundary by `persist::load`):
 /// - at least one active state;
 /// - frequencies strictly increasing, capacities strictly increasing;
-/// - capacities and powers finite and positive (stall power non-negative);
+/// - capacities finite and positive, powers finite and non-negative (the
+///   rule `PowerProfile::validate` applies to a two-point table);
 /// - idle states ordered shallow → deep: power non-increasing, residency
 ///   non-decreasing, all finite and non-negative.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -133,24 +137,6 @@ impl OppLadder {
         Ok(ladder)
     }
 
-    /// The degenerate 1-OPP ladder equivalent to the legacy two-point
-    /// model at `freq`: power values copied from `power` at that
-    /// frequency, capacity pinned to the ARM convention top value. All
-    /// downstream arithmetic on this ladder is bit-identical to the
-    /// legacy path.
-    #[must_use]
-    pub fn degenerate(power: &PowerProfile, freq: Frequency) -> Self {
-        Self {
-            states: vec![ActiveState {
-                freq,
-                capacity: 1024.0,
-                power_w: power.core_active_w(freq),
-                stall_w: power.core_stall_w(freq),
-            }],
-            idle_states: Vec::new(),
-        }
-    }
-
     /// Check every ladder invariant.
     ///
     /// # Errors
@@ -168,9 +154,9 @@ impl OppLadder {
                     s.capacity
                 )));
             }
-            if !s.power_w.is_finite() || !(s.power_w > 0.0) {
+            if !s.power_w.is_finite() || !(s.power_w >= 0.0) {
                 return Err(Error::InvalidInput(format!(
-                    "dvfs ladder state {i}: active power must be finite and positive, got {}",
+                    "dvfs ladder state {i}: active power must be finite and non-negative, got {}",
                     s.power_w
                 )));
             }
@@ -248,18 +234,21 @@ impl OppLadder {
         self.states.is_empty()
     }
 
-    /// Effective model frequency of OPP `opp`: the top OPP's real
-    /// frequency scaled by the capacity ratio, `f_top · cap_j / cap_top`.
-    /// For the top OPP (and for any 1-OPP ladder) the ratio is `c / c ==
-    /// 1.0` and the result is bit-identical to the stored frequency.
+    /// Effective model frequency of OPP `opp`: the top OPP's own
+    /// frequency, and `cap_j · (f_top / cap_top)` below it. A lift's scale
+    /// is `f_top / f_top == 1.0`, so its OPPs run at their P-states bit for
+    /// bit; with `cap_top` a power of two the scale is exact and the result
+    /// rounds like `f_top · (cap_j / cap_top)`.
     ///
     /// # Panics
     /// When `opp` is out of range (caller bug).
     #[must_use]
     pub fn effective_freq(&self, opp: usize) -> Frequency {
         let top = self.states.last().expect("validated ladder is non-empty");
-        let s = &self.states[opp];
-        Frequency::from_hz(top.freq.hz() * (s.capacity / top.capacity))
+        if opp + 1 == self.states.len() {
+            return top.freq;
+        }
+        Frequency::from_hz(self.states[opp].capacity * (top.freq.hz() / top.capacity))
     }
 
     /// Index of the OPP whose [`Self::effective_freq`] is nearest `freq`
@@ -461,7 +450,8 @@ impl PowerDomain {
     }
 }
 
-/// The optional DVFS extension of a [`WorkloadModel`]: the per-type OPP
+/// The node representation of a
+/// [`WorkloadModel`](crate::profile::WorkloadModel): the per-type OPP
 /// ladder plus the node's power-domain tree.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NodeDvfs {
@@ -481,14 +471,29 @@ impl NodeDvfs {
         self.domain.validate()
     }
 
-    /// The degenerate extension equivalent to the legacy model at `freq`:
-    /// a 1-OPP ladder copied from `power` and a single root domain whose
-    /// awake and sleep floors both equal the model's `idle_w` (no deep
-    /// state, so no sleep credit — exactly the legacy accounting).
+    /// The two-point model as a ladder: one OPP per platform P-state, in
+    /// order, running at that P-state (capacity = its frequency in Hz;
+    /// capacity is dimensionless and only ratios matter) and drawing
+    /// `power`'s active/stall pair there, with no idle states and one
+    /// `node` domain that is awake and asleep at `idle_w` (no deep state,
+    /// so no sleep credit). `power` must be non-empty.
     #[must_use]
-    pub fn degenerate(power: &PowerProfile, freq: Frequency) -> Self {
+    pub fn lift(platform: &Platform, power: &PowerProfile) -> Self {
+        let states = platform
+            .freqs
+            .iter()
+            .map(|&freq| ActiveState {
+                freq,
+                capacity: freq.hz(),
+                power_w: power.core_active_w(freq),
+                stall_w: power.core_stall_w(freq),
+            })
+            .collect();
         Self {
-            ladder: OppLadder::degenerate(power, freq),
+            ladder: OppLadder {
+                states,
+                idle_states: Vec::new(),
+            },
             domain: PowerDomain::leaf("node", power.idle_w, power.idle_w, 0.0),
         }
     }
@@ -554,14 +559,13 @@ impl NodeDvfs {
     }
 }
 
-/// Per-type ladder option order of the streaming sweep: nodes outermost,
-/// then OPP index, then cores — mirroring `TypeBounds::decode_option`
-/// with the ladder replacing the platform P-state list. Returns
-/// `(cfg, opp)` pairs; `cfg.freq` is the OPP's effective frequency.
-pub fn ladder_options(
-    bounds: &TypeBounds,
-    ladder: &OppLadder,
-) -> Vec<(crate::config::NodeConfig, usize)> {
+/// A type's deployment options, the only enumeration of them: nodes
+/// outermost, then OPP index, then cores. Returns `(cfg, opp)` pairs;
+/// `cfg.freq` is the OPP's effective frequency. Option `i` of this list is
+/// digit `i + 1` of the type in a [`crate::rate_table::RateTable`] flat
+/// index, so consecutive node counts are `|OPPs| × cores` options apart.
+#[must_use]
+pub fn ladder_options(bounds: &TypeBounds, ladder: &OppLadder) -> Vec<(NodeConfig, usize)> {
     let mut out = Vec::with_capacity(
         bounds.max_nodes as usize * ladder.len() * bounds.platform.cores as usize,
     );
@@ -569,92 +573,17 @@ pub fn ladder_options(
         for opp in 0..ladder.len() {
             let freq = ladder.effective_freq(opp);
             for c in 1..=bounds.platform.cores {
-                out.push((crate::config::NodeConfig::new(n, c, freq), opp));
+                out.push((NodeConfig::new(n, c, freq), opp));
             }
         }
     }
     out
 }
 
-/// Exhaustive ladder sweep: enumerate every per-type deployment option
-/// (including "type unused") over each model's ladder — or, for types
-/// without a ladder, over the platform P-states — evaluate each cluster
-/// point through the full `mix_match::evaluate` path, and keep the
-/// Pareto frontier. Exponential in the number of types; this is the
-/// differential-testing reference for the streamed per-(type, OPP)
-/// rate-table engine, not a production sweep.
-///
-/// # Errors
-/// Propagates model/evaluation errors ([`Error::InvalidInput`]).
-pub fn exhaustive_ladder_frontier(
-    bounds: &[TypeBounds],
-    models: &[WorkloadModel],
-    w_units: f64,
-) -> Result<ParetoFrontier> {
-    if bounds.len() != models.len() {
-        return Err(Error::InvalidInput(
-            "one TypeBounds per model is required".into(),
-        ));
-    }
-    let mut per_type: Vec<Vec<Option<crate::config::NodeConfig>>> = Vec::new();
-    for (b, m) in bounds.iter().zip(models) {
-        let mut opts: Vec<Option<crate::config::NodeConfig>> = vec![None];
-        match &m.dvfs {
-            Some(d) => {
-                opts.extend(
-                    ladder_options(b, &d.ladder)
-                        .into_iter()
-                        .map(|(c, _)| Some(c)),
-                );
-            }
-            None => {
-                for i in 0..b.option_count() {
-                    opts.push(Some(b.decode_option(i)));
-                }
-            }
-        }
-        per_type.push(opts);
-    }
-
-    let mut points: Vec<ParetoPoint> = Vec::new();
-    let mut idx = vec![0usize; per_type.len()];
-    loop {
-        // Advance the odometer, skipping the all-None point.
-        if idx.iter().any(|&i| i > 0) {
-            let cfgs: Vec<Option<crate::config::NodeConfig>> = idx
-                .iter()
-                .zip(&per_type)
-                .map(|(&i, opts)| opts[i])
-                .collect();
-            let point = ClusterPoint::new(cfgs);
-            let out = mix_match::evaluate(&point, models, w_units)?;
-            points.push(ParetoPoint {
-                time_s: out.time_s,
-                energy_j: out.energy_j,
-                config: point,
-            });
-        }
-        let mut k = 0usize;
-        loop {
-            if k == idx.len() {
-                return Ok(ParetoFrontier::from_points(points));
-            }
-            idx[k] += 1;
-            if idx[k] < per_type[k].len() {
-                break;
-            }
-            idx[k] = 0;
-            k += 1;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ConfigSpace;
-    use crate::rate_table::stream_frontier;
-    use crate::types::Platform;
+    use crate::profile::WorkloadModel;
 
     fn arm_model() -> WorkloadModel {
         WorkloadModel::synthetic_cpu_bound(&Platform::reference_arm(), "ep", 60.0)
@@ -757,14 +686,48 @@ mod tests {
     }
 
     #[test]
-    fn degenerate_ladder_copies_power_profile_bitwise() {
-        let m = arm_model();
-        let f = Frequency::from_ghz(1.4);
-        let l = OppLadder::degenerate(&m.power, f);
-        assert_eq!(l.len(), 1);
-        assert_eq!(l.effective_freq(0).hz(), f.hz());
-        assert_eq!(l.states[0].power_w, m.power.core_active_w(f));
-        assert_eq!(l.states[0].stall_w, m.power.core_stall_w(f));
+    fn effective_freq_rounds_like_the_capacity_ratio_under_a_power_of_two_top() {
+        let l = big_little_ladder();
+        let top = &l.states[2];
+        for (j, s) in l.states.iter().enumerate() {
+            let ratio = top.freq.hz() * (s.capacity / top.capacity);
+            assert_eq!(
+                l.effective_freq(j).hz().to_bits(),
+                ratio.to_bits(),
+                "OPP {j}"
+            );
+        }
+    }
+
+    #[test]
+    fn lift_runs_each_opp_at_its_pstate_and_copies_powers() {
+        // 0.9 GHz under a 1.4 GHz top is one of the pairs where
+        // `f_top · (f_j / f_top)` is an ulp off `f_j`.
+        let ghz = [0.2, 0.9, 1.4];
+        let p = Platform {
+            freqs: ghz.iter().map(|&g| Frequency::from_ghz(g)).collect(),
+            ..Platform::reference_arm()
+        };
+        let power = PowerProfile::synthetic(&p);
+        let lift = NodeDvfs::lift(&p, &power);
+        lift.validate().unwrap();
+        assert_eq!(lift.ladder.len(), ghz.len());
+        assert!(lift.ladder.idle_states.is_empty());
+        assert_eq!(
+            lift.domain,
+            PowerDomain::leaf("node", power.idle_w, power.idle_w, 0.0)
+        );
+        let (mid, top) = (p.freqs[1].hz(), p.freqs[2].hz());
+        assert_ne!((top * (mid / top)).to_bits(), mid.to_bits());
+        for (j, (s, f)) in lift.ladder.states.iter().zip(&p.freqs).enumerate() {
+            assert_eq!(
+                lift.ladder.effective_freq(j).hz().to_bits(),
+                f.hz().to_bits()
+            );
+            assert_eq!(s.freq, *f);
+            assert_eq!(s.power_w.to_bits(), power.core_active_w(*f).to_bits());
+            assert_eq!(s.stall_w.to_bits(), power.core_stall_w(*f).to_bits());
+        }
     }
 
     #[test]
@@ -844,26 +807,5 @@ mod tests {
         let c = m.platform.cores as usize;
         assert_eq!(opts[c].1, 1); // next OPP after the core axis wraps
         assert_eq!(opts[3 * c].0.nodes, 2); // node axis outermost
-    }
-
-    #[test]
-    fn exhaustive_ladder_matches_streamed_frontier() {
-        let mut m = arm_model();
-        m.dvfs = Some(NodeDvfs {
-            ladder: big_little_ladder(),
-            domain: two_core_domain(),
-        });
-        m.validate().unwrap();
-        let models = vec![m.clone(), m];
-        let space =
-            ConfigSpace::two_type(models[0].platform.clone(), 2, models[1].platform.clone(), 2);
-        let w = 1e6;
-        let streamed = stream_frontier(&space, &models, w).unwrap();
-        let exhaustive = exhaustive_ladder_frontier(&space.types, &models, w).unwrap();
-        assert_eq!(streamed.points.len(), exhaustive.points.len());
-        for (a, b) in streamed.points.iter().zip(&exhaustive.points) {
-            assert!((a.time_s - b.time_s).abs() <= 1e-9 * a.time_s.abs());
-            assert!((a.energy_j - b.energy_j).abs() <= 1e-9 * a.energy_j.abs());
-        }
     }
 }

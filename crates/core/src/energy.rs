@@ -145,17 +145,11 @@ impl<'a> EnergyModel<'a> {
         // stalled on the pipeline, so the stall term covers the whole
         // busy-but-not-working CPU time `T_CPU − T_act` rather than only
         // the `SPI_core` share (the literal Eq. 17 undercounts the energy
-        // of memory-bound executions; see DESIGN.md). With a DVFS ladder
-        // attached, the per-OPP active/stall powers replace the two-point
-        // P-state table — the degenerate 1-OPP ladder copies the same
-        // values, keeping the legacy path bit-identical.
-        let (p_act, p_stall) = match &self.model.dvfs {
-            Some(d) => {
-                let s = d.ladder.state_for(cfg.freq);
-                (s.power_w, s.stall_w)
-            }
-            None => (power.core_active_w(cfg.freq), power.core_stall_w(cfg.freq)),
-        };
+        // of memory-bound executions; see DESIGN.md). The core powers are
+        // the active/stall pair of the ladder's OPP at `cfg.freq` — for a
+        // two-point model, the lifted P-state's pair.
+        let s = self.model.dvfs.ladder.state_for(cfg.freq);
+        let (p_act, p_stall) = (s.power_w, s.stall_w);
         let t_stall_busy = (times.t_cpu - times.t_act).max(0.0);
         let e_core = (p_act * times.t_act + p_stall * t_stall_busy) * times.c_act;
 
@@ -309,19 +303,6 @@ mod tests {
         assert_eq!(fixed.e_core, buggy.e_core);
         assert_eq!(fixed.e_mem, buggy.e_mem);
         assert_eq!(fixed.e_io, buggy.e_io);
-    }
-
-    #[test]
-    fn ladder_model_prices_cores_from_the_opp_table() {
-        let mut m = arm_bundle();
-        let f = Frequency::from_ghz(1.4);
-        m.dvfs = Some(crate::dvfs::NodeDvfs::degenerate(&m.power, f));
-        let legacy = arm_bundle();
-        let cfg = NodeConfig::new(1, 4, f);
-        let tb = ExecTimeModel::new(&legacy).predict(&cfg, 1e6);
-        let e_ladder = EnergyModel::new(&m).energy(&cfg, &tb, tb.total);
-        let e_legacy = EnergyModel::new(&legacy).energy(&cfg, &tb, tb.total);
-        assert_eq!(e_ladder, e_legacy);
     }
 
     #[test]

@@ -103,13 +103,9 @@ impl<'a> ExecTimeModel<'a> {
                 cores: cfg.cores,
             });
         }
-        // With a DVFS ladder attached, the valid operating points are the
-        // ladder's effective frequencies, not the platform P-state list.
-        let freq_ok = match &self.model.dvfs {
-            Some(d) => d.ladder.supports_effective_freq(cfg.freq),
-            None => p.supports_frequency(cfg.freq),
-        };
-        if !freq_ok {
+        // The valid operating points are the ladder's effective
+        // frequencies, matched exactly (a lift's are the P-states).
+        if !self.model.dvfs.ladder.supports_effective_freq(cfg.freq) {
             return Err(Error::InvalidFrequency {
                 platform: p.name.clone(),
                 ghz: cfg.freq.ghz(),

@@ -23,8 +23,11 @@
 //! * [`energy`] — the energy model, Eq. (12)–(19).
 //! * [`mix_match`] — the workload split that equalizes per-type finish times
 //!   (Eq. (1) and (4)), generalized to any number of node types.
-//! * [`config`] — enumeration of the `(n_t, c_t, f_t)` configuration space
-//!   (36,380 configurations for 10 ARM + 10 AMD nodes, §IV-B footnote 2).
+//! * [`config`] — the `(n_t, c_t, f_t)` configuration space (36,380
+//!   configurations for 10 ARM + 10 AMD nodes, §IV-B footnote 2).
+//! * [`dvfs`] — the OPP ladder and power-domain tree every model carries
+//!   (a two-point model carries its lift), and the one enumeration of a
+//!   type's options.
 //! * [`pareto`] — energy–deadline Pareto frontiers, sweet/overlap region
 //!   classification (§IV-B).
 //! * [`budget`] — peak-power budgets and the ARM:AMD substitution ladder
@@ -95,9 +98,7 @@ pub use error::{Error, Result};
 pub mod prelude {
     pub use crate::budget::{BudgetMix, PowerBudget, SubstitutionRatio};
     pub use crate::config::{ConfigSpace, NodeConfig};
-    pub use crate::dvfs::{
-        exhaustive_ladder_frontier, ActiveState, IdleState, NodeDvfs, OppLadder, PowerDomain,
-    };
+    pub use crate::dvfs::{ActiveState, IdleState, NodeDvfs, OppLadder, PowerDomain};
     pub use crate::energy::{EnergyBreakdown, EnergyModel, PoweredWindow};
     pub use crate::error::{Error, Result};
     pub use crate::exec_time::{ExecTimeModel, TimeBreakdown};
@@ -115,6 +116,6 @@ pub mod prelude {
         predict_crash_run, resilient_frontier, CrashPlan, DegradedPrediction, ResilientTable,
         TypeRate,
     };
-    pub use crate::sweep::{sweep_frontier_pruned, sweep_space, EvaluatedConfig, PruneStats};
+    pub use crate::sweep::{sweep_space, EvaluatedConfig, PruneStats};
     pub use crate::types::{Frequency, Platform, PlatformId};
 }

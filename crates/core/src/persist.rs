@@ -27,6 +27,7 @@
 
 use std::fmt::Write as _;
 
+use crate::dvfs::NodeDvfs;
 use crate::error::{Error, Result};
 use crate::profile::{IoProfile, PowerProfile, SpiMemFit, WorkloadModel, WorkloadProfile};
 use crate::stats::LinearFit;
@@ -89,10 +90,11 @@ pub fn to_string(model: &WorkloadModel) -> String {
     let _ = writeln!(s, "io_w = {}", fmt_f64(pw.io_w));
     let _ = writeln!(s, "idle_w = {}", fmt_f64(pw.idle_w));
 
-    // Optional DVFS extension. Written only when present, so legacy
-    // bundles serialize byte-identically (and keep their content hashes),
-    // while ladder bundles get the OPP tables folded into the hash.
-    if let Some(d) = &model.dvfs {
+    // The ladder is written only when it is not the lift of `[power]`, so
+    // two-point bundles serialize byte-identically (and keep their content
+    // hashes), while ladder bundles get the OPP tables folded into the hash.
+    let d = &model.dvfs;
+    if *d != NodeDvfs::lift(&model.platform, &model.power) {
         let _ = writeln!(s, "[dvfs]");
         let opps: Vec<String> = d
             .ladder
@@ -262,11 +264,12 @@ pub fn from_str(text: &str) -> Result<WorkloadModel> {
         idle_w: parse_f64(&take(f, "power.idle_w")?)?,
     };
 
-    // Optional [dvfs] section: all three keys or none. Ladder invariants
-    // (monotone OPP tables, finite positive capacities/powers, non-empty
-    // ladder) are enforced by `WorkloadModel::validate` below, so a bad
-    // ladder is an `Error::InvalidInput` at load time, never a NaN
-    // frontier downstream.
+    // Optional [dvfs] section: all three keys or none; without it the
+    // model is the lift of `[power]`. Ladder invariants (monotone OPP
+    // tables, finite positive capacities, finite non-negative powers,
+    // non-empty ladder) are enforced by `WorkloadModel::validate` below,
+    // so a bad ladder is an `Error::InvalidInput` at load time, never a
+    // NaN frontier downstream.
     let dvfs = if f.keys().any(|k| k.starts_with("dvfs.")) {
         let states = take(f, "dvfs.opp")?
             .split_whitespace()
@@ -303,15 +306,17 @@ pub fn from_str(text: &str) -> Result<WorkloadModel> {
             })
             .collect::<Result<Vec<_>>>()?;
         let domain = parse_domains(&take(f, "dvfs.domain")?)?;
-        Some(crate::dvfs::NodeDvfs {
+        NodeDvfs {
             ladder: crate::dvfs::OppLadder {
                 states,
                 idle_states,
             },
             domain,
-        })
+        }
     } else {
-        None
+        // The lift reads the P-state table, which must not be empty.
+        power.validate()?;
+        NodeDvfs::lift(&platform, &power)
     };
 
     if let Some(stray) = f.keys().next() {
@@ -621,13 +626,9 @@ mod tests {
     }
 
     fn sample_with_ladder() -> WorkloadModel {
-        let mut m = sample();
-        m.dvfs = Some(crate::dvfs::NodeDvfs::synthetic_ladder(
-            &m.power,
-            m.platform.cores,
-            0.1,
-        ));
-        m
+        let m = sample();
+        let dvfs = NodeDvfs::synthetic_ladder(&m.power, m.platform.cores, 0.1);
+        m.with_dvfs(dvfs)
     }
 
     #[test]
@@ -643,11 +644,29 @@ mod tests {
 
     #[test]
     fn legacy_models_serialize_without_dvfs_section() {
-        // The optional section must not perturb legacy bundles — their
-        // text (and therefore their content hashes, plan-cache keys and
-        // gateway routing keys) stays byte-identical.
-        let text = to_string(&sample());
+        // A two-point bundle carries the lift of its `[power]`, which is
+        // not written — its text (and therefore its content hash, plan-cache
+        // keys and gateway routing keys) stays byte-identical, and loading
+        // it lifts it again.
+        let m = sample();
+        assert_eq!(m.dvfs, NodeDvfs::lift(&m.platform, &m.power));
+        let text = to_string(&m);
         assert!(!text.contains("[dvfs]"));
+        assert_eq!(from_str(&text).unwrap().dvfs, m.dvfs);
+    }
+
+    #[test]
+    fn opp_active_power_may_be_zero_but_not_negative_or_nan() {
+        let mut m = sample_with_ladder();
+        m.dvfs.ladder.states[0].power_w = 0.0;
+        assert_eq!(from_str(&to_string(&m)).unwrap(), m);
+        for bad in [-0.1, f64::NAN] {
+            m.dvfs.ladder.states[0].power_w = bad;
+            assert!(matches!(
+                from_str(&to_string(&m)),
+                Err(Error::InvalidInput(_))
+            ));
+        }
     }
 
     #[test]
@@ -656,9 +675,7 @@ mod tests {
         let h = m.content_hash();
         assert_ne!(h, sample().content_hash());
         let mut perturbed = m.clone();
-        if let Some(d) = &mut perturbed.dvfs {
-            d.ladder.states[0].power_w *= 1.5;
-        }
+        perturbed.dvfs.ladder.states[0].power_w *= 1.5;
         assert_ne!(h, perturbed.content_hash());
     }
 
@@ -699,9 +716,7 @@ mod tests {
         // sleep_w above idle_w fails validation.
         let m = {
             let mut m = sample_with_ladder();
-            if let Some(d) = &mut m.dvfs {
-                d.domain.sleep_w = d.domain.idle_w + 1.0;
-            }
+            m.dvfs.domain.sleep_w = m.dvfs.domain.idle_w + 1.0;
             m
         };
         assert!(matches!(

@@ -21,6 +21,7 @@ use serde::{Deserialize, Serialize};
 
 pub use crate::stats::LinearFit;
 
+use crate::dvfs::NodeDvfs;
 use crate::error::{Error, Result};
 use crate::types::{Frequency, Platform};
 
@@ -358,23 +359,22 @@ pub struct WorkloadModel {
     pub profile: WorkloadProfile,
     /// Power characterization.
     pub power: PowerProfile,
-    /// Optional DVFS extension: per-type OPP ladder and power-domain
-    /// tree. `None` means the legacy two-point model, which is exactly
-    /// the degenerate 1-OPP ladder (see [`crate::dvfs`]).
-    pub dvfs: Option<crate::dvfs::NodeDvfs>,
+    /// Per-type OPP ladder and power-domain tree, which price every
+    /// operating point. A two-point model carries
+    /// [`NodeDvfs::lift`]`(&platform, &power)`; lift again after editing
+    /// `platform` or `power`, or the ladder keeps pricing the old values.
+    pub dvfs: NodeDvfs,
 }
 
 impl WorkloadModel {
-    /// Validate all components, and that a DVFS extension's deep-sleep
-    /// floor does not exceed the model's idle floor (parking a node must
-    /// never cost more than idling it).
+    /// Validate all components, and that the ladder's deep-sleep floor
+    /// does not exceed the model's idle floor (parking a node must never
+    /// cost more than idling it).
     pub fn validate(&self) -> Result<()> {
         self.platform.validate()?;
         self.profile.validate()?;
         self.power.validate()?;
-        let Some(d) = &self.dvfs else {
-            return Ok(());
-        };
+        let d = &self.dvfs;
         d.validate()?;
         if d.domain.asleep_w() > self.power.idle_w {
             return Err(Error::InvalidInput(format!(
@@ -388,10 +388,10 @@ impl WorkloadModel {
         Ok(())
     }
 
-    /// Builder-style attachment of a DVFS extension.
+    /// Builder-style replacement of the ladder.
     #[must_use]
-    pub fn with_dvfs(mut self, dvfs: crate::dvfs::NodeDvfs) -> Self {
-        self.dvfs = Some(dvfs);
+    pub fn with_dvfs(mut self, dvfs: NodeDvfs) -> Self {
+        self.dvfs = dvfs;
         self
     }
 
@@ -400,9 +400,11 @@ impl WorkloadModel {
     /// and doc tests; experiments use measured profiles.
     #[must_use]
     pub fn synthetic_cpu_bound(platform: &Platform, workload: &str, i_ps: f64) -> Self {
+        let power = PowerProfile::synthetic(platform);
         Self {
             workload: workload.to_owned(),
             platform: platform.clone(),
+            dvfs: NodeDvfs::lift(platform, &power),
             profile: WorkloadProfile {
                 i_ps,
                 wpi: 0.8,
@@ -412,8 +414,7 @@ impl WorkloadModel {
                 baseline_freq: platform.fmax(),
                 io: IoProfile::none(),
             },
-            power: PowerProfile::synthetic(platform),
-            dvfs: None,
+            power,
         }
     }
 
@@ -426,9 +427,11 @@ impl WorkloadModel {
         i_ps: f64,
         bytes_per_unit: f64,
     ) -> Self {
+        let power = PowerProfile::synthetic(platform);
         Self {
             workload: workload.to_owned(),
             platform: platform.clone(),
+            dvfs: NodeDvfs::lift(platform, &power),
             profile: WorkloadProfile {
                 i_ps,
                 wpi: 0.9,
@@ -441,8 +444,7 @@ impl WorkloadModel {
                     lambda_io: f64::INFINITY,
                 },
             },
-            power: PowerProfile::synthetic(platform),
-            dvfs: None,
+            power,
         }
     }
 }

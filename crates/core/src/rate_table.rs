@@ -21,8 +21,9 @@
 //!   [`crate::mix_match::ClusterOutcome`] path remains available for
 //!   reports and validation.
 //! * **Streaming fold.** Configurations are indexed by a flat mixed-radix
-//!   integer (digit `0` = type unused, same digit order as
-//!   [`ConfigSpace::iter`]); worker threads claim chunks of the index
+//!   integer (digit `0` = type unused, digit `d ≥ 1` = option `d − 1` of
+//!   [`crate::dvfs::ladder_options`], type 0 fastest); worker threads
+//!   claim chunks of the index
 //!   range from an atomic cursor, fold each chunk into a small partial
 //!   Pareto frontier, and the partials are merged `O(n + m)` at the end.
 //!   Peak memory is `O(threads × frontier)`, independent of the space
@@ -76,16 +77,14 @@ pub struct SweepOutcome {
 /// One per-type option with its precomputed aggregates.
 #[derive(Debug, Clone, Copy)]
 pub struct RateOption {
-    /// The `(n, c, f)` knobs. For ladder-aware tables `cfg.freq` is the
-    /// OPP's effective frequency.
+    /// The `(n, c, f)` knobs; `cfg.freq` is the OPP's effective frequency.
     pub cfg: NodeConfig,
     /// Execution rate `r` in work units per second.
     pub rate: f64,
     /// Lone-run average power `b = E_alone(1)·r` in watts.
     pub power_w: f64,
-    /// OPP index into the type's DVFS ladder; `None` for legacy tables
-    /// enumerated over the platform P-state list.
-    pub opp: Option<usize>,
+    /// OPP index into the type's ladder.
+    pub opp: usize,
 }
 
 /// Lone-run aggregates of one option at one work unit: the execution rate
@@ -149,28 +148,27 @@ impl Column {
 /// mixed-radix indexing that turns the space into a single integer range.
 ///
 /// Digit `t` of a flat index selects type `t`'s option (`0` = unused,
-/// `d ≥ 1` = `options[t][d-1]`); type 0 is the fastest-varying digit,
-/// matching [`ConfigSpace::iter`]. Flat index 0 is the empty cluster and
-/// is skipped, so valid indices are `1 ..= count()`.
+/// `d ≥ 1` = `options[t][d-1]`); type 0 is the fastest-varying digit.
+/// Flat index 0 is the empty cluster and is skipped, so valid indices are
+/// `1 ..= count()`.
 #[derive(Debug, Clone)]
 pub struct RateTable {
     per_type: Vec<Vec<RateOption>>,
     /// The kernel's view of `per_type`, one column pair per type.
     columns: Vec<Column>,
-    /// Σ over types of `option_count + 1` before any pruning (the "+1" is
-    /// the unused digit), kept for [`PruneStats`] accounting.
-    unpruned_options: usize,
+    /// Per type, the option count plus the unused digit before any
+    /// pruning, kept for [`PruneStats`] accounting.
+    unpruned_radices: Vec<usize>,
 }
 
 impl RateTable {
     /// Build the full table: one entry per option, in
-    /// [`crate::config::TypeBounds::decode_option`] order, so flat index
-    /// `k` decodes to the `k`-th point of [`ConfigSpace::iter`].
+    /// [`crate::dvfs::ladder_options`] order, so flat index `k` decodes to
+    /// the `k`-th configuration of the space with type 0 fastest.
     pub fn build(space: &ConfigSpace, models: &[WorkloadModel]) -> Result<Self> {
-        check_space(space)?;
         let per_type = Self::type_options(space, models)?;
-        let unpruned_options = per_type.iter().map(|o| o.len() + 1).sum();
-        Ok(Self::from_options(per_type, unpruned_options))
+        let unpruned_radices = per_type.iter().map(|o| o.len() + 1).collect();
+        Ok(Self::from_options(per_type, unpruned_radices))
     }
 
     /// Build a dominance-pruned table: within each type, keep only the
@@ -180,9 +178,8 @@ impl RateTable {
     /// axis, so the pruned product preserves the frontier as an
     /// energy-per-deadline curve.
     pub fn build_pruned(space: &ConfigSpace, models: &[WorkloadModel]) -> Result<Self> {
-        check_space(space)?;
         let per_type = Self::type_options(space, models)?;
-        let unpruned_options = per_type.iter().map(|o| o.len() + 1).sum();
+        let unpruned_radices = per_type.iter().map(|o| o.len() + 1).collect();
         let per_type = per_type
             .iter()
             .map(|opts| {
@@ -190,57 +187,37 @@ impl RateTable {
                 pareto_order(&keys).into_iter().map(|i| opts[i]).collect()
             })
             .collect();
-        Ok(Self::from_options(per_type, unpruned_options))
+        Ok(Self::from_options(per_type, unpruned_radices))
     }
 
-    fn from_options(per_type: Vec<Vec<RateOption>>, unpruned_options: usize) -> Self {
+    fn from_options(per_type: Vec<Vec<RateOption>>, unpruned_radices: Vec<usize>) -> Self {
         let columns = per_type.iter().map(|o| Column::new(o)).collect();
         Self {
             per_type,
             columns,
-            unpruned_options,
+            unpruned_radices,
         }
     }
 
     fn type_options(space: &ConfigSpace, models: &[WorkloadModel]) -> Result<Vec<Vec<RateOption>>> {
-        if space.types.len() != models.len() {
-            return Err(Error::ProfileMismatch {
-                deployments: space.types.len(),
-                profiles: models.len(),
-            });
-        }
-        space
-            .types
-            .iter()
+        space_options(space, models)?
+            .into_iter()
             .zip(models)
-            .map(|(t, model)| {
-                // Legacy models enumerate the platform P-state list via
-                // `decode_option`; ladder models enumerate per-(type, OPP)
-                // in the same (nodes, freq-axis, cores) nesting, with the
-                // ladder's effective frequencies as the freq axis. Either
-                // way the flat indexing stays exact — one digit value per
-                // option, no approximation.
-                let enumerated: Vec<(NodeConfig, Option<usize>)> = match &model.dvfs {
-                    Some(d) => crate::dvfs::ladder_options(t, &d.ladder)
-                        .into_iter()
-                        .map(|(cfg, opp)| (cfg, Some(opp)))
-                        .collect(),
-                    None => (0..t.option_count())
-                        .map(|idx| (t.decode_option(idx), None))
-                        .collect(),
-                };
-                enumerated
-                    .into_iter()
-                    .map(|(cfg, opp)| {
-                        let (rate, power_w) = lone_run(model, &cfg)?;
-                        Ok(RateOption {
-                            cfg,
-                            rate,
-                            power_w,
-                            opp,
-                        })
-                    })
-                    .collect()
+            .map(|(opts, model)| {
+                // Sized up front: collecting through `?` cannot see the
+                // length, and regrowing ~10^4 options by doubling added
+                // about half again to the build's time.
+                let mut out = Vec::with_capacity(opts.len());
+                for (cfg, opp) in opts {
+                    let (rate, power_w) = lone_run(model, &cfg)?;
+                    out.push(RateOption {
+                        cfg,
+                        rate,
+                        power_w,
+                        opp,
+                    });
+                }
+                Ok(out)
             })
             .collect()
     }
@@ -254,21 +231,18 @@ impl RateTable {
     /// Number of valid configurations (flat indices `1 ..= count()`).
     #[must_use]
     pub fn count(&self) -> u64 {
-        self.columns
-            .iter()
-            .map(|c| c.radix() as u64)
-            .product::<u64>()
-            .saturating_sub(1)
+        configs(self.columns.iter().map(Column::radix))
     }
 
-    /// Prune/space statistics against the space the table was built from.
+    /// Prune statistics: options and configurations before and after
+    /// pruning, both counted from this table's own options.
     #[must_use]
-    pub fn prune_stats(&self, space: &ConfigSpace) -> PruneStats {
+    pub fn prune_stats(&self) -> PruneStats {
         PruneStats {
-            total_options: self.unpruned_options,
+            total_options: self.unpruned_radices.iter().sum(),
             kept_options: self.columns.iter().map(Column::radix).sum(),
             evaluated_configs: self.count(),
-            full_space: space.count(),
+            full_space: configs(self.unpruned_radices.iter().copied()),
         }
     }
 
@@ -434,6 +408,12 @@ impl RateTable {
     }
 }
 
+/// Configurations of a mixed-radix space: every digit combination but the
+/// empty cluster.
+fn configs(radices: impl Iterator<Item = usize>) -> u64 {
+    radices.map(|r| r as u64).product::<u64>().saturating_sub(1)
+}
+
 /// Kept options of one type as indices into `keys = (rate, power)`, in
 /// rate-descending order: the `(max r, min b)` Pareto set that a stable
 /// sort by rate descending then power ascending, followed by a pass
@@ -526,14 +506,30 @@ pub(crate) fn validate_work(w_units: f64) -> Result<()> {
     Ok(())
 }
 
-/// Reject configuration spaces that cannot produce a single configuration.
-pub(crate) fn check_space(space: &ConfigSpace) -> Result<()> {
+/// Every type's `(cfg, opp)` options from its model's ladder
+/// ([`crate::dvfs::ladder_options`]), after rejecting a space that cannot
+/// produce a single configuration or whose types do not match `models`.
+pub(crate) fn space_options(
+    space: &ConfigSpace,
+    models: &[WorkloadModel],
+) -> Result<Vec<Vec<(NodeConfig, usize)>>> {
     if space.types.is_empty() || space.count() == 0 {
         return Err(Error::InvalidInput(
             "configuration space is empty (no node types or no deployable options)".into(),
         ));
     }
-    Ok(())
+    if space.types.len() != models.len() {
+        return Err(Error::ProfileMismatch {
+            deployments: space.types.len(),
+            profiles: models.len(),
+        });
+    }
+    Ok(space
+        .types
+        .iter()
+        .zip(models)
+        .map(|(t, m)| crate::dvfs::ladder_options(t, &m.dvfs.ladder))
+        .collect())
 }
 
 /// Fold flat indices `1..=count` into sorted frontier entries — the
@@ -801,9 +797,11 @@ pub fn stream_frontier(
 }
 
 /// Streaming frontier of the **dominance-pruned** space, with prune
-/// statistics. The production path for large sweeps: per-type pruning
-/// typically shrinks the product by orders of magnitude before the kernel
-/// ever runs.
+/// statistics — the configuration-space reduction the paper leaves open
+/// ("An approach to reduce the configuration space is beyond the scope of
+/// this paper", §IV-B). The production path for large sweeps: per-type
+/// pruning (sound by [`RateTable::build_pruned`]'s argument) typically
+/// shrinks the product by orders of magnitude before the kernel ever runs.
 pub fn stream_frontier_pruned(
     space: &ConfigSpace,
     models: &[WorkloadModel],
@@ -811,12 +809,13 @@ pub fn stream_frontier_pruned(
 ) -> Result<(ParetoFrontier, PruneStats)> {
     validate_work(w_units)?;
     let table = RateTable::build_pruned(space, models)?;
+    let stats = table.prune_stats();
     hecmix_obs::emit(|| hecmix_obs::Event::SweepPruned {
-        total_points: space.count(),
-        kept_points: table.count(),
+        total_points: stats.full_space,
+        kept_points: stats.evaluated_configs,
     });
     let frontier = table.frontier(w_units)?;
-    Ok((frontier, table.prune_stats(space)))
+    Ok((frontier, stats))
 }
 
 #[cfg(test)]
@@ -838,12 +837,44 @@ mod tests {
     }
 
     #[test]
-    fn full_table_indexes_the_space_in_iter_order() {
+    fn full_table_enumerates_ladder_options_type_zero_fastest() {
         let (space, models) = setup();
         let table = RateTable::build(&space, &models).unwrap();
+        // Two-point models: the lift's options are the P-state space.
         assert_eq!(table.count(), space.count());
-        for (k, point) in space.iter().enumerate() {
-            assert_eq!(table.decode(k as u64 + 1), point, "flat index {}", k + 1);
+        let opts: Vec<Vec<NodeConfig>> = space
+            .types
+            .iter()
+            .zip(&models)
+            .map(|(t, m)| {
+                crate::dvfs::ladder_options(t, &m.dvfs.ladder)
+                    .into_iter()
+                    .map(|(cfg, _)| cfg)
+                    .collect()
+            })
+            .collect();
+        let mut seen = std::collections::HashSet::new();
+        for flat in 1..=table.count() {
+            let point = table.decode(flat);
+            let (d0, d1) = (
+                flat % (opts[0].len() as u64 + 1),
+                flat / (opts[0].len() as u64 + 1),
+            );
+            let digit = |opts: &[NodeConfig], d: u64| (d > 0).then(|| opts[d as usize - 1]);
+            assert_eq!(
+                point.per_type,
+                vec![digit(&opts[0], d0), digit(&opts[1], d1)]
+            );
+            assert!(point.types_used() >= 1);
+            for (cfg, m) in point.per_type.iter().zip(&models) {
+                if let Some(c) = cfg {
+                    ExecTimeModel::new(m).check_config(c).unwrap();
+                }
+            }
+            assert!(
+                seen.insert(format!("{point:?}")),
+                "flat {flat} repeats a point"
+            );
         }
     }
 
@@ -852,14 +883,14 @@ mod tests {
         let (space, models) = setup();
         let table = RateTable::build(&space, &models).unwrap();
         let w = 1e6;
-        for (k, point) in space.iter().enumerate() {
-            let lean = table.outcome(k as u64 + 1, w);
+        for flat in 1..=table.count() {
+            let point = table.decode(flat);
+            let lean = table.outcome(flat, w);
             let full = evaluate(&point, &models, w).unwrap();
             assert_eq!(lean.time_s, full.time_s, "time must be bit-identical");
             assert!(
                 (lean.energy_j - full.energy_j).abs() <= 1e-9 * full.energy_j,
-                "flat {}: lean {} J vs full {} J",
-                k + 1,
+                "flat {flat}: lean {} J vs full {} J",
                 lean.energy_j,
                 full.energy_j
             );

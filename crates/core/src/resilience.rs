@@ -51,8 +51,9 @@ use crate::rate_table::{lone_run, stream_fold, validate_work, Entry, RateTable, 
 pub struct ResilientTable {
     table: RateTable,
     /// Per type: distance between consecutive node counts in the option
-    /// index (`|freqs| × cores`), so removing `j` nodes from digit `d` gives
-    /// digit `d - j·stride` (or `0` when the type is wiped out).
+    /// index (`|OPPs| × cores`, see [`crate::dvfs::ladder_options`]), so
+    /// removing `j` nodes from digit `d` gives digit `d - j·stride` (or `0`
+    /// when the type is wiped out).
     node_stride: Vec<u64>,
 }
 
@@ -78,7 +79,8 @@ impl ResilientTable {
         let node_stride = space
             .types
             .iter()
-            .map(|t| t.platform.freqs.len() as u64 * u64::from(t.platform.cores))
+            .zip(models)
+            .map(|(t, m)| m.dvfs.ladder.len() as u64 * u64::from(t.platform.cores))
             .collect();
         Ok(Self { table, node_stride })
     }

@@ -8,16 +8,20 @@
 //!
 //! Two tiers of machinery live here and in [`crate::rate_table`]:
 //!
-//! * [`sweep_space`] / [`sweep_points`] / [`sweep_frontier`] — the
-//!   *exhaustive reference path*: every point gets the full
-//!   [`ClusterOutcome`] (shares, per-type breakdowns). Use it for reports,
-//!   scatter plots, and validation.
-//! * [`crate::rate_table::stream_frontier`] and [`sweep_frontier_pruned`]
-//!   — the *streaming production path*: per-type `(r, b)` rate tables are
-//!   precomputed once, every configuration folds through a lean
-//!   time/energy kernel, and only partial Pareto frontiers are ever held
-//!   in memory. Equivalent to the reference path on the energy–deadline
-//!   plane (property-tested to 1e-9), and orders of magnitude faster.
+//! * [`sweep_space`] / [`sweep_frontier`] — the *exhaustive reference
+//!   path*: every point gets the full [`ClusterOutcome`] (shares, per-type
+//!   breakdowns). Use it for reports, scatter plots, and validation.
+//! * [`crate::rate_table::stream_frontier`] and
+//!   [`crate::rate_table::stream_frontier_pruned`] — the *streaming
+//!   production path*: per-type `(r, b)` rate tables are precomputed once,
+//!   every configuration folds through a lean time/energy kernel, and only
+//!   partial Pareto frontiers are ever held in memory. Equivalent to the
+//!   reference path on the energy–deadline plane (property-tested to
+//!   1e-9), and orders of magnitude faster.
+//!
+//! Both tiers take a type's options from [`crate::dvfs::ladder_options`]
+//! and walk configurations in the same flat order: type 0's option varies
+//! fastest, and the empty cluster is skipped.
 
 use rayon::prelude::*;
 
@@ -49,19 +53,32 @@ impl EvaluatedConfig {
 }
 
 /// Evaluate every configuration of `space` for a job of `w_units`,
-/// in parallel. The model bundles must be in the same type order as the
-/// space. Individual evaluation errors abort the sweep (they indicate a
-/// mis-built space, not a data condition).
+/// in parallel, in rate-table flat-index order. The model bundles must be
+/// in the same type order as the space. Individual evaluation errors
+/// abort the sweep (they indicate a mis-built space, not a data
+/// condition).
 pub fn sweep_space(
     space: &ConfigSpace,
     models: &[WorkloadModel],
     w_units: f64,
 ) -> Result<Vec<EvaluatedConfig>> {
-    crate::rate_table::check_space(space)?;
+    let options = crate::rate_table::space_options(space, models)?;
     crate::rate_table::validate_work(w_units)?;
-    // Enumerate lazily but collect points first so rayon can split the
-    // workload evenly; a ClusterPoint is a few dozen bytes.
-    let points: Vec<ClusterPoint> = space.iter().collect();
+    let count = options.iter().map(|o| o.len() as u64 + 1).product::<u64>() - 1;
+    // Collect points first so rayon can split the workload evenly; a
+    // ClusterPoint is a few dozen bytes.
+    let points: Vec<ClusterPoint> = (1..=count)
+        .map(|flat| {
+            let mut rest = flat;
+            let per_type = options.iter().map(|o| {
+                let radix = o.len() as u64 + 1;
+                let d = (rest % radix) as usize;
+                rest /= radix;
+                d.checked_sub(1).map(|i| o[i].0)
+            });
+            ClusterPoint::new(per_type.collect())
+        })
+        .collect();
     points
         .into_par_iter()
         .map(|config| {
@@ -86,24 +103,6 @@ pub fn sweep_frontier(
     ))
 }
 
-/// Evaluate an explicit list of configuration points in parallel.
-pub fn sweep_points(
-    points: &[ClusterPoint],
-    models: &[WorkloadModel],
-    w_units: f64,
-) -> Result<Vec<EvaluatedConfig>> {
-    points
-        .par_iter()
-        .map(|config| {
-            let outcome = evaluate(config, models, w_units)?;
-            Ok(EvaluatedConfig {
-                config: config.clone(),
-                outcome,
-            })
-        })
-        .collect()
-}
-
 /// Statistics from a dominance-pruned sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PruneStats {
@@ -114,34 +113,9 @@ pub struct PruneStats {
     pub kept_options: usize,
     /// Cluster configurations actually evaluated.
     pub evaluated_configs: u64,
-    /// Size of the full configuration space.
+    /// Size of the unpruned configuration space, counted from the
+    /// table's own options.
     pub full_space: u64,
-}
-
-/// Derive the energy–deadline Pareto frontier of a configuration space
-/// without evaluating every point — the configuration-space reduction the
-/// paper explicitly leaves open ("An approach to reduce the configuration
-/// space is beyond the scope of this paper", §IV-B).
-///
-/// Soundness: under the paper's model, a type's contribution to a matched
-/// cluster is fully captured by two numbers — its execution rate `r` and
-/// its *energy rate* `b = E_alone · r / W` (watts), because `T = W/Σr` and
-/// `E = W·(Σb)/(Σr)`. Replacing a per-type option with one of `r' ≥ r` and
-/// `b' ≤ b` therefore never worsens either axis, so options dominated
-/// *within their type* cannot appear on the frontier except as exact ties.
-/// Pruning them and streaming the (much smaller) product through the lean
-/// `(Σr, Σb)` kernel preserves the frontier as an energy-per-deadline
-/// curve — property-tested against the exhaustive sweep.
-///
-/// This is a thin wrapper over
-/// [`crate::rate_table::stream_frontier_pruned`]; see [`crate::rate_table`]
-/// for the engine.
-pub fn sweep_frontier_pruned(
-    space: &ConfigSpace,
-    models: &[WorkloadModel],
-    w_units: f64,
-) -> Result<(ParetoFrontier, PruneStats)> {
-    crate::rate_table::stream_frontier_pruned(space, models, w_units)
 }
 
 /// Restrict evaluated configurations to those using *only* the given type
@@ -161,6 +135,7 @@ pub fn homogeneous_frontier(evaluated: &[EvaluatedConfig], type_idx: usize) -> P
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rate_table::stream_frontier_pruned;
     use crate::types::Platform;
 
     fn setup() -> (ConfigSpace, Vec<WorkloadModel>) {
@@ -246,7 +221,7 @@ mod tests {
     fn pruned_frontier_matches_exhaustive() {
         let (space, models) = setup();
         let full = sweep_frontier(&space, &models, 1e6).unwrap();
-        let (pruned, stats) = sweep_frontier_pruned(&space, &models, 1e6).unwrap();
+        let (pruned, stats) = stream_frontier_pruned(&space, &models, 1e6).unwrap();
         // Pruning must actually prune...
         assert!(stats.evaluated_configs < stats.full_space / 2, "{stats:?}");
         assert!(stats.kept_options < stats.total_options);
@@ -297,7 +272,7 @@ mod tests {
             WorkloadModel::synthetic_io_bound(&arm, "kv", 1000.0, 512.0),
         ];
         let full = sweep_frontier(&space, &models, 5e4).unwrap();
-        let (pruned, stats) = sweep_frontier_pruned(&space, &models, 5e4).unwrap();
+        let (pruned, stats) = stream_frontier_pruned(&space, &models, 5e4).unwrap();
         assert!(stats.evaluated_configs < stats.full_space);
         for p in &full.points {
             let got = pruned.min_energy_for_deadline(p.time_s).unwrap();
@@ -313,18 +288,5 @@ mod tests {
         assert!(sweep_frontier(&empty, &models, 1e6).is_err());
         assert!(sweep_space(&space, &models, 0.0).is_err());
         assert!(sweep_space(&space, &models, f64::NAN).is_err());
-    }
-
-    #[test]
-    fn sweep_points_matches_sweep_space() {
-        let (space, models) = setup();
-        let pts: Vec<ClusterPoint> = space.iter().collect();
-        let a = sweep_space(&space, &models, 1e6).unwrap();
-        let b = sweep_points(&pts, &models, 1e6).unwrap();
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.config, y.config);
-            assert!((x.outcome.energy_j - y.outcome.energy_j).abs() < 1e-12);
-        }
     }
 }

@@ -102,7 +102,7 @@ fn pin(space: &ConfigSpace, models: &[WorkloadModel], w: f64, pruned: bool) -> P
             h.word(o.power_w.to_bits());
         }
     }
-    let stats = table.prune_stats(space);
+    let stats = table.prune_stats();
     let frontier: ParetoFrontier = table.frontier(w).unwrap();
     let mut p = Fnv::new();
     for pt in &frontier.points {

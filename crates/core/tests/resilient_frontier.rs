@@ -89,14 +89,12 @@ proptest! {
     ) {
         let rt = ResilientTable::build(&space, &models).unwrap();
         let degraded = rt.frontier(w, k).unwrap();
-        // Find each frontier config's flat index by scanning the space
+        // Find each frontier config's flat index by scanning the table
         // (spaces are capped small, so this stays cheap).
         for p in &degraded.points {
-            let flat = space
-                .iter()
-                .position(|pt| pt == p.config)
-                .map(|i| i as u64 + 1)
-                .expect("frontier config must come from the space");
+            let flat = (1..=rt.table().count())
+                .find(|&flat| rt.table().decode(flat) == p.config)
+                .expect("frontier config must come from the table");
             let total: u32 = p.config.per_type.iter().flatten().map(|c| c.nodes).sum();
             prop_assert!(total > k);
             let out = rt.degraded_outcome(flat, k, w).unwrap();

@@ -104,11 +104,14 @@ proptest! {
     fn lean_kernel_matches_full_evaluate((space, models, w) in space_and_models()) {
         let table = RateTable::build(&space, &models).unwrap();
         prop_assert_eq!(table.count(), space.count());
-        for (k, point) in space.iter().enumerate() {
+        let swept = sweep_space(&space, &models, w).unwrap();
+        prop_assert_eq!(swept.len() as u64, table.count());
+        for (k, e) in swept.iter().enumerate() {
             let flat = k as u64 + 1;
-            prop_assert_eq!(&table.decode(flat), &point);
+            let point = &e.config;
+            prop_assert_eq!(&table.decode(flat), point);
             let lean = table.outcome(flat, w);
-            let full = evaluate(&point, &models, w).unwrap();
+            let full = evaluate(point, &models, w).unwrap();
             prop_assert_eq!(lean.time_s, full.time_s);
             prop_assert!(
                 (lean.energy_j - full.energy_j).abs() <= 1e-9 * full.energy_j,

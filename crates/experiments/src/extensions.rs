@@ -5,7 +5,8 @@
 use hecmix_core::config::{ConfigSpace, TypeBounds};
 use hecmix_core::pareto::ParetoFrontier;
 use hecmix_core::profile::WorkloadModel;
-use hecmix_core::sweep::{sweep_frontier_pruned, sweep_space, EvaluatedConfig, PruneStats};
+use hecmix_core::rate_table::stream_frontier_pruned;
+use hecmix_core::sweep::{sweep_space, EvaluatedConfig, PruneStats};
 use hecmix_queueing::dispatch::{
     best_choice, best_choice_tail, menu_from_frontier, run_day, DayOutcome, DiurnalProfile,
     TailDesConfig, TailTarget,
@@ -55,7 +56,7 @@ pub fn threeway(lab: &Lab, w: &dyn Workload) -> ThreeWayResult {
     ]);
     let units = w.analysis_units() as f64;
     let (frontier, stats) =
-        sweep_frontier_pruned(&space, &models, units).expect("valid three-type space");
+        stream_frontier_pruned(&space, &models, units).expect("valid three-type space");
     let three_type_points = frontier
         .points
         .iter()
@@ -80,7 +81,7 @@ pub fn threeway(lab: &Lab, w: &dyn Workload) -> ThreeWayResult {
             .collect();
         let sub_space = ConfigSpace::new(types);
         let (sub_frontier, _) =
-            sweep_frontier_pruned(&sub_space, &ms, units).expect("valid sub-space");
+            stream_frontier_pruned(&sub_space, &ms, units).expect("valid sub-space");
         if let Some(e) = sub_frontier.min_energy_j() {
             best_two = best_two.min(e);
         }
@@ -182,8 +183,8 @@ pub fn diurnal_study(
 pub struct DvfsLadderResult {
     /// Workload name.
     pub workload: String,
-    /// Frontier with every model pinned to a degenerate 1-OPP ladder at
-    /// its platform's maximum frequency.
+    /// Frontier with every model pinned to the lift of its platform
+    /// restricted to the maximum frequency: one OPP at fmax.
     pub one_opp_frontier: ParetoFrontier,
     /// Frontier over the full synthetic multi-OPP ladders.
     pub ladder_frontier: ParetoFrontier,
@@ -232,6 +233,7 @@ pub fn dvfs_ladder_study(
 ) -> DvfsLadderResult {
     use hecmix_core::dvfs::NodeDvfs;
     use hecmix_core::rate_table::stream_frontier;
+    use hecmix_core::types::Platform;
     use hecmix_queueing::dispatch::ParkableChoice;
     use hecmix_queueing::SleepPolicy;
 
@@ -239,8 +241,11 @@ pub fn dvfs_ladder_study(
     let one_opp: Vec<WorkloadModel> = base
         .iter()
         .map(|m| {
-            m.clone()
-                .with_dvfs(NodeDvfs::degenerate(&m.power, m.platform.fmax()))
+            let fmax_only = Platform {
+                freqs: vec![m.platform.fmax()],
+                ..m.platform.clone()
+            };
+            m.clone().with_dvfs(NodeDvfs::lift(&fmax_only, &m.power))
         })
         .collect();
     let ladder: Vec<WorkloadModel> = base
@@ -281,14 +286,11 @@ pub fn dvfs_ladder_study(
                 .per_type
                 .iter()
                 .zip(&ladder)
-                .filter_map(|(cfg, m)| {
-                    let d = m.dvfs.as_ref().expect("ladder models carry dvfs");
-                    cfg.map(|c| f64::from(c.nodes) * d.domain.asleep_w())
-                })
+                .filter_map(|(cfg, m)| cfg.map(|c| f64::from(c.nodes) * m.dvfs.domain.asleep_w()))
                 .sum();
             let residency_s = ladder
                 .iter()
-                .filter_map(|m| m.dvfs.as_ref().map(|d| d.domain.residency_s))
+                .map(|m| m.dvfs.domain.residency_s)
                 .fold(0.0, f64::max);
             ParkableChoice {
                 choice,
@@ -360,7 +362,7 @@ pub fn tail_planning_study(lab: &Lab, w: &dyn Workload, seed: u64) -> Vec<TailPl
     let models = lab.models(w);
     let units = w.analysis_units() as f64;
     let space = ConfigSpace::two_type(lab.arm.platform.clone(), 16, lab.amd.platform.clone(), 14);
-    let (frontier, _) = sweep_frontier_pruned(&space, &models, units).expect("valid space");
+    let (frontier, _) = stream_frontier_pruned(&space, &models, units).expect("valid space");
     let menu = menu_from_frontier(&frontier, &models);
     let t_min = frontier.min_time_s().expect("non-empty frontier");
     let window_s = 20.0_f64.max(100.0 * t_min);
@@ -664,7 +666,7 @@ pub fn sensitivity(delta: f64) -> Vec<SensitivityRow> {
                 max_nodes: 128,
             }]);
             let (arm_frontier, _) =
-                sweep_frontier_pruned(&arm_space, &mc_models[..1], mc.analysis_units() as f64)
+                stream_frontier_pruned(&arm_space, &mc_models[..1], mc.analysis_units() as f64)
                     .expect("valid space");
             let memcached_crossover_ms = arm_frontier.min_time_s().unwrap_or(f64::NAN) * 1e3;
 

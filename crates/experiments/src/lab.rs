@@ -183,6 +183,34 @@ mod tests {
     }
 
     #[test]
+    fn reference_lab_model_hashes_are_pinned() {
+        // The bundles `hecmix serve` and perfbench load: their content
+        // hashes key plan caches and gateway ring routes, so serialization
+        // drift must fail here rather than silently re-key them.
+        let lab = Lab::new();
+        for w in hecmix_workloads::all_workloads() {
+            let _ = lab.models(w.as_ref());
+        }
+        assert_eq!(
+            lab.model_hash_lines(),
+            [
+                "blackscholes-cortex-a9:100eb537803722c2",
+                "blackscholes-k10:391e615355c3cae1",
+                "ep-cortex-a9:e352759c93a5c7d4",
+                "ep-k10:ac2028910caf713d",
+                "julius-cortex-a9:5898385fad68e6bb",
+                "julius-k10:78483ea56b9dcd28",
+                "memcached-cortex-a9:f8b8a5c508a28292",
+                "memcached-k10:cdaf521aff29cfaf",
+                "rsa-2048-cortex-a9:6db1e2b91f3642e8",
+                "rsa-2048-k10:88e84238bbf27b07",
+                "x264-cortex-a9:221e7ce1548262b6",
+                "x264-k10:b35b96a41c163b76",
+            ]
+        );
+    }
+
+    #[test]
     fn table1_shape() {
         let lab = Lab::new();
         let rows = table1_rows(&lab);

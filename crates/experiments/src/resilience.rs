@@ -233,11 +233,9 @@ pub fn resilient_dispatch(
         .points
         .iter()
         .map(|p| {
-            let flat = space
-                .iter()
-                .position(|pt| pt == p.config)
-                .map(|i| i as u64 + 1)
-                .expect("frontier config comes from the space");
+            let flat = (1..=rt.table().count())
+                .find(|&flat| rt.table().decode(flat) == p.config)
+                .expect("frontier config comes from the table");
             let nominal = rt.table().outcome(flat, units);
             ResilientChoice {
                 nominal: ConfigChoice::for_config(

@@ -87,7 +87,7 @@ pub fn scheduler_pool(lab: &Lab, workloads: &[&dyn Workload], counts: Vec<u32>) 
         .map(|w| {
             let mut models = lab.models(*w).to_vec();
             for m in &mut models {
-                m.dvfs = Some(NodeDvfs::synthetic_ladder(&m.power, m.platform.cores, 0.1));
+                m.dvfs = NodeDvfs::synthetic_ladder(&m.power, m.platform.cores, 0.1);
             }
             (w.name().to_owned(), models)
         })

@@ -1,5 +1,6 @@
 //! One-stop characterization: archetype + workload → model inputs.
 
+use hecmix_core::dvfs::NodeDvfs;
 use hecmix_core::profile::WorkloadModel;
 use hecmix_sim::{NodeArch, WorkloadTrace};
 
@@ -19,8 +20,8 @@ pub fn characterize_node(arch: &NodeArch, trace: &WorkloadTrace, seed: u64) -> W
         workload: trace.name.clone(),
         platform: arch.platform.clone(),
         profile,
+        dvfs: NodeDvfs::lift(&arch.platform, &power),
         power,
-        dvfs: None,
     }
 }
 

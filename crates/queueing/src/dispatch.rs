@@ -878,17 +878,26 @@ mod tests {
             residency_s: 10.0,
         };
         // Short gap: always-on idle floor.
-        assert!((idle_gap_energy_j(5.0, 8.0, Some(&sleep)) - 40.0).abs() < 1e-12);
+        assert!((idle_gap_energy_j(5.0, 8.0, &sleep) - 40.0).abs() < 1e-12);
         // Long gap: whole gap at the deep floor.
-        assert!((idle_gap_energy_j(20.0, 8.0, Some(&sleep)) - 40.0).abs() < 1e-12);
+        assert!((idle_gap_energy_j(20.0, 8.0, &sleep) - 40.0).abs() < 1e-12);
         // Exactly at residency: parks (>=, matching the simulator).
-        assert!((idle_gap_energy_j(10.0, 8.0, Some(&sleep)) - 20.0).abs() < 1e-12);
-        // No policy: idle floor.
-        assert!((idle_gap_energy_j(10.0, 8.0, None) - 80.0).abs() < 1e-12);
+        assert!((idle_gap_energy_j(10.0, 8.0, &sleep) - 20.0).abs() < 1e-12);
+        // A domain asleep at the idle floor: exactly the idle floor.
+        let floor = SleepPolicy {
+            sleep_power_w: 8.0,
+            residency_s: 0.0,
+        };
+        for gap in [1e-9, 0.3, 10.0, 7e5] {
+            assert_eq!(
+                idle_gap_energy_j(gap, 8.0, &floor).to_bits(),
+                (8.0 * gap).to_bits()
+            );
+        }
         // Degenerate gaps are free, not errors.
-        assert_eq!(idle_gap_energy_j(0.0, 8.0, None), 0.0);
-        assert_eq!(idle_gap_energy_j(-3.0, 8.0, Some(&sleep)), 0.0);
-        assert_eq!(idle_gap_energy_j(f64::NAN, 8.0, None), 0.0);
+        assert_eq!(idle_gap_energy_j(0.0, 8.0, &floor), 0.0);
+        assert_eq!(idle_gap_energy_j(-3.0, 8.0, &sleep), 0.0);
+        assert_eq!(idle_gap_energy_j(f64::NAN, 8.0, &floor), 0.0);
     }
 
     fn parkable_menu() -> Vec<ParkableChoice> {

@@ -412,25 +412,28 @@ pub fn window_energy_sleep(
     Ok(we)
 }
 
-/// Energy of one **known** idle gap under an optional sleep capability —
-/// the per-gap (ex-post) counterpart of [`window_energy_sleep`]'s
+/// Energy of one **known** idle gap under a sleep capability — the
+/// per-gap (ex-post) counterpart of [`window_energy_sleep`]'s
 /// expected-value slot pricing, shared with the `hecmix-sched` task
 /// scheduler so a node timeline and a diurnal slot price the same deep
 /// state identically: a gap at least `residency_s` long parks the whole
-/// domain at `sleep_power_w` for the gap, a shorter one (or no policy)
-/// idles at `idle_w`. Mirrors the simulator's domain-sleep credit (a
-/// residency-length gap earns the deep floor, DESIGN §15).
+/// domain at `sleep_power_w` for the gap, a shorter one idles at
+/// `idle_w`. Mirrors the simulator's domain-sleep credit (a
+/// residency-length gap earns the deep floor, DESIGN §15). A domain that
+/// sleeps at `idle_w` (a two-point model's lift) prices every gap at
+/// `idle_w`, bit for bit.
 ///
 /// Non-positive or non-finite gaps price to zero rather than erroring —
 /// callers fold over timelines where an empty gap is routine.
 #[must_use]
-pub fn idle_gap_energy_j(gap_s: f64, idle_w: f64, sleep: Option<&SleepPolicy>) -> f64 {
+pub fn idle_gap_energy_j(gap_s: f64, idle_w: f64, sleep: &SleepPolicy) -> f64 {
     if !(gap_s > 0.0) || !gap_s.is_finite() {
         return 0.0;
     }
-    match sleep {
-        Some(p) if gap_s >= p.residency_s => p.sleep_power_w * gap_s,
-        _ => idle_w * gap_s,
+    if gap_s >= sleep.residency_s {
+        sleep.sleep_power_w * gap_s
+    } else {
+        idle_w * gap_s
     }
 }
 

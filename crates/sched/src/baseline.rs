@@ -101,7 +101,7 @@ pub fn run_static_mix_and_match(pool: &Pool, jobs: &[JobSpec]) -> Result<Baselin
     let price_gap = |out: &mut BaselineOutcome, gap: f64| {
         for (t, &count) in pool.counts.iter().enumerate() {
             out.idle_energy_j +=
-                f64::from(count) * idle_gap_energy_j(gap, pool.idle_w[t], pool.sleep[t].as_ref());
+                f64::from(count) * idle_gap_energy_j(gap, pool.idle_w[t], &pool.sleep[t]);
         }
     };
     for &i in &order {

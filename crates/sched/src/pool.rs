@@ -4,7 +4,7 @@
 //! A pool is `counts[t]` nodes of each platform type `t`. For every
 //! workload class the scheduler needs the menu of ways one node of each
 //! type can run that workload — one entry per (type, OPP) from the class's
-//! DVFS ladder (or per platform P-state for legacy models). Those menus
+//! ladder (a two-point model's lift has one OPP per P-state). Those menus
 //! are exactly single-node rows of [`hecmix_core::rate_table::RateTable`],
 //! so every `(rate, power)` pair here is bit-identical to what the offline
 //! planner would compute for the same knob setting.
@@ -50,9 +50,10 @@ pub struct Pool {
     pub counts: Vec<u32>,
     /// Idle floor of one node of each type, watts.
     pub idle_w: Vec<f64>,
-    /// Deep-sleep policy of one node of each type, when the type's model
-    /// carries a power-domain tree; `None` prices idle gaps at the floor.
-    pub sleep: Vec<Option<SleepPolicy>>,
+    /// Deep-sleep policy of one node of each type, from its model's
+    /// power-domain tree. A lift's domain sleeps at the idle floor, so its
+    /// gaps price at `idle_w`.
+    pub sleep: Vec<SleepPolicy>,
     /// The workload classes jobs can belong to.
     pub classes: Vec<WorkloadClass>,
 }
@@ -123,11 +124,9 @@ impl Pool {
         let sleep = first
             .models
             .iter()
-            .map(|m| {
-                m.dvfs.as_ref().map(|d| SleepPolicy {
-                    sleep_power_w: d.domain.asleep_w(),
-                    residency_s: d.domain.residency_s,
-                })
+            .map(|m| SleepPolicy {
+                sleep_power_w: m.dvfs.domain.asleep_w(),
+                residency_s: m.dvfs.domain.residency_s,
             })
             .collect();
         Ok(Self {
@@ -167,7 +166,7 @@ impl Pool {
 
 /// Single-node, full-cores option menu per type: build the rate table
 /// over a `max_nodes = 1` space and keep the `nodes == 1, cores == all`
-/// rows — one per OPP for ladder models, one per P-state for legacy ones.
+/// rows — one per OPP.
 /// Partial-core options are dropped on purpose: a placed task owns its
 /// node, and within a node the all-cores row dominates the menu the same
 /// way it does in the paper's sweeps.
@@ -235,7 +234,7 @@ mod tests {
         for class in &pool.classes {
             assert_eq!(class.options.len(), 2);
             for (t, menu) in class.options.iter().enumerate() {
-                // Legacy models: one option per platform P-state.
+                // Two-point models: one option per lifted P-state.
                 assert_eq!(menu.len(), pool.platforms[t].freqs.len());
                 for o in menu {
                     assert_eq!(o.cfg.nodes, 1);
@@ -253,12 +252,12 @@ mod tests {
         let mut model = WorkloadModel::synthetic_cpu_bound(&arm, "ep", 60.0);
         let dvfs = NodeDvfs::synthetic_ladder(&model.power, arm.cores, 0.25);
         let opps = dvfs.ladder.len();
-        model.dvfs = Some(dvfs);
+        model.dvfs = dvfs;
         let pool = Pool::new(vec![("ep".into(), vec![model])], vec![2]).unwrap();
         let menu = &pool.classes[0].options[0];
         assert_eq!(menu.len(), opps);
-        assert!(menu.iter().all(|o| o.opp.is_some()));
-        assert!(pool.sleep[0].is_some());
+        assert!(menu.iter().enumerate().all(|(k, o)| o.opp == k));
+        assert!(pool.sleep[0].sleep_power_w < pool.idle_w[0]);
     }
 
     #[test]

@@ -43,7 +43,8 @@
 //! node (no power drawn after), `Straggler` multiplies service times,
 //! `NicDegrade` is modeled as a uniform service-rate degradation at the
 //! same active power, and `PowerCap` evicts only the reservations whose
-//! operating point now exceeds the cap.
+//! operating point's clock (not its capacity-scaled effective frequency)
+//! now exceeds the cap.
 //!
 //! Idle gaps on every node are priced ex post with
 //! [`hecmix_queueing::idle_gap_energy_j`] — the per-gap counterpart of the
@@ -638,6 +639,16 @@ impl<'a> Engine<'a> {
         start
     }
 
+    /// Clock of menu option `opt` of `class` on type `t`, GHz: the OPP's
+    /// real frequency, which a power cap bounds (an option's `cfg.freq` is
+    /// its capacity-scaled effective frequency).
+    fn opp_ghz(&self, class: usize, t: usize, opt: usize) -> f64 {
+        let c = &self.pool.classes[class];
+        c.models[t].dvfs.ladder.states[c.options[t][opt].opp]
+            .freq
+            .ghz()
+    }
+
     /// Enumerate candidates, score, reserve, and emit `task_placed`.
     /// Returns the chosen `(type, node)` or `None` if no live slot exists.
     fn place(
@@ -657,7 +668,7 @@ impl<'a> Engine<'a> {
                     continue;
                 }
                 for (k, o) in menu.iter().enumerate() {
-                    if o.cfg.freq.ghz() > node.cap_ghz + 1e-12 {
+                    if self.opp_ghz(class, t, k) > node.cap_ghz + 1e-12 {
                         continue;
                     }
                     let eff_rate = o.rate / node.slow;
@@ -806,11 +817,7 @@ impl<'a> Engine<'a> {
                 let r = &self.slab[rid];
                 match e.fault.kind {
                     FaultKind::PowerCap { .. } => {
-                        self.pool.classes[r.class].options[r.type_idx][r.opt]
-                            .cfg
-                            .freq
-                            .ghz()
-                            > cap + 1e-12
+                        self.opp_ghz(r.class, r.type_idx, r.opt) > cap + 1e-12
                     }
                     _ => true,
                 }
@@ -887,7 +894,7 @@ impl<'a> Engine<'a> {
             n.segments.sort_by(|a, b| a.0.total_cmp(&b.0));
             let horizon = if n.alive { makespan } else { n.crash_s };
             let idle_w = self.pool.idle_w[n.type_idx];
-            let sleep = self.pool.sleep[n.type_idx].as_ref();
+            let sleep = &self.pool.sleep[n.type_idx];
             let mut prev = 0.0f64;
             for &(s, e) in &n.segments {
                 if s >= horizon {
@@ -1142,6 +1149,72 @@ mod tests {
         assert_eq!(out.completed, 1);
         assert!(out.migrations >= 1);
         assert!(out.jobs[0].finish_s.unwrap() > clean.jobs[0].finish_s.unwrap());
+    }
+
+    /// One ARM node whose big.LITTLE-shaped ladder runs its 0.6 and
+    /// 1.0 GHz OPPs at effective frequencies of 0.243 and 0.651 GHz.
+    fn big_little_node() -> Pool {
+        use hecmix_core::dvfs::{ActiveState, NodeDvfs, OppLadder, PowerDomain};
+        use hecmix_core::types::Frequency;
+        let arm = Platform::reference_arm();
+        let m = WorkloadModel::synthetic_cpu_bound(&arm, "ep", 60.0);
+        let opp = |ghz: f64, capacity: f64, power_w: f64, stall_w: f64| ActiveState {
+            freq: Frequency::from_ghz(ghz),
+            capacity,
+            power_w,
+            stall_w,
+        };
+        let dvfs = NodeDvfs {
+            ladder: OppLadder::new(vec![
+                opp(0.6, 178.0, 0.12, 0.07),
+                opp(1.0, 476.0, 0.33, 0.2),
+                opp(1.4, 1024.0, 0.8, 0.48),
+            ])
+            .unwrap(),
+            domain: PowerDomain::leaf("node", m.power.idle_w, m.power.idle_w, 0.0),
+        };
+        Pool::new(vec![("ep".to_owned(), vec![m.with_dvfs(dvfs)])], vec![1]).unwrap()
+    }
+
+    #[test]
+    fn power_cap_bounds_the_opp_clock_not_its_effective_frequency() {
+        use hecmix_sim::faults::FaultSchedule;
+        let p = big_little_node();
+        assert!(p.classes[0].options[0][0].cfg.freq.ghz() < 0.5);
+        assert!(p.classes[0].options[0][1].cfg.freq.ghz() < 0.7);
+        let jobs = [job(0, 1e4, 0.0, f64::INFINITY)];
+        // A 0.5 GHz cap admits no OPP: the lowest one clocks 0.6 GHz.
+        let s = Scheduler::new(
+            p.clone(),
+            SchedConfig {
+                alpha: 0.0,
+                ..SchedConfig::default()
+            },
+        )
+        .unwrap();
+        let out = s
+            .run_faulted(&jobs, &FaultSchedule::default().power_cap(0, 0, 0.0, 0.5))
+            .unwrap();
+        assert_eq!((out.completed, out.failed), (0, 1));
+        assert!(out.units_by_option[0][0].iter().all(|&u| u == 0.0));
+        // A 0.7 GHz cap admits OPP 0 only, even for the fastest placement.
+        let s = Scheduler::new(
+            p,
+            SchedConfig {
+                alpha: 1.0,
+                ..SchedConfig::default()
+            },
+        )
+        .unwrap();
+        let out = s
+            .run_faulted(&jobs, &FaultSchedule::default().power_cap(0, 0, 0.0, 0.7))
+            .unwrap();
+        assert_eq!(out.completed, 1);
+        let units = &out.units_by_option[0][0];
+        assert!(
+            units[0] > 0.0 && units[1] == 0.0 && units[2] == 0.0,
+            "{units:?}"
+        );
     }
 
     #[test]

@@ -227,7 +227,10 @@ mod tests {
         let store = ModelStore::from_dir(&dir, &[]).expect("ladder bundle loads");
         let entry = store.get("ep").expect("ep loaded");
         assert!(
-            entry.models.iter().all(|m| m.dvfs.is_some()),
+            entry
+                .models
+                .iter()
+                .all(|m| m.dvfs.ladder.idle_states.len() == 2),
             "ladders must survive the round trip"
         );
         let _ = std::fs::remove_dir_all(&dir);

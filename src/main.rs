@@ -23,7 +23,8 @@ use std::process::ExitCode;
 use hecmix_core::config::{ClusterPoint, ConfigSpace};
 use hecmix_core::mix_match::{evaluate, mix_and_match, TypeDeployment};
 use hecmix_core::pareto::ParetoFrontier;
-use hecmix_core::sweep::{sweep_frontier_pruned, sweep_space, EvaluatedConfig};
+use hecmix_core::rate_table::stream_frontier_pruned;
+use hecmix_core::sweep::{sweep_space, EvaluatedConfig};
 use hecmix_experiments::lab::Lab;
 use hecmix_queueing::dispatch::{
     best_choice, best_choice_tail, menu_from_frontier, TailDesConfig, TailTarget,
@@ -190,7 +191,7 @@ fn cmd_recommend(flags: &HashMap<String, String>) -> ExitCode {
     };
     let units = w.analysis_units() as f64;
     let space = ConfigSpace::two_type(lab.arm.platform.clone(), arm, lab.amd.platform.clone(), amd);
-    let (frontier, stats) = match sweep_frontier_pruned(&space, &models, units) {
+    let (frontier, stats) = match stream_frontier_pruned(&space, &models, units) {
         Ok(x) => x,
         Err(e) => {
             eprintln!("sweep failed: {e}");
@@ -252,7 +253,7 @@ fn cmd_frontier(flags: &HashMap<String, String>) -> ExitCode {
     let units = w.analysis_units() as f64;
     let space = ConfigSpace::two_type(lab.arm.platform.clone(), arm, lab.amd.platform.clone(), amd);
     let frontier = if pruned {
-        match sweep_frontier_pruned(&space, &models, units) {
+        match stream_frontier_pruned(&space, &models, units) {
             Ok((f, stats)) => {
                 eprintln!(
                     "pruned sweep: {} of {} configurations evaluated",
@@ -1027,7 +1028,7 @@ fn cmd_queueing(flags: &HashMap<String, String>) -> ExitCode {
     let models = lab.models(w.as_ref());
     let units = w.analysis_units() as f64;
     let space = ConfigSpace::two_type(lab.arm.platform.clone(), 16, lab.amd.platform.clone(), 14);
-    let (frontier, _) = match sweep_frontier_pruned(&space, &models, units) {
+    let (frontier, _) = match stream_frontier_pruned(&space, &models, units) {
         Ok(x) => x,
         Err(e) => {
             eprintln!("sweep failed: {e}");

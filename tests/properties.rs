@@ -177,7 +177,8 @@ proptest! {
         io in prop_oneof![Just(0.0f64), 64.0f64..2048.0],
         w in 1e4f64..1e7,
     ) {
-        use hecmix_core::sweep::{sweep_frontier, sweep_frontier_pruned};
+        use hecmix_core::rate_table::stream_frontier_pruned;
+        use hecmix_core::sweep::sweep_frontier;
         let (arm, amd) = platforms();
         let space = ConfigSpace::new(vec![
             TypeBounds { platform: arm, max_nodes: max_arm },
@@ -185,7 +186,7 @@ proptest! {
         ]);
         let ms = models(i_arm, i_amd, io);
         let full = sweep_frontier(&space, &ms, w).unwrap();
-        let (pruned, stats) = sweep_frontier_pruned(&space, &ms, w).unwrap();
+        let (pruned, stats) = stream_frontier_pruned(&space, &ms, w).unwrap();
         prop_assert!(stats.evaluated_configs <= stats.full_space);
         for p in &full.points {
             let got = pruned.min_energy_for_deadline(p.time_s).unwrap();
@@ -199,7 +200,8 @@ proptest! {
     }
 
     /// Config-space size formula equals actual enumeration on random
-    /// bounds.
+    /// bounds: the exhaustive sweep of two-point models visits exactly
+    /// `count()` configurations.
     #[test]
     fn config_count_formula(max_arm in 1u32..5, max_amd in 1u32..4) {
         let (arm, amd) = platforms();
@@ -207,7 +209,8 @@ proptest! {
             TypeBounds { platform: arm, max_nodes: max_arm },
             TypeBounds { platform: amd, max_nodes: max_amd },
         ]);
-        prop_assert_eq!(space.iter().count() as u64, space.count());
+        let swept = hecmix_core::sweep::sweep_space(&space, &models(60.0, 40.0, 0.0), 1e6).unwrap();
+        prop_assert_eq!(swept.len() as u64, space.count());
     }
 
     /// More nodes of a used type never slow the matched job down.
