@@ -2,7 +2,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
-use hecmix_queueing::des::{self, CoreLayout, DesConfig, ServiceDist, UNBOUNDED};
+use hecmix_queueing::des::{self, DesConfig, ServiceDist};
 use hecmix_queueing::{window_energy, MD1};
 
 fn bench_closed_forms(c: &mut Criterion) {
@@ -36,11 +36,7 @@ fn bench_des_crosscheck(c: &mut Criterion) {
     let planner = DesConfig {
         pps: 0.7 / 100e-6,
         n_requests: 200_000,
-        layout: CoreLayout::Combined { cores: 1 },
         service: ServiceDist::Constant(100e-6),
-        net_cost_s: 0.0,
-        queue_cap: UNBOUNDED,
-        flows: 1,
         seed: 42,
     };
     // The M/D/1 cross-check run: the same single server at ρ = 0.5.
@@ -49,7 +45,6 @@ fn bench_des_crosscheck(c: &mut Criterion) {
         n_requests: 100_000,
         service: ServiceDist::Constant(0.01),
         seed: 7,
-        ..planner
     };
     g.throughput(criterion::Throughput::Elements(md1.n_requests));
     g.bench_function("md1_des_100k_jobs", |b| {

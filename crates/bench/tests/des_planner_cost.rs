@@ -11,7 +11,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use hecmix_bench::best_of;
-use hecmix_queueing::des::{self, CoreLayout, DesConfig, ServiceDist, UNBOUNDED};
+use hecmix_queueing::des::{self, DesConfig, ServiceDist};
 
 thread_local! {
     static ALLOCATED: Cell<usize> = const { Cell::new(0) };
@@ -66,11 +66,7 @@ fn planner_des_run_selects_instead_of_sorting() {
     let cfg = DesConfig {
         pps: 0.7 / 100e-6,
         n_requests: 200_000,
-        layout: CoreLayout::Combined { cores: 1 },
         service: ServiceDist::Constant(100e-6),
-        net_cost_s: 0.0,
-        queue_cap: UNBOUNDED,
-        flows: 1,
         seed: 42,
     };
     let n = cfg.n_requests as usize;

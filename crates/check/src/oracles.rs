@@ -15,7 +15,7 @@ use hecmix_core::rate_table::{stream_frontier, RateTable};
 use hecmix_core::resilience::ResilientTable;
 use hecmix_core::sweep::sweep_frontier;
 use hecmix_core::types::Platform;
-use hecmix_queueing::des::{simulate, CoreLayout, DesConfig, ServiceDist, UNBOUNDED};
+use hecmix_queueing::des::{simulate, DesConfig, ServiceDist};
 use hecmix_queueing::{MD1, MG1};
 use hecmix_sim::{
     reference_amd_arch, reference_arm_arch, run_cluster, run_cluster_faulted, ClusterSpec,
@@ -275,17 +275,13 @@ pub fn faulted_empty_vs_plain(seed: u64) -> Vec<String> {
     violations
 }
 
-/// One single-server request-level DES scenario for the tail oracles:
-/// `queue_cap` unbounded, no network cost, one flow — textbook M/G/1.
+/// One request-level DES scenario for the tail oracles: 400 k requests
+/// through the one FIFO server — textbook M/G/1.
 fn single_server_des(lambda: f64, service: ServiceDist, seed: u64) -> DesConfig {
     DesConfig {
         pps: lambda,
         n_requests: 400_000,
-        layout: CoreLayout::Combined { cores: 1 },
         service,
-        net_cost_s: 0.0,
-        queue_cap: UNBOUNDED,
-        flows: 1,
         seed,
     }
 }

@@ -72,23 +72,6 @@ pub struct ActiveState {
     pub stall_w: f64,
 }
 
-impl ActiveState {
-    /// The OPP frequency in kHz, rounded to the nearest integer — the unit
-    /// cpufreq tables use. Display/interop only; all arithmetic uses the
-    /// exact [`Frequency`].
-    #[must_use]
-    pub fn freq_khz(&self) -> u64 {
-        let khz = self.freq.hz() / 1e3;
-        if khz >= 0.0 && khz.is_finite() {
-            let r = khz.round();
-            if r <= u64::MAX as f64 {
-                return r as u64;
-            }
-        }
-        0
-    }
-}
-
 /// One per-core idle state: WFI, core sleep, … ordered shallow → deep.
 /// Deeper states draw less power but need a longer minimum residency
 /// before entering them pays off.
@@ -281,12 +264,6 @@ impl OppLadder {
     #[must_use]
     pub fn supports_effective_freq(&self, freq: Frequency) -> bool {
         (0..self.states.len()).any(|j| self.effective_freq(j).hz() == freq.hz())
-    }
-
-    /// The deepest per-core idle state, if any.
-    #[must_use]
-    pub fn deepest_idle(&self) -> Option<&IdleState> {
-        self.idle_states.last()
     }
 }
 

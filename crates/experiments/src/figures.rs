@@ -10,7 +10,6 @@ use hecmix_core::sweep::{homogeneous_frontier, sweep_space, EvaluatedConfig};
 use hecmix_profile::characterize::fit_spi_mem;
 use hecmix_profile::characterize::{spi_mem_grid, wpi_across_sizes, CharacterizeOptions, GridCell};
 use hecmix_queueing::window_energy;
-use hecmix_sim::NodeArch;
 use hecmix_workloads::ep::Ep;
 use hecmix_workloads::Workload;
 
@@ -345,12 +344,6 @@ fn powered_idle_w(p: &hecmix_core::pareto::ParetoPoint, models: &[WorkloadModel]
         .zip(models)
         .filter_map(|(cfg, m)| cfg.map(|c| f64::from(c.nodes) * m.power.idle_w))
         .sum()
-}
-
-/// Convenience: node archetype pair in `[ARM, AMD]` order.
-#[must_use]
-pub fn arch_pair(lab: &Lab) -> [&NodeArch; 2] {
-    [&lab.arm, &lab.amd]
 }
 
 #[cfg(test)]

@@ -534,17 +534,11 @@ events! {
     DesRun = "des_run" {
         /// Offered Poisson arrival rate, requests/second.
         pps: f64,
-        /// Requests generated.
+        /// Requests generated; every one is served.
         requests: u64,
-        /// Requests that completed.
-        completed: u64,
-        /// Requests dropped at full per-core queues.
-        dropped: u64,
-        /// Median sojourn time of completed requests, seconds (NaN when
-        /// nothing completed).
+        /// Median sojourn time, seconds.
         p50_s: f64,
-        /// 99th-percentile sojourn time, seconds (NaN when nothing
-        /// completed).
+        /// 99th-percentile sojourn time, seconds.
         p99_s: f64,
         /// Simulated horizon (last departure), seconds.
         duration_s: f64,

@@ -1,19 +1,15 @@
-//! Request-level discrete-event serving simulator (ROADMAP item 1).
+//! Request-level discrete-event simulation of the §IV-E dispatcher queue.
 //!
 //! The analytical queueing layer ([`crate::MD1`], [`crate::MG1`]) predicts
-//! *mean* delay; interactive sizing is about tails. This module simulates a
-//! serving configuration at the request level — open-loop Poisson arrivals
-//! at a configurable packet rate, RSS-style flow→core indirection, per-core
-//! bounded FIFO queues with drop accounting, dedicated network cores vs
-//! combined layouts, and constant/exponential/bimodal service-time
-//! distributions — and emits the full sojourn-time CDF
-//! (p50/p95/p99/p999) per configuration.
+//! *mean* delay; interactive sizing is about tails. This module simulates
+//! the paper's dispatcher request by request — open-loop Poisson arrivals
+//! at a configurable rate into one FIFO server with constant or
+//! exponential service — and returns the sojourn-time CDF, or selects one
+//! of its quantiles.
 //!
 //! Runs are seeded and bit-replayable like `hecmix-sim`: the same
 //! [`DesConfig`] (including `seed`) reproduces the exact per-request
 //! latency samples, so CDFs compare bit-for-bit across machines.
-
-use std::collections::VecDeque;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -21,64 +17,23 @@ use serde::{Deserialize, Serialize};
 
 use hecmix_core::{Error, Result};
 
-/// Number of entries in the RSS-style flow→core indirection table.
-///
-/// Real NICs hash the flow tuple into a small indirection table (128
-/// entries on many devices) whose slots name the receive core; we model
-/// the same two-level mapping so flow skew and core imbalance are visible.
-pub const RSS_TABLE_ENTRIES: usize = 128;
-
-/// Per-request service-time distribution at the application stage.
+/// Per-request service-time distribution.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum ServiceDist {
-    /// Every request takes exactly this many seconds (M/D/c-style).
+    /// Every request takes exactly this many seconds (M/D/1).
     Constant(f64),
-    /// Exponentially distributed with this mean, seconds (M/M/c-style).
+    /// Exponentially distributed with this mean, seconds (M/M/1).
     Exponential(f64),
-    /// Two-point mixture: most requests are `fast_s`, a `slow_weight`
-    /// fraction take `slow_s` (models the GET/SET or hit/miss split of
-    /// the interactive workloads).
-    Bimodal {
-        /// Service time of the fast class, seconds.
-        fast_s: f64,
-        /// Service time of the slow class, seconds.
-        slow_s: f64,
-        /// Probability a request is slow, in `[0, 1]`.
-        slow_weight: f64,
-    },
 }
 
 impl ServiceDist {
     /// Validate the distribution parameters.
     pub fn validate(&self) -> Result<()> {
-        let bad = |what: &str, v: f64| {
-            Err(Error::InvalidInput(format!(
-                "ServiceDist needs positive finite times, got {what}={v}"
-            )))
-        };
-        match *self {
-            ServiceDist::Constant(s) | ServiceDist::Exponential(s) => {
-                if !(s > 0.0) || !s.is_finite() {
-                    return bad("service_s", s);
-                }
-            }
-            ServiceDist::Bimodal {
-                fast_s,
-                slow_s,
-                slow_weight,
-            } => {
-                if !(fast_s > 0.0) || !fast_s.is_finite() {
-                    return bad("fast_s", fast_s);
-                }
-                if !(slow_s > 0.0) || !slow_s.is_finite() {
-                    return bad("slow_s", slow_s);
-                }
-                if !(0.0..=1.0).contains(&slow_weight) || !slow_weight.is_finite() {
-                    return Err(Error::InvalidInput(format!(
-                        "ServiceDist bimodal slow_weight must lie in [0, 1], got {slow_weight}"
-                    )));
-                }
-            }
+        let s = self.mean_s();
+        if !(s > 0.0) || !s.is_finite() {
+            return Err(Error::InvalidInput(format!(
+                "ServiceDist needs positive finite times, got service_s={s}"
+            )));
         }
         Ok(())
     }
@@ -88,11 +43,6 @@ impl ServiceDist {
     pub fn mean_s(&self) -> f64 {
         match *self {
             ServiceDist::Constant(s) | ServiceDist::Exponential(s) => s,
-            ServiceDist::Bimodal {
-                fast_s,
-                slow_s,
-                slow_weight,
-            } => (1.0 - slow_weight) * fast_s + slow_weight * slow_s,
         }
     }
 
@@ -103,20 +53,6 @@ impl ServiceDist {
         match *self {
             ServiceDist::Constant(_) => 0.0,
             ServiceDist::Exponential(_) => 1.0,
-            ServiceDist::Bimodal {
-                fast_s,
-                slow_s,
-                slow_weight,
-            } => {
-                let mean = (1.0 - slow_weight) * fast_s + slow_weight * slow_s;
-                let ex2 = (1.0 - slow_weight) * fast_s * fast_s + slow_weight * slow_s * slow_s;
-                let var = (ex2 - mean * mean).max(0.0);
-                if mean > 0.0 {
-                    var / (mean * mean)
-                } else {
-                    0.0
-                }
-            }
         }
     }
 
@@ -127,57 +63,6 @@ impl ServiceDist {
                 let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
                 -u.ln() * mean
             }
-            ServiceDist::Bimodal {
-                fast_s,
-                slow_s,
-                slow_weight,
-            } => {
-                if rng.gen_bool(slow_weight) {
-                    slow_s
-                } else {
-                    fast_s
-                }
-            }
-        }
-    }
-}
-
-/// How cores are split between network and application processing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum CoreLayout {
-    /// Every core does both network and application work for its flows;
-    /// one queue per core.
-    Combined {
-        /// Number of cores.
-        cores: u32,
-    },
-    /// Dedicated network cores strip protocol headers (cost
-    /// [`DesConfig::net_cost_s`] each), then hand requests to application
-    /// cores through a second flow-hashed stage; one bounded queue per
-    /// core at each stage.
-    Dedicated {
-        /// Cores running network processing (stage 1).
-        net_cores: u32,
-        /// Cores running application processing (stage 2).
-        app_cores: u32,
-    },
-}
-
-impl CoreLayout {
-    fn validate(&self) -> Result<()> {
-        let ok = match *self {
-            CoreLayout::Combined { cores } => cores >= 1,
-            CoreLayout::Dedicated {
-                net_cores,
-                app_cores,
-            } => net_cores >= 1 && app_cores >= 1,
-        };
-        if ok {
-            Ok(())
-        } else {
-            Err(Error::InvalidInput(format!(
-                "CoreLayout needs at least one core per stage, got {self:?}"
-            )))
         }
     }
 }
@@ -185,47 +70,31 @@ impl CoreLayout {
 /// One request-level simulation scenario.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DesConfig {
-    /// Open-loop Poisson arrival rate, requests (packets) per second.
+    /// Open-loop Poisson arrival rate, requests per second.
     pub pps: f64,
     /// Number of arrivals to generate.
     pub n_requests: u64,
-    /// Core layout (combined, or dedicated network vs application cores).
-    pub layout: CoreLayout,
-    /// Application-stage service-time distribution.
+    /// Service-time distribution.
     pub service: ServiceDist,
-    /// Per-request network-processing cost, seconds (stage-1 work in
-    /// dedicated layouts; folded into the single stage when combined).
-    pub net_cost_s: f64,
-    /// Maximum requests in system *per core* (in service + queued);
-    /// arrivals beyond it are dropped. Use [`UNBOUNDED`] for no cap.
-    pub queue_cap: usize,
-    /// Number of distinct flows; each request belongs to one flow and
-    /// flows pin to cores through the RSS indirection table.
-    pub flows: u32,
     /// RNG seed; same config + seed ⇒ bit-identical latency samples.
     pub seed: u64,
 }
 
-/// Sentinel for [`DesConfig::queue_cap`]: never drop.
-pub const UNBOUNDED: usize = usize::MAX;
-
-/// Largest fraction of the mean per-request service that the arrival
-/// clock's f64 spacing may reach (see [`DesConfig::validate`]).
+/// Largest fraction of the mean service time that the arrival clock's f64
+/// spacing may reach (see [`DesConfig::validate`]).
 const CLOCK_RESOLUTION: f64 = 1e-3;
 
 impl DesConfig {
-    /// Validate every field (positive finite rate, at least one request,
-    /// valid layout/distribution, non-negative finite net cost, at least
-    /// one flow and a queue capacity of at least one), and that the
-    /// arrival clock can resolve the service times.
+    /// Validate every field (positive finite rate, at least one request, a
+    /// valid distribution), and that the arrival clock can resolve the
+    /// service times.
     ///
     /// The clock runs to about `n_requests / pps` seconds, where its f64
     /// spacing is about `f64::EPSILON · n_requests / pps`. Every sojourn
     /// is a difference `(t + s) − t` on that clock, so once the spacing
     /// nears the service time a sojourn rounds to 0, and a clock past
     /// `f64::MAX` turns it into NaN. The config is rejected when the
-    /// spacing exceeds 0.1 % of the mean per-request service
-    /// (`net_cost_s` plus the mean application service): at 200 000
+    /// spacing exceeds 0.1 % of the mean service time: at 200 000
     /// requests, only below a utilisation of about 4·10⁻⁸.
     pub fn validate(&self) -> Result<()> {
         if !(self.pps > 0.0) || !self.pps.is_finite() {
@@ -239,24 +108,9 @@ impl DesConfig {
                 "DesConfig needs n_requests >= 1".into(),
             ));
         }
-        self.layout.validate()?;
         self.service.validate()?;
-        if !(self.net_cost_s >= 0.0) || !self.net_cost_s.is_finite() {
-            return Err(Error::InvalidInput(format!(
-                "DesConfig needs a non-negative finite net_cost_s, got {}",
-                self.net_cost_s
-            )));
-        }
-        if self.queue_cap == 0 {
-            return Err(Error::InvalidInput(
-                "DesConfig needs queue_cap >= 1 (use UNBOUNDED for no cap)".into(),
-            ));
-        }
-        if self.flows == 0 {
-            return Err(Error::InvalidInput("DesConfig needs flows >= 1".into()));
-        }
         let horizon_s = self.n_requests as f64 / self.pps;
-        let service_s = self.net_cost_s + self.service.mean_s();
+        let service_s = self.service.mean_s();
         if !horizon_s.is_finite() || f64::EPSILON * horizon_s > CLOCK_RESOLUTION * service_s {
             return Err(Error::InvalidInput(format!(
                 "DesConfig arrival clock cannot resolve a {service_s:e} s service over \
@@ -290,7 +144,7 @@ impl LatencyCdf {
         self.samples.len()
     }
 
-    /// True when no request completed.
+    /// True when the CDF holds no sample.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.samples.is_empty()
@@ -316,22 +170,10 @@ impl LatencyCdf {
         self.quantile(0.50)
     }
 
-    /// 95th percentile.
-    #[must_use]
-    pub fn p95(&self) -> Option<f64> {
-        self.quantile(0.95)
-    }
-
     /// 99th percentile.
     #[must_use]
     pub fn p99(&self) -> Option<f64> {
         self.quantile(0.99)
-    }
-
-    /// 99.9th percentile.
-    #[must_use]
-    pub fn p999(&self) -> Option<f64> {
-        self.quantile(0.999)
     }
 
     /// Arithmetic mean of the samples.
@@ -368,177 +210,41 @@ fn select_quantile(samples: &mut [f64], q: f64) -> Option<f64> {
 /// Result of one request-level simulation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DesOutcome {
-    /// Requests generated.
-    pub offered: u64,
-    /// Requests that completed both stages.
-    pub completed: u64,
-    /// Requests dropped at a full per-core queue (either stage).
-    pub dropped: u64,
-    /// Sojourn time (arrival → final departure) of completed requests.
+    /// Sojourn time (arrival → departure) of every request.
     pub sojourn: LatencyCdf,
-    /// Queueing-only wait (sojourn minus all service) of completed
-    /// requests.
+    /// Queueing-only wait (sojourn minus service) of every request.
     pub wait: LatencyCdf,
     /// Simulated horizon: the last departure time, seconds.
     pub duration_s: f64,
 }
 
-/// Per-core single-server FIFO.
-///
-/// Requests are fed in non-decreasing arrival order, and a FIFO server
-/// starts each one at `max(arrival, last departure)`, so an unbounded
-/// queue needs nothing but its last departure. A bounded queue also keeps
-/// the departure times still in system in a deque, popped from the front
-/// as they pass, so its in-system count at each arrival is exact.
-struct CoreQueue {
-    /// Departure time of the last admitted request (0 before the first).
-    last_depart: f64,
-    /// Capacity and scheduled departures of a bounded queue; `None` for
-    /// [`UNBOUNDED`].
-    bounded: Option<(usize, VecDeque<f64>)>,
-}
-
-impl CoreQueue {
-    fn new(cap: usize) -> Self {
-        Self {
-            last_depart: 0.0,
-            bounded: (cap != UNBOUNDED).then(|| (cap, VecDeque::new())),
-        }
-    }
-
-    /// Offer an arrival at time `t` needing `service` seconds. Returns the
-    /// departure time, or `None` if the core's queue is full.
-    fn offer(&mut self, t: f64, service: f64) -> Option<f64> {
-        let depart = self.last_depart.max(t) + service;
-        if let Some((cap, in_system)) = &mut self.bounded {
-            while in_system.front().is_some_and(|&d| d <= t) {
-                in_system.pop_front();
-            }
-            if in_system.len() >= *cap {
-                return None;
-            }
-            in_system.push_back(depart);
-        }
-        self.last_depart = depart;
-        Some(depart)
-    }
-}
-
-/// An RSS-style indirection table: a flow hash picks one of
-/// [`RSS_TABLE_ENTRIES`] slots, and slot `i` names core `i mod cores`
-/// (slots assigned round-robin over the cores).
-struct RssTable([usize; RSS_TABLE_ENTRIES]);
-
-impl RssTable {
-    fn new(cores: u32) -> Self {
-        Self(std::array::from_fn(|slot| slot % cores as usize))
-    }
-
-    /// The core serving flow hash `hash`.
-    fn core(&self, hash: usize) -> usize {
-        self.0[hash % RSS_TABLE_ENTRIES]
-    }
-}
-
-/// What one run of the simulation core counted.
-struct RunTotals {
-    completed: u64,
-    dropped: u64,
-    duration_s: f64,
-}
-
 /// The simulation core behind [`simulate`] and [`sojourn_quantile`], for
-/// a `cfg` that passed [`DesConfig::validate`].
-///
-/// Each arrival is drawn — time, flow, then application service, the
-/// order that fixes the RNG stream — and offered at once, so no arrival is
-/// buffered. Arrivals come in time order, so each stage is simulated with
-/// per-core queues instead of a global event heap. Stage-1 departures of a
-/// dedicated layout are not ordered across network cores, so each
-/// application core's handoff is sorted by `(time, sequence)` first.
-/// Every completed request's `(sojourn, wait)` goes to `complete`.
-fn run(cfg: &DesConfig, mut complete: impl FnMut(f64, f64)) -> RunTotals {
+/// a `cfg` that passed [`DesConfig::validate`]: the Lindley recursion of
+/// one FIFO server. Arrivals are drawn in time order, so each request
+/// departs at `max(last departure, arrival) + service`; its
+/// `(sojourn, wait)` goes to `complete`. Returns the last departure.
+fn run(cfg: &DesConfig, mut complete: impl FnMut(f64, f64)) -> f64 {
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
-    let mut clock = 0.0f64;
-    let mut next_arrival = || {
+    let mut t = 0.0f64;
+    let mut depart = 0.0f64;
+    for _ in 0..cfg.n_requests {
         let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-        clock += -u.ln() / cfg.pps; // exponential inter-arrival
-        let flow = rng.gen_range(0..cfg.flows);
-        (clock, flow as usize, cfg.service.sample(&mut rng))
-    };
-    let new_queues = |cores: u32| -> Vec<CoreQueue> {
-        (0..cores).map(|_| CoreQueue::new(cfg.queue_cap)).collect()
-    };
-    let mut totals = RunTotals {
-        completed: 0,
-        dropped: 0,
-        duration_s: 0.0,
-    };
+        t += -u.ln() / cfg.pps; // exponential inter-arrival
 
-    match cfg.layout {
-        CoreLayout::Combined { cores } => {
-            let rss = RssTable::new(cores);
-            let mut queues = new_queues(cores);
-            for _ in 0..cfg.n_requests {
-                let (t, flow, app_service) = next_arrival();
-                let service = cfg.net_cost_s + app_service;
-                match queues[rss.core(flow)].offer(t, service) {
-                    None => totals.dropped += 1,
-                    Some(depart) => {
-                        complete(depart - t, depart - t - service);
-                        totals.completed += 1;
-                        totals.duration_s = totals.duration_s.max(depart);
-                    }
-                }
-            }
-        }
-        CoreLayout::Dedicated {
-            net_cores,
-            app_cores,
-        } => {
-            // Stage 1: network cores, constant per-request cost.
-            let net_rss = RssTable::new(net_cores);
-            let app_rss = RssTable::new(app_cores);
-            let mut net = new_queues(net_cores);
-            // (app arrival, sequence, original arrival, app service)
-            let mut handoff: Vec<Vec<(f64, u64, f64, f64)>> = vec![Vec::new(); app_cores as usize];
-            for seq in 0..cfg.n_requests {
-                let (t, flow, app_service) = next_arrival();
-                match net[net_rss.core(flow)].offer(t, cfg.net_cost_s) {
-                    None => totals.dropped += 1,
-                    Some(net_depart) => {
-                        // Second flow-hashed stage: offset the table walk
-                        // so net and app assignments decorrelate.
-                        let app = app_rss.core(flow / net_cores as usize + flow);
-                        handoff[app].push((net_depart, seq, t, app_service));
-                    }
-                }
-            }
-            // Stage 2: application cores, each fed in (time, sequence)
-            // order; the keys are unique, so an unstable sort is exact.
-            for (app, list) in new_queues(app_cores).iter_mut().zip(&mut handoff) {
-                list.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-                for &(at, _seq, t0, app_service) in list.iter() {
-                    match app.offer(at, app_service) {
-                        None => totals.dropped += 1,
-                        Some(depart) => {
-                            complete(depart - t0, depart - t0 - cfg.net_cost_s - app_service);
-                            totals.completed += 1;
-                            totals.duration_s = totals.duration_s.max(depart);
-                        }
-                    }
-                }
-            }
-        }
+        // Discarded flow draw: dropping it would move every seeded stream.
+        rng.gen_range(0..1u32);
+        let service = cfg.service.sample(&mut rng);
+        depart = depart.max(t) + service;
+        complete(depart - t, depart - t - service);
     }
-    totals
+    depart
 }
 
 /// Emit the `des_run` event of a finished run. `tails` yields the sojourn
 /// p50 and p99 and is only called when a sink is installed.
 fn emit_des_run(
     cfg: &DesConfig,
-    totals: &RunTotals,
+    duration_s: f64,
     tails: impl FnOnce() -> (Option<f64>, Option<f64>),
 ) {
     hecmix_obs::emit(|| {
@@ -546,11 +252,9 @@ fn emit_des_run(
         hecmix_obs::Event::DesRun {
             pps: cfg.pps,
             requests: cfg.n_requests,
-            completed: totals.completed,
-            dropped: totals.dropped,
             p50_s: p50.unwrap_or(f64::NAN),
             p99_s: p99.unwrap_or(f64::NAN),
-            duration_s: totals.duration_s,
+            duration_s,
             seed: cfg.seed,
         }
     });
@@ -558,11 +262,10 @@ fn emit_des_run(
 
 /// Run the request-level simulation and keep both latency CDFs.
 ///
-/// Arrivals are drawn and offered one at a time, so memory is the sojourn
-/// and wait samples (plus the stage-2 handoff of a dedicated layout).
-/// Both are sorted in full for the CDFs; a caller that needs one quantile
-/// of the sojourn should use [`sojourn_quantile`]. Same `cfg` ⇒
-/// bit-identical [`DesOutcome`].
+/// Arrivals are drawn and served one at a time, so memory is the sojourn
+/// and wait samples. Both are sorted in full for the CDFs; a caller that
+/// needs one quantile of the sojourn should use [`sojourn_quantile`].
+/// Same `cfg` ⇒ bit-identical [`DesOutcome`].
 ///
 /// # Errors
 /// [`Error::InvalidInput`] when `cfg` fails [`DesConfig::validate`].
@@ -571,19 +274,16 @@ pub fn simulate(cfg: &DesConfig) -> Result<DesOutcome> {
     let n = cfg.n_requests as usize;
     let mut sojourn = Vec::with_capacity(n);
     let mut wait = Vec::with_capacity(n);
-    let totals = run(cfg, |s, w| {
+    let duration_s = run(cfg, |s, w| {
         sojourn.push(s);
         wait.push(w);
     });
     let out = DesOutcome {
-        offered: cfg.n_requests,
-        completed: totals.completed,
-        dropped: totals.dropped,
         sojourn: LatencyCdf::from_samples(sojourn),
         wait: LatencyCdf::from_samples(wait),
-        duration_s: totals.duration_s,
+        duration_s,
     };
-    emit_des_run(cfg, &totals, || (out.sojourn.p50(), out.sojourn.p99()));
+    emit_des_run(cfg, duration_s, || (out.sojourn.p50(), out.sojourn.p99()));
     Ok(out)
 }
 
@@ -591,16 +291,16 @@ pub fn simulate(cfg: &DesConfig) -> Result<DesOutcome> {
 /// as [`simulate`], bit-identical to `simulate(cfg)?.sojourn.quantile(q)`,
 /// at a fraction of the cost. Only the sojourn samples are kept, and the
 /// one order statistic is selected in linear time instead of sorting.
-/// `Ok(None)` when nothing completed or `q` lies outside `(0, 1]`.
+/// `Ok(None)` when `q` lies outside `(0, 1]`.
 ///
 /// # Errors
 /// [`Error::InvalidInput`] when `cfg` fails [`DesConfig::validate`].
 pub fn sojourn_quantile(cfg: &DesConfig, q: f64) -> Result<Option<f64>> {
     cfg.validate()?;
     let mut sojourn = Vec::with_capacity(cfg.n_requests as usize);
-    let totals = run(cfg, |s, _| sojourn.push(s));
+    let duration_s = run(cfg, |s, _| sojourn.push(s));
     let value = select_quantile(&mut sojourn, q);
-    emit_des_run(cfg, &totals, || {
+    emit_des_run(cfg, duration_s, || {
         (
             select_quantile(&mut sojourn, 0.50),
             select_quantile(&mut sojourn, 0.99),
@@ -618,35 +318,8 @@ mod tests {
         DesConfig {
             pps,
             n_requests: n,
-            layout: CoreLayout::Combined { cores: 1 },
             service,
-            net_cost_s: 0.0,
-            queue_cap: UNBOUNDED,
-            flows: 1,
             seed,
-        }
-    }
-
-    const BIMODAL: ServiceDist = ServiceDist::Bimodal {
-        fast_s: 50e-6,
-        slow_s: 500e-6,
-        slow_weight: 0.1,
-    };
-
-    /// 2 network × 4 application cores, cap 64, bimodal service.
-    fn dedicated_2x4(pps: f64) -> DesConfig {
-        DesConfig {
-            pps,
-            n_requests: 50_000,
-            layout: CoreLayout::Dedicated {
-                net_cores: 2,
-                app_cores: 4,
-            },
-            service: BIMODAL,
-            net_cost_s: 5e-6,
-            queue_cap: 64,
-            flows: 256,
-            seed: 99,
         }
     }
 
@@ -661,7 +334,7 @@ mod tests {
 
     #[test]
     fn seeded_runs_are_bit_identical() {
-        let cfg = dedicated_2x4(5_000.0);
+        let cfg = single_server(5_000.0, ServiceDist::Exponential(100e-6), 50_000, 99);
         let a = simulate(&cfg).unwrap();
         let b = simulate(&cfg).unwrap();
         // Bit-identical, not approximately equal: full sample vectors.
@@ -672,12 +345,10 @@ mod tests {
 
     #[test]
     fn des_stream_is_pinned() {
-        // Expected bits were captured from the simulator that drew every
-        // arrival up front; a change to the RNG draw order or to the queue
-        // arithmetic moves them.
+        // Expected bits were captured from earlier simulators (the first
+        // pin from one that drew every arrival up front); a change to the
+        // RNG draw order or to the queue arithmetic moves them.
         struct Pin {
-            completed: u64,
-            dropped: u64,
             duration_s: u64,
             /// Sojourn p50, p99 and p999.
             sojourn: [u64; 3],
@@ -685,14 +356,12 @@ mod tests {
             sojourn_fnv: u64,
         }
         let qs = [0.5, 0.99, 0.999];
-        // The tail planner's shape: one core, constant service, unbounded.
+        // The tail planner's shape: constant service at ρ = 0.7.
         let planner = single_server(0.7 / 100e-6, ServiceDist::Constant(100e-6), 200_000, 7);
         let pins = [
             (
                 planner,
                 Pin {
-                    completed: 200_000,
-                    dropped: 0,
                     duration_s: 0x403c_753a_59bb_9655,
                     sojourn: [
                         0x3f26_e0b6_d52e_0000,
@@ -703,86 +372,55 @@ mod tests {
                     sojourn_fnv: 0x703d_a7c4_6ee3_38a3,
                 },
             ),
-            // Loaded until the cap-64 queues drop.
+            // The P-K oracle's other shape: exponential service.
             (
-                dedicated_2x4(40_000.0),
+                DesConfig {
+                    service: ServiceDist::Exponential(100e-6),
+                    ..planner
+                },
                 Pin {
-                    completed: 49_687,
-                    dropped: 313,
-                    duration_s: 0x3ff3_f07b_fea8_e592,
+                    duration_s: 0x403c_aae3_1274_6300,
                     sojourn: [
-                        0x3f5e_da13_4b55_e600,
-                        0x3f7c_401b_0354_4e00,
-                        0x3f82_86f6_d896_93e0,
+                        0x3f2d_cc54_8c45_0000,
+                        0x3f58_b75e_cf35_c000,
+                        0x3f61_d44b_3126_3000,
                     ],
-                    wait_p99: 0x3f7b_a19a_ced1_d220,
-                    sojourn_fnv: 0x1856_5c1b_b355_c48c,
+                    wait_p99: 0x3f56_bc7d_33c9_842d,
+                    sojourn_fnv: 0xf186_561b_bfcc_4339,
                 },
             ),
         ];
         for (cfg, pin) in &pins {
             let out = simulate(cfg).unwrap();
-            assert_eq!(out.completed, pin.completed, "{cfg:?}");
-            assert_eq!(out.dropped, pin.dropped, "{cfg:?}");
             assert_eq!(out.duration_s.to_bits(), pin.duration_s, "{cfg:?}");
             let sojourn = qs.map(|q| out.sojourn.quantile(q).unwrap().to_bits());
             assert_eq!(sojourn, pin.sojourn, "{cfg:?}");
             assert_eq!(out.wait.p99().unwrap().to_bits(), pin.wait_p99, "{cfg:?}");
             assert_eq!(fnv1a(out.sojourn.sorted()), pin.sojourn_fnv, "{cfg:?}");
+            let selected = qs.map(|q| sojourn_quantile(cfg, q).unwrap().unwrap().to_bits());
+            assert_eq!(selected, pin.sojourn, "{cfg:?}");
         }
-        let selected = qs.map(|q| sojourn_quantile(&planner, q).unwrap().unwrap().to_bits());
-        assert_eq!(selected, pins[0].1.sojourn);
     }
 
     #[test]
     fn selected_quantile_equals_sorted_quantile() {
-        let layouts = [
-            CoreLayout::Combined { cores: 1 },
-            CoreLayout::Combined { cores: 3 },
-            CoreLayout::Dedicated {
-                net_cores: 2,
-                app_cores: 4,
-            },
-        ];
-        let services = [
+        for service in [
             ServiceDist::Constant(100e-6),
             ServiceDist::Exponential(100e-6),
-            BIMODAL,
-        ];
-        let mut drops = 0;
-        for layout in layouts {
-            let app_cores = match layout {
-                CoreLayout::Combined { cores } => cores,
-                CoreLayout::Dedicated { app_cores, .. } => app_cores,
-            };
-            for queue_cap in [8, UNBOUNDED] {
-                for service in services {
-                    let cfg = DesConfig {
-                        pps: 0.9 * f64::from(app_cores) / (service.mean_s() + 5e-6),
-                        n_requests: 4_000,
-                        layout,
-                        service,
-                        net_cost_s: 5e-6,
-                        queue_cap,
-                        flows: 64,
-                        seed: 3,
-                    };
-                    let out = simulate(&cfg).unwrap();
-                    drops += out.dropped;
-                    for q in [1e-6, 0.5, 0.99, 0.999, 1.0] {
-                        let sorted = out.sojourn.quantile(q).map(f64::to_bits);
-                        assert!(sorted.is_some());
-                        let selected = sojourn_quantile(&cfg, q).unwrap().map(f64::to_bits);
-                        assert_eq!(selected, sorted, "{cfg:?} at q={q}");
-                    }
-                    for q in [0.0, 1.1, f64::NAN] {
-                        assert_eq!(out.sojourn.quantile(q), None);
-                        assert_eq!(sojourn_quantile(&cfg, q).unwrap(), None);
-                    }
-                }
+        ] {
+            let cfg = single_server(0.9 / service.mean_s(), service, 4_000, 3);
+            let out = simulate(&cfg).unwrap();
+            for q in [1e-6, 0.5, 0.99, 0.999, 1.0] {
+                let sorted = out.sojourn.quantile(q).map(f64::to_bits);
+                assert!(sorted.is_some());
+                let selected = sojourn_quantile(&cfg, q).unwrap().map(f64::to_bits);
+                assert_eq!(selected, sorted, "{cfg:?} at q={q}");
+            }
+            for q in [0.0, 1.1, f64::NAN] {
+                assert_eq!(out.sojourn.quantile(q), None);
+                assert_eq!(sojourn_quantile(&cfg, q).unwrap(), None);
             }
         }
-        assert!(drops > 0, "the cap-8 runs must exercise dropping");
     }
 
     #[test]
@@ -836,18 +474,10 @@ mod tests {
 
     #[test]
     fn mean_wait_matches_pollaczek_khinchine() {
-        // Single combined core, no net cost, unbounded: textbook M/G/1.
+        // One FIFO server: textbook M/G/1.
         for (dist, name) in [
             (ServiceDist::Constant(100e-6), "M/D/1"),
             (ServiceDist::Exponential(100e-6), "M/M/1"),
-            (
-                ServiceDist::Bimodal {
-                    fast_s: 50e-6,
-                    slow_s: 500e-6,
-                    slow_weight: 0.1,
-                },
-                "bimodal",
-            ),
         ] {
             let rho = 0.6;
             let lambda = rho / dist.mean_s();
@@ -887,61 +517,19 @@ mod tests {
     }
 
     #[test]
-    fn bounded_queues_drop_and_unbounded_does_not() {
+    fn overloaded_queue_stays_busy_and_finite() {
+        // ρ = 2 has no stationary distribution, but a finite-horizon run
+        // is still well-defined: the queue just grows and the server stays
+        // busy throughout.
         let service = 100e-6;
-        let saturated = DesConfig {
-            queue_cap: 8,
-            ..single_server(1.5 / service, ServiceDist::Constant(service), 50_000, 5)
-        };
-        let out = simulate(&saturated).unwrap();
-        assert!(out.dropped > 0, "ρ=1.5 with cap 8 must drop");
-        assert_eq!(out.offered, out.completed + out.dropped);
-        // Every sojourn is bounded by cap × service (+ slack for the
-        // in-service request).
-        let worst = out.sojourn.sorted().last().copied().unwrap();
-        assert!(worst <= 9.0 * service + 1e-12, "worst sojourn {worst}");
-
-        let open = single_server(0.5 / service, ServiceDist::Constant(service), 50_000, 5);
-        let out = simulate(&open).unwrap();
-        assert_eq!(out.dropped, 0);
-        assert_eq!(out.completed, out.offered);
-
-        // ρ = 2 has no stationary distribution, but an unbounded
-        // finite-horizon run is still well-defined: the queue just grows,
-        // nothing is dropped and the server stays busy throughout.
         let overloaded = single_server(2.0 / service, ServiceDist::Constant(service), 20_000, 7);
         let out = simulate(&overloaded).unwrap();
-        assert_eq!(out.dropped, 0);
-        assert_eq!(out.completed, out.offered);
+        assert_eq!(out.sojourn.len() as u64, overloaded.n_requests);
         let wait = out.wait.mean().unwrap();
         assert!(wait.is_finite() && wait > 0.0, "mean wait {wait}");
         assert!(out.sojourn.sorted().iter().all(|s| s.is_finite()));
-        let busy = out.completed as f64 * service / out.duration_s;
+        let busy = overloaded.n_requests as f64 * service / out.duration_s;
         assert!((busy - 1.0).abs() < 0.05, "busy fraction {busy}");
-    }
-
-    #[test]
-    fn dedicated_layout_spreads_flows_and_adds_net_cost() {
-        let cfg = DesConfig {
-            pps: 1_000.0,
-            n_requests: 20_000,
-            layout: CoreLayout::Dedicated {
-                net_cores: 2,
-                app_cores: 2,
-            },
-            service: ServiceDist::Constant(100e-6),
-            net_cost_s: 20e-6,
-            queue_cap: UNBOUNDED,
-            flows: 512,
-            seed: 8,
-        };
-        let out = simulate(&cfg).unwrap();
-        assert_eq!(out.completed, cfg.n_requests);
-        // Minimum sojourn is the full pipeline cost.
-        let min = out.sojourn.sorted()[0];
-        assert!(min >= 120e-6 - 1e-12, "min sojourn {min}");
-        // Light load: sojourns should mostly be near the no-wait cost.
-        assert!(out.sojourn.p50().unwrap() < 200e-6);
     }
 
     #[test]
@@ -960,31 +548,15 @@ mod tests {
         })
         .is_err());
         assert!(simulate(&DesConfig {
-            layout: CoreLayout::Combined { cores: 0 },
-            ..ok
-        })
-        .is_err());
-        assert!(simulate(&DesConfig {
             service: ServiceDist::Constant(-1.0),
             ..ok
         })
         .is_err());
         assert!(simulate(&DesConfig {
-            service: ServiceDist::Bimodal {
-                fast_s: 1e-3,
-                slow_s: 1e-2,
-                slow_weight: 1.5
-            },
+            service: ServiceDist::Exponential(f64::NAN),
             ..ok
         })
         .is_err());
-        assert!(simulate(&DesConfig {
-            net_cost_s: f64::NAN,
-            ..ok
-        })
-        .is_err());
-        assert!(simulate(&DesConfig { queue_cap: 0, ..ok }).is_err());
-        assert!(simulate(&DesConfig { flows: 0, ..ok }).is_err());
         // The arrival clock must resolve the 1 ms service: at pps 1e-10
         // its spacing near n/pps = 1e11 s is ~2e-5 s, past 0.1 % of the
         // service; at pps 1e-310, n/pps overflows to infinity.

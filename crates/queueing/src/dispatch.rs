@@ -446,18 +446,14 @@ fn des_tail(
         &DesConfig {
             pps: lambda,
             n_requests,
-            layout: des::CoreLayout::Combined { cores: 1 },
             service: ServiceDist::Constant(service_s),
-            net_cost_s: 0.0,
-            queue_cap: des::UNBOUNDED,
-            flows: 1,
             seed,
         },
         percentile,
     )?
     .ok_or_else(|| {
         Error::InvalidInput(format!(
-            "DES produced no completions for percentile {percentile}"
+            "DES tail needs a percentile in (0, 1], got {percentile}"
         ))
     })
 }
@@ -879,10 +875,11 @@ mod tests {
         };
         // Short gap: always-on idle floor.
         assert!((idle_gap_energy_j(5.0, 8.0, &sleep) - 40.0).abs() < 1e-12);
-        // Long gap: whole gap at the deep floor.
-        assert!((idle_gap_energy_j(20.0, 8.0, &sleep) - 40.0).abs() < 1e-12);
-        // Exactly at residency: parks (>=, matching the simulator).
-        assert!((idle_gap_energy_j(10.0, 8.0, &sleep) - 20.0).abs() < 1e-12);
+        // Long gap: the first 10 s idle, the other 10 s at the deep floor.
+        assert!((idle_gap_energy_j(20.0, 8.0, &sleep) - 100.0).abs() < 1e-12);
+        // Exactly at residency: no credit, like the simulator's
+        // `domain_wake`, which credits only the time past the residency.
+        assert!((idle_gap_energy_j(10.0, 8.0, &sleep) - 80.0).abs() < 1e-12);
         // A domain asleep at the idle floor: exactly the idle floor.
         let floor = SleepPolicy {
             sleep_power_w: 8.0,
@@ -1171,6 +1168,74 @@ mod tests {
         )
         .unwrap()
         .is_none());
+    }
+
+    #[test]
+    fn tail_choice_answers_are_pinned() {
+        // Expected bits were captured from the default DES settings; a
+        // change to the DES stream or to the walk moves them.
+        let m = menu();
+        let des = TailDesConfig::default();
+        let plan = |lambda: f64, deadline_s: f64| {
+            let out = best_choice_tail(
+                &m,
+                lambda,
+                3600.0,
+                TailTarget::new(0.99, deadline_s).unwrap(),
+                &des,
+            )
+            .unwrap()
+            .unwrap();
+            (
+                out.index,
+                out.energy_j.to_bits(),
+                out.tail_response_s.to_bits(),
+                out.mean_response_s.to_bits(),
+                out.violated,
+                out.screened_out,
+                out.des_runs,
+            )
+        };
+        // The cheap entry passes.
+        assert_eq!(
+            plan(1.0, 2.0),
+            (
+                1,
+                0x40f3_c680_0000_0000,
+                0x3ff6_8f21_313e_0000,
+                0x3fe1_1111_1111_1112,
+                false,
+                0,
+                2
+            )
+        );
+        // The cheap entry's coarse run rejects it; the fast one passes.
+        assert_eq!(
+            plan(1.0, 0.6),
+            (
+                0,
+                0x4143_4b74_0000_0000,
+                0x3fa4_9106_df68_0000,
+                0x3f99_ed9e_d9ed_9eda,
+                false,
+                0,
+                3
+            )
+        );
+        // Every entry's mean misses: the fast one is measured once as the
+        // fallback.
+        assert_eq!(
+            plan(0.5, 0.001),
+            (
+                0,
+                0x4143_42aa_0000_0000,
+                0x3f9e_7f97_ed00_0000,
+                0x3f99_c314_1754_e6ba,
+                true,
+                2,
+                1
+            )
+        );
     }
 
     #[test]

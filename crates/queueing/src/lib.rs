@@ -10,10 +10,10 @@
 //! This crate provides:
 //!
 //! * [`MD1`] — the analytical model (Pollaczek–Khinchine mean waiting
-//!   time), plus [`MM1`] for comparison;
-//! * [`des`] — a request-level discrete-event simulation whose
-//!   single-core, constant-service run is the same queue and
-//!   cross-validates the closed forms;
+//!   time), plus [`MG1`] for general service;
+//! * [`des`] — a request-level discrete-event simulation of the same
+//!   FIFO queue, whose constant-service run cross-validates the closed
+//!   forms;
 //! * [`window_energy`] — the paper's observation-window energy accounting
 //!   (Fig. 10): over a 20 s window, jobs × per-job energy plus the idle
 //!   energy of the configuration's nodes between jobs, with unused nodes
@@ -74,11 +74,6 @@ impl MD1 {
     /// Mean response time per job: `R = T + W_q`.
     pub fn mean_response_s(&self) -> Result<f64> {
         Ok(self.service_s + self.mean_wait_s()?)
-    }
-
-    /// Mean number of jobs in the system (Little's law: `L = λ·R`).
-    pub fn mean_jobs_in_system(&self) -> Result<f64> {
-        Ok(self.lambda * self.mean_response_s()?)
     }
 
     /// Waiting-time distribution `P(W ≤ t)` of the M/D/1 queue
@@ -176,33 +171,6 @@ impl MD1 {
     /// Quantile of the *response* time (wait + deterministic service).
     pub fn response_quantile(&self, q: f64) -> Result<f64> {
         Ok(self.wait_quantile(q)? + self.service_s)
-    }
-}
-
-/// The M/M/1 queue (exponential service) — included for comparison; its
-/// wait is exactly twice the M/D/1 wait at the same utilization.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct MM1 {
-    /// Job arrival rate, jobs/second.
-    pub lambda: f64,
-    /// Mean service time, seconds.
-    pub service_s: f64,
-}
-
-impl MM1 {
-    /// Server utilization.
-    #[must_use]
-    pub fn utilization(&self) -> f64 {
-        self.lambda * self.service_s
-    }
-
-    /// Mean waiting time `W_q = ρ·T/(1 − ρ)`.
-    pub fn mean_wait_s(&self) -> Result<f64> {
-        let rho = self.utilization();
-        if rho >= 1.0 {
-            return Err(Error::Saturated { utilization: rho });
-        }
-        Ok(rho * self.service_s / (1.0 - rho))
     }
 }
 
@@ -416,12 +384,14 @@ pub fn window_energy_sleep(
 /// per-gap (ex-post) counterpart of [`window_energy_sleep`]'s
 /// expected-value slot pricing, shared with the `hecmix-sched` task
 /// scheduler so a node timeline and a diurnal slot price the same deep
-/// state identically: a gap at least `residency_s` long parks the whole
-/// domain at `sleep_power_w` for the gap, a shorter one idles at
-/// `idle_w`. Mirrors the simulator's domain-sleep credit (a
-/// residency-length gap earns the deep floor, DESIGN §15). A domain that
-/// sleeps at `idle_w` (a two-point model's lift) prices every gap at
-/// `idle_w`, bit for bit.
+/// state identically: the first `residency_s` of a gap idles at
+/// `idle_w` and only the rest sleeps at `sleep_power_w`,
+/// `idle_w·min(gap, r) + sleep_w·(gap − r)⁺`. Its mean over `Exp(λ)` gaps
+/// is [`window_energy_sleep`]'s idle energy per gap, and it mirrors the
+/// simulator's domain-sleep credit (a gap no longer than the residency
+/// earns none, DESIGN §15). A domain that sleeps at `idle_w` with zero
+/// residency (a two-point model's lift) prices every gap at
+/// `idle_w·gap`, bit for bit.
 ///
 /// Non-positive or non-finite gaps price to zero rather than erroring —
 /// callers fold over timelines where an empty gap is routine.
@@ -430,10 +400,10 @@ pub fn idle_gap_energy_j(gap_s: f64, idle_w: f64, sleep: &SleepPolicy) -> f64 {
     if !(gap_s > 0.0) || !gap_s.is_finite() {
         return 0.0;
     }
-    if gap_s >= sleep.residency_s {
-        sleep.sleep_power_w * gap_s
-    } else {
+    if gap_s <= sleep.residency_s {
         idle_w * gap_s
+    } else {
+        idle_w * sleep.residency_s + sleep.sleep_power_w * (gap_s - sleep.residency_s)
     }
 }
 
@@ -449,21 +419,14 @@ mod tests {
         assert!((q.utilization() - 0.5).abs() < 1e-12);
         assert!((q.mean_wait_s().unwrap() - 0.05).abs() < 1e-12);
         assert!((q.mean_response_s().unwrap() - 0.15).abs() < 1e-12);
-        // Little's law.
-        assert!((q.mean_jobs_in_system().unwrap() - 5.0 * 0.15).abs() < 1e-12);
     }
 
     #[test]
     fn md1_wait_is_half_of_mm1() {
         let lambda = 3.0;
         let t = 0.2;
-        let md1 = MD1::new(lambda, t).unwrap();
-        let mm1 = MM1 {
-            lambda,
-            service_s: t,
-        };
-        let wd = md1.mean_wait_s().unwrap();
-        let wm = mm1.mean_wait_s().unwrap();
+        let wd = MD1::new(lambda, t).unwrap().mean_wait_s().unwrap();
+        let wm = MG1::new(lambda, t, 1.0).unwrap().mean_wait_s().unwrap();
         assert!((wm / wd - 2.0).abs() < 1e-12);
     }
 
@@ -471,12 +434,9 @@ mod tests {
     fn mg1_interpolates_md1_and_mm1() {
         let (lambda, t) = (4.0, 0.1);
         let md1 = MD1::new(lambda, t).unwrap().mean_wait_s().unwrap();
-        let mm1 = MM1 {
-            lambda,
-            service_s: t,
-        }
-        .mean_wait_s()
-        .unwrap();
+        // M/M/1: W_q = ρ·T/(1 − ρ).
+        let rho = lambda * t;
+        let mm1 = rho * t / (1.0 - rho);
         let g0 = MG1::new(lambda, t, 0.0).unwrap().mean_wait_s().unwrap();
         let g1 = MG1::new(lambda, t, 1.0).unwrap().mean_wait_s().unwrap();
         assert!((g0 - md1).abs() < 1e-12, "scv=0 must equal M/D/1");
@@ -610,6 +570,36 @@ mod tests {
         };
         let w = window_energy_sleep(2.0, 20.0, 0.1, 5.0, 10.0, &noop).unwrap();
         assert!((w.idle_energy_j - plain.idle_energy_j).abs() < 1e-12);
+    }
+
+    #[test]
+    fn idle_gap_energy_averages_to_window_energy_sleep() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        // Idle gaps of the M/D/1 slot are Exp(λ) and start at rate
+        // λ(1 − ρ), so the slot's idle energy per gap is the mean gap price.
+        let (lambda, window_s, service_s, idle_w) = (2.0, 20.0, 0.1, 10.0);
+        let sleep = SleepPolicy {
+            sleep_power_w: 1.0,
+            residency_s: 0.5,
+        };
+        let we = window_energy_sleep(lambda, window_s, service_s, 5.0, idle_w, &sleep).unwrap();
+        let per_gap = we.idle_energy_j / (lambda * window_s * (1.0 - we.utilization));
+        let mut rng = SmallRng::seed_from_u64(3);
+        let n = 200_000;
+        let (mut sum, mut sum_sq) = (0.0, 0.0);
+        for _ in 0..n {
+            let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+            let e = idle_gap_energy_j(-u.ln() / lambda, idle_w, &sleep);
+            sum += e;
+            sum_sq += e * e;
+        }
+        let mean = sum / f64::from(n);
+        let se = ((sum_sq / f64::from(n) - mean * mean) / f64::from(n)).sqrt();
+        assert!(
+            (mean - per_gap).abs() < 4.0 * se,
+            "mean gap price {mean} vs slot price per gap {per_gap} (se {se})"
+        );
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //! The server side parses **incrementally** via [`try_parse`]: the event
 //! loop appends whatever the nonblocking socket yields to a per-connection
 //! buffer and asks whether a complete request is in it yet — no thread
-//! ever blocks on a slow or idle peer. The blocking [`read_request`] path
-//! remains for tests and simple tools; the client half
-//! ([`read_response`]/[`format_request`]) is used by the load generator.
+//! ever blocks on a slow or idle peer. The blocking client half
+//! ([`read_response`]/[`format_request`]) is used by the load generator
+//! and the gateway's upstream forwards.
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
@@ -54,68 +54,6 @@ impl Request {
     pub fn wants_close(&self) -> bool {
         matches!(self.header("connection"), Some(v) if v.eq_ignore_ascii_case("close"))
     }
-}
-
-/// Why a request could not be read.
-#[derive(Debug)]
-pub enum ReadError {
-    /// The peer closed the connection before sending any bytes — the
-    /// normal end of a keep-alive session, not an error.
-    Closed,
-    /// The socket read timed out (idle keep-alive connection or a stalled
-    /// sender).
-    TimedOut,
-    /// The bytes on the wire were not a well-formed request, or exceeded
-    /// the head/body caps.
-    Malformed(String),
-    /// Transport failure.
-    Io(io::Error),
-}
-
-/// Read and parse one request from `stream`. Blocking; honors the stream's
-/// configured read timeout.
-///
-/// # Errors
-/// See [`ReadError`]; `Closed` on clean EOF before the first byte.
-pub fn read_request(stream: &mut TcpStream) -> Result<Request, ReadError> {
-    let mut buf: Vec<u8> = Vec::with_capacity(1024);
-    let mut chunk = [0u8; 4096];
-    let head_end = loop {
-        if let Some(pos) = find_head_end(&buf) {
-            break pos;
-        }
-        if buf.len() > MAX_HEAD_BYTES {
-            return Err(ReadError::Malformed("request head too large".into()));
-        }
-        let n = stream.read(&mut chunk).map_err(classify_io)?;
-        if n == 0 {
-            if buf.is_empty() {
-                return Err(ReadError::Closed);
-            }
-            return Err(ReadError::Malformed("EOF inside request head".into()));
-        }
-        buf.extend_from_slice(&chunk[..n]);
-    };
-
-    let (method, path, headers) = parse_head(&buf[..head_end]).map_err(ReadError::Malformed)?;
-    let content_length = parse_content_length(&headers).map_err(ReadError::Malformed)?;
-
-    let mut body = buf[head_end + 4..].to_vec();
-    while body.len() < content_length {
-        let n = stream.read(&mut chunk).map_err(classify_io)?;
-        if n == 0 {
-            return Err(ReadError::Malformed("EOF inside request body".into()));
-        }
-        body.extend_from_slice(&chunk[..n]);
-    }
-    body.truncate(content_length);
-
-    Ok(Request {
-        method,
-        path,
-        headers,
-        body,
-    })
 }
 
 /// Try to parse one complete request from the front of `buf` (the event
@@ -202,13 +140,6 @@ fn parse_content_length(headers: &[(String, String)]) -> Result<usize, String> {
 
 fn find_head_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n")
-}
-
-fn classify_io(e: io::Error) -> ReadError {
-    match e.kind() {
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => ReadError::TimedOut,
-        _ => ReadError::Io(e),
-    }
 }
 
 /// One response to write. Always JSON-bodied (the API speaks nothing

@@ -13,7 +13,7 @@
 
 use hecmix_experiments::figures::fig10;
 use hecmix_experiments::lab::Lab;
-use hecmix_queueing::des::{self, CoreLayout, DesConfig, ServiceDist, UNBOUNDED};
+use hecmix_queueing::des::{self, DesConfig, ServiceDist};
 use hecmix_queueing::MD1;
 use hecmix_workloads::memcached::Memcached;
 
@@ -57,16 +57,11 @@ fn main() {
     let analytic = MD1::new(lambda, service)
         .and_then(|q| q.mean_wait_s())
         .expect("stable queue");
-    // One combined core, constant service and one flow: the DES runs the
-    // same M/D/1 queue.
+    // With constant service the DES runs the same M/D/1 queue.
     let sim = des::simulate(&DesConfig {
         pps: lambda,
         n_requests: 200_000,
-        layout: CoreLayout::Combined { cores: 1 },
         service: ServiceDist::Constant(service),
-        net_cost_s: 0.0,
-        queue_cap: UNBOUNDED,
-        flows: 1,
         seed: 7,
     })
     .expect("valid simulation inputs");
