@@ -169,10 +169,7 @@ pub fn run_all(seed: u64) -> CheckReport {
             oracles::exhaustive_vs_streaming(&space, &models, w),
         ),
         CheckResult::new("model-vs-sim", oracles::model_vs_sim(seed)),
-        CheckResult::new(
-            "faulted-empty-vs-plain",
-            oracles::faulted_empty_vs_plain(seed),
-        ),
+        CheckResult::new("late-crash-vs-plain", oracles::late_crash_vs_plain(seed)),
         CheckResult::new("des-mean-wait-vs-pk", oracles::des_mean_wait_vs_pk(seed)),
         CheckResult::new(
             "des-p99-vs-md1-quantile",

@@ -212,11 +212,13 @@ pub fn model_vs_sim(seed: u64) -> Vec<String> {
     violations
 }
 
-/// A faulted cluster run with an *empty* fault schedule must be
-/// bit-identical to the plain cluster run: the fault machinery may not
-/// perturb the nominal path at all.
+/// A crash scheduled long after the job ends must leave the run exactly
+/// as the plain run: one crash recorded with nothing left to redo, and
+/// the same duration, energies and completed units bit for bit. Unlike an
+/// empty schedule, the crash turns fault mode on, so this covers the
+/// chunk charges, the work-end duration and the crash bookkeeping.
 #[must_use]
-pub fn faulted_empty_vs_plain(seed: u64) -> Vec<String> {
+pub fn late_crash_vs_plain(seed: u64) -> Vec<String> {
     let arm = reference_arm_arch();
     let amd = reference_amd_arch();
     let spec = ClusterSpec {
@@ -239,38 +241,38 @@ pub fn faulted_empty_vs_plain(seed: u64) -> Vec<String> {
         ],
         seed,
     };
-    let schedule = FaultSchedule::new();
-    if !schedule.is_empty() {
-        return vec!["FaultSchedule::new() is not empty".into()];
-    }
     let plain = run_cluster(&spec);
-    let faulted = run_cluster_faulted(&spec, &schedule, &RecoveryPolicy::default());
+    let schedule = FaultSchedule::new().crash(1, 0, 10.0 * plain.duration_s);
+    let late = run_cluster_faulted(&spec, &schedule, &RecoveryPolicy::default());
     let mut violations = Vec::new();
-    // Bit-identity, not a tolerance: both paths must execute the same code.
-    if faulted.duration_s != plain.duration_s {
-        violations.push(format!(
-            "duration drifts with empty schedule: {:.17e} vs {:.17e}",
-            faulted.duration_s, plain.duration_s
-        ));
+    match late.crashes.as_slice() {
+        [c] if c.leftover_units == 0 => {}
+        crashes => violations.push(format!(
+            "expected one crash with no leftover, got {:?}",
+            crashes.iter().map(|c| c.leftover_units).collect::<Vec<_>>()
+        )),
     }
-    if faulted.measured_energy_j != plain.measured_energy_j {
-        violations.push(format!(
-            "measured energy drifts with empty schedule: {:.17e} vs {:.17e}",
-            faulted.measured_energy_j, plain.measured_energy_j
-        ));
-    }
-    if faulted.true_energy_j != plain.true_energy_j {
-        violations.push(format!(
-            "true energy drifts with empty schedule: {:.17e} vs {:.17e}",
-            faulted.true_energy_j, plain.true_energy_j
-        ));
-    }
-    if faulted.per_type.len() != plain.per_type.len() {
-        violations.push(format!(
-            "per-type shape drifts with empty schedule: {} vs {}",
-            faulted.per_type.len(),
-            plain.per_type.len()
-        ));
+    // Bit-identity, not a tolerance: a crash after the last work event
+    // may not touch what the run measured.
+    for (what, late, plain) in [
+        ("duration", late.duration_s, plain.duration_s),
+        (
+            "measured energy",
+            late.measured_energy_j,
+            plain.measured_energy_j,
+        ),
+        ("true energy", late.true_energy_j, plain.true_energy_j),
+        (
+            "completed units",
+            late.completed_units,
+            plain.completed_units,
+        ),
+    ] {
+        if late.to_bits() != plain.to_bits() {
+            violations.push(format!(
+                "{what} drifts under a late crash: {late:.17e} vs {plain:.17e}"
+            ));
+        }
     }
     violations
 }

@@ -278,7 +278,7 @@ proptest! {
     #[test]
     fn prop_sim_backed_oracles_hold(seed in 0u64..(1u64 << 32)) {
         prop_assert_eq!(oracles::model_vs_sim(seed), Vec::<String>::new());
-        prop_assert_eq!(oracles::faulted_empty_vs_plain(seed), Vec::<String>::new());
+        prop_assert_eq!(oracles::late_crash_vs_plain(seed), Vec::<String>::new());
         prop_assert_eq!(oracles::des_mean_wait_vs_pk(seed), Vec::<String>::new());
     }
 }

@@ -56,38 +56,6 @@ impl EnergyBreakdown {
     }
 }
 
-/// Powered-on accounting window for [`EnergyModel::energy_windowed`].
-///
-/// The paper charges the idle floor `P_idle · T` for the full job
-/// duration, which is wrong for nodes a dispatcher has parked mid-window:
-/// a parked node's domain sits in a deep sleep state, not at `idle_w`.
-/// This window splits the duration into a powered-on interval (floor at
-/// the model's `idle_w`) and a parked interval (floor at the domain's
-/// sleep power).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PoweredWindow {
-    /// Seconds the node is powered on (floor charged at `idle_w`).
-    pub on_s: f64,
-    /// Seconds the node is parked (floor charged at `off_floor_w`).
-    pub off_s: f64,
-    /// Floor power while parked, in watts — typically the power-domain
-    /// tree's fully-slept floor ([`crate::dvfs::PowerDomain::asleep_w`]).
-    pub off_floor_w: f64,
-}
-
-impl PoweredWindow {
-    /// A window that is powered on for the whole duration — the legacy
-    /// accounting. [`EnergyModel::energy`] is exactly this window.
-    #[must_use]
-    pub fn always_on(duration_s: f64) -> Self {
-        Self {
-            on_s: duration_s,
-            off_s: 0.0,
-            off_floor_w: 0.0,
-        }
-    }
-}
-
 /// The energy model for one node type, bound to its measurement bundle.
 #[derive(Debug, Clone)]
 pub struct EnergyModel<'a> {
@@ -123,20 +91,6 @@ impl<'a> EnergyModel<'a> {
             job_duration_s >= times.total - 1e-9 * times.total.max(1.0),
             "job shorter than type time"
         );
-        self.energy_windowed(cfg, times, &PoweredWindow::always_on(job_duration_s))
-    }
-
-    /// Like [`Self::energy`], but with the idle floor integrated only
-    /// over powered-on intervals: `idle_w · on_s + off_floor_w · off_s`.
-    /// A fully powered-on window reproduces [`Self::energy`] bit-for-bit
-    /// (`x + 0.0 · 0.0 == x`).
-    #[must_use]
-    pub fn energy_windowed(
-        &self,
-        cfg: &NodeConfig,
-        times: &TimeBreakdown,
-        window: &PoweredWindow,
-    ) -> EnergyBreakdown {
         let n = f64::from(cfg.nodes);
         let power = &self.model.power;
 
@@ -159,10 +113,8 @@ impl<'a> EnergyModel<'a> {
         // Eq. 19: network device active during transfers.
         let e_io = power.io_w * times.t_io_busy;
 
-        // Eq. 14, corrected: the always-on floor applies only while the
-        // node is powered on; parked intervals cost the domain's sleep
-        // floor instead.
-        let e_idle = power.idle_w * window.on_s + window.off_floor_w * window.off_s;
+        // Eq. 14: the always-on floor over the whole job.
+        let e_idle = power.idle_w * job_duration_s;
 
         EnergyBreakdown {
             e_core: e_core * n,
@@ -170,22 +122,6 @@ impl<'a> EnergyModel<'a> {
             e_io: e_io * n,
             e_idle: e_idle * n,
         }
-    }
-
-    /// Average node-type power over the job: `E / T` (watts for all
-    /// `cfg.nodes` nodes together). Returns the idle floor when the job has
-    /// zero duration.
-    #[must_use]
-    pub fn average_power_w(
-        &self,
-        cfg: &NodeConfig,
-        times: &TimeBreakdown,
-        job_duration_s: f64,
-    ) -> f64 {
-        if job_duration_s <= 0.0 {
-            return self.model.power.idle_w * f64::from(cfg.nodes);
-        }
-        self.energy(cfg, times, job_duration_s).total() / job_duration_s
     }
 
     /// The measurement bundle this model is bound to.
@@ -259,53 +195,6 @@ mod tests {
     }
 
     #[test]
-    fn always_on_window_matches_legacy_energy_bitwise() {
-        let m = arm_bundle();
-        let em = ExecTimeModel::new(&m);
-        let en = EnergyModel::new(&m);
-        let cfg = NodeConfig::new(2, 3, Frequency::from_ghz(1.4));
-        let tb = em.predict(&cfg, 1e6);
-        let legacy = en.energy(&cfg, &tb, tb.total * 3.0);
-        let windowed = en.energy_windowed(&cfg, &tb, &PoweredWindow::always_on(tb.total * 3.0));
-        assert_eq!(legacy, windowed);
-    }
-
-    #[test]
-    fn parked_window_costs_sleep_power_not_idle_w() {
-        // Regression for the idle/park accounting bug: a node parked for
-        // part of the window must cost its domain's sleep floor over the
-        // parked interval, not the full `idle_w · T` floor.
-        let m = arm_bundle();
-        let em = ExecTimeModel::new(&m);
-        let en = EnergyModel::new(&m);
-        let cfg = NodeConfig::new(1, 4, Frequency::from_ghz(1.4));
-        let tb = em.predict(&cfg, 1e6);
-        let dvfs = crate::dvfs::NodeDvfs::synthetic_ladder(&m.power, m.platform.cores, 0.1);
-        let sleep_w = dvfs.domain.asleep_w();
-        assert!(sleep_w < m.power.idle_w);
-
-        let window_s = 10.0 * tb.total;
-        let parked_s = window_s - tb.total;
-        let buggy = en.energy(&cfg, &tb, window_s);
-        let fixed = en.energy_windowed(
-            &cfg,
-            &tb,
-            &PoweredWindow {
-                on_s: tb.total,
-                off_s: parked_s,
-                off_floor_w: sleep_w,
-            },
-        );
-        let expect_floor = m.power.idle_w * tb.total + sleep_w * parked_s;
-        assert!((fixed.e_idle - expect_floor).abs() < 1e-9 * expect_floor);
-        assert!(fixed.e_idle < buggy.e_idle);
-        // Busy components are untouched by the window.
-        assert_eq!(fixed.e_core, buggy.e_core);
-        assert_eq!(fixed.e_mem, buggy.e_mem);
-        assert_eq!(fixed.e_io, buggy.e_io);
-    }
-
-    #[test]
     fn lower_frequency_uses_less_power_but_more_time() {
         let m = arm_bundle();
         let em = ExecTimeModel::new(&m);
@@ -315,18 +204,9 @@ mod tests {
         let tb_f = em.predict(&fast, 1e6);
         let tb_s = em.predict(&slow, 1e6);
         assert!(tb_s.total > tb_f.total);
-        let pf = en.average_power_w(&fast, &tb_f, tb_f.total);
-        let ps = en.average_power_w(&slow, &tb_s, tb_s.total);
+        let pf = en.energy(&fast, &tb_f, tb_f.total).total() / tb_f.total;
+        let ps = en.energy(&slow, &tb_s, tb_s.total).total() / tb_s.total;
         assert!(ps < pf, "slow {ps} W should be below fast {pf} W");
-    }
-
-    #[test]
-    fn average_power_at_zero_duration_is_idle() {
-        let m = arm_bundle();
-        let en = EnergyModel::new(&m);
-        let cfg = NodeConfig::new(3, 4, Frequency::from_ghz(1.4));
-        let p = en.average_power_w(&cfg, &TimeBreakdown::zero(), 0.0);
-        assert!((p - 3.0 * 1.8).abs() < 1e-12);
     }
 
     #[test]

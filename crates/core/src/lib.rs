@@ -99,7 +99,7 @@ pub mod prelude {
     pub use crate::budget::{BudgetMix, PowerBudget, SubstitutionRatio};
     pub use crate::config::{ConfigSpace, NodeConfig};
     pub use crate::dvfs::{ActiveState, IdleState, NodeDvfs, OppLadder, PowerDomain};
-    pub use crate::energy::{EnergyBreakdown, EnergyModel, PoweredWindow};
+    pub use crate::energy::{EnergyBreakdown, EnergyModel};
     pub use crate::error::{Error, Result};
     pub use crate::exec_time::{ExecTimeModel, TimeBreakdown};
     pub use crate::mix_match::{

@@ -192,32 +192,9 @@ events! {
         /// Frequency after the change, GHz.
         to_ghz: f64,
     },
-    /// A power domain entered its deep idle state (all children idle and
-    /// the residency horizon passed).
-    DomainSleep = "domain_sleep" {
-        /// Node RNG seed.
-        seed: u64,
-        /// Simulated time the domain entered the deep state, seconds.
-        t_s: f64,
-        /// Domain name.
-        domain: &'static str,
-        /// Floor power while slept, watts.
-        sleep_w: f64,
-    },
-    /// A power domain left its deep idle state.
-    DomainWake = "domain_wake" {
-        /// Node RNG seed.
-        seed: u64,
-        /// Simulated wake time, seconds.
-        t_s: f64,
-        /// Domain name.
-        domain: &'static str,
-        /// Seconds spent in the deep state this residency.
-        slept_s: f64,
-    },
 
     // ---- hecmix-sim: fault lifecycle ----
-    /// A faulted cluster run started.
+    /// A cluster run under a non-empty fault schedule started.
     FaultedRunStart = "faulted_run_start" {
         /// Total work units across the cluster.
         total_units: u64,
@@ -943,7 +920,7 @@ mod tests {
     }
 
     #[test]
-    fn dvfs_domain_events_encode_their_fields() {
+    fn opp_change_event_encodes_its_fields() {
         let e = Event::OppChange {
             seed: 7,
             t_s: 1.25,
@@ -955,24 +932,6 @@ mod tests {
         assert!(j.contains("\"kind\":\"opp_change\""));
         assert!(j.contains("\"from_opp\":0"));
         assert!(j.contains("\"to_opp\":2"));
-        let e = Event::DomainSleep {
-            seed: 7,
-            t_s: 2.0,
-            domain: "cluster0",
-            sleep_w: 0.25,
-        };
-        let j = e.to_json();
-        assert!(j.contains("\"kind\":\"domain_sleep\""));
-        assert!(j.contains("\"domain\":\"cluster0\""));
-        let e = Event::DomainWake {
-            seed: 7,
-            t_s: 3.0,
-            domain: "cluster0",
-            slept_s: 1.0,
-        };
-        let j = e.to_json();
-        assert!(j.contains("\"kind\":\"domain_wake\""));
-        assert!(j.contains("\"slept_s\":1"));
     }
 
     #[test]

@@ -877,8 +877,8 @@ mod tests {
         assert!((idle_gap_energy_j(5.0, 8.0, &sleep) - 40.0).abs() < 1e-12);
         // Long gap: the first 10 s idle, the other 10 s at the deep floor.
         assert!((idle_gap_energy_j(20.0, 8.0, &sleep) - 100.0).abs() < 1e-12);
-        // Exactly at residency: no credit, like the simulator's
-        // `domain_wake`, which credits only the time past the residency.
+        // Exactly at residency: no credit, as in `window_energy_sleep`'s
+        // E[(G − r)⁺], which counts only the time past the residency.
         assert!((idle_gap_energy_j(10.0, 8.0, &sleep) - 80.0).abs() < 1e-12);
         // A domain asleep at the idle floor: exactly the idle floor.
         let floor = SleepPolicy {

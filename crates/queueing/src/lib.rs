@@ -34,6 +34,13 @@ use serde::{Deserialize, Serialize};
 
 use hecmix_core::{Error, Result};
 
+/// `λt` from which [`MD1::wait_cdf`] uses the Cramér–Lundberg tail
+/// instead of Erlang's series. Below it the series' terms stay small
+/// enough that cancellation costs about 1e-9 of `F` at most; from it on
+/// the tail's relative error is below 2e-10 for ρ in 0.3–0.99 (checked
+/// against 80-digit arithmetic), and below 1e-12 from `λt = 12`.
+const SERIES_MAX_LAMBDA_T: f64 = 8.0;
+
 /// The M/D/1 queue: Poisson arrivals at rate `lambda`, deterministic
 /// service time `service_s`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -83,8 +90,10 @@ impl MD1 {
     ///
     /// where `D` is the deterministic service time. `F_W(0) = 1 − ρ` (an
     /// arriving job waits zero with the probability the server is idle).
-    /// Errors at or beyond saturation, where no stationary distribution
-    /// exists.
+    /// The series alternates with terms up to `e^{λt}` that cancel, so
+    /// from `λt = 8` on the Cramér–Lundberg tail `1 − C·e^{−γt}` replaces
+    /// it. Errors at or beyond saturation, where no stationary
+    /// distribution exists.
     pub fn wait_cdf(&self, t: f64) -> Result<f64> {
         let rho = self.utilization();
         if rho >= 1.0 {
@@ -98,40 +107,76 @@ impl MD1 {
         if t < 0.0 {
             return Ok(0.0);
         }
+        if self.lambda * t < SERIES_MAX_LAMBDA_T {
+            Ok(self.series_cdf(t))
+        } else {
+            Ok(self.tail_cdf(t))
+        }
+    }
+
+    /// Erlang's series for `0 ≤ t`, each term `(−1)^k · y^k·e^y / k!` with
+    /// `y = λ(t − kD) ≥ 0` built in O(1) from a running `ln k!`.
+    fn series_cdf(&self, t: f64) -> f64 {
+        let rho = self.utilization();
         let d = self.service_s;
         let kmax = (t / d).floor() as u64;
         let mut sum = 0.0f64;
         let mut max_term = 0.0f64;
+        let mut ln_fact = 0.0f64;
         for k in 0..=kmax {
-            // x = λ(kD − t) ≤ 0: build x^k/k!·e^{−x} by repeated
-            // multiplication so the factorial never overflows.
-            let x = self.lambda * (k as f64 * d - t);
-            let mut term = (-x).exp();
-            for j in 1..=k {
-                term *= x / j as f64;
-            }
-            sum += term;
-            max_term = max_term.max(term.abs());
-        }
-        if !sum.is_finite() {
-            // λt is large enough that e^{λt} overflows; the true CDF is 1
-            // to double precision well before that point.
-            return Ok(1.0);
+            // Rounding can put kD a hair past t; the term is then zero.
+            let y = (self.lambda * (t - k as f64 * d)).max(0.0);
+            let term = if k == 0 {
+                y.exp()
+            } else {
+                ln_fact += (k as f64).ln();
+                // At y = 0 the exponent is −∞ and the term exactly zero.
+                (k as f64 * y.ln() + y - ln_fact).exp()
+            };
+            sum += if k % 2 == 0 { term } else { -term };
+            max_term = max_term.max(term);
         }
         let f = ((1.0 - rho) * sum).clamp(0.0, 1.0);
-        // The series alternates with terms up to e^{λt} that cancel down
-        // to a value in [0, 1]: once the true tail 1 − F drops under the
-        // cancellation noise, pin the CDF to exactly 1 so it stays
-        // monotone instead of jittering at the noise floor.
+        // Once the true tail 1 − F drops under the cancellation noise, pin
+        // the CDF to exactly 1 so it stays monotone instead of jittering
+        // at the noise floor.
         let noise = (1.0 - rho) * max_term * (kmax + 1) as f64 * f64::EPSILON;
         if 1.0 - f <= 8.0 * noise {
-            return Ok(1.0);
+            return 1.0;
         }
-        Ok(f)
+        f
     }
 
-    /// Quantile of the *waiting* time: smallest `t` with `P(W ≤ t) ≥ q`,
-    /// found by bisection on [`Self::wait_cdf`]. `q` must lie in `(0, 1)`.
+    /// The Cramér–Lundberg asymptote `P(W > t) ≈ C·e^{−γt}` as `(γ, C)`:
+    /// `γ > 0` solves `e^{γD} = 1 + γ/λ`, and `C = (1 − ρ)/(λD·e^{γD} − 1)`,
+    /// which at that root is `(1 − ρ)/(γD − (1 − ρ))`.
+    fn tail(&self) -> (f64, f64) {
+        let (lambda, d) = (self.lambda, self.service_s);
+        let rho = self.utilization();
+        // h(γ) = γD − ln(1 + γ/λ) is convex with h(0) = 0 and h'(0) < 0,
+        // and positive at 2(1 − ρ)/(ρD) (expand e^{γD} to second order),
+        // so Newton from there falls monotonically onto the root.
+        let mut gamma = 2.0 * (1.0 - rho) / (rho * d);
+        for _ in 0..100 {
+            let h = gamma * d - (gamma / lambda).ln_1p();
+            let next = gamma - h / (d - 1.0 / (lambda + gamma));
+            if !(next < gamma) {
+                break;
+            }
+            gamma = next;
+        }
+        (gamma, (1.0 - rho) / (gamma * d - (1.0 - rho)))
+    }
+
+    fn tail_cdf(&self, t: f64) -> f64 {
+        let (gamma, c) = self.tail();
+        (1.0 - c * (-gamma * t).exp()).clamp(0.0, 1.0)
+    }
+
+    /// Quantile of the *waiting* time: smallest `t` with `P(W ≤ t) ≥ q`.
+    /// Past the series switch the tail inverts in closed form,
+    /// `t = ln(C/(1 − q))/γ`; below it, bisection on [`Self::wait_cdf`].
+    /// `q` must lie in `(0, 1)`.
     pub fn wait_quantile(&self, q: f64) -> Result<f64> {
         if !(q > 0.0) || !(q < 1.0) {
             return Err(Error::InvalidInput(format!(
@@ -145,20 +190,23 @@ impl MD1 {
         if q <= 1.0 - rho {
             return Ok(0.0); // mass at zero covers this quantile
         }
-        // Bracket: the wait CDF approaches 1 geometrically, so doubling
-        // from one service time up finds an upper bound quickly.
-        let mut hi = self.service_s;
-        while self.wait_cdf(hi)? < q {
-            hi *= 2.0;
-            if hi > 1e6 * self.service_s {
-                return Err(Error::InvalidInput(format!(
-                    "wait_quantile failed to bracket q={q} at ρ={rho}"
-                )));
-            }
+        let switch_t = SERIES_MAX_LAMBDA_T / self.lambda;
+        let (gamma, c) = self.tail();
+        if q >= 1.0 - c * (-gamma * switch_t).exp() {
+            return Ok((c / (1.0 - q)).ln() / gamma);
+        }
+        // Bracket by doubling from one service time, so that at low load
+        // the series stays a few terms long, then bisect.
+        let mut hi = self.service_s.min(switch_t);
+        while hi < switch_t && self.wait_cdf(hi)? < q {
+            hi = (2.0 * hi).min(switch_t);
         }
         let mut lo = 0.0f64;
         for _ in 0..200 {
             let mid = 0.5 * (lo + hi);
+            if mid <= lo || mid >= hi {
+                break;
+            }
             if self.wait_cdf(mid)? >= q {
                 hi = mid;
             } else {
@@ -386,11 +434,11 @@ pub fn window_energy_sleep(
 /// scheduler so a node timeline and a diurnal slot price the same deep
 /// state identically: the first `residency_s` of a gap idles at
 /// `idle_w` and only the rest sleeps at `sleep_power_w`,
-/// `idle_w·min(gap, r) + sleep_w·(gap − r)⁺`. Its mean over `Exp(λ)` gaps
-/// is [`window_energy_sleep`]'s idle energy per gap, and it mirrors the
-/// simulator's domain-sleep credit (a gap no longer than the residency
-/// earns none, DESIGN §15). A domain that sleeps at `idle_w` with zero
-/// residency (a two-point model's lift) prices every gap at
+/// `idle_w·min(gap, r) + sleep_w·(gap − r)⁺`, so a gap no longer than
+/// the residency earns no credit. Its mean over `Exp(λ)` gaps is
+/// [`window_energy_sleep`]'s idle energy per gap, whose deep-sleep time
+/// is `E[(G − r)⁺]` (DESIGN §15). A domain that sleeps at `idle_w` with
+/// zero residency (a two-point model's lift) prices every gap at
 /// `idle_w·gap`, bit for bit.
 ///
 /// Non-positive or non-finite gaps price to zero rather than erroring —
@@ -522,6 +570,37 @@ mod tests {
         // Response quantile adds the deterministic service time.
         let r = q.response_quantile(0.99).unwrap();
         assert!((r - q.wait_quantile(0.99).unwrap() - 0.1).abs() < 1e-12);
+    }
+
+    #[test]
+    fn md1_p99_response_matches_exact_values_up_to_high_load() {
+        // Exact p99 responses at D = 1, from Erlang's series in 80–220-digit
+        // arithmetic. Summing the series in doubles read 22.8958, 27.667,
+        // 28.975 and 29.686 for ρ ≥ 0.9: its terms cancelled to noise.
+        for (rho, exact) in [
+            (0.5, 4.336256),
+            (0.7, 7.485499),
+            (0.9, 22.898237),
+            (0.95, 45.937766),
+            (0.98, 115.023232),
+            (0.99, 230.155078),
+        ] {
+            let r = MD1::new(rho, 1.0).unwrap().response_quantile(0.99).unwrap();
+            assert!((r / exact - 1.0).abs() < 1e-6, "ρ = {rho}: {r} vs {exact}");
+        }
+    }
+
+    #[test]
+    fn md1_series_and_tail_agree_at_the_switch() {
+        for rho in [0.3, 0.6, 0.9, 0.95, 0.99] {
+            let q = MD1::new(rho, 1.0).unwrap();
+            let t = SERIES_MAX_LAMBDA_T / q.lambda;
+            let (series, tail) = (q.series_cdf(t), q.tail_cdf(t));
+            assert!(
+                (series - tail).abs() < 1e-9,
+                "ρ = {rho}: series {series} vs tail {tail}"
+            );
+        }
     }
 
     #[test]

@@ -6,9 +6,11 @@
 //! places each submitted job with the *same* α-score chooser the replay
 //! engine uses ([`hecmix_sched::select_candidate`]) — only the candidate
 //! enumeration differs. The replay engine backfills over a reservation
-//! timeline; the live path keeps a per-node FIFO tail (`busy_until`),
-//! because a daemon cannot retroactively slot work before commitments it
-//! already answered with a start time.
+//! timeline; the live path keeps a per-node FIFO tail (`busy_until`).
+//! Without faults no node's timeline has a gap after the current time, so
+//! both start a job at `max(now, busy_until)` bit for bit, and
+//! `tests/submit_replay.rs` replays a live run through the engine to
+//! prove it.
 //!
 //! All state lives under one mutex and every operation is bounded by
 //! `pool nodes × menu options`, so submissions are answered inline on the

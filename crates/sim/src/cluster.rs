@@ -3,15 +3,15 @@
 //! Scale-out workloads have negligible inter-node communication (§II-A), so
 //! nodes run independently: the cluster's job time is the slowest node's
 //! finish time, and every node burns its idle floor until then. Nodes are
-//! simulated concurrently with rayon.
-
-use rayon::prelude::*;
+//! simulated concurrently with rayon. A plain run is the fault-free case of
+//! [`run_cluster_faulted`], which does the flattening, seeding and
+//! aggregation for both.
 
 use hecmix_core::types::Frequency;
 
 use crate::arch::NodeArch;
 use crate::counters::NodeCounters;
-use crate::node::{run_node, NodeMeasurement, NodeRunSpec};
+use crate::faults::{run_cluster_faulted, CrashRecord, FaultSchedule, RecoveryPolicy};
 use crate::power::EnergyAccount;
 use crate::trace::WorkloadTrace;
 
@@ -43,18 +43,28 @@ pub struct ClusterSpec {
     pub seed: u64,
 }
 
-/// Aggregated measurement of a cluster run.
+/// Aggregated measurement of a cluster run, plain or under a fault
+/// schedule.
 #[derive(Debug, Clone)]
 pub struct ClusterMeasurement {
-    /// Job duration: the slowest node's finish time, seconds.
+    /// Job duration: completion time of the last work unit anywhere (the
+    /// slowest node's finish time), seconds. A crash with nothing left to
+    /// redo does not extend the job.
     pub duration_s: f64,
     /// Total measured energy across all nodes (meter readings), joules.
     /// Includes the idle energy of early finishers waiting for the job.
     pub measured_energy_j: f64,
-    /// Ground-truth total energy, joules.
+    /// Ground-truth total energy including idle top-ups, joules.
     pub true_energy_j: f64,
-    /// Per-type results.
+    /// Per-type results (crashed nodes included up to their crash).
     pub per_type: Vec<TypeMeasurement>,
+    /// One record per scheduled crash, in processing (time) order; empty
+    /// for a plain run.
+    pub crashes: Vec<CrashRecord>,
+    /// Units lost for good because no survivor could take them.
+    pub abandoned_units: u64,
+    /// Work units completed across the cluster.
+    pub completed_units: f64,
 }
 
 /// Aggregated per-type measurement.
@@ -73,124 +83,15 @@ pub struct TypeMeasurement {
     pub node_durations_s: Vec<f64>,
 }
 
-/// Run a heterogeneous cluster job to completion.
+/// Run a heterogeneous cluster job to completion: the empty fault
+/// schedule of [`run_cluster_faulted`].
 ///
 /// Every node simulates independently; after all finish, nodes that ended
 /// early are charged their idle floor until the cluster-wide finish time
 /// (they cannot be powered off mid-job).
 #[must_use]
 pub fn run_cluster(spec: &ClusterSpec) -> ClusterMeasurement {
-    // Flatten into per-node run descriptions.
-    struct NodeJob {
-        type_idx: usize,
-        arch_idx: usize,
-        units: u64,
-        cores: u32,
-        freq: Frequency,
-        seed: u64,
-    }
-    let mut jobs = Vec::new();
-    for (type_idx, a) in spec.assignments.iter().enumerate() {
-        if a.nodes == 0 {
-            continue;
-        }
-        let per_node = a.units / u64::from(a.nodes);
-        let remainder = a.units % u64::from(a.nodes);
-        for i in 0..a.nodes {
-            let units = per_node + u64::from(i < remainder as u32);
-            jobs.push(NodeJob {
-                type_idx,
-                arch_idx: type_idx,
-                units,
-                cores: a.cores,
-                freq: a.freq,
-                seed: spec
-                    .seed
-                    .wrapping_mul(0x100000001B3)
-                    .wrapping_add((type_idx as u64) << 32 | u64::from(i)),
-            });
-        }
-    }
-
-    let results: Vec<(usize, NodeMeasurement)> = jobs
-        .par_iter()
-        .map(|j| {
-            let arch = &spec.assignments[j.arch_idx].arch;
-            let m = if j.units == 0 {
-                // A node with no work idles for free until top-up below.
-                NodeMeasurement {
-                    counters: NodeCounters::new(j.cores as usize),
-                    energy: EnergyAccount::default(),
-                    measured_energy_j: 0.0,
-                    duration_s: 0.0,
-                }
-            } else {
-                run_node(
-                    arch,
-                    &spec.trace,
-                    &NodeRunSpec::new(j.cores, j.freq, j.units, j.seed),
-                )
-            };
-            (j.type_idx, m)
-        })
-        .collect();
-
-    let duration_s = results
-        .iter()
-        .map(|(_, m)| m.duration_s)
-        .fold(0.0, f64::max);
-
-    let mut per_type: Vec<TypeMeasurement> = spec
-        .assignments
-        .iter()
-        .map(|a| TypeMeasurement {
-            duration_s: 0.0,
-            measured_energy_j: 0.0,
-            counters: NodeCounters::new((a.cores as usize).max(1)),
-            energy: EnergyAccount::default(),
-            node_durations_s: Vec::new(),
-        })
-        .collect();
-
-    for (type_idx, m) in &results {
-        let t = &mut per_type[*type_idx];
-        let arch = &spec.assignments[*type_idx].arch;
-        // Idle top-up: this node waits for the cluster to finish.
-        let idle_topup = arch.power.idle_w * (duration_s - m.duration_s).max(0.0);
-        t.duration_s = t.duration_s.max(m.duration_s);
-        t.measured_energy_j += m.measured_energy_j + idle_topup;
-        t.energy.merge(&m.energy);
-        t.node_durations_s.push(m.duration_s);
-        // Merge counters core-wise (types are homogeneous internally).
-        for (dst, src) in t.counters.cores.iter_mut().zip(&m.counters.cores) {
-            dst.merge(src);
-        }
-        t.counters.io_bytes += m.counters.io_bytes;
-        t.counters.io_busy_s += m.counters.io_busy_s;
-        t.counters.mem_busy_s += m.counters.mem_busy_s;
-        t.counters.duration_s = t.counters.duration_s.max(m.counters.duration_s);
-    }
-
-    let measured_energy_j = per_type.iter().map(|t| t.measured_energy_j).sum();
-    let true_energy_j = per_type
-        .iter()
-        .zip(&spec.assignments)
-        .map(|(t, a)| {
-            let idle_topup: f64 = t
-                .node_durations_s
-                .iter()
-                .map(|d| a.arch.power.idle_w * (duration_s - d).max(0.0))
-                .sum();
-            t.energy.total_j() + idle_topup
-        })
-        .sum();
-
-    ClusterMeasurement {
-        duration_s,
-        measured_energy_j,
-        true_energy_j,
-        per_type,
-    }
+    run_cluster_faulted(spec, &FaultSchedule::new(), &RecoveryPolicy::default())
 }
 
 #[cfg(test)]

@@ -9,7 +9,8 @@
 //! against them.
 //!
 //! [`run_cluster_faulted`] executes a cluster job under a schedule with a
-//! work-conserving recovery protocol:
+//! work-conserving recovery protocol; [`crate::cluster::run_cluster`] is
+//! its empty schedule:
 //!
 //! 1. a crashed node's in-flight chunks are rolled back (the work was lost
 //!    mid-execution and must be redone) and its queued units stay undone;
@@ -25,14 +26,14 @@
 //! redistribution targets accumulate injected work (each round is a full,
 //! self-consistent event simulation), processing crashes in time order
 //! until the schedule is exhausted. If a crash leaves no eligible
-//! survivors, its units are reported as [`FaultedClusterMeasurement::abandoned_units`]
+//! survivors, its units are reported as [`ClusterMeasurement::abandoned_units`]
 //! rather than silently lost.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 
-use crate::cluster::{ClusterSpec, TypeMeasurement};
+use crate::cluster::{ClusterMeasurement, ClusterSpec, TypeMeasurement};
 use crate::counters::NodeCounters;
 use crate::node::{run_node_faulted, FaultedNodeMeasurement, NodeRunSpec};
 use crate::power::EnergyAccount;
@@ -280,29 +281,7 @@ pub struct CrashRecord {
     pub abandoned_units: u64,
 }
 
-/// Aggregated measurement of a cluster run under a fault schedule.
-#[derive(Debug, Clone)]
-pub struct FaultedClusterMeasurement {
-    /// Completion time of the last work unit anywhere, seconds. A crash
-    /// with nothing left to redo does not extend the job.
-    pub duration_s: f64,
-    /// Total metered energy including idle top-ups, joules.
-    pub measured_energy_j: f64,
-    /// Ground-truth total energy including idle top-ups, joules.
-    pub true_energy_j: f64,
-    /// Per-type aggregates (crashed nodes included up to their crash).
-    pub per_type: Vec<TypeMeasurement>,
-    /// One record per scheduled crash, in processing (time) order.
-    pub crashes: Vec<CrashRecord>,
-    /// Units lost for good because no survivor could take them.
-    pub abandoned_units: u64,
-    /// Work units completed across the cluster.
-    pub completed_units: f64,
-}
-
-/// Internal per-node run description (mirrors `run_cluster`'s flattening,
-/// including its seed derivation, so an empty schedule reproduces the
-/// plain run bit for bit).
+/// Internal per-node run description.
 struct NodeJob {
     type_idx: usize,
     node_idx: u32,
@@ -356,18 +335,20 @@ fn emit_crash_events(rec: &CrashRecord) {
 /// Run a heterogeneous cluster job under a fault schedule.
 ///
 /// Deterministic: the same spec, schedule and policy reproduce identical
-/// counters and energy. With an empty schedule the result matches
-/// [`crate::cluster::run_cluster`] exactly.
+/// counters and energy. The `faulted_run_start`/`faulted_run_end` events
+/// fire only for a non-empty schedule, so a plain run emits its nodes'
+/// events alone.
 ///
 /// # Panics
 /// Panics when a schedule event names a type or node outside the spec, or
-/// when a node spec is invalid (same contract as `run_cluster`).
+/// when a node spec is invalid (bad core count or frequency, invalid
+/// demand).
 #[must_use]
 pub fn run_cluster_faulted(
     spec: &ClusterSpec,
     schedule: &FaultSchedule,
     policy: &RecoveryPolicy,
-) -> FaultedClusterMeasurement {
+) -> ClusterMeasurement {
     assert!(
         policy.heartbeat_timeout_s >= 0.0 && policy.redistribute_backoff_s >= 0.0,
         "recovery delays must be non-negative"
@@ -420,25 +401,11 @@ pub fn run_cluster_faulted(
         j.faults.sort_by(|a, b| a.at_s.total_cmp(&b.at_s));
     }
 
+    // A workless node runs too: with no events its run ends at t = 0 with
+    // zero counters and energy, and it idles until top-up.
     let run_all = |jobs: &[NodeJob]| -> Vec<FaultedNodeMeasurement> {
         jobs.par_iter()
             .map(|j| {
-                if j.units == 0 && j.faults.is_empty() && j.injections.is_empty() {
-                    // Mirror `run_cluster`: a workless, fault-free node is
-                    // never simulated — it idles for free until top-up.
-                    return FaultedNodeMeasurement {
-                        measurement: crate::node::NodeMeasurement {
-                            counters: NodeCounters::new(j.cores as usize),
-                            energy: EnergyAccount::default(),
-                            measured_energy_j: 0.0,
-                            duration_s: 0.0,
-                        },
-                        work_end_s: 0.0,
-                        crashed_at_s: None,
-                        leftover_units: 0,
-                        lost_in_flight_units: 0,
-                    };
-                }
                 let arch = &spec.assignments[j.type_idx].arch;
                 run_node_faulted(
                     arch,
@@ -464,10 +431,13 @@ pub fn run_cluster_faulted(
             .then(jobs[a].node_idx.cmp(&jobs[b].node_idx))
     });
 
-    hecmix_obs::emit(|| hecmix_obs::Event::FaultedRunStart {
-        total_units: spec.assignments.iter().map(|a| a.units).sum(),
-        crashes: crash_order.len(),
-    });
+    let traced = !schedule.is_empty();
+    if traced {
+        hecmix_obs::emit(|| hecmix_obs::Event::FaultedRunStart {
+            total_units: spec.assignments.iter().map(|a| a.units).sum(),
+            crashes: crash_order.len(),
+        });
+    }
     let mut results = run_all(&jobs);
     let mut crashes: Vec<CrashRecord> = Vec::new();
     let mut abandoned_total: u64 = 0;
@@ -568,7 +538,7 @@ pub fn run_cluster_faulted(
         results = run_all(&jobs);
     }
 
-    // ---- Aggregate (run_cluster's layout, with per-node alive windows).
+    // ---- Aggregate, with per-node alive windows.
     let duration_s = results.iter().map(|r| r.work_end_s).fold(0.0, f64::max);
     let mut per_type: Vec<TypeMeasurement> = spec
         .assignments
@@ -581,9 +551,7 @@ pub fn run_cluster_faulted(
             node_durations_s: Vec::new(),
         })
         .collect();
-    // Per-type idle top-ups accumulated in node order, so the final sums
-    // reproduce `run_cluster`'s float ordering bit for bit when the
-    // schedule is empty.
+    // Per-type idle top-ups, accumulated in node order.
     let mut type_topup = vec![0.0f64; spec.assignments.len()];
     for (j, r) in jobs.iter().zip(&results) {
         let t = &mut per_type[j.type_idx];
@@ -616,13 +584,15 @@ pub fn run_cluster_faulted(
         .map(|(t, topup)| t.energy.total_j() + topup)
         .sum();
     let completed_units: f64 = per_type.iter().map(|t| t.counters.units_done()).sum();
-    hecmix_obs::emit(|| hecmix_obs::Event::FaultedRunEnd {
-        duration_s,
-        completed_units: completed_units as u64,
-        abandoned_units: abandoned_total,
-    });
+    if traced {
+        hecmix_obs::emit(|| hecmix_obs::Event::FaultedRunEnd {
+            duration_s,
+            completed_units: completed_units as u64,
+            abandoned_units: abandoned_total,
+        });
+    }
 
-    FaultedClusterMeasurement {
+    ClusterMeasurement {
         duration_s,
         measured_energy_j,
         true_energy_j,

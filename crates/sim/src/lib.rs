@@ -25,7 +25,11 @@
 //!   ([`noise`]), so CPU utilization, I/O backpressure and memory
 //!   contention are *emergent*, not prescribed;
 //! * observables come out through perf-like counters ([`counters`]) and a
-//!   sampling power meter with calibrated measurement noise ([`power`]).
+//!   sampling power meter with calibrated measurement noise ([`power`]);
+//! * a cluster job runs its nodes independently and tops up early
+//!   finishers' idle floor ([`cluster`]); the plain run is the empty
+//!   schedule of the fault-injecting runner ([`faults`]), so paper
+//!   validations and crash experiments share one path.
 //!
 //! The analytical model in `hecmix-core` is then fed with parameters
 //! *measured on this substrate* (by `hecmix-profile`) and validated against
@@ -52,13 +56,12 @@ pub use calibration::{reference_a15_arch, reference_amd_arch, reference_arm_arch
 pub use cluster::{run_cluster, ClusterMeasurement, ClusterSpec, TypeAssignment};
 pub use counters::{CoreCounters, NodeCounters};
 pub use faults::{
-    run_cluster_faulted, CrashRecord, FaultEvent, FaultKind, FaultSchedule,
-    FaultedClusterMeasurement, NodeFault, RecoveryPolicy, WorkInjection,
+    run_cluster_faulted, CrashRecord, FaultEvent, FaultKind, FaultSchedule, NodeFault,
+    RecoveryPolicy, WorkInjection,
 };
 pub use jobs::{run_job_stream, JobStreamMeasurement, JobStreamSpec};
 pub use node::{
-    run_node, run_node_faulted, DomainSleepSpec, FaultedNodeMeasurement, Governor, NodeMeasurement,
-    NodeRunSpec,
+    run_node, run_node_faulted, FaultedNodeMeasurement, Governor, NodeMeasurement, NodeRunSpec,
 };
 pub use noise::Noise;
 pub use trace::{ArrivalProcess, UnitDemand, WorkloadTrace};

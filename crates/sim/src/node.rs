@@ -57,20 +57,6 @@ impl Governor {
     }
 }
 
-/// Cluster-level sleep capability of the node's power domain: when every
-/// core is parked and the NIC is quiet for longer than `residency_s`, the
-/// domain drops from the always-on `idle_w` floor to `sleep_w` for the
-/// remainder of the idle interval (the first `residency_s` seconds pay
-/// the entry/exit cost at the full floor).
-#[derive(Debug, Clone, Copy)]
-pub struct DomainSleepSpec {
-    /// Minimum idle-interval length before the deep state pays off, in
-    /// seconds.
-    pub residency_s: f64,
-    /// Node floor power while the domain is slept, in watts.
-    pub sleep_w: f64,
-}
-
 /// Per-node run parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct NodeRunSpec {
@@ -88,9 +74,6 @@ pub struct NodeRunSpec {
     pub chunk_units: Option<u64>,
     /// DVFS policy.
     pub governor: Governor,
-    /// Optional cluster-sleep capability; `None` keeps the legacy
-    /// always-on idle floor.
-    pub domain_sleep: Option<DomainSleepSpec>,
 }
 
 impl NodeRunSpec {
@@ -104,7 +87,6 @@ impl NodeRunSpec {
             seed,
             chunk_units: None,
             governor: Governor::Fixed,
-            domain_sleep: None,
         }
     }
 
@@ -112,13 +94,6 @@ impl NodeRunSpec {
     #[must_use]
     pub fn with_governor(mut self, governor: Governor) -> Self {
         self.governor = governor;
-        self
-    }
-
-    /// Enable cluster sleep during full-node idle intervals.
-    #[must_use]
-    pub fn with_domain_sleep(mut self, sleep: DomainSleepSpec) -> Self {
-        self.domain_sleep = Some(sleep);
         self
     }
 }
@@ -218,11 +193,6 @@ struct NodeSim<'a> {
     /// Cores parked on backpressure or arrival starvation.
     parked: Vec<u32>,
     wake_scheduled: bool,
-    /// Start of the current full-node idle interval (every core parked,
-    /// NIC quiet), when cluster sleep is enabled.
-    domain_idle_since: Option<f64>,
-    /// Accumulated deep-sleep time (idle intervals minus residency).
-    slept_s: f64,
     /// Whole-run stall bias (drawn once per run from the seed).
     run_factor: f64,
     /// Current P-state index into `arch.platform.freqs`.
@@ -260,11 +230,7 @@ struct NodeSim<'a> {
 }
 
 impl<'a> NodeSim<'a> {
-    fn new(arch: &'a NodeArch, trace: &'a WorkloadTrace, spec: NodeRunSpec) -> Self {
-        Self::new_faulted(arch, trace, spec, &[], &[])
-    }
-
-    fn new_faulted(
+    fn new(
         arch: &'a NodeArch,
         trace: &'a WorkloadTrace,
         spec: NodeRunSpec,
@@ -332,8 +298,6 @@ impl<'a> NodeSim<'a> {
             nic_pending_bytes: 0.0,
             parked: Vec::new(),
             wake_scheduled: false,
-            domain_idle_since: None,
-            slept_s: 0.0,
             run_factor,
             freq_idx,
             busy_since_tick: 0.0,
@@ -462,7 +426,6 @@ impl<'a> NodeSim<'a> {
         let units = self.chunk.min(self.pending_units);
         self.pending_units -= units;
         self.consumed_units += units as f64;
-        self.domain_wake();
         self.busy_cores += 1;
         self.core_busy[core as usize] = Some(units);
 
@@ -481,53 +444,6 @@ impl<'a> NodeSim<'a> {
                 reason,
             });
         }
-        self.maybe_domain_idle();
-    }
-
-    /// Open a full-node idle interval if cluster sleep is enabled and
-    /// nothing on the node can make progress right now: every core is
-    /// parked, no chunk is in flight, and the NIC is quiet.
-    fn maybe_domain_idle(&mut self) {
-        if self.spec.domain_sleep.is_none() || self.domain_idle_since.is_some() {
-            return;
-        }
-        let all_parked = self.parked.len() as u32 == self.spec.cores;
-        if all_parked && self.busy_cores == 0 && !self.nic_busy && self.nic_queue_bytes <= 0.0 {
-            self.domain_idle_since = Some(self.queue.now());
-        }
-    }
-
-    /// Close the current full-node idle interval (work or I/O is about to
-    /// start). Intervals longer than the residency earn deep-sleep credit
-    /// for the time past the residency horizon and emit the
-    /// `domain_sleep`/`domain_wake` event pair.
-    fn domain_wake(&mut self) {
-        let Some(start) = self.domain_idle_since.take() else {
-            return;
-        };
-        let Some(sleep) = self.spec.domain_sleep else {
-            return;
-        };
-        let now = self.queue.now();
-        let gap = now - start;
-        let residency = sleep.residency_s.max(0.0);
-        if gap <= residency {
-            return;
-        }
-        let slept = gap - residency;
-        self.slept_s += slept;
-        hecmix_obs::emit(|| hecmix_obs::Event::DomainSleep {
-            seed: self.spec.seed,
-            t_s: start + residency,
-            domain: "node",
-            sleep_w: sleep.sleep_w,
-        });
-        hecmix_obs::emit(|| hecmix_obs::Event::DomainWake {
-            seed: self.spec.seed,
-            t_s: now,
-            domain: "node",
-            slept_s: slept,
-        });
     }
 
     fn unpark_all(&mut self) {
@@ -652,7 +568,6 @@ impl<'a> NodeSim<'a> {
 
     fn start_nic(&mut self) {
         debug_assert!(!self.nic_busy && self.nic_queue_bytes > 0.0);
-        self.domain_wake();
         self.nic_busy = true;
         // Drain one chunk's worth per NIC service event.
         let per_chunk = self.nic_queue_bytes / self.nic_chunk_backlog.max(1.0);
@@ -707,9 +622,6 @@ impl<'a> NodeSim<'a> {
                     }
                     // Backpressure may have lifted.
                     self.unpark_all();
-                    // The NIC going quiet may have completed a full-node
-                    // idle condition (cores still starved).
-                    self.maybe_domain_idle();
                 }
                 Ev::WakeArrival => {
                     self.wake_scheduled = false;
@@ -819,14 +731,7 @@ impl<'a> NodeSim<'a> {
             self.queue.now()
         };
         self.counters.duration_s = duration;
-        // Close a trailing idle interval so its sleep credit lands.
-        self.domain_wake();
         self.energy.idle_j = self.arch.power.idle_w * duration;
-        if let Some(sleep) = self.spec.domain_sleep {
-            // Deep-slept time is charged at sleep_w instead of idle_w.
-            let credit = (self.arch.power.idle_w - sleep.sleep_w).max(0.0) * self.slept_s;
-            self.energy.idle_j = (self.energy.idle_j - credit).max(0.0);
-        }
 
         let mut meter = PowerMeter::new(
             Noise::new(self.spec.seed ^ 0x9E3779B97F4A7C15),
@@ -841,12 +746,7 @@ impl<'a> NodeSim<'a> {
         }
     }
 
-    fn run(mut self) -> NodeMeasurement {
-        self.run_loop();
-        self.finalize()
-    }
-
-    fn run_faulted(mut self) -> FaultedNodeMeasurement {
+    fn run(mut self) -> FaultedNodeMeasurement {
         self.run_loop();
         let work_end_s = self.last_activity;
         let crashed_at_s = self.crashed.then(|| self.queue.now());
@@ -869,16 +769,15 @@ impl<'a> NodeSim<'a> {
 /// or frequency) or the trace demand is invalid.
 #[must_use]
 pub fn run_node(arch: &NodeArch, trace: &WorkloadTrace, spec: &NodeRunSpec) -> NodeMeasurement {
-    NodeSim::new(arch, trace, *spec).run()
+    run_node_faulted(arch, trace, spec, &[], &[]).measurement
 }
 
 /// Run one node under a fault schedule, with extra work injected mid-run.
 ///
-/// With empty `faults` and `injections` this delegates to the plain
-/// [`run_node`] path, so the measurement is bit-identical to an unfaulted
-/// run (only the fault-mode extras differ: `work_end_s` then equals the
-/// plain duration only up to trailing governor-tick drain, so it is taken
-/// from the measurement itself).
+/// With empty `faults` and `injections` fault mode stays off, so the
+/// measurement is the plain [`run_node`] one; `work_end_s` then equals its
+/// duration unless an `Ondemand` governor tick drains the queue after the
+/// last work event.
 ///
 /// # Panics
 /// Panics when the spec is inconsistent with the archetype, the trace
@@ -892,18 +791,7 @@ pub fn run_node_faulted(
     faults: &[NodeFault],
     injections: &[WorkInjection],
 ) -> FaultedNodeMeasurement {
-    if faults.is_empty() && injections.is_empty() {
-        let measurement = run_node(arch, trace, spec);
-        let work_end_s = measurement.duration_s;
-        return FaultedNodeMeasurement {
-            measurement,
-            work_end_s,
-            crashed_at_s: None,
-            leftover_units: 0,
-            lost_in_flight_units: 0,
-        };
-    }
-    NodeSim::new_faulted(arch, trace, *spec, faults, injections).run_faulted()
+    NodeSim::new(arch, trace, *spec, faults, injections).run()
 }
 
 #[cfg(test)]
@@ -1066,58 +954,6 @@ mod tests {
         let arrival_window = units as f64 / rate;
         assert!(m.duration_s >= arrival_window * 0.99);
         assert!(m.duration_s <= arrival_window * 1.1);
-    }
-
-    #[test]
-    fn domain_sleep_credits_starved_intervals() {
-        // Slow open arrivals starve the cores between chunks; with a
-        // cluster-sleep spec those full-node idle gaps are charged at the
-        // sleep floor instead of idle_w, so the idle energy must drop —
-        // and by no more than the theoretical all-idle bound.
-        let arch = reference_amd_arch();
-        let mut trace = WorkloadTrace::batch("paced", ep_demand());
-        trace.arrivals = ArrivalProcess::Open {
-            rate_per_node: 20_000.0,
-        };
-        let units = 50_000u64;
-        let base_spec = NodeRunSpec::new(2, arch.platform.fmax(), units, 11);
-        let sleep = DomainSleepSpec {
-            residency_s: 1e-4,
-            sleep_w: 5.0,
-        };
-        let plain = run_node(&arch, &trace, &base_spec);
-        let slept = run_node(&arch, &trace, &base_spec.with_domain_sleep(sleep));
-        // Identical seeds and specs otherwise: same duration and busy
-        // energy, smaller idle floor.
-        assert_eq!(plain.duration_s, slept.duration_s);
-        assert_eq!(plain.energy.core_work_j, slept.energy.core_work_j);
-        assert!(
-            slept.energy.idle_j < plain.energy.idle_j,
-            "sleep credit missing: {} vs {}",
-            slept.energy.idle_j,
-            plain.energy.idle_j
-        );
-        let max_credit = (arch.power.idle_w - sleep.sleep_w) * plain.duration_s;
-        assert!(plain.energy.idle_j - slept.energy.idle_j <= max_credit);
-    }
-
-    #[test]
-    fn saturated_run_earns_no_sleep_credit() {
-        // A batch (saturated) run never goes fully idle, so the sleep
-        // spec must not change the energy account.
-        let arch = reference_amd_arch();
-        let trace = WorkloadTrace::batch("ep", ep_demand());
-        let spec = NodeRunSpec::new(6, arch.platform.fmax(), 50_000, 9);
-        let plain = run_node(&arch, &trace, &spec);
-        let slept = run_node(
-            &arch,
-            &trace,
-            &spec.with_domain_sleep(DomainSleepSpec {
-                residency_s: 0.0,
-                sleep_w: 0.0,
-            }),
-        );
-        assert_eq!(plain.energy.idle_j, slept.energy.idle_j);
     }
 
     #[test]

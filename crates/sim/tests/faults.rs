@@ -1,12 +1,12 @@
 //! Fault-injection acceptance tests: seeded crash runs are deterministic
-//! (bit-identical), an empty schedule reproduces the plain cluster run
-//! exactly, recovery is work-conserving, and each degradation mode
-//! (straggler, NIC, power cap) bends the run the way it should.
+//! (bit-identical), a crash after the job ends reproduces the plain
+//! cluster run exactly, recovery is work-conserving, and each degradation
+//! mode (straggler, NIC, power cap) bends the run the way it should.
 
 use hecmix_sim::{
     reference_amd_arch, reference_arm_arch, run_cluster, run_cluster_faulted, run_node,
-    run_node_faulted, ClusterSpec, FaultKind, FaultSchedule, NodeFault, NodeRunSpec,
-    RecoveryPolicy, TypeAssignment, UnitDemand, WorkloadTrace,
+    run_node_faulted, ClusterMeasurement, ClusterSpec, FaultKind, FaultSchedule, NodeFault,
+    NodeRunSpec, RecoveryPolicy, TypeAssignment, UnitDemand, WorkloadTrace,
 };
 
 fn demand() -> UnitDemand {
@@ -58,10 +58,7 @@ fn small_cluster(units: u64, seed: u64) -> ClusterSpec {
     }
 }
 
-fn assert_bit_identical(
-    a: &hecmix_sim::FaultedClusterMeasurement,
-    b: &hecmix_sim::FaultedClusterMeasurement,
-) {
+fn assert_bit_identical(a: &ClusterMeasurement, b: &ClusterMeasurement) {
     assert_eq!(a.duration_s.to_bits(), b.duration_s.to_bits());
     assert_eq!(a.measured_energy_j.to_bits(), b.measured_energy_j.to_bits());
     assert_eq!(a.true_energy_j.to_bits(), b.true_energy_j.to_bits());
@@ -79,40 +76,12 @@ fn assert_bit_identical(
             ta.measured_energy_j.to_bits(),
             tb.measured_energy_j.to_bits()
         );
+        assert_eq!(ta.node_durations_s, tb.node_durations_s);
         for (ca, cb) in ta.counters.cores.iter().zip(&tb.counters.cores) {
             assert_eq!(ca.cycles.to_bits(), cb.cycles.to_bits());
+            assert_eq!(ca.busy_s.to_bits(), cb.busy_s.to_bits());
             assert_eq!(ca.instructions.to_bits(), cb.instructions.to_bits());
             assert_eq!(ca.units_done.to_bits(), cb.units_done.to_bits());
-        }
-    }
-}
-
-#[test]
-fn empty_schedule_matches_plain_cluster_bit_for_bit() {
-    let spec = small_cluster(24_000, 11);
-    let plain = run_cluster(&spec);
-    let faulted = run_cluster_faulted(&spec, &FaultSchedule::new(), &RecoveryPolicy::default());
-    assert_eq!(plain.duration_s.to_bits(), faulted.duration_s.to_bits());
-    assert_eq!(
-        plain.measured_energy_j.to_bits(),
-        faulted.measured_energy_j.to_bits()
-    );
-    assert_eq!(
-        plain.true_energy_j.to_bits(),
-        faulted.true_energy_j.to_bits()
-    );
-    assert!(faulted.crashes.is_empty());
-    assert_eq!(faulted.abandoned_units, 0);
-    for (pt, ft) in plain.per_type.iter().zip(&faulted.per_type) {
-        assert_eq!(pt.duration_s.to_bits(), ft.duration_s.to_bits());
-        assert_eq!(
-            pt.measured_energy_j.to_bits(),
-            ft.measured_energy_j.to_bits()
-        );
-        assert_eq!(pt.node_durations_s, ft.node_durations_s);
-        for (pc, fc) in pt.counters.cores.iter().zip(&ft.counters.cores) {
-            assert_eq!(pc.cycles.to_bits(), fc.cycles.to_bits());
-            assert_eq!(pc.busy_s.to_bits(), fc.busy_s.to_bits());
         }
     }
 }
@@ -260,14 +229,18 @@ fn power_cap_slows_the_node_and_cuts_busy_power() {
 
 #[test]
 fn crash_after_completion_is_a_no_op() {
+    // The crash turns fault mode on (chunk charges, work-end duration)
+    // yet lands after the last work event: everything the plain run
+    // measured must come back bit for bit.
     let spec = small_cluster(6_000, 21);
     let nominal = run_cluster(&spec);
+    assert!(nominal.crashes.is_empty());
     let schedule = FaultSchedule::new().crash(1, 0, nominal.duration_s * 10.0);
-    let m = run_cluster_faulted(&spec, &schedule, &RecoveryPolicy::default());
+    let mut m = run_cluster_faulted(&spec, &schedule, &RecoveryPolicy::default());
     assert_eq!(m.crashes.len(), 1);
     assert_eq!(m.crashes[0].leftover_units, 0);
-    assert_eq!(m.abandoned_units, 0);
-    assert_eq!(m.duration_s.to_bits(), nominal.duration_s.to_bits());
+    m.crashes.clear();
+    assert_bit_identical(&m, &nominal);
 }
 
 #[test]
