@@ -1,4 +1,4 @@
-//! Queueing benchmarks — the Fig. 10 machinery and the tail planner's DES.
+//! Queueing benchmarks — the Fig. 10 machinery and the M/D/1 cross-check DES.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -31,15 +31,7 @@ fn bench_closed_forms(c: &mut Criterion) {
 fn bench_des_crosscheck(c: &mut Criterion) {
     let mut g = c.benchmark_group("queueing");
     g.sample_size(20);
-    // The tail planner's exact confirmation run: 200 k requests on one
-    // deterministic server at ρ = 0.7, reading only the p99.
-    let planner = DesConfig {
-        pps: 0.7 / 100e-6,
-        n_requests: 200_000,
-        service: ServiceDist::Constant(100e-6),
-        seed: 42,
-    };
-    // The M/D/1 cross-check run: the same single server at ρ = 0.5.
+    // The M/D/1 cross-check run: one deterministic server at ρ = 0.5.
     let md1 = DesConfig {
         pps: 50.0,
         n_requests: 100_000,
@@ -49,10 +41,6 @@ fn bench_des_crosscheck(c: &mut Criterion) {
     g.throughput(criterion::Throughput::Elements(md1.n_requests));
     g.bench_function("md1_des_100k_jobs", |b| {
         b.iter(|| black_box(des::simulate(black_box(&md1)).unwrap()))
-    });
-    g.throughput(criterion::Throughput::Elements(planner.n_requests));
-    g.bench_function("des_tail_quantile_200k", |b| {
-        b.iter(|| black_box(des::sojourn_quantile(black_box(&planner), 0.99).unwrap()))
     });
     g.finish();
 }

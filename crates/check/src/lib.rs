@@ -171,10 +171,7 @@ pub fn run_all(seed: u64) -> CheckReport {
         CheckResult::new("model-vs-sim", oracles::model_vs_sim(seed)),
         CheckResult::new("late-crash-vs-plain", oracles::late_crash_vs_plain(seed)),
         CheckResult::new("des-mean-wait-vs-pk", oracles::des_mean_wait_vs_pk(seed)),
-        CheckResult::new(
-            "des-p99-vs-md1-quantile",
-            oracles::des_p99_vs_md1_quantile(seed),
-        ),
+        CheckResult::new("md1-quantile-vs-des", oracles::md1_quantile_vs_des(seed)),
         CheckResult::new(
             "resilient-k0-vs-plain",
             oracles::resilient_k0_vs_plain(&space, &models, w),

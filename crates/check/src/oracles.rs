@@ -348,43 +348,67 @@ pub fn des_mean_wait_vs_pk(seed: u64) -> Vec<String> {
     violations
 }
 
-/// Request-level DES p99 wait vs the analytical M/D/1 waiting-time
-/// distribution on the constant-service special case (the one queue whose
-/// wait CDF is known in closed form). The p99 order statistic of 400 k
-/// samples is noisier than a mean, hence the 10 % band.
+/// The exact M/D/1 p99 response ([`MD1::response_quantile`]: Erlang's
+/// series, the Cramér–Lundberg tail and the switch between them) vs the
+/// request-level DES at ρ ∈ {0.3, 0.6, 0.9, 0.95}. At each ρ, 16 seeded
+/// [`simulate`] runs of 200 k requests estimate the p99 sojourn; their
+/// mean must lie within 7 standard errors of the closed form (the runs'
+/// sample standard deviation over √16). The band scales with the DES's
+/// own noise, so it stays tight at light load and wide enough near
+/// saturation, where one run's p99 swings by over 10 %.
+///
+/// The band is wide because the error over its estimated standard error
+/// has heavy tails. A run's p99 is skewed by rare long excursions of the
+/// queue, so 16 runs that miss them read low with a small deviation.
+/// Over 1 600 selfcheck seeds on correct code, 25 of the 6 400
+/// comparisons passed 4 standard errors, 2 passed 6 (both at ρ 0.95,
+/// the largest 6.9) and none passed 7. A closed form that reads 0.277 s
+/// for the true 0.459 s at ρ 0.95 lands a median 12.7 standard errors
+/// off, past 7 for 1 579 of those seeds.
 #[must_use]
-pub fn des_p99_vs_md1_quantile(seed: u64) -> Vec<String> {
+pub fn md1_quantile_vs_des(seed: u64) -> Vec<String> {
     let mut violations = Vec::new();
     let service_s = 0.01;
-    for (i, rho) in [0.5, 0.7].into_iter().enumerate() {
+    for (i, rho) in [0.3, 0.6, 0.9, 0.95].into_iter().enumerate() {
         let lambda = rho / service_s;
-        let analytic = match MD1::new(lambda, service_s).and_then(|q| q.wait_quantile(0.99)) {
+        let exact = match MD1::new(lambda, service_s).and_then(|q| q.response_quantile(0.99)) {
             Ok(t) => t,
             Err(e) => {
-                violations.push(format!("M/D/1 wait quantile failed at ρ={rho}: {e}"));
+                violations.push(format!("M/D/1 p99 response failed at ρ={rho}: {e}"));
                 continue;
             }
         };
-        let cfg = single_server_des(lambda, ServiceDist::Constant(service_s), seed ^ i as u64);
-        let sim = match simulate(&cfg) {
-            Ok(out) => out,
+        let runs: Result<Vec<f64>, String> = (0..16u64)
+            .map(|j| {
+                let cfg = DesConfig {
+                    pps: lambda,
+                    n_requests: 200_000,
+                    service: ServiceDist::Constant(service_s),
+                    // Each selfcheck seed draws its own 64 runs.
+                    seed: (seed << 6) | (16 * i as u64 + j),
+                };
+                match simulate(&cfg).map(|out| out.sojourn.p99()) {
+                    Ok(Some(p99)) => Ok(p99),
+                    other => Err(format!("{other:?}")),
+                }
+            })
+            .collect();
+        let runs = match runs {
+            Ok(runs) => runs,
             Err(e) => {
-                violations.push(format!("DES failed at ρ={rho}: {e}"));
+                violations.push(format!("DES p99 failed at ρ={rho}: {e}"));
                 continue;
             }
         };
-        let Some(p99) = sim.wait.p99() else {
-            violations.push(format!("DES completed nothing at ρ={rho}"));
-            continue;
-        };
-        let err = rel_diff(analytic, p99);
-        if err > 0.10 {
+        let n = runs.len() as f64;
+        let mean = runs.iter().sum::<f64>() / n;
+        let var = runs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1.0);
+        let se = (var / n).sqrt();
+        let off = (mean - exact).abs();
+        if off.is_nan() || off > 7.0 * se {
             violations.push(format!(
-                "DES p99 wait off by {:.1} % at ρ={rho}: \
-                 analytic {:.4e} s vs DES {:.4e} s",
-                100.0 * err,
-                analytic,
-                p99
+                "M/D/1 p99 response off the DES at ρ={rho}: closed form {exact:.5e} s vs \
+                 DES {mean:.5e} ± {se:.1e} s (mean of {n} runs ± 1 SE)"
             ));
         }
     }
@@ -770,7 +794,7 @@ mod tests {
             Vec::<String>::new()
         );
         assert_eq!(des_mean_wait_vs_pk(42), Vec::<String>::new());
-        assert_eq!(des_p99_vs_md1_quantile(42), Vec::<String>::new());
+        assert_eq!(md1_quantile_vs_des(42), Vec::<String>::new());
     }
 
     #[test]

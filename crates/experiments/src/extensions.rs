@@ -341,11 +341,12 @@ pub struct TailPlanningRow {
     pub tail_energy_j: f64,
     /// Analytical mean response of the p99 pick, seconds.
     pub tail_mean_response_s: f64,
-    /// DES-measured p99 response of the p99 pick, seconds.
+    /// Exact M/D/1 p99 response of the p99 pick, seconds.
     pub tail_p99_s: f64,
-    /// Candidates the p99 planner eliminated analytically (no DES run).
+    /// Candidates whose service time alone exceeds the deadline, as the p99
+    /// planner counts them.
     pub screened_out: usize,
-    /// DES runs the p99 planner spent (coarse + exact).
+    /// DES runs the p99 planner spent: always 0.
     pub des_runs: u32,
     /// True when no configuration meets the p99 deadline and the tail
     /// pick is the smallest-tail fallback.
@@ -354,11 +355,11 @@ pub struct TailPlanningRow {
 
 /// Plan the same (λ, deadline) grid twice over the 16 ARM + 14 AMD
 /// frontier menu: once against a *mean*-response SLO ([`best_choice`])
-/// and once against a *p99* deadline scored by discrete-event simulation
+/// and once against a *p99* deadline scored by the exact M/D/1 quantile
 /// ([`best_choice_tail`]). Utilizations are relative to the fastest menu
 /// entry; deadlines are multiples of its service time.
 #[must_use]
-pub fn tail_planning_study(lab: &Lab, w: &dyn Workload, seed: u64) -> Vec<TailPlanningRow> {
+pub fn tail_planning_study(lab: &Lab, w: &dyn Workload) -> Vec<TailPlanningRow> {
     let models = lab.models(w);
     let units = w.analysis_units() as f64;
     let space = ConfigSpace::two_type(lab.arm.platform.clone(), 16, lab.amd.platform.clone(), 14);
@@ -366,10 +367,6 @@ pub fn tail_planning_study(lab: &Lab, w: &dyn Workload, seed: u64) -> Vec<TailPl
     let menu = menu_from_frontier(&frontier, &models);
     let t_min = frontier.min_time_s().expect("non-empty frontier");
     let window_s = 20.0_f64.max(100.0 * t_min);
-    let des_cfg = TailDesConfig {
-        seed,
-        ..TailDesConfig::default()
-    };
 
     let mut rows = Vec::new();
     for rho in [0.3, 0.6, 0.8] {
@@ -380,7 +377,9 @@ pub fn tail_planning_study(lab: &Lab, w: &dyn Workload, seed: u64) -> Vec<TailPl
                 continue; // saturated at every entry: no comparison to make
             };
             let target = TailTarget::new(0.99, deadline_s).expect("valid percentile target");
-            let Ok(Some(tail)) = best_choice_tail(&menu, lambda, window_s, target, &des_cfg) else {
+            let Ok(Some(tail)) =
+                best_choice_tail(&menu, lambda, window_s, target, &TailDesConfig::default())
+            else {
                 continue;
             };
             rows.push(TailPlanningRow {

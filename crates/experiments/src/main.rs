@@ -956,9 +956,9 @@ fn run_fig10des(lab: &Lab, csv: &CsvWriter) {
 
 fn run_tail_planning(lab: &Lab, csv: &CsvWriter) {
     println!(
-        "== Extension: percentile-deadline planning — p99 via DES vs mean-SLO (16 ARM + 14 AMD, memcached) =="
+        "== Extension: percentile-deadline planning — exact M/D/1 p99 vs mean-SLO (16 ARM + 14 AMD, memcached) =="
     );
-    let rows = tail_planning_study(lab, &Memcached::default(), lab.seed());
+    let rows = tail_planning_study(lab, &Memcached::default());
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
@@ -995,14 +995,13 @@ fn run_tail_planning(lab: &Lab, csv: &CsvWriter) {
     for r in &rows {
         let premium = 100.0 * (r.tail_energy_j / r.mean_energy_j - 1.0);
         println!(
-            "λ {:>6.2}/s deadline {:>8.1} ms: mean-SLO pick {:>8.1} J, p99 pick {:>8.1} J ({premium:+.1} %){}  [{} screened, {} DES runs]",
+            "λ {:>6.2}/s deadline {:>8.1} ms: mean-SLO pick {:>8.1} J, p99 pick {:>8.1} J ({premium:+.1} %){}  [{} screened]",
             r.lambda,
             r.deadline_s * 1e3,
             r.mean_energy_j,
             r.tail_energy_j,
             if r.violated { "  (p99 UNMET)" } else { "" },
             r.screened_out,
-            r.des_runs,
         );
     }
     let _ = csv.write("tail_planning", &header, &table);

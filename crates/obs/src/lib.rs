@@ -507,7 +507,7 @@ events! {
 
     // ---- hecmix-queueing: request-level DES + tail planning ----
     /// One request-level discrete-event simulation completed
-    /// (`hecmix_queueing::des::simulate` or `des::sojourn_quantile`).
+    /// (`hecmix_queueing::des::simulate`).
     DesRun = "des_run" {
         /// Offered Poisson arrival rate, requests/second.
         pps: f64,
@@ -533,13 +533,14 @@ events! {
         deadline_s: f64,
         /// Menu entries considered.
         candidates: usize,
-        /// Entries rejected by the analytical mean-response screen.
+        /// Stable entries whose service time alone exceeds the deadline.
         screened_out: usize,
-        /// DES runs spent (coarse + exact).
+        /// DES runs spent: always 0, since the planner scores entries in
+        /// closed form.
         des_runs: u64,
         /// Index of the chosen entry.
         chosen: usize,
-        /// DES-measured percentile response of the chosen entry, seconds.
+        /// Exact M/D/1 percentile response of the chosen entry, seconds.
         tail_s: f64,
         /// True when the choice is a smallest-tail fallback that still
         /// misses the deadline.

@@ -4,8 +4,7 @@
 //! *mean* delay; interactive sizing is about tails. This module simulates
 //! the paper's dispatcher request by request — open-loop Poisson arrivals
 //! at a configurable rate into one FIFO server with constant or
-//! exponential service — and returns the sojourn-time CDF, or selects one
-//! of its quantiles.
+//! exponential service — and returns the sojourn- and wait-time CDFs.
 //!
 //! Runs are seeded and bit-replayable like `hecmix-sim`: the same
 //! [`DesConfig`] (including `seed`) reproduces the exact per-request
@@ -161,7 +160,12 @@ impl LatencyCdf {
     /// `q` outside `(0, 1]`.
     #[must_use]
     pub fn quantile(&self, q: f64) -> Option<f64> {
-        Some(self.samples[quantile_index(self.samples.len(), q)?])
+        let n = self.samples.len();
+        if n == 0 || !(q > 0.0) || q > 1.0 {
+            return None;
+        }
+        let rank = (q * n as f64).ceil() as usize;
+        Some(self.samples[rank.clamp(1, n) - 1])
     }
 
     /// Median (p50).
@@ -187,26 +191,6 @@ impl LatencyCdf {
     }
 }
 
-/// Zero-based index of the exact order-statistic `q`-quantile among `n`
-/// samples, the ⌈q·n⌉-th smallest; `None` when `n` is zero or `q` lies
-/// outside `(0, 1]`. [`LatencyCdf::quantile`] reads this index of the
-/// sorted samples, [`sojourn_quantile`] selects it.
-fn quantile_index(n: usize, q: f64) -> Option<usize> {
-    if n == 0 || !(q > 0.0) || q > 1.0 {
-        return None;
-    }
-    let rank = (q * n as f64).ceil() as usize;
-    Some(rank.clamp(1, n) - 1)
-}
-
-/// The `q`-quantile of unsorted `samples`, selected in linear time (the
-/// slice is left partitioned around it). Samples equal under `total_cmp`
-/// have equal bits, so this is exactly the element a full sort puts there.
-fn select_quantile(samples: &mut [f64], q: f64) -> Option<f64> {
-    let i = quantile_index(samples.len(), q)?;
-    Some(*samples.select_nth_unstable_by(i, f64::total_cmp).1)
-}
-
 /// Result of one request-level simulation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DesOutcome {
@@ -218,12 +202,20 @@ pub struct DesOutcome {
     pub duration_s: f64,
 }
 
-/// The simulation core behind [`simulate`] and [`sojourn_quantile`], for
-/// a `cfg` that passed [`DesConfig::validate`]: the Lindley recursion of
-/// one FIFO server. Arrivals are drawn in time order, so each request
-/// departs at `max(last departure, arrival) + service`; its
-/// `(sojourn, wait)` goes to `complete`. Returns the last departure.
-fn run(cfg: &DesConfig, mut complete: impl FnMut(f64, f64)) -> f64 {
+/// Run the request-level simulation and keep both latency CDFs.
+///
+/// The Lindley recursion of one FIFO server: arrivals are drawn in time
+/// order, so each request departs at `max(last departure, arrival) +
+/// service`. Memory is the sojourn and wait samples, both sorted in full
+/// for the CDFs. Same `cfg` ⇒ bit-identical [`DesOutcome`].
+///
+/// # Errors
+/// [`Error::InvalidInput`] when `cfg` fails [`DesConfig::validate`].
+pub fn simulate(cfg: &DesConfig) -> Result<DesOutcome> {
+    cfg.validate()?;
+    let n = cfg.n_requests as usize;
+    let mut sojourn = Vec::with_capacity(n);
+    let mut wait = Vec::with_capacity(n);
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
     let mut t = 0.0f64;
     let mut depart = 0.0f64;
@@ -235,78 +227,23 @@ fn run(cfg: &DesConfig, mut complete: impl FnMut(f64, f64)) -> f64 {
         rng.gen_range(0..1u32);
         let service = cfg.service.sample(&mut rng);
         depart = depart.max(t) + service;
-        complete(depart - t, depart - t - service);
+        sojourn.push(depart - t);
+        wait.push(depart - t - service);
     }
-    depart
-}
-
-/// Emit the `des_run` event of a finished run. `tails` yields the sojourn
-/// p50 and p99 and is only called when a sink is installed.
-fn emit_des_run(
-    cfg: &DesConfig,
-    duration_s: f64,
-    tails: impl FnOnce() -> (Option<f64>, Option<f64>),
-) {
-    hecmix_obs::emit(|| {
-        let (p50, p99) = tails();
-        hecmix_obs::Event::DesRun {
-            pps: cfg.pps,
-            requests: cfg.n_requests,
-            p50_s: p50.unwrap_or(f64::NAN),
-            p99_s: p99.unwrap_or(f64::NAN),
-            duration_s,
-            seed: cfg.seed,
-        }
-    });
-}
-
-/// Run the request-level simulation and keep both latency CDFs.
-///
-/// Arrivals are drawn and served one at a time, so memory is the sojourn
-/// and wait samples. Both are sorted in full for the CDFs; a caller that
-/// needs one quantile of the sojourn should use [`sojourn_quantile`].
-/// Same `cfg` ⇒ bit-identical [`DesOutcome`].
-///
-/// # Errors
-/// [`Error::InvalidInput`] when `cfg` fails [`DesConfig::validate`].
-pub fn simulate(cfg: &DesConfig) -> Result<DesOutcome> {
-    cfg.validate()?;
-    let n = cfg.n_requests as usize;
-    let mut sojourn = Vec::with_capacity(n);
-    let mut wait = Vec::with_capacity(n);
-    let duration_s = run(cfg, |s, w| {
-        sojourn.push(s);
-        wait.push(w);
-    });
     let out = DesOutcome {
         sojourn: LatencyCdf::from_samples(sojourn),
         wait: LatencyCdf::from_samples(wait),
-        duration_s,
+        duration_s: depart,
     };
-    emit_des_run(cfg, duration_s, || (out.sojourn.p50(), out.sojourn.p99()));
-    Ok(out)
-}
-
-/// The `q`-quantile of the sojourn time: the same run and `des_run` event
-/// as [`simulate`], bit-identical to `simulate(cfg)?.sojourn.quantile(q)`,
-/// at a fraction of the cost. Only the sojourn samples are kept, and the
-/// one order statistic is selected in linear time instead of sorting.
-/// `Ok(None)` when `q` lies outside `(0, 1]`.
-///
-/// # Errors
-/// [`Error::InvalidInput`] when `cfg` fails [`DesConfig::validate`].
-pub fn sojourn_quantile(cfg: &DesConfig, q: f64) -> Result<Option<f64>> {
-    cfg.validate()?;
-    let mut sojourn = Vec::with_capacity(cfg.n_requests as usize);
-    let duration_s = run(cfg, |s, _| sojourn.push(s));
-    let value = select_quantile(&mut sojourn, q);
-    emit_des_run(cfg, duration_s, || {
-        (
-            select_quantile(&mut sojourn, 0.50),
-            select_quantile(&mut sojourn, 0.99),
-        )
+    hecmix_obs::emit(|| hecmix_obs::Event::DesRun {
+        pps: cfg.pps,
+        requests: cfg.n_requests,
+        p50_s: out.sojourn.p50().unwrap_or(f64::NAN),
+        p99_s: out.sojourn.p99().unwrap_or(f64::NAN),
+        duration_s: depart,
+        seed: cfg.seed,
     });
-    Ok(value)
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -356,11 +293,11 @@ mod tests {
             sojourn_fnv: u64,
         }
         let qs = [0.5, 0.99, 0.999];
-        // The tail planner's shape: constant service at ρ = 0.7.
-        let planner = single_server(0.7 / 100e-6, ServiceDist::Constant(100e-6), 200_000, 7);
+        // The paper's M/D/1 shape: constant service at ρ = 0.7.
+        let constant = single_server(0.7 / 100e-6, ServiceDist::Constant(100e-6), 200_000, 7);
         let pins = [
             (
-                planner,
+                constant,
                 Pin {
                     duration_s: 0x403c_753a_59bb_9655,
                     sojourn: [
@@ -376,7 +313,7 @@ mod tests {
             (
                 DesConfig {
                     service: ServiceDist::Exponential(100e-6),
-                    ..planner
+                    ..constant
                 },
                 Pin {
                     duration_s: 0x403c_aae3_1274_6300,
@@ -397,29 +334,6 @@ mod tests {
             assert_eq!(sojourn, pin.sojourn, "{cfg:?}");
             assert_eq!(out.wait.p99().unwrap().to_bits(), pin.wait_p99, "{cfg:?}");
             assert_eq!(fnv1a(out.sojourn.sorted()), pin.sojourn_fnv, "{cfg:?}");
-            let selected = qs.map(|q| sojourn_quantile(cfg, q).unwrap().unwrap().to_bits());
-            assert_eq!(selected, pin.sojourn, "{cfg:?}");
-        }
-    }
-
-    #[test]
-    fn selected_quantile_equals_sorted_quantile() {
-        for service in [
-            ServiceDist::Constant(100e-6),
-            ServiceDist::Exponential(100e-6),
-        ] {
-            let cfg = single_server(0.9 / service.mean_s(), service, 4_000, 3);
-            let out = simulate(&cfg).unwrap();
-            for q in [1e-6, 0.5, 0.99, 0.999, 1.0] {
-                let sorted = out.sojourn.quantile(q).map(f64::to_bits);
-                assert!(sorted.is_some());
-                let selected = sojourn_quantile(&cfg, q).unwrap().map(f64::to_bits);
-                assert_eq!(selected, sorted, "{cfg:?} at q={q}");
-            }
-            for q in [0.0, 1.1, f64::NAN] {
-                assert_eq!(out.sojourn.quantile(q), None);
-                assert_eq!(sojourn_quantile(&cfg, q).unwrap(), None);
-            }
         }
     }
 
@@ -563,10 +477,6 @@ mod tests {
         for pps in [1e-10, 1e-310] {
             let coarse = DesConfig { pps, ..ok };
             assert!(matches!(simulate(&coarse), Err(Error::InvalidInput(_))));
-            assert!(matches!(
-                sojourn_quantile(&coarse, 0.99),
-                Err(Error::InvalidInput(_))
-            ));
         }
         assert!(simulate(&DesConfig { pps: 1e-8, ..ok }).is_ok());
     }

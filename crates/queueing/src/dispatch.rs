@@ -23,7 +23,8 @@
 //! an entry's [`SlotPricer`] says how it prices a slot: plain
 //! ([`ConfigChoice`]), parking clusters in idle gaps ([`ParkableChoice`]),
 //! or judged after worst-case node losses ([`ResilientChoice`]).
-//! [`best_choice_tail`] plans against a percentile deadline instead.
+//! [`best_choice_tail`] plans against a percentile deadline instead, scored
+//! by the exact M/D/1 response quantile ([`MD1::response_quantile`]).
 
 use serde::{Deserialize, Serialize};
 
@@ -33,7 +34,6 @@ use hecmix_core::profile::WorkloadModel;
 use hecmix_core::types::Platform;
 use hecmix_core::{Error, Result};
 
-use crate::des::{self, DesConfig, ServiceDist};
 use crate::{window_energy, window_energy_sleep, SleepPolicy, MD1};
 
 /// One configuration a policy may choose: the outcome of a cluster
@@ -365,48 +365,11 @@ impl TailTarget {
     }
 }
 
-/// Knobs of the coarse-then-exact DES scoring pass in
-/// [`best_choice_tail`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TailDesConfig {
-    /// Requests per coarse screening run.
-    pub coarse_requests: u64,
-    /// Requests per exact confirmation run.
-    pub exact_requests: u64,
-    /// Relative band around the deadline: a coarse tail beyond
-    /// `deadline·(1 + band)` rejects the candidate without an exact run.
-    pub band: f64,
-    /// Base RNG seed; per-candidate seeds derive from it, so a plan is
-    /// replayable bit-for-bit.
-    pub seed: u64,
-}
-
-impl Default for TailDesConfig {
-    fn default() -> Self {
-        Self {
-            coarse_requests: 20_000,
-            exact_requests: 200_000,
-            band: 0.1,
-            seed: 42,
-        }
-    }
-}
-
-impl TailDesConfig {
-    fn validate(&self) -> Result<()> {
-        if self.coarse_requests == 0
-            || self.exact_requests == 0
-            || !(self.band >= 0.0)
-            || !self.band.is_finite()
-        {
-            return Err(Error::InvalidInput(format!(
-                "TailDesConfig needs coarse/exact requests >= 1 and a finite \
-                 non-negative band, got {self:?}"
-            )));
-        }
-        Ok(())
-    }
-}
+/// The simulation budget [`best_choice_tail`] accepts. It is empty: the
+/// planner scores entries with the exact M/D/1 quantile and runs no
+/// simulator, and the parameter stays so existing callers keep compiling.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+pub struct TailDesConfig {}
 
 /// What [`best_choice_tail`] decided for one slot.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -415,8 +378,8 @@ pub struct TailChoiceOutcome {
     pub index: usize,
     /// Window energy of the chosen configuration, joules.
     pub energy_j: f64,
-    /// DES-measured percentile response time of the chosen
-    /// configuration, seconds.
+    /// Exact M/D/1 percentile response time of the chosen configuration
+    /// ([`MD1::response_quantile`]), seconds.
     pub tail_response_s: f64,
     /// Analytical M/D/1 mean response of the chosen configuration,
     /// seconds.
@@ -424,207 +387,84 @@ pub struct TailChoiceOutcome {
     /// True when no configuration meets the percentile deadline and the
     /// returned one is the smallest-tail fallback.
     pub violated: bool,
-    /// Candidates eliminated by the analytical mean-response screen
-    /// without any DES run.
+    /// Stable candidates whose service time alone exceeds the deadline, so
+    /// that none of their responses can meet it.
     pub screened_out: usize,
-    /// DES runs spent (coarse + exact).
+    /// DES runs spent: always 0, since the planner runs no simulator.
     pub des_runs: u32,
 }
 
-/// DES-measured `percentile` response time of one menu entry treated as a
-/// single deterministic server at `lambda` (the same abstraction the
-/// M/D/1 window-energy model uses: the cluster's mix-and-match schedule
-/// serves one job at a time in `service_s`).
-fn des_tail(
-    lambda: f64,
-    service_s: f64,
-    percentile: f64,
-    n_requests: u64,
-    seed: u64,
-) -> Result<f64> {
-    des::sojourn_quantile(
-        &DesConfig {
-            pps: lambda,
-            n_requests,
-            service: ServiceDist::Constant(service_s),
-            seed,
-        },
-        percentile,
-    )?
-    .ok_or_else(|| {
-        Error::InvalidInput(format!(
-            "DES tail needs a percentile in (0, 1], got {percentile}"
-        ))
-    })
-}
-
-/// Seed for the exact confirmation run of candidate `idx` (decorrelated
-/// from its coarse run by an odd 64-bit constant).
-fn exact_seed(base: u64, idx: usize) -> u64 {
-    base ^ (idx as u64) ^ 0x9e37_79b9_7f4a_7c15
-}
-
-/// Percentile-deadline slot choice (ROADMAP item 1): pick the cheapest
-/// menu entry whose DES-measured `target.percentile` response time meets
-/// `target.deadline_s`.
+/// Percentile-deadline slot choice: pick the cheapest menu entry whose
+/// exact M/D/1 `target.percentile` response time
+/// ([`MD1::response_quantile`]) meets `target.deadline_s`.
 ///
-/// Candidates are screened coarse-then-exact (the ROADMAP item 4
-/// pattern):
-///
-/// 1. the analytical M/D/1 *mean* response is a lower bound on any upper
-///    quantile's response (the response distribution's p50+ quantiles sit
-///    at or above the mean for these service shapes — a stated heuristic,
-///    not a theorem), so a candidate whose mean already misses the
-///    deadline is rejected with no DES run;
-/// 2. survivors are walked cheapest-first; a coarse DES run
-///    ([`TailDesConfig::coarse_requests`]) rejects a candidate whose tail
-///    overshoots `deadline·(1 + band)`, otherwise an exact run
-///    ([`TailDesConfig::exact_requests`]) decides.
-///
-/// The first candidate whose exact tail meets the deadline wins (cheapest
-/// by construction). When none passes, the smallest observed tail is
-/// returned with `violated = true`; `Ok(None)` only when every entry is
-/// saturated at `lambda`.
+/// One pass in the shape of [`best_choice`] scores every stable entry:
+/// the cheapest entry by window energy whose tail meets the deadline wins
+/// (ties go to the lower index). When none does, the entry of least
+/// `(tail, window energy)` is returned with `violated = true`; `Ok(None)`
+/// only when every entry is saturated at `lambda`. `screened_out` counts
+/// the stable entries whose service time alone exceeds the deadline:
+/// every response is at least its service time. No simulator runs, so a
+/// plan is a pure function of its inputs.
 ///
 /// # Errors
-/// [`Error::InvalidInput`] for non-finite or non-positive slot scalars, a
-/// malformed menu entry, or a malformed `des_cfg`.
+/// [`Error::InvalidInput`] for non-finite or non-positive slot scalars or
+/// a malformed menu entry.
 pub fn best_choice_tail(
     menu: &[ConfigChoice],
     lambda: f64,
     window_s: f64,
     target: TailTarget,
-    des_cfg: &TailDesConfig,
+    _des_cfg: &TailDesConfig,
 ) -> Result<Option<TailChoiceOutcome>> {
     validate_slot_inputs(lambda, window_s, target.deadline_s)?;
     let target = TailTarget::new(target.percentile, target.deadline_s)?;
-    des_cfg.validate()?;
     for c in menu {
         c.validate()?;
     }
-
-    // Analytical screen: saturated entries are out entirely; entries whose
-    // M/D/1 mean response already misses the deadline are out without a
-    // DES run, and the fastest of them is kept for the fallback.
-    let mut screened_out = 0usize;
-    let mut fastest_screened: Option<(usize, f64, f64)> = None; // (idx, energy, mean response)
-    let mut survivors: Vec<(usize, f64, f64)> = Vec::new(); // (idx, energy, mean response)
+    // (index, window energy, mean response, tail)
+    let mut best_ok: Option<(usize, f64, f64, f64)> = None;
+    let mut best_fallback: Option<(usize, f64, f64, f64)> = None;
+    let mut screened_out = 0;
     for (idx, c) in menu.iter().enumerate() {
-        let Some((energy_j, response_s, _)) = c.price(lambda, window_s) else {
+        let Some((e, mean_s, _)) = c.price(lambda, window_s) else {
             continue; // saturated
         };
-        if response_s > target.deadline_s {
-            screened_out += 1;
-            if fastest_screened
-                .as_ref()
-                .is_none_or(|(_, _, r)| response_s < *r)
-            {
-                fastest_screened = Some((idx, energy_j, response_s));
-            }
-            continue;
+        screened_out += usize::from(c.service_s > target.deadline_s);
+        let tail = MD1::new(lambda, c.service_s)?.response_quantile(target.percentile)?;
+        if tail <= target.deadline_s && best_ok.is_none_or(|(_, be, ..)| e < be) {
+            best_ok = Some((idx, e, mean_s, tail));
         }
-        survivors.push((idx, energy_j, response_s));
+        if best_fallback.is_none_or(|(_, be, _, bt)| (tail, e) < (bt, be)) {
+            best_fallback = Some((idx, e, mean_s, tail));
+        }
     }
-    if survivors.is_empty() && screened_out == 0 {
-        return Ok(None); // everything saturated
-    }
-    survivors.sort_by(|a, b| a.1.total_cmp(&b.1));
-
-    let mut des_runs = 0u32;
-    let mut fallback: Option<TailChoiceOutcome> = None; // smallest observed tail
-    let mut chosen: Option<TailChoiceOutcome> = None;
-    for &(idx, energy_j, mean_response_s) in &survivors {
-        let c = &menu[idx];
-        let coarse = des_tail(
-            lambda,
-            c.service_s,
-            target.percentile,
-            des_cfg.coarse_requests,
-            des_cfg.seed ^ idx as u64,
-        )?;
-        des_runs += 1;
-        let outcome = |tail: f64, violated: bool, des_runs: u32| TailChoiceOutcome {
-            index: idx,
-            energy_j,
-            tail_response_s: tail,
-            mean_response_s,
-            violated,
-            screened_out,
-            des_runs,
+    let ((index, energy_j, mean_response_s, tail_response_s), violated) =
+        match (best_ok, best_fallback) {
+            (Some(ok), _) => (ok, false),
+            (None, Some(fallback)) => (fallback, true),
+            (None, None) => return Ok(None),
         };
-        if coarse > target.deadline_s * (1.0 + des_cfg.band) {
-            // Clearly over even at coarse resolution.
-            if fallback.as_ref().is_none_or(|f| coarse < f.tail_response_s) {
-                fallback = Some(outcome(coarse, true, des_runs));
-            }
-            continue;
-        }
-        let exact = des_tail(
-            lambda,
-            c.service_s,
-            target.percentile,
-            des_cfg.exact_requests,
-            exact_seed(des_cfg.seed, idx),
-        )?;
-        des_runs += 1;
-        if exact <= target.deadline_s {
-            chosen = Some(outcome(exact, false, des_runs));
-            break; // cheapest-first walk: first pass wins
-        }
-        if fallback.as_ref().is_none_or(|f| exact < f.tail_response_s) {
-            fallback = Some(outcome(exact, true, des_runs));
-        }
-    }
-    // The fallback snapshot may carry a stale run count; pin it to the
-    // final tally below.
-    if let Some(f) = fallback.as_mut() {
-        f.des_runs = des_runs;
-    }
-
-    // Every survivor got a DES run, so nothing chosen and no fallback
-    // means every stable entry was screened out analytically: report the
-    // fastest of them as the violating fallback, with its DES tail
-    // measured once.
-    let result = match (chosen, fallback) {
-        (Some(c), _) => Some(c),
-        (None, Some(f)) => Some(f),
-        (None, None) => match fastest_screened {
-            None => None,
-            Some((idx, energy_j, mean_response_s)) => {
-                let tail = des_tail(
-                    lambda,
-                    menu[idx].service_s,
-                    target.percentile,
-                    des_cfg.exact_requests,
-                    exact_seed(des_cfg.seed, idx),
-                )?;
-                des_runs += 1;
-                Some(TailChoiceOutcome {
-                    index: idx,
-                    energy_j,
-                    tail_response_s: tail,
-                    mean_response_s,
-                    violated: true,
-                    screened_out,
-                    des_runs,
-                })
-            }
-        },
-    };
-    if let Some(ref out) = result {
-        hecmix_obs::emit(|| hecmix_obs::Event::TailPlan {
-            lambda,
-            percentile: target.percentile,
-            deadline_s: target.deadline_s,
-            candidates: menu.len(),
-            screened_out,
-            des_runs: u64::from(out.des_runs),
-            chosen: out.index,
-            tail_s: out.tail_response_s,
-            violated: out.violated,
-        });
-    }
-    Ok(result)
+    hecmix_obs::emit(|| hecmix_obs::Event::TailPlan {
+        lambda,
+        percentile: target.percentile,
+        deadline_s: target.deadline_s,
+        candidates: menu.len(),
+        screened_out,
+        des_runs: 0,
+        chosen: index,
+        tail_s: tail_response_s,
+        violated,
+    });
+    Ok(Some(TailChoiceOutcome {
+        index,
+        energy_j,
+        tail_response_s,
+        mean_response_s,
+        violated,
+        screened_out,
+        des_runs: 0,
+    }))
 }
 
 /// Run a whole day under one menu. A slot where even the fastest
@@ -1092,100 +932,87 @@ mod tests {
         assert!(violated);
     }
 
-    fn quick_des() -> TailDesConfig {
-        TailDesConfig {
-            coarse_requests: 5_000,
-            exact_requests: 20_000,
-            ..TailDesConfig::default()
-        }
+    fn plan_tail(menu: &[ConfigChoice], lambda: f64, deadline_s: f64) -> Option<TailChoiceOutcome> {
+        best_choice_tail(
+            menu,
+            lambda,
+            3600.0,
+            TailTarget::new(0.99, deadline_s).unwrap(),
+            &TailDesConfig::default(),
+        )
+        .unwrap()
+    }
+
+    /// The exact p99 response of `c` at `lambda`.
+    fn p99(c: &ConfigChoice, lambda: f64) -> f64 {
+        MD1::new(lambda, c.service_s)
+            .unwrap()
+            .response_quantile(0.99)
+            .unwrap()
     }
 
     #[test]
     fn tail_choice_prefers_cheap_when_deadline_is_loose() {
-        let m = menu();
         // λ = 1, p99 ≤ 2 s: the cheap entry (ρ = 0.4) has plenty of room.
-        let out = best_choice_tail(
-            &m,
-            1.0,
-            3600.0,
-            TailTarget::new(0.99, 2.0).unwrap(),
-            &quick_des(),
-        )
-        .unwrap()
-        .unwrap();
+        let out = plan_tail(&menu(), 1.0, 2.0).unwrap();
         assert_eq!(out.index, 1);
         assert!(!out.violated);
         assert!(out.tail_response_s <= 2.0, "tail {}", out.tail_response_s);
-        // The DES-confirmed tail sits above the analytic mean.
+        // The exact tail sits above the analytic mean.
         assert!(out.tail_response_s >= out.mean_response_s);
     }
 
     #[test]
-    fn tail_choice_screens_analytically_before_simulating() {
+    fn tail_choice_screens_entries_slower_than_the_deadline() {
+        // p99 ≤ 50 ms: the cheap entry's 400 ms service alone misses, so
+        // it is counted as screened out; the fast entry's tail decides.
         let m = menu();
-        // p99 ≤ 50 ms: the cheap entry's *mean* response (≈ 533 ms at
-        // λ = 1) already misses, so it must be rejected with zero DES
-        // runs; only the fast entry gets simulated.
-        let out = best_choice_tail(
-            &m,
-            1.0,
-            3600.0,
-            TailTarget::new(0.99, 0.05).unwrap(),
-            &quick_des(),
-        )
-        .unwrap()
-        .unwrap();
+        let out = plan_tail(&m, 1.0, 0.05).unwrap();
         assert_eq!(out.index, 0);
         assert!(!out.violated);
-        assert_eq!(out.screened_out, 1, "cheap entry screened analytically");
-        assert_eq!(out.des_runs, 2, "one coarse + one exact for the fast entry");
+        assert_eq!(out.screened_out, 1, "cheap entry screened by service time");
+        assert_eq!(out.des_runs, 0);
+        assert_eq!(out.tail_response_s.to_bits(), p99(&m[0], 1.0).to_bits());
+    }
+
+    #[test]
+    fn tail_choice_keeps_entries_whose_mean_misses_but_tail_meets() {
+        // At ρ = 0.005 the wait's atom at zero covers the 99th percentile,
+        // so the cheap entry's p99 response is its 0.4 s service time while
+        // its mean response (≈ 0.401 s) misses a 0.4005 s deadline. A screen
+        // on the mean threw it out and paid for the fast entry instead.
+        let out = plan_tail(&menu(), 0.0125, 0.4005).unwrap();
+        assert_eq!(out.index, 1);
+        assert!(!out.violated);
+        assert_eq!(out.tail_response_s, 0.4);
+        assert!(out.mean_response_s > 0.4005);
+        assert_eq!(out.screened_out, 0);
     }
 
     #[test]
     fn tail_choice_falls_back_and_flags_violation() {
         let m = menu();
         // p99 ≤ 1 ms is impossible (fast service alone is 25 ms): the
-        // fastest entry comes back flagged.
-        let out = best_choice_tail(
-            &m,
-            0.5,
-            3600.0,
-            TailTarget::new(0.99, 0.001).unwrap(),
-            &quick_des(),
-        )
-        .unwrap()
-        .unwrap();
+        // smallest tail, the fast entry's, comes back flagged.
+        let out = plan_tail(&m, 0.5, 0.001).unwrap();
         assert_eq!(out.index, 0);
         assert!(out.violated);
-        assert!(out.tail_response_s > 0.001);
+        assert_eq!(out.screened_out, 2);
+        assert_eq!(out.tail_response_s.to_bits(), p99(&m[0], 0.5).to_bits());
         // Saturated everywhere: nothing to pick.
-        assert!(best_choice_tail(
-            &m,
-            1000.0,
-            3600.0,
-            TailTarget::new(0.99, 1.0).unwrap(),
-            &quick_des(),
-        )
-        .unwrap()
-        .is_none());
+        assert!(plan_tail(&m, 1000.0, 1.0).is_none());
     }
 
     #[test]
     fn tail_choice_answers_are_pinned() {
-        // Expected bits were captured from the default DES settings; a
-        // change to the DES stream or to the walk moves them.
         let m = menu();
-        let des = TailDesConfig::default();
         let plan = |lambda: f64, deadline_s: f64| {
-            let out = best_choice_tail(
-                &m,
-                lambda,
-                3600.0,
-                TailTarget::new(0.99, deadline_s).unwrap(),
-                &des,
-            )
-            .unwrap()
-            .unwrap();
+            let out = plan_tail(&m, lambda, deadline_s).unwrap();
+            assert_eq!(
+                out.tail_response_s.to_bits(),
+                p99(&m[out.index], lambda).to_bits(),
+                "the tail is the chosen entry's exact quantile"
+            );
             (
                 out.index,
                 out.energy_j.to_bits(),
@@ -1202,57 +1029,155 @@ mod tests {
             (
                 1,
                 0x40f3_c680_0000_0000,
-                0x3ff6_8f21_313e_0000,
+                0x3ff6_8707_9a3d_eafa,
                 0x3fe1_1111_1111_1112,
                 false,
                 0,
-                2
+                0
             )
         );
-        // The cheap entry's coarse run rejects it; the fast one passes.
+        // The cheap entry's tail misses; the fast one passes.
         assert_eq!(
             plan(1.0, 0.6),
             (
                 0,
                 0x4143_4b74_0000_0000,
-                0x3fa4_9106_df68_0000,
+                0x3fa4_9df0_27c9_e55c,
                 0x3f99_ed9e_d9ed_9eda,
                 false,
                 0,
-                3
+                0
             )
         );
-        // Every entry's mean misses: the fast one is measured once as the
-        // fallback.
+        // Both services exceed the deadline: the smallest tail, the fast
+        // entry's, is the fallback.
         assert_eq!(
             plan(0.5, 0.001),
             (
                 0,
                 0x4143_42aa_0000_0000,
-                0x3f9e_7f97_ed00_0000,
+                0x3f9e_c73b_ecc7_6798,
                 0x3f99_c314_1754_e6ba,
                 true,
                 2,
-                1
+                0
             )
         );
     }
 
     #[test]
-    fn tail_choice_is_deterministic() {
-        let m = menu();
-        let run = || {
-            best_choice_tail(
-                &m,
-                1.2,
-                3600.0,
-                TailTarget::new(0.99, 1.5).unwrap(),
-                &quick_des(),
+    fn tail_choice_matches_an_eager_reference() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(21);
+        let (mut passed, mut fell_back, mut saturated) = (0, 0, 0);
+        for case in 0..600 {
+            let mut menu: Vec<ConfigChoice> = Vec::new();
+            for i in 0..rng.gen_range(1..=10usize) {
+                // Copies of earlier entries make energy and tail ties.
+                if i > 0 && rng.gen_bool(0.2) {
+                    let copy = menu[rng.gen_range(0..i)].clone();
+                    menu.push(copy);
+                    continue;
+                }
+                menu.push(ConfigChoice {
+                    label: format!("e{i}"),
+                    service_s: 10f64.powf(rng.gen_range(-3.0..0.0)),
+                    job_energy_j: rng.gen_range(0.0..50.0),
+                    idle_power_w: rng.gen_range(0.0..1000.0),
+                });
+            }
+            let window_s = rng.gen_range(1.0..7200.0);
+            let anchor = &menu[rng.gen_range(0..menu.len())];
+            let lambda = rng.gen_range(0.001..1.2) / anchor.service_s;
+            // Deadlines around the anchor's service time; sometimes exactly
+            // its tail, which must count as met.
+            let mut deadline_s = anchor.service_s * 10f64.powf(rng.gen_range(-0.5..1.5));
+            if rng.gen_bool(0.2) && lambda * anchor.service_s < 1.0 {
+                deadline_s = p99(anchor, lambda);
+            }
+
+            // Eager reference: (index, window energy, tail) of every stable
+            // entry, then the cheapest that meets the deadline (ties to the
+            // lower index), else the smallest tail (ties to the cheaper
+            // entry, then the lower index).
+            let stable: Vec<(usize, f64, f64)> = menu
+                .iter()
+                .enumerate()
+                .filter_map(|(i, c)| {
+                    let we = window_energy(
+                        lambda,
+                        window_s,
+                        c.service_s,
+                        c.job_energy_j,
+                        c.idle_power_w,
+                    )
+                    .ok()?;
+                    Some((i, we.total_j(), p99(c, lambda)))
+                })
+                .collect();
+            let by_energy = |a: &&(usize, f64, f64), b: &&(usize, f64, f64)| {
+                a.1.total_cmp(&b.1).then(a.0.cmp(&b.0))
+            };
+            let expected = match stable
+                .iter()
+                .filter(|s| s.2 <= deadline_s)
+                .min_by(by_energy)
+            {
+                Some(&s) => Some((s, false)),
+                None => stable
+                    .iter()
+                    .min_by(|a, b| a.2.total_cmp(&b.2).then(by_energy(a, b)))
+                    .map(|&s| (s, true)),
+            };
+
+            let got = best_choice_tail(
+                &menu,
+                lambda,
+                window_s,
+                TailTarget::new(0.99, deadline_s).unwrap(),
+                &TailDesConfig::default(),
             )
-            .unwrap()
-            .unwrap()
-        };
-        assert_eq!(run(), run(), "same seed must replay bit-for-bit");
+            .unwrap();
+            match (got, expected) {
+                (None, None) => saturated += 1,
+                (Some(out), Some(((index, energy_j, tail), violated))) => {
+                    assert_eq!(
+                        (
+                            out.index,
+                            out.energy_j.to_bits(),
+                            out.tail_response_s.to_bits(),
+                            out.violated,
+                            out.des_runs,
+                        ),
+                        (index, energy_j.to_bits(), tail.to_bits(), violated, 0),
+                        "case {case}: λ = {lambda}, deadline {deadline_s}, {menu:?}"
+                    );
+                    let slower = stable
+                        .iter()
+                        .filter(|s| menu[s.0].service_s > deadline_s)
+                        .count();
+                    assert_eq!(out.screened_out, slower, "case {case}");
+                    if violated {
+                        fell_back += 1;
+                    } else {
+                        passed += 1;
+                    }
+                }
+                (got, expected) => panic!("case {case}: {got:?} vs {expected:?}"),
+            }
+        }
+        // The draw covers all three outcomes.
+        assert!(
+            passed > 100 && fell_back > 50 && saturated > 10,
+            "{passed} met, {fell_back} fell back, {saturated} saturated"
+        );
+    }
+
+    #[test]
+    fn tail_choice_is_deterministic() {
+        let run = || plan_tail(&menu(), 1.2, 1.5).unwrap();
+        assert_eq!(run(), run(), "a plan is a pure function of its inputs");
     }
 
     #[test]
@@ -1262,11 +1187,7 @@ mod tests {
         assert!(TailTarget::new(1.0, 1.0).is_err());
         assert!(TailTarget::new(0.99, f64::NAN).is_err());
         let t = TailTarget::new(0.99, 1.0).unwrap();
-        assert!(best_choice_tail(&m, f64::NAN, 3600.0, t, &quick_des()).is_err());
-        let bad = TailDesConfig {
-            coarse_requests: 0,
-            ..quick_des()
-        };
-        assert!(best_choice_tail(&m, 1.0, 3600.0, t, &bad).is_err());
+        let des = TailDesConfig::default();
+        assert!(best_choice_tail(&m, f64::NAN, 3600.0, t, &des).is_err());
     }
 }

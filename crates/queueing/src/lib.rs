@@ -9,17 +9,19 @@
 //!
 //! This crate provides:
 //!
-//! * [`MD1`] — the analytical model (Pollaczek–Khinchine mean waiting
-//!   time), plus [`MG1`] for general service;
+//! * [`MD1`] — the analytical model: the Pollaczek–Khinchine mean waiting
+//!   time and Erlang's exact waiting-time distribution with its quantiles,
+//!   plus [`MG1`] for general service;
 //! * [`des`] — a request-level discrete-event simulation of the same
 //!   FIFO queue, whose constant-service run cross-validates the closed
-//!   forms;
+//!   forms (no planner runs it);
 //! * [`window_energy`] — the paper's observation-window energy accounting
 //!   (Fig. 10): over a 20 s window, jobs × per-job energy plus the idle
 //!   energy of the configuration's nodes between jobs, with unused nodes
 //!   switched off;
 //! * [`dispatch`] — the per-slot configuration choice under a mean or
-//!   percentile response deadline.
+//!   percentile response deadline, the latter scored by
+//!   [`MD1::response_quantile`].
 
 // `!(x > 0.0)` deliberately rejects NaN along with non-positive values;
 // rewriting with `partial_cmp` would hide that intent.

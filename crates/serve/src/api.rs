@@ -4,7 +4,7 @@
 //!
 //! | Endpoint         | Answers                                            |
 //! |------------------|----------------------------------------------------|
-//! | `POST /plan`     | cheapest feasible config for a workload + deadline (`deadline_ms`: mean-time frontier lookup; `p99_s` + `lambda`: DES-scored percentile deadline) |
+//! | `POST /plan`     | cheapest feasible config for a workload + deadline (`deadline_ms`: mean-time frontier lookup; `p99_s` + `lambda`: percentile deadline scored by the exact M/D/1 quantile) |
 //! | `POST /frontier` | the energy–deadline Pareto frontier (optionally the `resilient_k` degraded frontier) |
 //! | `POST /whatif`   | the power-budget substitution ladder               |
 //! | `POST /submit`   | place one job on the live scheduler's shared pool (α-score, bounded admission) |
@@ -83,15 +83,15 @@ pub enum CachedCompute {
     /// A full substitution ladder with per-rung frontiers (kept so any
     /// deadline can be evaluated against a cached ladder).
     Whatif(WhatifResult),
-    /// A percentile-deadline plan: the DES-confirmed best choice over the
-    /// frontier-derived serving menu.
+    /// A percentile-deadline plan: the best choice over the
+    /// frontier-derived serving menu, scored by the exact M/D/1 quantile.
     TailPlan(TailPlanResult),
 }
 
-/// Cached result of a percentile-deadline `/plan` computation. The DES is
-/// seeded deterministically from the spec, so two identical requests
-/// produce byte-identical outcomes — the property memoization and
-/// single-flight coalescing rely on.
+/// Cached result of a percentile-deadline `/plan` computation. The tail
+/// planner runs no simulator, so the outcome is a pure function of the
+/// spec: two identical requests produce byte-identical outcomes — the
+/// property memoization and single-flight coalescing rely on.
 pub struct TailPlanResult {
     /// The planner outcome with the display label of the entry it chose;
     /// `None` when every menu entry saturates at the requested arrival
@@ -957,9 +957,9 @@ pub fn compute_plan(
             let menu = menu_from_frontier(&frontier, &entry.models);
             let target = TailTarget::new(0.99, p99_s)
                 .map_err(|e| Response::error(422, &format!("bad tail target: {e}")))?;
-            // Default DES budget and a fixed seed: identical requests get
-            // byte-identical plans, which memoization and single-flight
-            // coalescing both depend on.
+            // The planner scores the menu in closed form, so identical
+            // requests get byte-identical plans, which memoization and
+            // single-flight coalescing both depend on.
             let outcome =
                 best_choice_tail(&menu, lambda, window_s, target, &TailDesConfig::default())
                     .map_err(|e| Response::error(422, &format!("tail planning failed: {e}")))?
@@ -1205,8 +1205,8 @@ fn parse_body(body: &[u8]) -> Result<Value, Response> {
 
 fn parse_plan(store: &ModelStore, v: &Value) -> Result<(ComputeSpec, RespCtx), Response> {
     let (_, name, arm, amd, units) = parse_common(store, v)?;
-    // A percentile deadline selects the DES-scored tail planner instead of
-    // the mean-time frontier lookup; it needs an arrival rate to queue at.
+    // A percentile deadline selects the tail planner instead of the
+    // mean-time frontier lookup; it needs an arrival rate to queue at.
     if let Some(p99) = v.get("p99_s") {
         let Some(p99_s) = p99.as_f64().filter(|x| *x > 0.0 && x.is_finite()) else {
             return Err(Response::error(422, "p99_s must be finite and positive"));

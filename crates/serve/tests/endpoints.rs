@@ -12,6 +12,7 @@ use std::time::Duration;
 
 use hecmix_experiments::Lab;
 use hecmix_obs::json::{self, Value};
+use hecmix_queueing::MD1;
 use hecmix_serve::http;
 use hecmix_serve::loadgen::{self, LoadgenConfig, MixRatio};
 use hecmix_serve::{
@@ -243,8 +244,20 @@ fn plan_answers_feasible_and_infeasible_deadlines() {
     );
 }
 
+/// The `time_ms` of the `/frontier` point labelled `config`.
+fn point_time_ms(frontier: &Value, config: &str) -> f64 {
+    frontier
+        .get("points")
+        .and_then(Value::as_array)
+        .expect("points")
+        .iter()
+        .find(|p| p.get("config").and_then(Value::as_str) == Some(config))
+        .and_then(|p| p.get("time_ms").and_then(Value::as_f64))
+        .unwrap_or_else(|| panic!("no frontier point `{config}`"))
+}
+
 #[test]
-fn plan_p99_deadline_is_des_confirmed_and_cached() {
+fn plan_p99_deadline_is_the_exact_quantile_and_cached() {
     let _guard = CACHE_SENSITIVE.lock().unwrap();
     // Derive a safe operating point from the frontier itself: an arrival
     // rate keeping every menu entry below half utilization, and a deadline
@@ -285,18 +298,25 @@ fn plan_p99_deadline_is_des_confirmed_and_cached() {
         .get("mean_response_s")
         .and_then(Value::as_f64)
         .expect("mean");
-    assert!(tail <= p99_s, "DES-confirmed tail within deadline");
-    assert!(tail >= mean, "p99 cannot sit below the mean");
+    assert!(tail <= p99_s, "the exact tail is within the deadline");
+    assert!(tail >= mean, "p99 cannot sit below the mean here");
+    // The tail is the closed-form quantile of the chosen point's service
+    // time; `time_ms` carries it scaled by 1e3, hence the ulp-level slack.
+    let service_s = point_time_ms(&f, &config) / 1e3;
+    let exact = MD1::new(lambda, service_s)
+        .and_then(|q| q.response_quantile(0.99))
+        .expect("stable entry");
+    assert!(
+        (tail / exact - 1.0).abs() < 1e-12,
+        "p99 {tail} vs closed form {exact}"
+    );
     assert!(
         v.get("window_energy_j")
             .and_then(Value::as_f64)
             .expect("energy")
             > 0.0
     );
-    assert!(
-        as_u64(&v, "des_runs") >= 1,
-        "the plan must be DES-confirmed"
-    );
+    assert_eq!(as_u64(&v, "des_runs"), 0, "the planner runs no simulator");
     let cold_us = as_u64(&v, "compute_us");
 
     // Identical question again: answered from cache, byte-identical plan.
@@ -314,7 +334,7 @@ fn plan_p99_deadline_is_des_confirmed_and_cached() {
     let warm_us = as_u64(&warm, "compute_us").max(1);
     assert!(
         cold_us >= 10 * warm_us,
-        "DES-backed plan must be >=10x faster warm: cold {cold_us} µs vs warm {warm_us} µs"
+        "tail plan must be >=10x faster warm: cold {cold_us} µs vs warm {warm_us} µs"
     );
 
     // An arrival rate that saturates every configuration is answered, not
@@ -324,6 +344,25 @@ fn plan_p99_deadline_is_des_confirmed_and_cached() {
     assert_eq!(status, 200);
     assert!(!as_bool(&sat, "feasible"));
     assert!(as_bool(&sat, "saturated"));
+
+    // So slow that no job ever queues: the wait's atom at zero covers the
+    // 99th percentile, so the p99 response is the chosen point's service
+    // time, bit for bit.
+    let (status, slow) = call(
+        "POST",
+        "/plan",
+        r#"{"workload":"ep","p99_s":10,"lambda":1e-300}"#,
+    );
+    assert_eq!(status, 200, "{slow:?}");
+    assert!(as_bool(&slow, "feasible"));
+    let config = slow.get("config").and_then(Value::as_str).expect("config");
+    let (status, f) = call("POST", "/frontier", r#"{"workload":"ep"}"#);
+    assert_eq!(status, 200);
+    let tail = slow
+        .get("p99_response_s")
+        .and_then(Value::as_f64)
+        .expect("tail");
+    assert_eq!(tail * 1e3, point_time_ms(&f, config));
 }
 
 #[test]
@@ -480,13 +519,6 @@ fn error_paths_return_typed_statuses() {
             "POST",
             "/plan",
             r#"{"workload":"ep","p99_s":10,"lambda":0}"#,
-            422,
-        ),
-        // So slow that the DES clock cannot resolve the service time.
-        (
-            "POST",
-            "/plan",
-            r#"{"workload":"ep","p99_s":10,"lambda":1e-300}"#,
             422,
         ),
         (

@@ -90,7 +90,7 @@ commands:
   evaluate     --workload NAME --arm-nodes N --amd-nodes M [--units W]
   characterize --out DIR [--workload NAME]
   queueing     --workload NAME --lambda JOBS_PER_S --slo-ms R [--window-s S]
-               [--p99-ms R]  (plan for a p99 deadline via DES instead of the mean SLO)
+               [--p99-ms R]  (plan for an exact M/D/1 p99 deadline instead of the mean SLO)
   selfcheck    [--seed N] [--fuzz-iters N]
   sched        [--workloads NAME,NAME,...] [--workload NAME (dominant)]
                [--alpha A] [--arm N] [--amd N] [--days N] [--seed N]
@@ -1036,9 +1036,9 @@ fn cmd_queueing(flags: &HashMap<String, String>) -> ExitCode {
         }
     };
     let menu = menu_from_frontier(&frontier, &models);
-    // A p99 deadline switches to the DES-scored tail planner: the menu is
-    // screened analytically, then the survivors are simulated until one
-    // meets the percentile deadline.
+    // A p99 deadline switches to the tail planner: every menu entry is
+    // scored with its exact M/D/1 p99, and the cheapest that meets the
+    // deadline wins.
     if flags.contains_key("p99-ms") && !(p99_ms.is_finite() && p99_ms > 0.0) {
         eprintln!("invalid p99 deadline: --p99-ms must be a positive number of milliseconds");
         return ExitCode::FAILURE;
@@ -1067,7 +1067,7 @@ fn cmd_queueing(flags: &HashMap<String, String>) -> ExitCode {
                 );
                 println!("  best configuration : {}", menu[out.index].label);
                 println!(
-                    "  p99 response (DES) : {:.1} ms{}",
+                    "  p99 response       : {:.1} ms{}",
                     out.tail_response_s * 1e3,
                     if out.violated {
                         "  (DEADLINE MISSED)"
@@ -1078,8 +1078,8 @@ fn cmd_queueing(flags: &HashMap<String, String>) -> ExitCode {
                 println!("  mean response      : {:.1} ms", out.mean_response_s * 1e3);
                 println!("  window energy      : {:.1} J", out.energy_j);
                 println!(
-                    "  planner effort     : {} screened analytically, {} DES runs",
-                    out.screened_out, out.des_runs
+                    "  planner effort     : {} screened by service time",
+                    out.screened_out
                 );
                 if out.violated {
                     ExitCode::FAILURE
