@@ -1,8 +1,9 @@
-//! Queueing benchmarks — the Fig. 10 machinery and the M/D/1 cross-check DES.
+//! Queueing benchmarks — the Fig. 10 machinery, and the request-level DES
+//! (`hecmix_check::reference::des`) that the self-check runs against it.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
-use hecmix_queueing::des::{self, DesConfig, ServiceDist};
+use hecmix_check::reference::des::{self, DesConfig, ServiceDist};
 use hecmix_queueing::{window_energy, MD1};
 
 fn bench_closed_forms(c: &mut Criterion) {

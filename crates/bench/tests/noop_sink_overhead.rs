@@ -81,18 +81,6 @@ fn noop_sink_keeps_sweep_smoke_within_threshold() {
         .expect("sweep_pruned event missing");
     assert_eq!(pruned.0, space.count());
     assert_eq!(pruned.1, stats.evaluated_configs);
-    let (scanned, kept) = events
-        .iter()
-        .filter_map(|e| match e {
-            hecmix_obs::Event::SweepWorker { scanned, kept, .. } => Some((*scanned, *kept)),
-            _ => None,
-        })
-        .fold((0u64, 0usize), |(s, k), (ds, dk)| (s + ds, k + dk));
-    assert_eq!(
-        scanned, stats.evaluated_configs,
-        "workers must scan every kept point"
-    );
-    assert!(kept >= frontier.len());
     match events.last() {
         Some(hecmix_obs::Event::SweepEnd {
             points,

@@ -1,16 +1,17 @@
 //! CI gate on the cost of the percentile-deadline planner. It scores each
 //! menu entry with the exact M/D/1 quantile, so a whole plan must cost at
-//! most a tenth of one 200 000-request `des::simulate` run read at its
-//! p99, the confirmation run a simulating planner spends on its pick. Both
-//! are timed alternately on the same machine, so runner speed cannot flap
-//! the ratio.
+//! most a tenth of one 200 000-request run of the reference simulator
+//! (`hecmix_check::reference::des::simulate`) read at its p99, the
+//! confirmation run a simulating planner would spend on its pick. Both are
+//! timed alternately on the same machine, so runner speed cannot flap the
+//! ratio.
 
 use hecmix_bench::best_of;
+use hecmix_check::reference::des::{self, DesConfig, ServiceDist};
 use hecmix_core::config::ConfigSpace;
 use hecmix_core::profile::WorkloadModel;
 use hecmix_core::rate_table::RateTable;
 use hecmix_core::types::Platform;
-use hecmix_queueing::des::{self, DesConfig, ServiceDist};
 use hecmix_queueing::dispatch::{
     best_choice_tail, menu_from_frontier, SlotPricer, TailDesConfig, TailTarget,
 };

@@ -16,10 +16,12 @@
 
 use hecmix_core::config::{ClusterPoint, ConfigSpace, NodeConfig};
 use hecmix_core::exec_time::ExecTimeModel;
-use hecmix_core::mix_match::{evaluate, match_two_numeric, ClusterOutcome};
+use hecmix_core::mix_match::{evaluate, ClusterOutcome};
 use hecmix_core::profile::WorkloadModel;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+
+use crate::reference::match_two_numeric;
 
 /// Fuzz-driver parameters.
 #[derive(Debug, Clone, Copy)]

@@ -4,10 +4,12 @@
 //! paths: work splits come from a closed form and from bisection, Pareto
 //! frontiers from an exhaustive sweep and from a streaming rate-table
 //! kernel, cluster energy from the analytical model and from the
-//! discrete-event simulator, queue waits from the Pollaczek–Khinchine
-//! formula and from a DES. Whenever two paths must agree, their
+//! discrete-event simulator, queue waits from the exact M/D/1 formulas and
+//! from a request-level DES. Whenever two paths must agree, their
 //! disagreement is a bug detector that needs no hand-written expected
-//! values. This crate packages those detectors:
+//! values. The bisection split and the DES serve no production path, so
+//! they live here, in [`reference`](mod@reference). This crate packages
+//! those detectors:
 //!
 //! * [`oracles`] — pairwise differential checks between independent
 //!   implementations, each with an explicitly justified tolerance;
@@ -18,8 +20,9 @@
 //! * [`fuzz`] — a seeded random-configuration driver that replays the
 //!   cheap checks over arbitrary cluster points and *shrinks* any failure
 //!   to a minimal reproducing configuration, emitted as one-line JSON;
-//! * [`reference`](mod@reference) — slow, plain versions of production fast paths, kept
-//!   only so tests and benchmarks can compare against them.
+//! * [`reference`](mod@reference) — slow, plain versions of production
+//!   fast paths, kept only so the oracles, tests and benchmarks can
+//!   compare against them.
 //!
 //! [`run_all`] wires everything into one report. Violations and the final
 //! summary are published as [`hecmix_obs`] events (`check_violation`,
@@ -27,6 +30,9 @@
 //! and the summary can be embedded in artifact manifests via
 //! [`hecmix_obs::SelfCheckOutcome`].
 
+// `!(x > 0.0)` deliberately rejects NaN along with non-positive values;
+// rewriting with `partial_cmp` would hide that intent.
+#![allow(clippy::neg_cmp_op_on_partial_ord)]
 #![warn(missing_docs)]
 
 pub mod fuzz;

@@ -7,9 +7,9 @@
 use std::collections::HashMap;
 use std::path::PathBuf;
 
+use hecmix_check::reference::match_two_numeric;
 use hecmix_core::config::{ClusterPoint, NodeConfig};
 use hecmix_core::error::Error;
-use hecmix_core::mix_match::match_two_numeric;
 use hecmix_core::pareto::{ParetoFrontier, ParetoPoint};
 use hecmix_core::profile::WorkloadModel;
 use hecmix_core::types::{Frequency, Platform};

@@ -9,9 +9,9 @@
 //! Because the per-type execution time is linear in the assigned work
 //! (`T_t(W_t) = W_t / R_t` where `R_t` is the type's execution rate in
 //! units/s — every term of Eq. 2–11 scales with `W_t`), the matched split
-//! has the closed form `W_t = W · R_t / Σ R_u`. A bisection solver over
-//! arbitrary monotone time functions is also provided
-//! ([`match_two_numeric`]) and is property-tested against the closed form.
+//! has the closed form `W_t = W · R_t / Σ R_u`, the one solver here. The
+//! self-check harness tests it against a bisection split over the same
+//! time functions (`hecmix_check::reference::match_two_numeric`).
 
 use serde::{Deserialize, Serialize};
 
@@ -251,78 +251,6 @@ fn price_split(
     }
 }
 
-/// Generic two-way matching by bisection: given monotone non-decreasing
-/// time functions `t_a(w)` and `t_b(w)` with `t(0) = 0`, find the split
-/// `(w_a, w_b)` of `w` with `t_a(w_a) ≈ t_b(w_b)` to relative tolerance
-/// `tol`. Provided for time models that are *not* linear in work (the
-/// closed form above covers the paper's model); cross-checked against the
-/// closed form in tests.
-///
-/// # Errors
-/// [`Error::InvalidInput`] when `w` or `tol` is non-positive or non-finite,
-/// or a time function violates `t(0) = 0` (zero work must take zero time —
-/// a non-zero offset would make the split depend on which side carries it).
-/// [`Error::MatchingFailed`] when a time function returns a non-finite
-/// value, or the bisection fails to bracket the root to `tol · w` within
-/// its iteration budget.
-pub fn match_two_numeric(
-    t_a: impl Fn(f64) -> f64,
-    t_b: impl Fn(f64) -> f64,
-    w: f64,
-    tol: f64,
-) -> Result<(f64, f64)> {
-    if !(w > 0.0) || !w.is_finite() {
-        return Err(Error::InvalidInput(format!(
-            "work must be positive, got {w}"
-        )));
-    }
-    if !(tol > 0.0) || !tol.is_finite() {
-        return Err(Error::InvalidInput(format!(
-            "tolerance must be positive and finite, got {tol}"
-        )));
-    }
-    // The bracketing below assumes t(0) = 0: a function with a non-zero
-    // (or NaN) offset at zero work would silently shift the split.
-    let (ta0, tb0) = (t_a(0.0), t_b(0.0));
-    if ta0 != 0.0 || tb0 != 0.0 {
-        return Err(Error::InvalidInput(format!(
-            "time functions must satisfy t(0) = 0, got t_a(0)={ta0}, t_b(0)={tb0}"
-        )));
-    }
-    // g(x) = t_a(x) - t_b(w - x) is monotone non-decreasing in x;
-    // g(0) = -t_b(w) <= 0 and g(w) = t_a(w) >= 0, so a root exists.
-    let g = |x: f64| t_a(x) - t_b(w - x);
-    let (mut lo, mut hi) = (0.0_f64, w);
-    let (glo, ghi) = (g(lo), g(hi));
-    if !glo.is_finite() || !ghi.is_finite() {
-        return Err(Error::MatchingFailed("non-finite time function".into()));
-    }
-    if glo > 0.0 {
-        // Type A is slower even with all work on B: give everything to B.
-        return Ok((0.0, w));
-    }
-    if ghi < 0.0 {
-        return Ok((w, 0.0));
-    }
-    for _ in 0..200 {
-        let mid = 0.5 * (lo + hi);
-        if g(mid) <= 0.0 {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-        if (hi - lo) <= tol * w {
-            let x = 0.5 * (lo + hi);
-            return Ok((x, w - x));
-        }
-    }
-    Err(Error::MatchingFailed(format!(
-        "bisection did not converge: bracket {:.3e} > tol·w {:.3e} after 200 iterations",
-        hi - lo,
-        tol * w
-    )))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -424,76 +352,6 @@ mod tests {
                 other.energy_j,
                 matched.energy_j
             );
-        }
-    }
-
-    #[test]
-    fn numeric_matches_closed_form() {
-        let (arm, amd, models) = bundles();
-        let cfg_a = NodeConfig::maxed(&arm, 8);
-        let cfg_b = NodeConfig::maxed(&amd, 2);
-        let em_a = ExecTimeModel::new(&models[0]);
-        let em_b = ExecTimeModel::new(&models[1]);
-        let w = 5e7;
-        let (wa, wb) = match_two_numeric(
-            |x| em_a.predict(&cfg_a, x).total,
-            |x| em_b.predict(&cfg_b, x).total,
-            w,
-            1e-12,
-        )
-        .unwrap();
-        let point = ClusterPoint::new(vec![Some(cfg_a), Some(cfg_b)]);
-        let split = mix_and_match(&point, &models, w).unwrap();
-        assert!((wa - split.shares[0]).abs() < 1e-3 * w);
-        assert!((wb - split.shares[1]).abs() < 1e-3 * w);
-    }
-
-    #[test]
-    fn numeric_degenerate_one_sided() {
-        // Type A infinitely slow → all work to B.
-        let (wa, wb) =
-            match_two_numeric(|x| x * f64::MAX.sqrt(), |x| x * 1e-9, 100.0, 1e-9).unwrap();
-        assert!(wa < 1e-4);
-        assert!((wb - 100.0).abs() < 1e-4);
-    }
-
-    #[test]
-    fn numeric_reports_non_convergence() {
-        // A tolerance below one ulp of the split point can never be met:
-        // the bracket stalls at machine precision. Pre-fix this silently
-        // returned the midpoint as if it had converged.
-        let r = match_two_numeric(|x| x, |x| x, 100.0, 1e-30);
-        assert!(
-            matches!(r, Err(Error::MatchingFailed(_))),
-            "expected MatchingFailed, got {r:?}"
-        );
-    }
-
-    #[test]
-    fn numeric_rejects_nonzero_origin() {
-        // t(0) != 0 breaks the bracketing argument; pre-fix the solver
-        // silently mis-split. Both offset and NaN-at-zero must be rejected.
-        assert!(matches!(
-            match_two_numeric(|x| x + 1.0, |x| x, 10.0, 1e-9),
-            Err(Error::InvalidInput(_))
-        ));
-        assert!(matches!(
-            match_two_numeric(|x| x, |x| x + 5.0, 10.0, 1e-9),
-            Err(Error::InvalidInput(_))
-        ));
-        assert!(matches!(
-            match_two_numeric(|x| x / x, |x| x, 10.0, 1e-9), // NaN at 0
-            Err(Error::InvalidInput(_))
-        ));
-    }
-
-    #[test]
-    fn numeric_rejects_bad_tolerance() {
-        for tol in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-            assert!(matches!(
-                match_two_numeric(|x| x, |x| x, 10.0, tol),
-                Err(Error::InvalidInput(_))
-            ));
         }
     }
 

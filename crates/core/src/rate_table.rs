@@ -551,9 +551,9 @@ where
         return Ok(Vec::new());
     }
     let threads = parallelism().min(count.div_ceil(MIN_CHUNK) as usize);
-    // Telemetry granularity is per chunk / per worker, never per point:
-    // the kernel stays untouched and the disabled cost of the whole fold
-    // is this one flag read.
+    // Telemetry is one event at each end of the sweep, never per point or
+    // per worker, so a seeded trace does not depend on which thread claimed
+    // which chunk; the disabled cost of the whole fold is this flag read.
     let tracing = hecmix_obs::enabled();
     let sweep_t0 = tracing.then(std::time::Instant::now);
     if tracing {
@@ -569,12 +569,6 @@ where
             let mut partial = PartialFrontier::default();
             fold(1, count, &mut partial);
             if tracing {
-                hecmix_obs::emit(|| hecmix_obs::Event::SweepWorker {
-                    worker: 0,
-                    chunks: 1,
-                    scanned: count,
-                    kept: partial.entries.len(),
-                });
                 emit_sweep_end(count, partial.entries.len(), sweep_t0);
             }
             partial.entries
@@ -585,32 +579,18 @@ where
     let cursor = AtomicU64::new(1);
     std::thread::scope(|s| {
         let workers: Vec<_> = (0..threads)
-            .map(|worker| {
+            .map(|_| {
                 // Move only copies and references into the worker: `fold`
                 // itself stays owned by the caller.
                 let (fold, cursor) = (&fold, &cursor);
                 s.spawn(move || {
                     let mut partial = PartialFrontier::default();
-                    let (mut chunks, mut scanned) = (0u64, 0u64);
                     loop {
                         let start = cursor.fetch_add(chunk, Ordering::Relaxed);
                         if start > count {
                             break;
                         }
-                        let end = count.min(start + chunk - 1);
-                        fold(start, end, &mut partial);
-                        if tracing {
-                            chunks += 1;
-                            scanned += end - start + 1;
-                        }
-                    }
-                    if tracing {
-                        hecmix_obs::emit(|| hecmix_obs::Event::SweepWorker {
-                            worker,
-                            chunks,
-                            scanned,
-                            kept: partial.entries.len(),
-                        });
+                        fold(start, count.min(start + chunk - 1), &mut partial);
                     }
                     partial.entries
                 })
@@ -622,17 +602,7 @@ where
         let mut panic_msg: Option<String> = None;
         for w in workers {
             match w.join() {
-                Ok(part) => {
-                    let merged = merge_entries(&acc, &part);
-                    if tracing {
-                        hecmix_obs::emit(|| hecmix_obs::Event::SweepMerge {
-                            left: acc.len(),
-                            right: part.len(),
-                            merged: merged.len(),
-                        });
-                    }
-                    acc = merged;
-                }
+                Ok(part) => acc = merge_entries(&acc, &part),
                 Err(payload) => {
                     panic_msg.get_or_insert_with(|| panic_message(&*payload));
                 }

@@ -316,7 +316,7 @@ pub fn dvfs_ladder_study(
 }
 
 // ---------------------------------------------------------------------
-// Percentile-deadline planning (p99 via DES) vs mean-SLO planning
+// Percentile-deadline planning (exact M/D/1 p99) vs mean-SLO planning
 // ---------------------------------------------------------------------
 
 /// One operating point of the percentile-deadline planning study: the
@@ -346,8 +346,6 @@ pub struct TailPlanningRow {
     /// Candidates whose service time alone exceeds the deadline, as the p99
     /// planner counts them.
     pub screened_out: usize,
-    /// DES runs the p99 planner spent: always 0.
-    pub des_runs: u32,
     /// True when no configuration meets the p99 deadline and the tail
     /// pick is the smallest-tail fallback.
     pub violated: bool,
@@ -393,7 +391,6 @@ pub fn tail_planning_study(lab: &Lab, w: &dyn Workload) -> Vec<TailPlanningRow> 
                 tail_mean_response_s: tail.mean_response_s,
                 tail_p99_s: tail.tail_response_s,
                 screened_out: tail.screened_out,
-                des_runs: tail.des_runs,
                 violated: tail.violated,
             });
         }

@@ -973,7 +973,6 @@ fn run_tail_planning(lab: &Lab, csv: &CsvWriter) {
                 fmt_f(r.tail_mean_response_s * 1e3),
                 fmt_f(r.tail_p99_s * 1e3),
                 r.screened_out.to_string(),
-                r.des_runs.to_string(),
                 r.violated.to_string(),
             ]
         })
@@ -989,7 +988,6 @@ fn run_tail_planning(lab: &Lab, csv: &CsvWriter) {
         "p99_mean_response_ms",
         "p99_response_ms",
         "screened_out",
-        "des_runs",
         "violated",
     ];
     for r in &rows {

@@ -271,26 +271,6 @@ events! {
         /// Worker threads (1 = sequential path).
         workers: usize,
     },
-    /// One worker's totals for a sweep.
-    SweepWorker = "sweep_worker" {
-        /// Worker index.
-        worker: usize,
-        /// Chunks claimed from the shared cursor.
-        chunks: u64,
-        /// Points scanned.
-        scanned: u64,
-        /// Points kept in the worker's partial frontier.
-        kept: usize,
-    },
-    /// One pairwise merge of partial frontiers.
-    SweepMerge = "sweep_merge" {
-        /// Entries on the left input.
-        left: usize,
-        /// Entries on the right input.
-        right: usize,
-        /// Entries surviving the merge.
-        merged: usize,
-    },
     /// A streaming frontier sweep finished.
     SweepEnd = "sweep_end" {
         /// Points scanned in total.
@@ -505,9 +485,9 @@ events! {
         wall_s: f64,
     },
 
-    // ---- hecmix-queueing: request-level DES + tail planning ----
+    // ---- request-level DES (hecmix-check) + tail planning (hecmix-queueing) ----
     /// One request-level discrete-event simulation completed
-    /// (`hecmix_queueing::des::simulate`).
+    /// (`hecmix_check::reference::des::simulate`).
     DesRun = "des_run" {
         /// Offered Poisson arrival rate, requests/second.
         pps: f64,

@@ -390,8 +390,6 @@ pub struct TailChoiceOutcome {
     /// Stable candidates whose service time alone exceeds the deadline, so
     /// that none of their responses can meet it.
     pub screened_out: usize,
-    /// DES runs spent: always 0, since the planner runs no simulator.
-    pub des_runs: u32,
 }
 
 /// Percentile-deadline slot choice: pick the cheapest menu entry whose
@@ -463,7 +461,6 @@ pub fn best_choice_tail(
         mean_response_s,
         violated,
         screened_out,
-        des_runs: 0,
     }))
 }
 
@@ -971,7 +968,6 @@ mod tests {
         assert_eq!(out.index, 0);
         assert!(!out.violated);
         assert_eq!(out.screened_out, 1, "cheap entry screened by service time");
-        assert_eq!(out.des_runs, 0);
         assert_eq!(out.tail_response_s.to_bits(), p99(&m[0], 1.0).to_bits());
     }
 
@@ -1020,7 +1016,6 @@ mod tests {
                 out.mean_response_s.to_bits(),
                 out.violated,
                 out.screened_out,
-                out.des_runs,
             )
         };
         // The cheap entry passes.
@@ -1032,7 +1027,6 @@ mod tests {
                 0x3ff6_8707_9a3d_eafa,
                 0x3fe1_1111_1111_1112,
                 false,
-                0,
                 0
             )
         );
@@ -1045,7 +1039,6 @@ mod tests {
                 0x3fa4_9df0_27c9_e55c,
                 0x3f99_ed9e_d9ed_9eda,
                 false,
-                0,
                 0
             )
         );
@@ -1059,8 +1052,7 @@ mod tests {
                 0x3f9e_c73b_ecc7_6798,
                 0x3f99_c314_1754_e6ba,
                 true,
-                2,
-                0
+                2
             )
         );
     }
@@ -1148,9 +1140,8 @@ mod tests {
                             out.energy_j.to_bits(),
                             out.tail_response_s.to_bits(),
                             out.violated,
-                            out.des_runs,
                         ),
-                        (index, energy_j.to_bits(), tail.to_bits(), violated, 0),
+                        (index, energy_j.to_bits(), tail.to_bits(), violated),
                         "case {case}: λ = {lambda}, deadline {deadline_s}, {menu:?}"
                     );
                     let slower = stable

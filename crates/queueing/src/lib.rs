@@ -10,11 +10,8 @@
 //! This crate provides:
 //!
 //! * [`MD1`] — the analytical model: the Pollaczek–Khinchine mean waiting
-//!   time and Erlang's exact waiting-time distribution with its quantiles,
-//!   plus [`MG1`] for general service;
-//! * [`des`] — a request-level discrete-event simulation of the same
-//!   FIFO queue, whose constant-service run cross-validates the closed
-//!   forms (no planner runs it);
+//!   time and Erlang's exact waiting-time distribution with its quantiles
+//!   (`hecmix-check` tests both against a request-level simulation);
 //! * [`window_energy`] — the paper's observation-window energy accounting
 //!   (Fig. 10): over a 20 s window, jobs × per-job energy plus the idle
 //!   energy of the configuration's nodes between jobs, with unused nodes
@@ -29,7 +26,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod des;
 pub mod dispatch;
 
 use serde::{Deserialize, Serialize};
@@ -224,64 +220,6 @@ impl MD1 {
     }
 }
 
-/// The M/G/1 queue: Poisson arrivals, generally distributed service with
-/// mean `service_s` and squared coefficient of variation `scv`
-/// (`Var[S]/E[S]²`). `scv = 0` recovers M/D/1, `scv = 1` recovers M/M/1 —
-/// the full Pollaczek–Khinchine formula. Useful because the simulated
-/// cluster's per-job service times carry real run-to-run variance.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct MG1 {
-    /// Job arrival rate, jobs/second.
-    pub lambda: f64,
-    /// Mean service time, seconds.
-    pub service_s: f64,
-    /// Squared coefficient of variation of the service time.
-    pub scv: f64,
-}
-
-impl MG1 {
-    /// Construct and validate.
-    pub fn new(lambda: f64, service_s: f64, scv: f64) -> Result<Self> {
-        if !(lambda > 0.0)
-            || !lambda.is_finite()
-            || !(service_s > 0.0)
-            || !service_s.is_finite()
-            || !(scv >= 0.0)
-            || !scv.is_finite()
-        {
-            return Err(Error::InvalidInput(format!(
-                "MG1 needs positive finite λ and E[S] and non-negative SCV, got λ={lambda}, T={service_s}, scv={scv}"
-            )));
-        }
-        Ok(Self {
-            lambda,
-            service_s,
-            scv,
-        })
-    }
-
-    /// Server utilization `ρ = λ·E[S]`.
-    #[must_use]
-    pub fn utilization(&self) -> f64 {
-        self.lambda * self.service_s
-    }
-
-    /// Pollaczek–Khinchine mean wait:
-    /// `W_q = ρ·E[S]·(1 + scv) / (2(1 − ρ))`.
-    pub fn mean_wait_s(&self) -> Result<f64> {
-        let rho = self.utilization();
-        if rho >= 1.0 {
-            return Err(Error::Saturated { utilization: rho });
-        }
-        Ok(rho * self.service_s * (1.0 + self.scv) / (2.0 * (1.0 - rho)))
-    }
-
-    /// Mean response time `R = E[S] + W_q`.
-    pub fn mean_response_s(&self) -> Result<f64> {
-        Ok(self.service_s + self.mean_wait_s()?)
-    }
-}
-
 /// Energy of one configuration over an observation window (Fig. 10):
 /// per-job energy times the jobs served, plus the *idle* energy of the
 /// configuration's powered nodes between jobs. Nodes not in the
@@ -472,34 +410,6 @@ mod tests {
     }
 
     #[test]
-    fn md1_wait_is_half_of_mm1() {
-        let lambda = 3.0;
-        let t = 0.2;
-        let wd = MD1::new(lambda, t).unwrap().mean_wait_s().unwrap();
-        let wm = MG1::new(lambda, t, 1.0).unwrap().mean_wait_s().unwrap();
-        assert!((wm / wd - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mg1_interpolates_md1_and_mm1() {
-        let (lambda, t) = (4.0, 0.1);
-        let md1 = MD1::new(lambda, t).unwrap().mean_wait_s().unwrap();
-        // M/M/1: W_q = ρ·T/(1 − ρ).
-        let rho = lambda * t;
-        let mm1 = rho * t / (1.0 - rho);
-        let g0 = MG1::new(lambda, t, 0.0).unwrap().mean_wait_s().unwrap();
-        let g1 = MG1::new(lambda, t, 1.0).unwrap().mean_wait_s().unwrap();
-        assert!((g0 - md1).abs() < 1e-12, "scv=0 must equal M/D/1");
-        assert!((g1 - mm1).abs() < 1e-12, "scv=1 must equal M/M/1");
-        // Monotone in variance.
-        let g_half = MG1::new(lambda, t, 0.5).unwrap().mean_wait_s().unwrap();
-        assert!(md1 < g_half && g_half < mm1);
-        // Domain checks.
-        assert!(MG1::new(lambda, t, -0.1).is_err());
-        assert!(MG1::new(20.0, t, 0.5).unwrap().mean_wait_s().is_err());
-    }
-
-    #[test]
     fn saturation_rejected() {
         let q = MD1::new(10.0, 0.1).unwrap(); // ρ = 1
         assert!(matches!(q.mean_wait_s(), Err(Error::Saturated { .. })));
@@ -515,17 +425,6 @@ mod tests {
         let w90 = MD1::new(9.0, t).unwrap().mean_wait_s().unwrap();
         let w99 = MD1::new(9.9, t).unwrap().mean_wait_s().unwrap();
         assert!(w99 > 10.0 * w90 / 2.0, "wait must blow up: {w90} -> {w99}");
-    }
-
-    #[test]
-    fn mg1_rejects_non_finite_rate_and_service() {
-        // Pre-fix regression: `f64::INFINITY > 0.0` passed the positivity
-        // guard, so an infinite λ or E[S] produced NaN waits downstream.
-        assert!(MG1::new(f64::INFINITY, 0.1, 0.5).is_err());
-        assert!(MG1::new(1.0, f64::INFINITY, 0.5).is_err());
-        assert!(MG1::new(f64::NAN, 0.1, 0.5).is_err());
-        assert!(MG1::new(1.0, f64::NAN, 0.5).is_err());
-        assert!(MG1::new(1.0, 0.1, 0.5).is_ok());
     }
 
     #[test]

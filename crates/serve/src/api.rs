@@ -72,7 +72,7 @@ mod tag {
     pub const RESILIENT: u64 = 3;
     /// Power-budget substitution ladder.
     pub const WHATIF: u64 = 4;
-    /// Percentile-deadline (p99) plan, scored by discrete-event simulation.
+    /// Percentile-deadline (p99) plan, scored by the exact M/D/1 quantile.
     pub const TAILPLAN: u64 = 5;
 }
 
@@ -1072,7 +1072,6 @@ pub fn format_response(
                     o.f64("mean_response_s", out.mean_response_s);
                     o.f64("window_energy_j", out.energy_j);
                     o.u64("screened_out", out.screened_out as u64);
-                    o.u64("des_runs", u64::from(out.des_runs));
                     o.bool("violated", out.violated);
                 }
                 None => {

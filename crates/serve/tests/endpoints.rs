@@ -316,7 +316,6 @@ fn plan_p99_deadline_is_the_exact_quantile_and_cached() {
             .expect("energy")
             > 0.0
     );
-    assert_eq!(as_u64(&v, "des_runs"), 0, "the planner runs no simulator");
     let cold_us = as_u64(&v, "compute_us");
 
     // Identical question again: answered from cache, byte-identical plan.

@@ -11,9 +11,9 @@
 //! cargo run --release --example queueing_whatif
 //! ```
 
+use hecmix_check::reference::des::{self, DesConfig, ServiceDist};
 use hecmix_experiments::figures::fig10;
 use hecmix_experiments::lab::Lab;
-use hecmix_queueing::des::{self, DesConfig, ServiceDist};
 use hecmix_queueing::MD1;
 use hecmix_workloads::memcached::Memcached;
 
@@ -50,22 +50,22 @@ fn main() {
         println!();
     }
 
-    // Cross-check the analytical M/D/1 wait against a discrete-event
-    // simulation at the middle utilization.
+    // Cross-check the analytical M/D/1 wait against the self-check's
+    // reference discrete-event simulation at the middle utilization.
     let service = 0.05;
     let lambda = curves[1].lambda;
     let analytic = MD1::new(lambda, service)
         .and_then(|q| q.mean_wait_s())
         .expect("stable queue");
     // With constant service the DES runs the same M/D/1 queue.
-    let sim = des::simulate(&DesConfig {
+    let simulated = des::simulate(&DesConfig {
         pps: lambda,
         n_requests: 200_000,
         service: ServiceDist::Constant(service),
         seed: 7,
     })
-    .expect("valid simulation inputs");
-    let simulated = sim.wait.mean().expect("an open queue completes requests");
+    .expect("valid simulation inputs")
+    .mean_wait_s;
     println!(
         "M/D/1 cross-check at λ={lambda:.2}, T={service}s: analytic wait {:.2} ms vs simulated {:.2} ms",
         analytic * 1e3,

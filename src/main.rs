@@ -1057,12 +1057,14 @@ fn cmd_queueing(flags: &HashMap<String, String>) -> ExitCode {
                 ExitCode::FAILURE
             }
             Ok(None) => {
-                eprintln!("every configuration saturates at λ = {lambda} jobs/s");
+                eprintln!("every configuration saturates at λ = {lambda:?} jobs/s");
                 ExitCode::FAILURE
             }
             Ok(Some(out)) => {
+                // `{:?}` prints the shortest round-trip form of an f64, with
+                // an exponent at the extremes, as `json::number` does.
                 println!(
-                    "{}: λ = {lambda} jobs/s over a {window_s} s window, p99 deadline {p99_ms} ms",
+                    "{}: λ = {lambda:?} jobs/s over a {window_s:?} s window, p99 deadline {p99_ms:?} ms",
                     w.name()
                 );
                 println!("  best configuration : {}", menu[out.index].label);
@@ -1095,12 +1097,12 @@ fn cmd_queueing(flags: &HashMap<String, String>) -> ExitCode {
             ExitCode::FAILURE
         }
         Ok(None) => {
-            eprintln!("every configuration saturates at λ = {lambda} jobs/s");
+            eprintln!("every configuration saturates at λ = {lambda:?} jobs/s");
             ExitCode::FAILURE
         }
         Ok(Some((idx, energy, response, violated))) => {
             println!(
-                "{}: λ = {lambda} jobs/s over a {window_s} s window, SLO {slo_ms} ms",
+                "{}: λ = {lambda:?} jobs/s over a {window_s:?} s window, SLO {slo_ms:?} ms",
                 w.name()
             );
             println!("  best configuration : {}", menu[idx].label);
