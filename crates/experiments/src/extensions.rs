@@ -294,10 +294,10 @@ pub fn dvfs_ladder_study(
                 .fold(0.0, f64::max);
             ParkableChoice {
                 choice,
-                sleep: Some(SleepPolicy {
+                sleep: SleepPolicy {
                     sleep_power_w,
                     residency_s,
-                }),
+                },
             }
         })
         .collect();

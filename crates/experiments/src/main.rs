@@ -30,7 +30,7 @@ use hecmix_experiments::headline::headline;
 use hecmix_experiments::lab::{table1_rows, Lab};
 use hecmix_experiments::ppr::table5;
 use hecmix_experiments::report::{ascii_scatter, fmt_f, render_table, CsvWriter, RunContext};
-use hecmix_experiments::scheduler::{scheduler_pool, scheduler_study};
+use hecmix_experiments::scheduler::{scheduler_pool, scheduler_study, FAULTED_CRASHES};
 use hecmix_experiments::validation::{table3, table4};
 use hecmix_queueing::dispatch::DiurnalProfile;
 use hecmix_workloads::ep::Ep;
@@ -1089,7 +1089,7 @@ fn run_scheduler(lab: &Lab, csv: &CsvWriter) {
         }
         let f = &s.faulted;
         println!(
-            "  α = 0.50 under 2 seeded crashes: {:>8.0} J, miss rate {:.3}, {} migrations",
+            "  α = 0.50 under {FAULTED_CRASHES} seeded crashes: {:>8.0} J, miss rate {:.3}, {} migrations",
             f.energy_j(),
             f.miss_rate(),
             f.migrations

@@ -29,6 +29,9 @@ use crate::lab::Lab;
 /// The α blends the sweep visits, pure-energy to pure-performance.
 pub const ALPHAS: [f64; 5] = [0.0, 0.25, 0.5, 0.75, 1.0];
 
+/// Seeded node crashes in the α = 0.5 re-run ([`SchedulerStudy::faulted`]).
+pub const FAULTED_CRASHES: usize = 3;
+
 /// One α point of the sweep.
 #[derive(Debug, Clone)]
 pub struct AlphaOutcome {
@@ -49,7 +52,7 @@ pub struct SchedulerStudy {
     pub baseline: BaselineOutcome,
     /// The α sweep, in [`ALPHAS`] order.
     pub sweep: Vec<AlphaOutcome>,
-    /// The α = 0.5 blend re-run under a seeded crash schedule.
+    /// The α = 0.5 blend re-run under [`FAULTED_CRASHES`] seeded crashes.
     pub faulted: SchedOutcome,
 }
 
@@ -163,7 +166,8 @@ pub fn scheduler_study(pool: &Pool, dominant: usize, days: u32, seed: u64) -> Sc
     )
     .expect("config is valid");
     let horizon = f64::from(days) * 24.0 * 60.0;
-    let faults = FaultSchedule::random_crashes(seed ^ 0xFA17, &pool.counts, 3, horizon);
+    let faults =
+        FaultSchedule::random_crashes(seed ^ 0xFA17, &pool.counts, FAULTED_CRASHES, horizon);
     let faulted = sched.run_faulted(&jobs, &faults).expect("faulted run");
     SchedulerStudy {
         trace: pool.classes[dominant].name.clone(),

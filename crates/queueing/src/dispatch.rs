@@ -19,12 +19,14 @@
 //! as a violation (the policy then picks the fastest configuration and
 //! eats the miss, as an operator would).
 //!
-//! One planner, [`best_choice`] and [`run_day`], serves every menu kind;
-//! an entry's [`SlotPricer`] says how it prices a slot: plain
-//! ([`ConfigChoice`]), parking clusters in idle gaps ([`ParkableChoice`]),
-//! or judged after worst-case node losses ([`ResilientChoice`]).
-//! [`best_choice_tail`] plans against a percentile deadline instead, scored
-//! by the exact M/D/1 response quantile ([`MD1::response_quantile`]).
+//! One slot planner serves every menu kind and both kinds of deadline. An
+//! entry's [`SlotPricer`] prices a slot and names the service time its
+//! deadline judges: plain ([`ConfigChoice`]), parking clusters in idle
+//! gaps ([`ParkableChoice`]), or judged after worst-case node losses
+//! ([`ResilientChoice`]). The planner judges each entry by one statistic
+//! of that service time's M/D/1 queue: the mean response for
+//! [`best_choice`] and [`run_day`], the exact response quantile
+//! ([`MD1::response_quantile`]) for [`best_choice_tail`].
 
 use serde::{Deserialize, Serialize};
 
@@ -92,8 +94,8 @@ pub fn menu_from_frontier(
         .collect()
 }
 
-/// How a menu entry prices one slot for the mean-SLO planner
-/// ([`best_choice`], [`run_day`]).
+/// How a menu entry prices one slot for the slot planner ([`best_choice`],
+/// [`run_day`], [`best_choice_tail`]).
 pub trait SlotPricer {
     /// Whether the entries are provisioned against degraded capacity;
     /// reported as `resilient` in each `dispatch_decision` event.
@@ -105,10 +107,11 @@ pub trait SlotPricer {
     /// [`Error::InvalidInput`] naming the entry.
     fn validate(&self) -> Result<()>;
 
-    /// `(window energy, response the SLO judges, fallback rank)` at
-    /// arrival rate `lambda` over `window_s` seconds, or `None` when the
-    /// entry is saturated. The fallback picks the entry of least rank and
-    /// reports its rank as its response.
+    /// `(window energy, service time, service time the deadline judges)`
+    /// at arrival rate `lambda` over `window_s` seconds, or `None` when the
+    /// entry is saturated. The planner judges the M/D/1 queue of the
+    /// judged service time; an entry whose judged queue saturates can only
+    /// be a fallback, ranked by its nominal queue.
     fn price(&self, lambda: f64, window_s: f64) -> Option<(f64, f64, f64)>;
 }
 
@@ -117,7 +120,7 @@ impl SlotPricer for ConfigChoice {
         validate_choice("menu entry", self)
     }
 
-    /// Priced by [`window_energy`]; the rank is the mean response.
+    /// Priced by [`window_energy`]; the deadline judges the service time.
     fn price(&self, lambda: f64, window_s: f64) -> Option<(f64, f64, f64)> {
         let we = window_energy(
             lambda,
@@ -127,7 +130,7 @@ impl SlotPricer for ConfigChoice {
             self.idle_power_w,
         )
         .ok()?;
-        Some((we.total_j(), we.response_s, we.response_s))
+        Some((we.total_j(), self.service_s, self.service_s))
     }
 }
 
@@ -295,10 +298,67 @@ fn validate_choice(what: &str, c: &ConfigChoice) -> Result<()> {
     Ok(())
 }
 
-/// For one slot, pick the cheapest menu entry whose judged response meets
-/// the SLO; fall back to the entry of least rank (counted as a violation)
-/// when none does. Returns `Ok((index, energy, response, violated))`, or
-/// `Ok(None)` only when every entry is saturated at this `λ`.
+/// What [`plan`] picks: `(index, window energy, response, violated,
+/// screened_out)`.
+type Pick = (usize, f64, f64, bool, usize);
+
+/// The slot planner. `stat` is the statistic of an M/D/1 queue that the
+/// deadline judges. The cheapest stable entry whose judged response meets
+/// `deadline_s` wins (ties to the lower index). When none does, the entry
+/// of least `(rank, window energy)` (ties to the lower index) is flagged
+/// as violated and reports its rank as its response; the rank is the
+/// judged response, or the nominal one when the judged queue saturates.
+/// `screened_out` counts the stable entries whose judged service time
+/// alone exceeds the deadline. `None` only when every entry is saturated.
+fn plan<P: SlotPricer>(
+    menu: &[P],
+    lambda: f64,
+    window_s: f64,
+    deadline_s: f64,
+    stat: impl Fn(&MD1) -> Result<f64>,
+) -> Result<Option<Pick>> {
+    for entry in menu {
+        entry.validate()?;
+    }
+    // The statistic of a service time's queue, ∞ when it saturates.
+    let judge = |service_s| {
+        MD1::new(lambda, service_s)
+            .and_then(|q| stat(&q))
+            .unwrap_or(f64::INFINITY)
+    };
+    let mut best_ok: Option<(usize, f64, f64)> = None; // (idx, energy, response)
+    let mut best_fallback: Option<(usize, f64, f64)> = None; // (idx, energy, rank)
+    let mut screened_out = 0;
+    for (idx, entry) in menu.iter().enumerate() {
+        let Some((e, service_s, judged_s)) = entry.price(lambda, window_s) else {
+            continue; // saturated
+        };
+        screened_out += usize::from(judged_s > deadline_s);
+        let response_s = judge(judged_s);
+        if response_s <= deadline_s && best_ok.is_none_or(|(_, be, _)| e < be) {
+            best_ok = Some((idx, e, response_s));
+        }
+        let rank = if response_s.is_finite() {
+            response_s
+        } else {
+            judge(service_s)
+        };
+        if best_fallback.is_none_or(|(_, be, br)| (rank, e) < (br, be)) {
+            best_fallback = Some((idx, e, rank));
+        }
+    }
+    Ok(match (best_ok, best_fallback) {
+        (Some((i, e, r)), _) => Some((i, e, r, false, screened_out)),
+        (None, Some((i, e, r))) => Some((i, e, r, true, screened_out)),
+        (None, None) => None,
+    })
+}
+
+/// For one slot, pick the cheapest menu entry whose judged mean response
+/// meets the SLO; fall back to the entry of least `(rank, window energy)`
+/// (counted as a violation, its rank reported as its response) when none
+/// does. Returns `Ok((index, energy, response, violated))`, or `Ok(None)`
+/// only when every entry is saturated at this `λ`.
 ///
 /// # Errors
 /// [`Error::InvalidInput`] when `lambda`, `window_s`, or `slo_response_s`
@@ -311,27 +371,8 @@ pub fn best_choice<P: SlotPricer>(
     slo_response_s: f64,
 ) -> Result<Option<(usize, f64, f64, bool)>> {
     validate_slot_inputs(lambda, window_s, slo_response_s)?;
-    for entry in menu {
-        entry.validate()?;
-    }
-    let mut best_ok: Option<(usize, f64, f64)> = None; // (idx, energy, response)
-    let mut best_fallback: Option<(usize, f64, f64)> = None; // (idx, energy, rank)
-    for (idx, entry) in menu.iter().enumerate() {
-        let Some((e, response_s, rank)) = entry.price(lambda, window_s) else {
-            continue; // saturated
-        };
-        if response_s <= slo_response_s && best_ok.as_ref().is_none_or(|(_, be, _)| e < *be) {
-            best_ok = Some((idx, e, response_s));
-        }
-        if best_fallback.as_ref().is_none_or(|(_, _, br)| rank < *br) {
-            best_fallback = Some((idx, e, rank));
-        }
-    }
-    Ok(match (best_ok, best_fallback) {
-        (Some((i, e, r)), _) => Some((i, e, r, false)),
-        (None, Some((i, e, r))) => Some((i, e, r, true)),
-        (None, None) => None,
-    })
+    let pick = plan(menu, lambda, window_s, slo_response_s, MD1::mean_response_s)?;
+    Ok(pick.map(|(i, e, r, violated, _)| (i, e, r, violated)))
 }
 
 /// A percentile deadline: "the `percentile` quantile of the response time
@@ -392,18 +433,16 @@ pub struct TailChoiceOutcome {
     pub screened_out: usize,
 }
 
-/// Percentile-deadline slot choice: pick the cheapest menu entry whose
-/// exact M/D/1 `target.percentile` response time
-/// ([`MD1::response_quantile`]) meets `target.deadline_s`.
+/// Percentile-deadline slot choice: the planner of [`best_choice`], judging
+/// each entry by its exact M/D/1 `target.percentile` response time
+/// ([`MD1::response_quantile`]) against `target.deadline_s`.
 ///
-/// One pass in the shape of [`best_choice`] scores every stable entry:
-/// the cheapest entry by window energy whose tail meets the deadline wins
-/// (ties go to the lower index). When none does, the entry of least
-/// `(tail, window energy)` is returned with `violated = true`; `Ok(None)`
-/// only when every entry is saturated at `lambda`. `screened_out` counts
-/// the stable entries whose service time alone exceeds the deadline:
-/// every response is at least its service time. No simulator runs, so a
-/// plan is a pure function of its inputs.
+/// The cheapest entry whose tail meets the deadline wins. When none does,
+/// the entry of least `(tail, window energy)` is returned with
+/// `violated = true`; `Ok(None)` only when every entry is saturated at
+/// `lambda`. `screened_out` counts the stable entries whose service time
+/// alone exceeds the deadline: every response is at least its service
+/// time. No simulator runs, so a plan is a pure function of its inputs.
 ///
 /// # Errors
 /// [`Error::InvalidInput`] for non-finite or non-positive slot scalars or
@@ -417,32 +456,12 @@ pub fn best_choice_tail(
 ) -> Result<Option<TailChoiceOutcome>> {
     validate_slot_inputs(lambda, window_s, target.deadline_s)?;
     let target = TailTarget::new(target.percentile, target.deadline_s)?;
-    for c in menu {
-        c.validate()?;
-    }
-    // (index, window energy, mean response, tail)
-    let mut best_ok: Option<(usize, f64, f64, f64)> = None;
-    let mut best_fallback: Option<(usize, f64, f64, f64)> = None;
-    let mut screened_out = 0;
-    for (idx, c) in menu.iter().enumerate() {
-        let Some((e, mean_s, _)) = c.price(lambda, window_s) else {
-            continue; // saturated
-        };
-        screened_out += usize::from(c.service_s > target.deadline_s);
-        let tail = MD1::new(lambda, c.service_s)?.response_quantile(target.percentile)?;
-        if tail <= target.deadline_s && best_ok.is_none_or(|(_, be, ..)| e < be) {
-            best_ok = Some((idx, e, mean_s, tail));
-        }
-        if best_fallback.is_none_or(|(_, be, _, bt)| (tail, e) < (bt, be)) {
-            best_fallback = Some((idx, e, mean_s, tail));
-        }
-    }
-    let ((index, energy_j, mean_response_s, tail_response_s), violated) =
-        match (best_ok, best_fallback) {
-            (Some(ok), _) => (ok, false),
-            (None, Some(fallback)) => (fallback, true),
-            (None, None) => return Ok(None),
-        };
+    let tail = |q: &MD1| q.response_quantile(target.percentile);
+    let Some((index, energy_j, tail_response_s, violated, screened_out)) =
+        plan(menu, lambda, window_s, target.deadline_s, tail)?
+    else {
+        return Ok(None);
+    };
     hecmix_obs::emit(|| hecmix_obs::Event::TailPlan {
         lambda,
         percentile: target.percentile,
@@ -458,7 +477,7 @@ pub fn best_choice_tail(
         index,
         energy_j,
         tail_response_s,
-        mean_response_s,
+        mean_response_s: MD1::new(lambda, menu[index].service_s)?.mean_response_s()?,
         violated,
         screened_out,
     }))
@@ -523,33 +542,27 @@ pub fn run_day<P: SlotPricer>(
 }
 
 /// A menu entry whose powered nodes may park their whole power domains
-/// during idle gaps: the configuration plus an optional cluster-sleep
-/// capability (from the model bundle's DVFS power-domain tree).
+/// during idle gaps: the configuration plus its cluster-sleep capability
+/// (from the model bundle's DVFS power-domain tree).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ParkableChoice {
     /// The configuration as dispatched.
     pub choice: ConfigChoice,
-    /// Cluster-sleep capability; `None` keeps the always-on idle floor.
-    pub sleep: Option<SleepPolicy>,
+    /// Cluster-sleep capability of the powered nodes.
+    pub sleep: SleepPolicy,
 }
 
 impl SlotPricer for ParkableChoice {
     fn validate(&self) -> Result<()> {
         validate_choice("parkable menu entry", &self.choice)?;
-        self.sleep
-            .as_ref()
-            .map_or(Ok(()), |sleep| sleep.validate(self.choice.idle_power_w))
+        self.sleep.validate(self.choice.idle_power_w)
     }
 
-    /// With a sleep capability, priced by [`window_energy_sleep`]: in
-    /// low-`λ` troughs (long exponential idle gaps) whole clusters earn
-    /// their deep-sleep credit. Responses are unchanged — parking happens
-    /// strictly between jobs. Without one, priced as its
-    /// [`ConfigChoice`].
+    /// Priced by [`window_energy_sleep`]: in low-`λ` troughs (long
+    /// exponential idle gaps) whole clusters earn their deep-sleep credit.
+    /// The deadline judges the service time, because parking happens
+    /// strictly between jobs.
     fn price(&self, lambda: f64, window_s: f64) -> Option<(f64, f64, f64)> {
-        let Some(sleep) = &self.sleep else {
-            return self.choice.price(lambda, window_s);
-        };
         let c = &self.choice;
         let we = window_energy_sleep(
             lambda,
@@ -557,10 +570,10 @@ impl SlotPricer for ParkableChoice {
             c.service_s,
             c.job_energy_j,
             c.idle_power_w,
-            sleep,
+            &self.sleep,
         )
         .ok()?;
-        Some((we.total_j(), we.response_s, we.response_s))
+        Some((we.total_j(), c.service_s, c.service_s))
     }
 }
 
@@ -592,24 +605,14 @@ impl SlotPricer for ResilientChoice {
         Ok(())
     }
 
-    /// Failure-aware pricing: the SLO judges the M/D/1 mean response of
-    /// the *degraded* service time — the slot must still meet its SLO
-    /// after the worst-case `k` node losses — while energy and saturation
-    /// are *nominal*, since that is what the cluster spends in the
-    /// (overwhelmingly common) fault-free slot. A degraded queue that
-    /// saturates judges as ∞, so the entry survives only as a fallback,
-    /// ranked by its nominal response.
+    /// Failure-aware pricing: the deadline judges the *degraded* service
+    /// time — the slot must still meet it after the worst-case `k` node
+    /// losses — while energy and saturation are *nominal*, since that is
+    /// what the cluster spends in the (overwhelmingly common) fault-free
+    /// slot.
     fn price(&self, lambda: f64, window_s: f64) -> Option<(f64, f64, f64)> {
-        let (energy_j, nominal_response_s, _) = self.nominal.price(lambda, window_s)?;
-        let degraded_response_s = MD1::new(lambda, self.degraded_service_s)
-            .and_then(|q| q.mean_response_s())
-            .unwrap_or(f64::INFINITY);
-        let rank = if degraded_response_s.is_finite() {
-            degraded_response_s
-        } else {
-            nominal_response_s
-        };
-        Some((energy_j, degraded_response_s, rank))
+        let (energy_j, service_s, _) = self.nominal.price(lambda, window_s)?;
+        Some((energy_j, service_s, self.degraded_service_s))
     }
 }
 
@@ -738,10 +741,10 @@ mod tests {
         menu()
             .into_iter()
             .map(|choice| {
-                let sleep = Some(SleepPolicy {
+                let sleep = SleepPolicy {
                     sleep_power_w: choice.idle_power_w * 0.1,
                     residency_s: 0.05,
-                });
+                };
                 ParkableChoice { choice, sleep }
             })
             .collect()
@@ -755,15 +758,8 @@ mod tests {
         let parked = run_day(&parkable_menu(), &profile, slo).unwrap();
         assert!(parked.energy_j < plain.energy_j, "no cluster-sleep savings");
         assert!(parked.violations <= plain.violations);
-        // A sleep-less parkable menu, and a resilient menu that loses no
-        // capacity, reproduce the plain day exactly — saturated slots too.
-        let no_sleep: Vec<ParkableChoice> = menu()
-            .into_iter()
-            .map(|choice| ParkableChoice {
-                choice,
-                sleep: None,
-            })
-            .collect();
+        // A resilient menu that loses no capacity reproduces the plain day
+        // exactly — saturated slots too.
         let no_loss: Vec<ResilientChoice> = menu()
             .into_iter()
             .map(|nominal| ResilientChoice {
@@ -774,7 +770,6 @@ mod tests {
         let peaked = DiurnalProfile::new(30.0, 0.5, 24, 3600.0).unwrap();
         for profile in [profile, peaked] {
             let plain = run_day(&menu(), &profile, slo).unwrap();
-            assert_eq!(run_day(&no_sleep, &profile, slo).unwrap(), plain);
             assert_eq!(run_day(&no_loss, &profile, slo).unwrap(), plain);
         }
     }
@@ -809,16 +804,16 @@ mod tests {
     #[test]
     fn parking_rejects_invalid_sleep_policies() {
         let mut m = parkable_menu();
-        m[0].sleep = Some(SleepPolicy {
+        m[0].sleep = SleepPolicy {
             sleep_power_w: m[0].choice.idle_power_w + 1.0,
             residency_s: 0.0,
-        });
+        };
         assert!(best_choice(&m, 0.5, 3600.0, 1.0).is_err());
         let mut m = parkable_menu();
-        m[1].sleep = Some(SleepPolicy {
+        m[1].sleep = SleepPolicy {
             sleep_power_w: f64::NAN,
             residency_s: 0.0,
-        });
+        };
         assert!(best_choice(&m, 0.5, 3600.0, 1.0).is_err());
     }
 
@@ -927,6 +922,66 @@ mod tests {
         let (idx, _, _, violated) = best_choice(&m, 2.0, 3600.0, 1e-4).unwrap().unwrap();
         assert_eq!(idx, 0);
         assert!(violated);
+    }
+
+    #[test]
+    fn best_choice_breaks_fallback_rank_ties_by_energy() {
+        // Equal service times give equal mean responses, so the fallback
+        // ranks tie; the cheaper entry, the second, must win.
+        let mut m = menu();
+        m[0].service_s = m[1].service_s;
+        let (idx, e, _, violated) = best_choice(&m, 0.5, 3600.0, 0.001).unwrap().unwrap();
+        assert_eq!(idx, 1);
+        assert!(violated);
+        let (e0, ..) = m[0].price(0.5, 3600.0).unwrap();
+        assert!(e < e0, "{e} vs {e0}");
+    }
+
+    #[test]
+    fn mean_slo_choices_are_pinned() {
+        fn choose<P: SlotPricer>(menu: &[P], lambda: f64, slo_s: f64) -> (usize, u64, u64, bool) {
+            let (idx, e, r, violated) = best_choice(menu, lambda, 3600.0, slo_s).unwrap().unwrap();
+            (idx, e.to_bits(), r.to_bits(), violated)
+        }
+        // A loose SLO passes the cheap entry; an impossible one falls back
+        // to the fast entry's smaller mean response.
+        let (pass, miss) = ((0.5, 1.0), (0.5, 0.001));
+        let plain = menu();
+        assert_eq!(
+            choose(&plain, pass.0, pass.1),
+            (1, 0x40f4_dfc0_0000_0000, 0x3fdc_cccc_cccc_cccd, false)
+        );
+        assert_eq!(
+            choose(&plain, miss.0, miss.1),
+            (0, 0x4143_42aa_0000_0000, 0x3f99_c314_1754_e6ba, true)
+        );
+        let parkable = parkable_menu();
+        assert_eq!(
+            choose(&parkable, pass.0, pass.1),
+            (1, 0x40d5_c6fa_bb9b_2586, 0x3fdc_cccc_cccc_cccd, false)
+        );
+        assert_eq!(
+            choose(&parkable, miss.0, miss.1),
+            (0, 0x4114_c2cc_9f42_240e, 0x3f99_c314_1754_e6ba, true)
+        );
+        // Resilient entries report their degraded mean response.
+        let mut resilient = resilient_menu();
+        assert_eq!(
+            choose(&resilient, 0.5, 1.5),
+            (1, 0x40f4_dfc0_0000_0000, 0x3ff1_1111_1111_1112, false)
+        );
+        assert_eq!(
+            choose(&resilient, 2.0, 1e-4),
+            (0, 0x4143_5d08_0000_0000, 0x3f9f_b34f_1670_db9d, true)
+        );
+        // At λ = 2 the cheap entry's degraded queue saturates, so it ranks
+        // by its nominal 1.2 s mean response, and that beats the fast
+        // entry's degraded 2.475 s.
+        resilient[0].degraded_service_s = 0.45;
+        assert_eq!(
+            choose(&resilient, 2.0, 1e-4),
+            (1, 0x40f1_9400_0000_0000, 0x3ff3_3333_3333_3335, true)
+        );
     }
 
     fn plan_tail(menu: &[ConfigChoice], lambda: f64, deadline_s: f64) -> Option<TailChoiceOutcome> {

@@ -80,10 +80,10 @@ fn run_day_emits_one_decision_per_served_slot() {
         .iter()
         .map(|choice| ParkableChoice {
             choice: choice.clone(),
-            sleep: Some(SleepPolicy {
+            sleep: SleepPolicy {
                 sleep_power_w: choice.idle_power_w * 0.1,
                 residency_s: 0.05,
-            }),
+            },
         })
         .collect();
     let resilient: Vec<ResilientChoice> = plain
