@@ -1,5 +1,5 @@
 //! `hecmix-sched` — online energy-aware task scheduling on heterogeneous
-//! pools (ROADMAP item 5).
+//! pools.
 //!
 //! The paper plans one batch workload at a time onto a static mix; this
 //! crate multiplexes a *stream* of jobs over a shared heterogeneous pool:
@@ -14,7 +14,10 @@
 //!   admission, HEATS-style `α·performance + (1−α)·energy` placement with
 //!   per-node reservations and backfill, deadline-miss accounting, and
 //!   fault/power-cap migration with exact work-conserving charge rollback
-//!   (reusing [`hecmix_sim::faults`]);
+//!   (reusing [`hecmix_sim::faults`]). It runs as a resumable [`Session`]
+//!   that takes one arrival at a time: [`Scheduler::run_faulted`] feeds a
+//!   whole stream, and the live `/submit` path of `hecmix-serve` feeds
+//!   one from the wall clock;
 //! * [`baseline`] — the paper's static whole-pool mix-and-match
 //!   discipline run FIFO over the same stream, the comparison target of
 //!   the `scheduler` experiments artifact.
@@ -32,4 +35,4 @@ pub mod sched;
 pub use baseline::{run_static_mix_and_match, BaselineOutcome};
 pub use job::{format_trace, parse_trace, synthesize_diurnal, DiurnalTraceSpec, JobSpec};
 pub use pool::{Pool, WorkloadClass};
-pub use sched::{select_candidate, Candidate, JobResult, SchedConfig, SchedOutcome, Scheduler};
+pub use sched::{Admission, Candidate, JobResult, SchedConfig, SchedOutcome, Scheduler, Session};

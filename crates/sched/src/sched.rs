@@ -3,10 +3,15 @@
 //!
 //! ## Event loop
 //!
-//! The engine is a deterministic virtual-time discrete-event loop. Every
-//! event carries a `(time, priority, sequence)` key and the heap pops in
-//! strictly ascending key order; at equal times completions run before
-//! faults, faults before arrivals, arrivals before ticks. The sequence
+//! The engine is a deterministic virtual-time discrete-event loop, run as
+//! a resumable [`Session`] that takes one arrival at a time. Completions,
+//! faults and ticks wait in a heap under a `(time, priority, sequence)`
+//! key; at equal times completions run before faults, faults before
+//! arrivals, arrivals before ticks. Arrivals are not queued: before
+//! admitting a job, the session handles every queued event that sorts
+//! before an arrival at its time. [`Scheduler::run_faulted`] feeds a whole
+//! stream in `(arrival, input position)` order and then drains the heap;
+//! the live `/submit` path feeds arrivals from the wall clock. The sequence
 //! number is the push order, itself a pure function of the input stream,
 //! so two runs over the same `(pool, config, jobs, faults)` replay the
 //! same decisions bit for bit — there is no wall clock, no `HashMap`
@@ -53,11 +58,12 @@
 //! over unchanged.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeMap, BinaryHeap};
+use std::sync::Arc;
 
 use hecmix_core::error::{Error, Result};
 use hecmix_queueing::idle_gap_energy_j;
-use hecmix_sim::faults::{FaultKind, FaultSchedule};
+use hecmix_sim::faults::{FaultEvent, FaultKind, FaultSchedule};
 
 use crate::job::JobSpec;
 use crate::pool::Pool;
@@ -187,11 +193,12 @@ impl SchedOutcome {
     }
 }
 
-/// The scheduler: a pool plus knobs. Stateless across runs — every run
-/// replays a whole stream.
+/// The scheduler: a pool plus knobs. [`Scheduler::run_faulted`] replays a
+/// whole stream through a fresh [`Session`]; [`Scheduler::session`] opens
+/// one that a live driver feeds an arrival at a time.
 #[derive(Debug, Clone)]
 pub struct Scheduler {
-    pool: Pool,
+    pool: Arc<Pool>,
     cfg: SchedConfig,
 }
 
@@ -199,7 +206,10 @@ impl Scheduler {
     /// Build a scheduler, validating the knobs.
     pub fn new(pool: Pool, cfg: SchedConfig) -> Result<Self> {
         cfg.validate()?;
-        Ok(Self { pool, cfg })
+        Ok(Self {
+            pool: Arc::new(pool),
+            cfg,
+        })
     }
 
     /// The pool this scheduler places onto.
@@ -208,20 +218,45 @@ impl Scheduler {
         &self.pool
     }
 
+    /// The knobs this scheduler was built with.
+    #[must_use]
+    pub fn config(&self) -> &SchedConfig {
+        &self.cfg
+    }
+
+    /// Open a live session: no faults, and arrivals without end.
+    #[must_use]
+    pub fn session(&self) -> Session {
+        Session::new(self, false, true)
+    }
+
     /// Run a job stream with no faults.
     pub fn run(&self, jobs: &[JobSpec]) -> Result<SchedOutcome> {
         self.run_faulted(jobs, &FaultSchedule::default())
     }
 
-    /// Run a job stream under a fault schedule. An empty schedule is
-    /// bit-identical to [`Scheduler::run`] — pinned by the determinism
-    /// tests, mirroring `run_cluster_faulted` vs `run_cluster`.
+    /// Run a job stream under a fault schedule: queue the faults, feed the
+    /// arrivals in `(arrival, input position)` order, drain the queue and
+    /// settle. An empty schedule is bit-identical to [`Scheduler::run`] —
+    /// pinned by the determinism tests, mirroring `run_cluster_faulted` vs
+    /// `run_cluster`.
     pub fn run_faulted(&self, jobs: &[JobSpec], faults: &FaultSchedule) -> Result<SchedOutcome> {
         for j in jobs {
             j.validate(self.pool.classes.len())?;
         }
         self.check_faults(faults)?;
-        Engine::new(&self.pool, &self.cfg, jobs, faults).run()
+        // Ticks run only while there is something for them to observe.
+        let tick = !(jobs.is_empty() && faults.events.is_empty());
+        let mut s = Session::new(self, true, tick);
+        s.queue_faults(faults);
+        // The sort is stable: equal arrivals keep their input order.
+        let mut order: Vec<usize> = (0..jobs.len()).collect();
+        order.sort_by(|&a, &b| jobs[a].arrival_s.total_cmp(&jobs[b].arrival_s));
+        for &i in &order {
+            s.admit(&jobs[i])?;
+        }
+        s.drain();
+        Ok(s.settle(jobs, &order))
     }
 
     fn check_faults(&self, faults: &FaultSchedule) -> Result<()> {
@@ -263,7 +298,8 @@ impl Scheduler {
 
 /// Heap priorities: at equal times, completions free capacity before
 /// faults strike, faults reshape the pool before new arrivals place, and
-/// ticks observe the settled state.
+/// ticks observe the settled state. Arrivals never enter the heap; their
+/// priority only bounds [`Session::advance`].
 const PRIO_COMPLETION: u8 = 0;
 const PRIO_FAULT: u8 = 1;
 const PRIO_ARRIVAL: u8 = 2;
@@ -271,9 +307,8 @@ const PRIO_TICK: u8 = 3;
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum EvKind {
-    Completion { resv: usize },
-    Fault { event: usize },
-    Arrival { job: usize },
+    Completion { resv: u64 },
+    Fault(FaultEvent),
     Tick,
 }
 
@@ -305,11 +340,21 @@ impl Ord for Ev {
     }
 }
 
+/// The job a reservation serves.
+#[derive(Debug, Clone, Copy)]
+struct Task {
+    /// Submission index in the session: the job's row in a whole-stream
+    /// run's results.
+    job: usize,
+    id: u64,
+    class: usize,
+    deadline_s: f64,
+}
+
 /// One committed reservation: a task (or task remainder) bound to a slot.
 #[derive(Debug, Clone, Copy)]
 struct Resv {
-    job: usize,
-    class: usize,
+    task: Task,
     type_idx: usize,
     node_idx: u32,
     opt: usize,
@@ -322,7 +367,6 @@ struct Resv {
     power_w: f64,
     /// Commit granularity in units, frozen at placement.
     chunk_units: f64,
-    active: bool,
 }
 
 #[derive(Debug, Clone)]
@@ -335,17 +379,23 @@ struct NodeState {
     slow: f64,
     /// Highest allowed operating-point clock, GHz.
     cap_ghz: f64,
-    /// Active reservation ids, sorted by start time.
-    resv: Vec<usize>,
-    /// Committed busy segments, disjoint and chronological.
-    segments: Vec<(f64, f64)>,
+    /// In-flight reservation ids, sorted by start time.
+    resv: Vec<u64>,
+}
+
+/// What a whole-stream run keeps beyond a live session's state.
+#[derive(Debug)]
+struct Record {
+    /// Per-job results, in submission order.
+    jobs: Vec<JobResult>,
+    /// Committed busy segments per node, disjoint and chronological.
+    segments: Vec<Vec<(f64, f64)>>,
 }
 
 /// One candidate slot for a placement decision: a (node, operating-point)
-/// pair with its projected start/finish and active energy. Built by the
-/// replay engine (with backfill over reservations) and by the live
-/// `/submit` path in `hecmix-serve` (with per-node FIFO tails); both feed
-/// the same [`select_candidate`] chooser.
+/// pair with its projected start and finish (backfilled over the node's
+/// reservations) and its active energy. A placement returns the chosen
+/// one.
 #[derive(Debug, Clone, Copy)]
 pub struct Candidate {
     /// Node type index in the pool.
@@ -366,15 +416,13 @@ pub struct Candidate {
     pub power_w: f64,
 }
 
-/// The HEATS-style α-score chooser, shared verbatim by the replay engine
-/// and the live `/submit` path: normalize each candidate's span (finish
-/// minus `ready`) and energy by the respective minima over the candidate
-/// set, blend them as `α·span + (1−α)·energy`, prefer deadline-feasible
-/// candidates, and fall back to the earliest finisher when nothing meets
-/// the deadline. Ties break deterministically on (type, node, option).
-/// Returns `None` when `cands` is empty.
-#[must_use]
-pub fn select_candidate(
+/// The HEATS-style α-score chooser: normalize each candidate's span
+/// (finish minus `ready`) and energy by the respective minima over the
+/// candidate set, blend them as `α·span + (1−α)·energy`, prefer
+/// deadline-feasible candidates, and fall back to the earliest finisher
+/// when nothing meets the deadline. Ties break deterministically on
+/// (type, node, option). Returns `None` when `cands` is empty.
+fn select_candidate(
     cands: &[Candidate],
     ready: f64,
     deadline: f64,
@@ -419,79 +467,84 @@ pub fn select_candidate(
     Some(best)
 }
 
-struct Engine<'a> {
-    pool: &'a Pool,
-    cfg: &'a SchedConfig,
-    jobs: &'a [JobSpec],
-    faults: &'a FaultSchedule,
-    offsets: Vec<usize>,
-    nodes: Vec<NodeState>,
-    slab: Vec<Resv>,
-    heap: BinaryHeap<Reverse<Ev>>,
-    seq: u64,
-    outstanding: usize,
-    arrivals_left: usize,
-    faults_left: usize,
-    results: Vec<JobResult>,
-    out: SchedOutcome,
+/// What [`Session::admit`] did with one job.
+#[derive(Debug, Clone, Copy)]
+pub enum Admission {
+    /// The admission bound was full.
+    Rejected,
+    /// Admitted, but no live slot fits it: it leaves unfinished, counted
+    /// as failed (and missed when it has a deadline).
+    Stranded,
+    /// Admitted and reserved on this slot.
+    Placed(Candidate),
 }
 
-impl<'a> Engine<'a> {
-    fn new(
-        pool: &'a Pool,
-        cfg: &'a SchedConfig,
-        jobs: &'a [JobSpec],
-        faults: &'a FaultSchedule,
-    ) -> Self {
+/// A resumable run of the engine that owns its state and takes one
+/// arrival at a time. A finished reservation leaves it, so a live session
+/// holds only its nodes and in-flight jobs; per-job results and busy
+/// segments are kept only by the whole-stream run of
+/// [`Scheduler::run_faulted`].
+#[derive(Debug)]
+pub struct Session {
+    sched: Scheduler,
+    offsets: Vec<usize>,
+    nodes: Vec<NodeState>,
+    /// In-flight reservations by an id that only grows, so the stale
+    /// completion event of an interrupted reservation finds nothing.
+    resv: BTreeMap<u64, Resv>,
+    next_resv: u64,
+    heap: BinaryHeap<Reverse<Ev>>,
+    seq: u64,
+    /// The latest time advanced to; no arrival may precede it.
+    now: f64,
+    outstanding: usize,
+    faults_left: usize,
+    /// More arrivals may come; a whole-stream run clears it to drain.
+    open: bool,
+    out: SchedOutcome,
+    record: Option<Record>,
+}
+
+impl Session {
+    /// A fresh session. `record` keeps the per-job results and busy
+    /// segments a whole-stream run settles; `tick` starts the telemetry
+    /// ticks (when enabled).
+    fn new(sched: &Scheduler, record: bool, tick: bool) -> Self {
+        let pool = &sched.pool;
         let mut offsets = Vec::with_capacity(pool.counts.len());
-        let mut total = 0usize;
-        for &c in &pool.counts {
-            offsets.push(total);
-            total += c as usize;
-        }
-        let mut nodes = Vec::with_capacity(total);
+        let mut nodes = Vec::new();
         for (t, &c) in pool.counts.iter().enumerate() {
-            for _ in 0..c {
-                nodes.push(NodeState {
-                    type_idx: t,
-                    alive: true,
-                    crash_s: f64::INFINITY,
-                    slow: 1.0,
-                    cap_ghz: f64::INFINITY,
-                    resv: Vec::new(),
-                    segments: Vec::new(),
-                });
-            }
+            offsets.push(nodes.len());
+            nodes.extend((0..c).map(|_| NodeState {
+                type_idx: t,
+                alive: true,
+                crash_s: f64::INFINITY,
+                slow: 1.0,
+                cap_ghz: f64::INFINITY,
+                resv: Vec::new(),
+            }));
         }
         let units_by_option = pool
             .classes
             .iter()
             .map(|c| c.options.iter().map(|menu| vec![0.0; menu.len()]).collect())
             .collect();
-        let results = jobs
-            .iter()
-            .map(|j| JobResult {
-                id: j.id,
-                admitted: false,
-                finish_s: None,
-                missed: false,
-                migrations: 0,
-            })
-            .collect();
-        Engine {
-            pool,
-            cfg,
-            jobs,
-            faults,
+        let record = record.then(|| Record {
+            jobs: Vec::new(),
+            segments: vec![Vec::new(); nodes.len()],
+        });
+        let mut s = Session {
+            sched: sched.clone(),
             offsets,
             nodes,
-            slab: Vec::new(),
+            resv: BTreeMap::new(),
+            next_resv: 0,
             heap: BinaryHeap::new(),
             seq: 0,
+            now: 0.0,
             outstanding: 0,
-            arrivals_left: jobs.len(),
-            faults_left: faults.events.len(),
-            results,
+            faults_left: 0,
+            open: true,
             out: SchedOutcome {
                 submitted: 0,
                 admitted: 0,
@@ -507,7 +560,12 @@ impl<'a> Engine<'a> {
                 units_by_option,
                 jobs: Vec::new(),
             },
+            record,
+        };
+        if tick && sched.cfg.tick_s > 0.0 {
+            s.push(sched.cfg.tick_s, PRIO_TICK, EvKind::Tick);
         }
+        s
     }
 
     fn push(&mut self, t: f64, prio: u8, kind: EvKind) {
@@ -520,115 +578,175 @@ impl<'a> Engine<'a> {
         self.offsets[type_idx] + node_idx as usize
     }
 
-    fn run(mut self) -> Result<SchedOutcome> {
-        for (i, j) in self.jobs.iter().enumerate() {
-            self.push(j.arrival_s, PRIO_ARRIVAL, EvKind::Arrival { job: i });
-        }
-        // Fault push order is normalized to (time, node, input position) so
-        // the replay does not depend on the schedule's vector order.
-        let mut order: Vec<usize> = (0..self.faults.events.len()).collect();
-        order.sort_by(|&a, &b| {
-            let (ea, eb) = (&self.faults.events[a], &self.faults.events[b]);
-            ea.fault
+    /// Queue a validated fault schedule in `(time, node, input position)`
+    /// order (the sort is stable), so the replay does not depend on the
+    /// schedule's vector order.
+    fn queue_faults(&mut self, faults: &FaultSchedule) {
+        let mut events = faults.events.clone();
+        events.sort_by(|a, b| {
+            a.fault
                 .at_s
-                .total_cmp(&eb.fault.at_s)
-                .then(ea.type_idx.cmp(&eb.type_idx))
-                .then(ea.node_idx.cmp(&eb.node_idx))
-                .then(a.cmp(&b))
+                .total_cmp(&b.fault.at_s)
+                .then(a.type_idx.cmp(&b.type_idx))
+                .then(a.node_idx.cmp(&b.node_idx))
         });
-        for i in order {
-            let t = self.faults.events[i].fault.at_s;
-            self.push(t, PRIO_FAULT, EvKind::Fault { event: i });
+        self.faults_left += events.len();
+        for e in events {
+            self.push(e.fault.at_s, PRIO_FAULT, EvKind::Fault(e));
         }
-        if self.cfg.tick_s > 0.0 && (self.arrivals_left > 0 || self.faults_left > 0) {
-            self.push(self.cfg.tick_s, PRIO_TICK, EvKind::Tick);
+    }
+
+    /// Handle every queued completion, fault and tick that sorts before an
+    /// arrival at `t`. A session that may still see arrivals keeps ticking
+    /// (when ticks are enabled) up to `t`, so `t` must be finite.
+    pub fn advance(&mut self, t: f64) {
+        while let Some(&Reverse(ev)) = self.heap.peek() {
+            if ev.t.total_cmp(&t).then(ev.prio.cmp(&PRIO_ARRIVAL)).is_ge() {
+                break;
+            }
+            self.heap.pop();
+            self.handle(ev);
         }
+        self.now = self.now.max(t);
+    }
+
+    /// Handle every queued event: no more arrivals come.
+    fn drain(&mut self) {
+        self.open = false;
         while let Some(Reverse(ev)) = self.heap.pop() {
-            match ev.kind {
-                EvKind::Completion { resv } => {
-                    if self.slab[resv].active {
-                        self.complete(resv);
-                    }
+            self.handle(ev);
+        }
+    }
+
+    fn handle(&mut self, ev: Ev) {
+        match ev.kind {
+            EvKind::Completion { resv } => {
+                if let Some(r) = self.detach(resv) {
+                    self.complete(&r);
                 }
-                EvKind::Fault { event } => {
-                    self.faults_left -= 1;
-                    self.apply_fault(event, ev.t);
-                }
-                EvKind::Arrival { job } => {
-                    self.arrivals_left -= 1;
-                    self.admit(job, ev.t);
-                }
-                EvKind::Tick => {
-                    let running = self
-                        .slab
-                        .iter()
-                        .filter(|r| r.active && r.start_s <= ev.t && ev.t < r.end_s)
-                        .count();
-                    let outstanding = self.outstanding;
-                    hecmix_obs::emit(|| hecmix_obs::Event::SchedTick {
-                        t_s: ev.t,
-                        running,
-                        outstanding,
-                    });
-                    if self.arrivals_left > 0 || self.faults_left > 0 || self.outstanding > 0 {
-                        self.push(ev.t + self.cfg.tick_s, PRIO_TICK, EvKind::Tick);
-                    }
+            }
+            EvKind::Fault(e) => {
+                self.faults_left -= 1;
+                self.apply_fault(&e, ev.t);
+            }
+            EvKind::Tick => {
+                let running = self
+                    .resv
+                    .values()
+                    .filter(|r| r.start_s <= ev.t && ev.t < r.end_s)
+                    .count();
+                let outstanding = self.outstanding;
+                hecmix_obs::emit(|| hecmix_obs::Event::SchedTick {
+                    t_s: ev.t,
+                    running,
+                    outstanding,
+                });
+                if self.open || self.faults_left > 0 || self.outstanding > 0 {
+                    self.push(ev.t + self.sched.cfg.tick_s, PRIO_TICK, EvKind::Tick);
                 }
             }
         }
-        self.settle()
     }
 
-    fn admit(&mut self, job: usize, t: f64) {
-        let spec = &self.jobs[job];
+    /// Advance to the job's arrival, then admit it under the bound and
+    /// place it.
+    ///
+    /// # Errors
+    /// [`Error::InvalidInput`] when the spec fails [`JobSpec::validate`]
+    /// or arrives before the session's clock; nothing is counted then.
+    pub fn admit(&mut self, spec: &JobSpec) -> Result<Admission> {
+        spec.validate(self.sched.pool.classes.len())?;
+        if spec.arrival_s < self.now {
+            return Err(Error::InvalidInput(format!(
+                "job {}: arrival {} precedes the session clock {}",
+                spec.id, spec.arrival_s, self.now
+            )));
+        }
+        self.advance(spec.arrival_s);
+        let job = self.out.submitted;
         self.out.submitted += 1;
-        let admitted = self.outstanding < self.cfg.max_outstanding;
-        let (workload, size_units, arrival_s, deadline_s) = (
-            self.pool.classes[spec.workload].name.clone(),
-            spec.size_units,
-            spec.arrival_s,
-            spec.deadline_s,
-        );
-        let id = spec.id;
+        let admitted = self.outstanding < self.sched.cfg.max_outstanding;
+        let pool = &self.sched.pool;
         hecmix_obs::emit(|| hecmix_obs::Event::JobSubmitted {
-            job: id,
-            workload,
-            size_units,
-            arrival_s,
-            deadline_s,
+            job: spec.id,
+            workload: pool.classes[spec.workload].name.clone(),
+            size_units: spec.size_units,
+            arrival_s: spec.arrival_s,
+            deadline_s: spec.deadline_s,
             admitted,
         });
+        if let Some(rec) = &mut self.record {
+            rec.jobs.push(JobResult {
+                id: spec.id,
+                admitted,
+                finish_s: None,
+                missed: false,
+                migrations: 0,
+            });
+        }
         if !admitted {
             self.out.rejected += 1;
-            return;
+            return Ok(Admission::Rejected);
         }
         self.out.admitted += 1;
         self.outstanding += 1;
-        self.results[job].admitted = true;
-        if self
-            .place(job, spec.workload, spec.size_units, t, spec.deadline_s)
-            .is_none()
-        {
-            self.strand(job);
-        }
+        let task = Task {
+            job,
+            id: spec.id,
+            class: spec.workload,
+            deadline_s: spec.deadline_s,
+        };
+        Ok(match self.place(task, spec.size_units, spec.arrival_s) {
+            Some(best) => Admission::Placed(best),
+            None => {
+                self.retire(job, None, spec.deadline_s.is_finite());
+                Admission::Stranded
+            }
+        })
     }
 
-    /// Mark an admitted job as unplaceable (whole pool dead or capped out
-    /// of every option): it leaves the system unfinished.
-    fn strand(&mut self, job: usize) {
+    /// Jobs submitted so far, admitted or rejected.
+    #[must_use]
+    pub fn submitted(&self) -> usize {
+        self.out.submitted
+    }
+
+    /// The outcome so far, counting each in-flight job as planned: its
+    /// active energy is added, and it is a miss if it is planned to finish
+    /// after its deadline. Idle energy, the makespan and per-job results
+    /// are settled only by a whole-stream run.
+    #[must_use]
+    pub fn tally(&self) -> SchedOutcome {
+        let mut out = self.out.clone();
+        for r in self.resv.values() {
+            out.active_energy_j += r.units / r.eff_rate * r.power_w;
+            out.misses += usize::from(r.end_s > r.task.deadline_s);
+        }
+        out
+    }
+
+    /// An admitted job leaves the system: finished at `finish_s`, or
+    /// stranded with no live placement (whole pool dead or capped out of
+    /// every option) when `None`.
+    fn retire(&mut self, job: usize, finish_s: Option<f64>, missed: bool) {
         self.outstanding -= 1;
-        self.out.failed += 1;
-        if self.jobs[job].deadline_s.is_finite() {
-            self.out.misses += 1;
-            self.results[job].missed = true;
+        if finish_s.is_some() {
+            self.out.completed += 1;
+        } else {
+            self.out.failed += 1;
+        }
+        self.out.misses += usize::from(missed);
+        if let Some(rec) = &mut self.record {
+            rec.jobs[job].finish_s = finish_s;
+            rec.jobs[job].missed = missed;
         }
     }
 
     /// Earliest gap of length `dur` on `node`, at or after `ready`.
     fn earliest_start(&self, node: &NodeState, ready: f64, dur: f64) -> f64 {
         let mut start = ready;
-        for &rid in &node.resv {
-            let r = &self.slab[rid];
+        for rid in &node.resv {
+            let r = &self.resv[rid];
             if start + dur <= r.start_s {
                 break;
             }
@@ -643,32 +761,26 @@ impl<'a> Engine<'a> {
     /// real frequency, which a power cap bounds (an option's `cfg.freq` is
     /// its capacity-scaled effective frequency).
     fn opp_ghz(&self, class: usize, t: usize, opt: usize) -> f64 {
-        let c = &self.pool.classes[class];
+        let c = &self.sched.pool.classes[class];
         c.models[t].dvfs.ladder.states[c.options[t][opt].opp]
             .freq
             .ghz()
     }
 
     /// Enumerate candidates, score, reserve, and emit `task_placed`.
-    /// Returns the chosen `(type, node)` or `None` if no live slot exists.
-    fn place(
-        &mut self,
-        job: usize,
-        class: usize,
-        units: f64,
-        ready: f64,
-        deadline: f64,
-    ) -> Option<(usize, u32)> {
+    /// Returns the chosen slot, or `None` if no live slot exists.
+    fn place(&mut self, task: Task, units: f64, ready: f64) -> Option<Candidate> {
+        let pool = &self.sched.pool;
         let mut cands: Vec<Candidate> = Vec::new();
-        for (t, &count) in self.pool.counts.iter().enumerate() {
-            let menu = &self.pool.classes[class].options[t];
+        for (t, &count) in pool.counts.iter().enumerate() {
+            let menu = &pool.classes[task.class].options[t];
             for n in 0..count {
                 let node = &self.nodes[self.node(t, n)];
                 if !node.alive {
                     continue;
                 }
                 for (k, o) in menu.iter().enumerate() {
-                    if self.opp_ghz(class, t, k) > node.cap_ghz + 1e-12 {
+                    if self.opp_ghz(task.class, t, k) > node.cap_ghz + 1e-12 {
                         continue;
                     }
                     let eff_rate = o.rate / node.slow;
@@ -690,36 +802,37 @@ impl<'a> Engine<'a> {
                 }
             }
         }
-        let best = select_candidate(&cands, ready, deadline, self.cfg.alpha)?;
-        let rid = self.slab.len();
-        self.slab.push(Resv {
-            job,
-            class,
-            type_idx: best.type_idx,
-            node_idx: best.node_idx,
-            opt: best.opt,
-            units,
-            start_s: best.start_s,
-            end_s: best.finish_s,
-            eff_rate: best.eff_rate,
-            power_w: best.power_w,
-            chunk_units: self.cfg.chunk_frac * units,
-            active: true,
-        });
+        let best = select_candidate(&cands, ready, task.deadline_s, self.sched.cfg.alpha)?;
+        let rid = self.next_resv;
+        self.next_resv += 1;
+        self.resv.insert(
+            rid,
+            Resv {
+                task,
+                type_idx: best.type_idx,
+                node_idx: best.node_idx,
+                opt: best.opt,
+                units,
+                start_s: best.start_s,
+                end_s: best.finish_s,
+                eff_rate: best.eff_rate,
+                power_w: best.power_w,
+                chunk_units: self.sched.cfg.chunk_frac * units,
+            },
+        );
         let ni = self.node(best.type_idx, best.node_idx);
-        let slab = &self.slab;
+        let resv = &self.resv;
         let pos = self.nodes[ni]
             .resv
-            .partition_point(|&o| (slab[o].start_s, o) < (best.start_s, rid));
+            .partition_point(|o| (resv[o].start_s, *o) < (best.start_s, rid));
         self.nodes[ni].resv.insert(pos, rid);
         self.push(
             best.finish_s,
             PRIO_COMPLETION,
             EvKind::Completion { resv: rid },
         );
-        let id = self.jobs[job].id;
         hecmix_obs::emit(|| hecmix_obs::Event::TaskPlaced {
-            job: id,
+            job: task.id,
             type_idx: best.type_idx,
             node_idx: best.node_idx,
             opt: best.opt,
@@ -728,96 +841,86 @@ impl<'a> Engine<'a> {
             units,
             energy_j: best.energy_j,
         });
-        Some((best.type_idx, best.node_idx))
+        Some(best)
     }
 
-    /// Charge `units` of committed work from reservation `rid`, covering
-    /// the segment `[start, start + units/eff_rate)`.
-    fn charge(&mut self, rid: usize, units: f64) {
+    /// Charge `units` of committed work from reservation `r`, covering the
+    /// segment `[start, start + units/eff_rate)`.
+    fn charge(&mut self, r: &Resv, units: f64) {
         if units.is_nan() || units <= 0.0 {
             return;
         }
-        let r = self.slab[rid];
         let dur = units / r.eff_rate;
         self.out.active_energy_j += dur * r.power_w;
         self.out.per_type_units[r.type_idx] += units;
-        self.out.units_by_option[r.class][r.type_idx][r.opt] += units;
+        self.out.units_by_option[r.task.class][r.type_idx][r.opt] += units;
         let ni = self.node(r.type_idx, r.node_idx);
-        self.nodes[ni].segments.push((r.start_s, r.start_s + dur));
+        if let Some(rec) = &mut self.record {
+            rec.segments[ni].push((r.start_s, r.start_s + dur));
+        }
     }
 
-    fn detach(&mut self, rid: usize) {
-        let r = self.slab[rid];
+    /// Take reservation `rid` off its node and out of the session; `None`
+    /// once it has left.
+    fn detach(&mut self, rid: u64) -> Option<Resv> {
+        let r = self.resv.remove(&rid)?;
         let ni = self.node(r.type_idx, r.node_idx);
         self.nodes[ni].resv.retain(|&o| o != rid);
-        self.slab[rid].active = false;
+        Some(r)
     }
 
-    fn complete(&mut self, rid: usize) {
-        let r = self.slab[rid];
-        self.charge(rid, r.units);
-        self.detach(rid);
-        self.outstanding -= 1;
-        self.out.completed += 1;
-        let jr = &mut self.results[r.job];
-        jr.finish_s = Some(r.end_s);
-        let deadline = self.jobs[r.job].deadline_s;
-        if r.end_s > deadline {
-            self.out.misses += 1;
-            jr.missed = true;
-            let id = self.jobs[r.job].id;
+    fn complete(&mut self, r: &Resv) {
+        self.charge(r, r.units);
+        let missed = r.end_s > r.task.deadline_s;
+        self.retire(r.task.job, Some(r.end_s), missed);
+        if missed {
             hecmix_obs::emit(|| hecmix_obs::Event::DeadlineMiss {
-                job: id,
-                deadline_s: deadline,
+                job: r.task.id,
+                deadline_s: r.task.deadline_s,
                 finish_s: r.end_s,
             });
         }
     }
 
-    fn apply_fault(&mut self, event: usize, t: f64) {
-        let e = &self.faults.events[event];
+    fn apply_fault(&mut self, e: &FaultEvent, t: f64) {
         let ni = self.node(e.type_idx, e.node_idx);
-        let reason: &'static str;
-        match e.fault.kind {
+        let node = &mut self.nodes[ni];
+        let reason = match e.fault.kind {
             FaultKind::Crash => {
-                if !self.nodes[ni].alive {
+                if !node.alive {
                     return;
                 }
-                self.nodes[ni].alive = false;
-                self.nodes[ni].crash_s = t;
-                reason = "crash";
+                node.alive = false;
+                node.crash_s = t;
+                "crash"
             }
             FaultKind::Straggler { slowdown } => {
-                self.nodes[ni].slow *= slowdown;
-                reason = "straggler";
+                node.slow *= slowdown;
+                "straggler"
             }
             FaultKind::NicDegrade { bandwidth_factor } => {
-                self.nodes[ni].slow /= bandwidth_factor;
-                reason = "nic_degrade";
+                node.slow /= bandwidth_factor;
+                "nic_degrade"
             }
             FaultKind::PowerCap { max_freq_ghz } => {
-                let n = &mut self.nodes[ni];
-                n.cap_ghz = n.cap_ghz.min(max_freq_ghz);
-                reason = "power_cap";
+                node.cap_ghz = node.cap_ghz.min(max_freq_ghz);
+                "power_cap"
             }
-        }
-        if !self.nodes[ni].alive && self.nodes[ni].resv.is_empty() && reason != "crash" {
-            return; // faults after a crash are no-ops on a dead node
-        }
+        };
         // Displace affected reservations in timeline order. PowerCap only
         // evicts slots whose operating point now exceeds the cap; every
         // other fault invalidates the whole timeline (rates changed or the
         // node is gone).
-        let cap = self.nodes[ni].cap_ghz;
-        let displaced: Vec<usize> = self.nodes[ni]
+        let cap = node.cap_ghz;
+        let displaced: Vec<u64> = self.nodes[ni]
             .resv
             .iter()
             .copied()
-            .filter(|&rid| {
-                let r = &self.slab[rid];
+            .filter(|rid| {
+                let r = &self.resv[rid];
                 match e.fault.kind {
                     FaultKind::PowerCap { .. } => {
-                        self.opp_ghz(r.class, r.type_idx, r.opt) > cap + 1e-12
+                        self.opp_ghz(r.task.class, r.type_idx, r.opt) > cap + 1e-12
                     }
                     _ => true,
                 }
@@ -831,9 +934,10 @@ impl<'a> Engine<'a> {
     /// Interrupt reservation `rid` at time `t`: commit whole chunks, roll
     /// back the in-flight chunk (units and energy), and re-place the
     /// remainder.
-    fn interrupt(&mut self, rid: usize, t: f64, reason: &'static str) {
-        let r = self.slab[rid];
-        self.detach(rid);
+    fn interrupt(&mut self, rid: u64, t: f64, reason: &'static str) {
+        let Some(r) = self.detach(rid) else {
+            return;
+        };
         let (committed, lost) = if t <= r.start_s {
             (0.0, 0.0) // queued, nothing ran
         } else {
@@ -841,62 +945,56 @@ impl<'a> Engine<'a> {
             let committed = ((done / r.chunk_units).floor() * r.chunk_units).min(r.units);
             (committed, done - committed)
         };
-        self.charge(rid, committed);
+        self.charge(&r, committed);
         let remaining = r.units - committed;
         if remaining.is_nan() || remaining <= 0.0 {
             // Rounding put the whole task into committed chunks: it is
             // effectively complete at the fault instant.
-            self.outstanding -= 1;
-            self.out.completed += 1;
-            let jr = &mut self.results[r.job];
-            jr.finish_s = Some(t);
-            if t > self.jobs[r.job].deadline_s {
-                self.out.misses += 1;
-                jr.missed = true;
-            }
+            self.retire(r.task.job, Some(t), t > r.task.deadline_s);
             return;
         }
-        self.results[r.job].migrations += 1;
+        if let Some(rec) = &mut self.record {
+            rec.jobs[r.task.job].migrations += 1;
+        }
         self.out.migrations += 1;
-        let placed = self.place(r.job, r.class, remaining, t, self.jobs[r.job].deadline_s);
-        match placed {
-            Some((to_type, to_node)) => {
-                let id = self.jobs[r.job].id;
-                hecmix_obs::emit(|| hecmix_obs::Event::TaskMigrated {
-                    job: id,
-                    from_type: r.type_idx,
-                    from_node: r.node_idx,
-                    to_type,
-                    to_node,
-                    at_s: t,
-                    reason,
-                    lost_units: lost,
-                });
-            }
-            None => self.strand(r.job),
+        match self.place(r.task, remaining, t) {
+            Some(best) => hecmix_obs::emit(|| hecmix_obs::Event::TaskMigrated {
+                job: r.task.id,
+                from_type: r.type_idx,
+                from_node: r.node_idx,
+                to_type: best.type_idx,
+                to_node: best.node_idx,
+                at_s: t,
+                reason,
+                lost_units: lost,
+            }),
+            None => self.retire(r.task.job, None, r.task.deadline_s.is_finite()),
         }
     }
 
-    /// Price idle gaps and finalize the outcome.
-    fn settle(mut self) -> Result<SchedOutcome> {
+    /// Price idle gaps and finalize a whole-stream run over `jobs`, which
+    /// it fed in `order`.
+    fn settle(mut self, jobs: &[JobSpec], order: &[usize]) -> SchedOutcome {
+        let rec = self.record.take().expect("a whole-stream run records");
         let mut makespan = 0.0f64;
-        for n in &self.nodes {
-            for &(_, e) in &n.segments {
+        for segments in &rec.segments {
+            for &(_, e) in segments {
                 makespan = makespan.max(e);
             }
         }
-        for j in self.jobs {
+        for j in jobs {
             makespan = makespan.max(j.arrival_s);
         }
-        for n in &mut self.nodes {
+        let pool = &self.sched.pool;
+        for (n, mut segments) in self.nodes.iter().zip(rec.segments) {
             // Segments are appended in charge order (event time order) and
             // are disjoint, but sort defensively before gap pricing.
-            n.segments.sort_by(|a, b| a.0.total_cmp(&b.0));
+            segments.sort_by(|a, b| a.0.total_cmp(&b.0));
             let horizon = if n.alive { makespan } else { n.crash_s };
-            let idle_w = self.pool.idle_w[n.type_idx];
-            let sleep = &self.pool.sleep[n.type_idx];
+            let idle_w = pool.idle_w[n.type_idx];
+            let sleep = &pool.sleep[n.type_idx];
             let mut prev = 0.0f64;
-            for &(s, e) in &n.segments {
+            for &(s, e) in &segments {
                 if s >= horizon {
                     break;
                 }
@@ -906,8 +1004,10 @@ impl<'a> Engine<'a> {
             self.out.idle_energy_j += idle_gap_energy_j(horizon - prev, idle_w, sleep);
         }
         self.out.makespan_s = makespan;
-        self.out.jobs = self.results;
-        Ok(self.out)
+        let mut results: Vec<(usize, JobResult)> = order.iter().copied().zip(rec.jobs).collect();
+        results.sort_by_key(|&(i, _)| i);
+        self.out.jobs = results.into_iter().map(|(_, r)| r).collect();
+        self.out
     }
 }
 
@@ -1000,6 +1100,26 @@ mod tests {
         assert_eq!((out.admitted, out.rejected), (2, 2));
         assert_eq!(out.completed, 2);
         assert!(out.jobs[2].finish_s.is_none() && !out.jobs[2].admitted);
+    }
+
+    #[test]
+    fn arrivals_run_in_time_order_whatever_the_input_order() {
+        let cfg = SchedConfig {
+            max_outstanding: 3,
+            ..SchedConfig::default()
+        };
+        let s = Scheduler::new(pool(), cfg).unwrap();
+        let jobs: Vec<JobSpec> = (0..12)
+            .map(|i| job(i, 1e5 * (1 + i % 4) as f64, i as f64 * 2e-4, f64::INFINITY))
+            .collect();
+        let sorted = s.run(&jobs).unwrap();
+        assert!(sorted.rejected > 0 && sorted.completed > 3);
+        let reversed: Vec<JobSpec> = jobs.iter().rev().cloned().collect();
+        let mut out = s.run(&reversed).unwrap();
+        // Results come back in input order.
+        assert_eq!(out.jobs[0].id, 11);
+        out.jobs.reverse();
+        assert_eq!(out, sorted);
     }
 
     #[test]
@@ -1276,5 +1396,51 @@ mod tests {
             }],
         };
         assert!(s.run_faulted(&[], &faults).is_err());
+    }
+
+    #[test]
+    fn a_live_session_keeps_only_in_flight_state() {
+        let p = pool();
+        let fastest = p.classes[0]
+            .options
+            .iter()
+            .flatten()
+            .map(|o| o.rate)
+            .fold(0.0f64, f64::max);
+        let bound = 8;
+        let s = Scheduler::new(
+            p,
+            SchedConfig {
+                max_outstanding: bound,
+                ..SchedConfig::default()
+            },
+        )
+        .unwrap();
+        let mut live = s.session();
+        // Jobs of 1–3 s on the fastest slot arrive every 0.25 s on three
+        // nodes: they overlap, and the bound both admits and rejects.
+        let mut peak = 0;
+        for i in 0..100_000u64 {
+            let arrival = i as f64 * 0.25;
+            let size = fastest * (1.0 + (i % 3) as f64);
+            let deadline = if i % 2 == 0 {
+                arrival + 4.0
+            } else {
+                f64::INFINITY
+            };
+            live.admit(&job(i, size, arrival, deadline)).unwrap();
+            let on_nodes: usize = live.nodes.iter().map(|n| n.resv.len()).sum();
+            assert_eq!(on_nodes, live.resv.len());
+            assert!(live.resv.len() <= bound && live.heap.len() <= bound);
+            peak = peak.max(live.resv.len());
+        }
+        assert!(peak > 1, "submissions must overlap");
+        assert!(live.record.is_none() && live.out.jobs.is_empty());
+        let tally = live.tally();
+        assert_eq!(tally.submitted, 100_000);
+        assert!(tally.rejected > 0 && tally.completed > 0 && tally.misses > 0);
+        // The clock does not run backwards.
+        assert!(live.admit(&job(0, 1.0, 0.0, f64::INFINITY)).is_err());
+        assert_eq!(live.submitted(), 100_000);
     }
 }

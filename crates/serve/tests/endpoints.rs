@@ -174,6 +174,16 @@ fn submit_places_jobs_and_jobz_reports_them() {
         call("POST", "/submit", r#"{"workload":"ep","deadline_s":0}"#).0,
         422
     );
+    // A deadline that rounds to the arrival cannot be replayed.
+    assert_eq!(
+        call(
+            "POST",
+            "/submit",
+            r#"{"workload":"ep","deadline_s":1e-300}"#
+        )
+        .0,
+        422
+    );
     assert_eq!(call("GET", "/submit", "").0, 405);
     assert_eq!(call("POST", "/jobz", "").0, 405);
 

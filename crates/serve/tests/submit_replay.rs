@@ -1,13 +1,12 @@
 //! Live `/submit` placements replay through the offline engine bit for
 //! bit.
 //!
-//! The live path starts a job at `max(now, busy_until)`, a per-node FIFO
-//! tail; the replay engine backfills over its reservation timeline.
-//! Without faults no node's timeline has a gap after the current time, so
-//! both pick the same start. Rebuilding the `JobSpec`s from the live
+//! `OnlineSched` drives a live session of the same engine that
+//! `Scheduler::run` replays a whole stream with, feeding each job at the
+//! wall-clock time it arrives. Rebuilding the `JobSpec`s from the live
 //! `job_submitted` events and running `Scheduler::run` over the same pool,
 //! α and admission bound must then reproduce every `task_placed` event and
-//! the live counters.
+//! the live counters, which count each in-flight job as planned.
 //!
 //! The obs sink is process-global, so this file holds exactly **one**
 //! test in its own integration-test binary.
