@@ -6,8 +6,9 @@
 //! The `streaming` group runs the same frontiers through the rate-table
 //! engine (old path vs new path), plus a 128-node space (~740k points)
 //! that the materializing path would need hundreds of MB to hold, and the
-//! two halves of the largest `/plan` request: pruning a 512 × 128 space and
-//! folding the pruned table.
+//! two halves of the largest `/plan` request: pruning a 512 × 128 space
+//! (from scratch, or as the daemon does, sliced from a 512 × 512 option
+//! catalog) and folding the pruned table.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -15,7 +16,7 @@ use hecmix_bench::bundles;
 use hecmix_core::budget::BudgetMix;
 use hecmix_core::config::ConfigSpace;
 use hecmix_core::pareto::ParetoFrontier;
-use hecmix_core::rate_table::{stream_frontier, stream_frontier_pruned, RateTable};
+use hecmix_core::rate_table::{stream_frontier, stream_frontier_pruned, OptionCatalog, RateTable};
 use hecmix_core::sweep::{sweep_space, EvaluatedConfig};
 use hecmix_workloads::ep::Ep;
 use hecmix_workloads::memcached::Memcached;
@@ -178,6 +179,19 @@ fn bench_streaming_engine(c: &mut Criterion) {
     });
     group.bench_function("build_pruned_512x128", |b| {
         b.iter(|| black_box(RateTable::build_pruned(black_box(&caps), &models).unwrap()))
+    });
+    let catalog = OptionCatalog::build(
+        &ConfigSpace::two_type(
+            models[0].platform.clone(),
+            512,
+            models[1].platform.clone(),
+            512,
+        ),
+        &models,
+    )
+    .unwrap();
+    group.bench_function("catalog_pruned_512x128", |b| {
+        b.iter(|| black_box(black_box(&catalog).pruned(&[Some(512), Some(128)]).unwrap()))
     });
     group.finish();
 }

@@ -1,21 +1,23 @@
-//! CI gate on the cost of the rate-table fold and of pruning. Both checks
-//! are ratios between two code paths timed alternately on the same
-//! machine, so runner speed cannot flap them:
+//! CI gate on the cost of the rate-table fold, of pruning and of slicing
+//! an option catalog. Every check is a ratio between two code paths timed
+//! alternately on the same machine, so runner speed cannot flap them:
 //!
 //! * `RateTable::frontier` (rows over columns, in-row dominance skips,
 //!   hinted inserts) must take at most 0.3× the per-point reference fold
 //!   in `hecmix-check`, which evaluates and bisects every point;
 //! * `RateTable::build_pruned` must take at most 1.5× `RateTable::build`
-//!   on the same space: pruning may not cost more than half a build.
+//!   on the same space: pruning may not cost more than half a build;
+//! * cutting that pruned table from a 512 × 512 `OptionCatalog` must take
+//!   at most 0.3× `build_pruned`: a slice evaluates no model option.
 //!
-//! One `#[test]` runs both in turn: the fold spawns workers, and a second
+//! One `#[test]` runs them in turn: the fold spawns workers, and a second
 //! test timing alongside it on a two-core runner reads their noise.
 
 use hecmix_bench::best_of;
 use hecmix_check::reference::per_point_fold;
 use hecmix_core::config::ConfigSpace;
 use hecmix_core::profile::WorkloadModel;
-use hecmix_core::rate_table::RateTable;
+use hecmix_core::rate_table::{OptionCatalog, RateTable};
 use hecmix_core::types::Platform;
 
 #[test]
@@ -48,5 +50,19 @@ fn row_fold_and_pruning_stay_cheap() {
     assert!(
         pruned.as_secs_f64() <= 1.5 * full.as_secs_f64(),
         "build_pruned took {pruned:?}, build {full:?}"
+    );
+
+    let (arm, amd) = (&space.types[0].platform, &space.types[1].platform);
+    let wide = ConfigSpace::two_type(arm.clone(), 512, amd.clone(), 512);
+    let catalog = OptionCatalog::build(&wide, &models).unwrap();
+    let caps = [Some(512), Some(128)];
+    let (slice, build) = best_of(
+        5,
+        || catalog.pruned(&caps),
+        || RateTable::build_pruned(&space, &models),
+    );
+    assert!(
+        slice.as_secs_f64() <= 0.3 * build.as_secs_f64(),
+        "the catalog slice took {slice:?}, build_pruned {build:?}"
     );
 }

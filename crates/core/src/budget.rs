@@ -17,7 +17,7 @@ use crate::config::{ConfigSpace, TypeBounds};
 use crate::error::{Error, Result};
 use crate::pareto::ParetoFrontier;
 use crate::profile::WorkloadModel;
-use crate::rate_table::stream_frontier_pruned;
+use crate::rate_table::{fold_pruned, stream_frontier_pruned, validate_work, OptionCatalog};
 use crate::sweep::PruneStats;
 use crate::types::Platform;
 
@@ -72,27 +72,33 @@ impl BudgetMix {
             + f64::from(self.high_nodes) * high.effective_peak_power_w()
     }
 
+    /// The node cap of each side, `[low, high]`, with a zero side left out
+    /// (`None`). A mix of no nodes at all spans one high node.
+    #[must_use]
+    pub fn caps(&self) -> [Option<u32>; 2] {
+        match (self.low_nodes, self.high_nodes) {
+            (0, high) => [None, Some(high.max(1))],
+            (low, 0) => [Some(low), None],
+            (low, high) => [Some(low), Some(high)],
+        }
+    }
+
     /// The configuration space this mix spans: up to `low_nodes` low-power
     /// and `high_nodes` high-performance nodes with all their core/
-    /// frequency knobs. Type order: `[low, high]`.
+    /// frequency knobs, over the sides of [`Self::caps`]. Type order:
+    /// `[low, high]`.
     #[must_use]
     pub fn config_space(&self, low: &Platform, high: &Platform) -> ConfigSpace {
-        let mut types = Vec::new();
-        types.push(TypeBounds {
-            platform: low.clone(),
-            max_nodes: self.low_nodes.max(1),
-        });
-        types.push(TypeBounds {
-            platform: high.clone(),
-            max_nodes: self.high_nodes.max(1),
-        });
-        // A zero side is represented by bounding that type at 1 node but
-        // filtering below; simpler: drop the unused type.
-        if self.low_nodes == 0 {
-            types.remove(0);
-        } else if self.high_nodes == 0 {
-            types.remove(1);
-        }
+        let types = [low, high]
+            .into_iter()
+            .zip(self.caps())
+            .filter_map(|(platform, cap)| {
+                Some(TypeBounds {
+                    platform: platform.clone(),
+                    max_nodes: cap?,
+                })
+            })
+            .collect();
         ConfigSpace::new(types)
     }
 
@@ -126,6 +132,18 @@ impl BudgetMix {
             })
             .collect::<Result<_>>()?;
         stream_frontier_pruned(&space, &space_models, w_units)
+    }
+
+    /// [`Self::frontier`] with the mix's pruned table sliced from
+    /// `catalog`, whose types are this mix's `[low, high]` by position, so
+    /// no model is evaluated or matched by name.
+    pub fn catalog_frontier(
+        &self,
+        catalog: &OptionCatalog,
+        w_units: f64,
+    ) -> Result<(ParetoFrontier, PruneStats)> {
+        validate_work(w_units)?;
+        fold_pruned(&catalog.pruned(&self.caps())?, w_units)
     }
 
     /// Human-readable label in the paper's style, e.g. `ARM 16:AMD 14`.

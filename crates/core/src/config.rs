@@ -110,6 +110,17 @@ pub struct TypeBounds {
     pub max_nodes: u32,
 }
 
+impl TypeBounds {
+    /// The type's options over its platform's P-states, `n·|f|·|c|`: one
+    /// factor of [`ConfigSpace::count`].
+    #[must_use]
+    pub(crate) fn choices(&self) -> u64 {
+        u64::from(self.max_nodes)
+            * self.platform.freqs.len() as u64
+            * u64::from(self.platform.cores)
+    }
+}
+
 /// The configuration space over a set of node types.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ConfigSpace {
@@ -150,10 +161,7 @@ impl ConfigSpace {
     pub fn count(&self) -> u64 {
         self.types
             .iter()
-            .map(|t| {
-                let p = &t.platform;
-                u64::from(t.max_nodes) * p.freqs.len() as u64 * u64::from(p.cores) + 1
-            })
+            .map(|t| t.choices() + 1)
             .product::<u64>()
             .saturating_sub(1)
     }

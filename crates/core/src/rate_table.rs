@@ -15,6 +15,12 @@
 //!   second) and its lone-run average power `b = E_alone(1) · r` (watts).
 //!   Both are computed **once per sweep** — `|options|` model evaluations
 //!   instead of `|space|`.
+//! * **Option catalog.** Since `(r, b)` depend only on the model and the
+//!   option, an [`OptionCatalog`] evaluates every option up to a node cap
+//!   once, and each table is a prefix of it: options are enumerated
+//!   nodes-outermost, so a cap of `N` nodes keeps the first
+//!   `N·|OPPs|·cores` of them. The one-shot constructors build a catalog at
+//!   their own caps; the serving daemon keeps one per model bundle.
 //! * **Lean kernel.** A matched cluster is then
 //!   `T = W / Σr` and `E = T · Σb` ([`SweepOutcome`]) — a handful of adds
 //!   and one divide per configuration, no allocation. The full
@@ -56,7 +62,7 @@ use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-use crate::config::{ClusterPoint, ConfigSpace, NodeConfig};
+use crate::config::{ClusterPoint, ConfigSpace, NodeConfig, TypeBounds};
 use crate::energy::EnergyModel;
 use crate::error::{Error, Result};
 use crate::exec_time::ExecTimeModel;
@@ -166,9 +172,8 @@ impl RateTable {
     /// [`crate::dvfs::ladder_options`] order, so flat index `k` decodes to
     /// the `k`-th configuration of the space with type 0 fastest.
     pub fn build(space: &ConfigSpace, models: &[WorkloadModel]) -> Result<Self> {
-        let per_type = Self::type_options(space, models)?;
-        let unpruned_radices = per_type.iter().map(|o| o.len() + 1).collect();
-        Ok(Self::from_options(per_type, unpruned_radices))
+        let catalog = OptionCatalog::build(space, models)?;
+        catalog.full(&catalog.caps())
     }
 
     /// Build a dominance-pruned table: within each type, keep only the
@@ -178,16 +183,8 @@ impl RateTable {
     /// axis, so the pruned product preserves the frontier as an
     /// energy-per-deadline curve.
     pub fn build_pruned(space: &ConfigSpace, models: &[WorkloadModel]) -> Result<Self> {
-        let per_type = Self::type_options(space, models)?;
-        let unpruned_radices = per_type.iter().map(|o| o.len() + 1).collect();
-        let per_type = per_type
-            .iter()
-            .map(|opts| {
-                let keys: Vec<(f64, f64)> = opts.iter().map(|o| (o.rate, o.power_w)).collect();
-                pareto_order(&keys).into_iter().map(|i| opts[i]).collect()
-            })
-            .collect();
-        Ok(Self::from_options(per_type, unpruned_radices))
+        let catalog = OptionCatalog::build(space, models)?;
+        catalog.pruned(&catalog.caps())
     }
 
     fn from_options(per_type: Vec<Vec<RateOption>>, unpruned_radices: Vec<usize>) -> Self {
@@ -197,29 +194,6 @@ impl RateTable {
             columns,
             unpruned_radices,
         }
-    }
-
-    fn type_options(space: &ConfigSpace, models: &[WorkloadModel]) -> Result<Vec<Vec<RateOption>>> {
-        space_options(space, models)?
-            .into_iter()
-            .zip(models)
-            .map(|(opts, model)| {
-                // Sized up front: collecting through `?` cannot see the
-                // length, and regrowing ~10^4 options by doubling added
-                // about half again to the build's time.
-                let mut out = Vec::with_capacity(opts.len());
-                for (cfg, opp) in opts {
-                    let (rate, power_w) = lone_run(model, &cfg)?;
-                    out.push(RateOption {
-                        cfg,
-                        rate,
-                        power_w,
-                        opp,
-                    });
-                }
-                Ok(out)
-            })
-            .collect()
     }
 
     /// Per-type option lists (after pruning, if built pruned).
@@ -408,14 +382,177 @@ impl RateTable {
     }
 }
 
+/// Every option of each type up to a node cap, with its lone-run `(r, b)`:
+/// the model evaluations a table needs, done once and shared by every
+/// table cut from it.
+///
+/// A type's options are kept in [`crate::dvfs::ladder_options`] order,
+/// which enumerates node counts outermost, so the options under a cap of
+/// `n ≤` the catalog's cap are exactly its first `n·|OPPs|·cores`. A slice
+/// takes that prefix per type: [`Self::full`] as is, [`Self::pruned`]
+/// through the same pruning pass as [`RateTable::build_pruned`]. Either is
+/// bit for bit the table the one-shot constructor builds over the capped
+/// space, with no model evaluation.
+///
+/// A type stops at its first option whose lone run fails and records that
+/// error. A slice whose prefix reaches the failing option returns it, so a
+/// request fails exactly when building its own space would: the space's
+/// emptiness first, then each type's first failing option in type order.
+#[derive(Debug, Clone)]
+pub struct OptionCatalog {
+    types: Vec<TypeCatalog>,
+}
+
+/// One type's evaluated options.
+#[derive(Debug, Clone)]
+struct TypeCatalog {
+    /// The platform and the node cap the catalog was built at.
+    bounds: TypeBounds,
+    /// Options per node count: the ladder's OPPs times the cores.
+    per_node: usize,
+    /// The options in ladder order, up to the first failing one.
+    options: Vec<RateOption>,
+    /// The lone-run error of option `options.len()`, when one failed.
+    failure: Option<Error>,
+}
+
+impl OptionCatalog {
+    /// Evaluate every option of `space`, each type up to its own cap.
+    ///
+    /// # Errors
+    /// A space with no configuration, or whose types do not match
+    /// `models`. A failing option is not an error here; it is recorded for
+    /// the slices that reach it.
+    pub fn build(space: &ConfigSpace, models: &[WorkloadModel]) -> Result<Self> {
+        let types = space_options(space, models)?
+            .into_iter()
+            .zip(&space.types)
+            .zip(models)
+            .map(|((opts, bounds), model)| {
+                // Sized up front: regrowing ~10^4 options by doubling adds
+                // about half again to the build's time.
+                let mut options = Vec::with_capacity(opts.len());
+                let mut failure = None;
+                for (cfg, opp) in opts {
+                    match lone_run(model, &cfg) {
+                        Ok((rate, power_w)) => options.push(RateOption {
+                            cfg,
+                            rate,
+                            power_w,
+                            opp,
+                        }),
+                        Err(e) => {
+                            failure = Some(e);
+                            break;
+                        }
+                    }
+                }
+                TypeCatalog {
+                    bounds: bounds.clone(),
+                    per_node: model.dvfs.ladder.len() * bounds.platform.cores as usize,
+                    options,
+                    failure,
+                }
+            })
+            .collect();
+        Ok(Self { types })
+    }
+
+    /// The catalog's own caps: every type, at the node cap it was built at.
+    #[must_use]
+    pub fn caps(&self) -> Vec<Option<u32>> {
+        self.types
+            .iter()
+            .map(|t| Some(t.bounds.max_nodes))
+            .collect()
+    }
+
+    /// The full table over the catalog's types capped at `caps`, one entry
+    /// per type: `Some(n)` keeps the type's options up to `n` nodes (none
+    /// at `n = 0`, leaving only the unused digit), `None` leaves the type
+    /// out of the table.
+    ///
+    /// # Errors
+    /// An empty capped space, a cap above the catalog's, or a type's
+    /// recorded lone-run failure inside its prefix.
+    pub fn full(&self, caps: &[Option<u32>]) -> Result<RateTable> {
+        self.slice(caps, <[RateOption]>::to_vec)
+    }
+
+    /// The dominance-pruned table over the catalog's types capped at
+    /// `caps` (as in [`Self::full`]).
+    ///
+    /// # Errors
+    /// As [`Self::full`].
+    pub fn pruned(&self, caps: &[Option<u32>]) -> Result<RateTable> {
+        self.slice(caps, |opts| {
+            pareto_order(opts).into_iter().map(|i| opts[i]).collect()
+        })
+    }
+
+    /// Per kept type, the distance between consecutive node counts in its
+    /// option order.
+    pub(crate) fn node_strides(&self, caps: &[Option<u32>]) -> Vec<u64> {
+        self.types
+            .iter()
+            .zip(caps)
+            .filter(|(_, cap)| cap.is_some())
+            .map(|(t, _)| t.per_node as u64)
+            .collect()
+    }
+
+    fn slice(
+        &self,
+        caps: &[Option<u32>],
+        keep: impl Fn(&[RateOption]) -> Vec<RateOption>,
+    ) -> Result<RateTable> {
+        let kept: Vec<(&TypeCatalog, u32)> = self
+            .types
+            .iter()
+            .zip(caps)
+            .filter_map(|(t, cap)| Some((t, (*cap)?)))
+            .collect();
+        // `space_options`' checks, in its order, on the capped space.
+        if kept
+            .iter()
+            .all(|&(t, cap)| cap == 0 || t.bounds.choices() == 0)
+        {
+            return Err(empty_space());
+        }
+        if caps.len() != self.types.len() {
+            return Err(Error::ProfileMismatch {
+                deployments: caps.len(),
+                profiles: self.types.len(),
+            });
+        }
+        let mut prefixes = Vec::with_capacity(kept.len());
+        for (t, cap) in kept {
+            if cap > t.bounds.max_nodes {
+                return Err(Error::InvalidInput(format!(
+                    "a cap of {cap} `{}` nodes exceeds the catalog's {}",
+                    t.bounds.platform.name, t.bounds.max_nodes
+                )));
+            }
+            let len = cap as usize * t.per_node;
+            if let Some(e) = t.failure.as_ref().filter(|_| len > t.options.len()) {
+                return Err(e.clone());
+            }
+            prefixes.push(&t.options[..len]);
+        }
+        let unpruned_radices = prefixes.iter().map(|p| p.len() + 1).collect();
+        let per_type = prefixes.into_iter().map(keep).collect();
+        Ok(RateTable::from_options(per_type, unpruned_radices))
+    }
+}
+
 /// Configurations of a mixed-radix space: every digit combination but the
 /// empty cluster.
 fn configs(radices: impl Iterator<Item = usize>) -> u64 {
     radices.map(|r| r as u64).product::<u64>().saturating_sub(1)
 }
 
-/// Kept options of one type as indices into `keys = (rate, power)`, in
-/// rate-descending order: the `(max r, min b)` Pareto set that a stable
+/// Kept options of one type as indices into `opts`, in rate-descending
+/// order: the `(max r, min b)` Pareto set that a stable
 /// sort by rate descending then power ascending, followed by a pass
 /// keeping each option that strictly beats every earlier power, selects.
 ///
@@ -430,19 +567,19 @@ fn configs(radices: impl Iterator<Item = usize>) -> u64 {
 /// every prefix minimum of power, so running the pass over the survivors
 /// alone keeps the same options. The survivors are sorted by
 /// `(rate desc, power asc, index asc)`, the order the stable sort gave.
-fn pareto_order(keys: &[(f64, f64)]) -> Vec<usize> {
-    let (r_min, r_max) = keys
+fn pareto_order(opts: &[RateOption]) -> Vec<usize> {
+    let (r_min, r_max) = opts
         .iter()
-        .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &(r, _)| {
-            (lo.min(r), hi.max(r))
+        .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), o| {
+            (lo.min(o.rate), hi.max(o.rate))
         });
-    let buckets = (keys.len() / 8).max(1);
+    let buckets = (opts.len() / 8).max(1);
     let width = (r_max - r_min) / buckets as f64;
-    let bucket_of: Vec<usize> = keys
+    let bucket_of: Vec<usize> = opts
         .iter()
-        .map(|&(r, _)| {
+        .map(|o| {
             if width > 0.0 {
-                (((r - r_min) / width) as usize).min(buckets - 1)
+                (((o.rate - r_min) / width) as usize).min(buckets - 1)
             } else {
                 0
             }
@@ -450,10 +587,21 @@ fn pareto_order(keys: &[(f64, f64)]) -> Vec<usize> {
         .collect();
     let mut leader = vec![usize::MAX; buckets];
     let mut min_power = vec![f64::INFINITY; buckets];
-    for (i, (&(r, b), &k)) in keys.iter().zip(&bucket_of).enumerate() {
+    for (
+        i,
+        (
+            &RateOption {
+                rate: r,
+                power_w: b,
+                ..
+            },
+            &k,
+        ),
+    ) in opts.iter().zip(&bucket_of).enumerate()
+    {
         min_power[k] = min_power[k].min(b);
         let l = leader[k];
-        if l == usize::MAX || r > keys[l].0 || (r == keys[l].0 && b < keys[l].1) {
+        if l == usize::MAX || r > opts[l].rate || (r == opts[l].rate && b < opts[l].power_w) {
             leader[k] = i;
         }
     }
@@ -462,12 +610,14 @@ fn pareto_order(keys: &[(f64, f64)]) -> Vec<usize> {
     for k in (0..buckets - 1).rev() {
         above[k] = above[k + 1].min(min_power[k + 1]);
     }
-    let mut survivors: Vec<(f64, f64, usize)> = keys
+    let mut survivors: Vec<(f64, f64, usize)> = opts
         .iter()
         .zip(&bucket_of)
         .enumerate()
-        .filter(|&(i, (&(_, b), &k))| b < above[k] && (i == leader[k] || b < keys[leader[k]].1))
-        .map(|(i, (&(r, b), _))| (r, b, i))
+        .filter(|&(i, (o, &k))| {
+            o.power_w < above[k] && (i == leader[k] || o.power_w < opts[leader[k]].power_w)
+        })
+        .map(|(i, (o, _))| (o.rate, o.power_w, i))
         .collect();
     survivors.sort_unstable_by(|a, c| {
         c.0.total_cmp(&a.0)
@@ -514,9 +664,7 @@ pub(crate) fn space_options(
     models: &[WorkloadModel],
 ) -> Result<Vec<Vec<(NodeConfig, usize)>>> {
     if space.types.is_empty() || space.count() == 0 {
-        return Err(Error::InvalidInput(
-            "configuration space is empty (no node types or no deployable options)".into(),
-        ));
+        return Err(empty_space());
     }
     if space.types.len() != models.len() {
         return Err(Error::ProfileMismatch {
@@ -530,6 +678,13 @@ pub(crate) fn space_options(
         .zip(models)
         .map(|(t, m)| crate::dvfs::ladder_options(t, &m.dvfs.ladder))
         .collect())
+}
+
+/// The error for a space with no configuration.
+fn empty_space() -> Error {
+    Error::InvalidInput(
+        "configuration space is empty (no node types or no deployable options)".into(),
+    )
 }
 
 /// Fold flat indices `1..=count` into sorted frontier entries — the
@@ -778,7 +933,12 @@ pub fn stream_frontier_pruned(
     w_units: f64,
 ) -> Result<(ParetoFrontier, PruneStats)> {
     validate_work(w_units)?;
-    let table = RateTable::build_pruned(space, models)?;
+    fold_pruned(&RateTable::build_pruned(space, models)?, w_units)
+}
+
+/// Fold a pruned table into its frontier, with its prune statistics (also
+/// emitted as `sweep_pruned`).
+pub(crate) fn fold_pruned(table: &RateTable, w_units: f64) -> Result<(ParetoFrontier, PruneStats)> {
     let stats = table.prune_stats();
     hecmix_obs::emit(|| hecmix_obs::Event::SweepPruned {
         total_points: stats.full_space,
@@ -1193,6 +1353,20 @@ mod tests {
         }
     }
 
+    /// [`pareto_order`] over options with these `(rate, power)` keys.
+    fn pareto_order_of(keys: &[(f64, f64)]) -> Vec<usize> {
+        let opts: Vec<RateOption> = keys
+            .iter()
+            .map(|&(rate, power_w)| RateOption {
+                cfg: NodeConfig::new(1, 1, crate::types::Frequency::from_ghz(1.0)),
+                rate,
+                power_w,
+                opp: 0,
+            })
+            .collect();
+        pareto_order(&opts)
+    }
+
     /// Pruning by a full stable sort by `(rate desc, power asc)`, keeping
     /// each option that strictly beats every earlier power.
     fn pareto_order_by_sort(keys: &[(f64, f64)]) -> Vec<usize> {
@@ -1240,7 +1414,11 @@ mod tests {
                 .collect(),
         ];
         for keys in &crafted {
-            assert_eq!(pareto_order(keys), pareto_order_by_sort(keys), "{keys:?}");
+            assert_eq!(
+                pareto_order_of(keys),
+                pareto_order_by_sort(keys),
+                "{keys:?}"
+            );
         }
         let mut rng = SmallRng::seed_from_u64(8);
         for case in 0..300 {
@@ -1255,7 +1433,7 @@ mod tests {
                 })
                 .collect();
             assert_eq!(
-                pareto_order(&keys),
+                pareto_order_of(&keys),
                 pareto_order_by_sort(&keys),
                 "case {case}"
             );

@@ -39,7 +39,9 @@ use crate::config::{ConfigSpace, NodeConfig};
 use crate::error::{Error, Result};
 use crate::pareto::ParetoFrontier;
 use crate::profile::WorkloadModel;
-use crate::rate_table::{lone_run, stream_fold, validate_work, Entry, RateTable, SweepOutcome};
+use crate::rate_table::{
+    lone_run, stream_fold, validate_work, Entry, OptionCatalog, RateTable, SweepOutcome,
+};
 
 /// A rate table plus the per-type digit strides needed to re-encode a
 /// configuration with nodes removed.
@@ -75,14 +77,17 @@ struct Scratch {
 impl ResilientTable {
     /// Build the full rate table for `space` and record the node strides.
     pub fn build(space: &ConfigSpace, models: &[WorkloadModel]) -> Result<Self> {
-        let table = RateTable::build(space, models)?;
-        let node_stride = space
-            .types
-            .iter()
-            .zip(models)
-            .map(|(t, m)| m.dvfs.ladder.len() as u64 * u64::from(t.platform.cores))
-            .collect();
-        Ok(Self { table, node_stride })
+        let catalog = OptionCatalog::build(space, models)?;
+        Self::from_catalog(&catalog, &catalog.caps())
+    }
+
+    /// The full table of `catalog` sliced at `caps` (see
+    /// [`OptionCatalog::full`]), with its node strides.
+    pub fn from_catalog(catalog: &OptionCatalog, caps: &[Option<u32>]) -> Result<Self> {
+        Ok(Self {
+            table: catalog.full(caps)?,
+            node_stride: catalog.node_strides(caps),
+        })
     }
 
     /// The underlying nominal rate table.

@@ -43,11 +43,10 @@ use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
 use hecmix_core::budget::PowerBudget;
-use hecmix_core::config::ConfigSpace;
 use hecmix_core::mix_match::mix_and_match;
 use hecmix_core::pareto::ParetoFrontier;
 use hecmix_core::persist::fnv1a;
-use hecmix_core::rate_table::RateTable;
+use hecmix_core::rate_table::OptionCatalog;
 use hecmix_core::resilience::ResilientTable;
 use hecmix_core::types::Platform;
 use hecmix_obs::json::{self, Object, Value};
@@ -60,7 +59,7 @@ use crate::cache::ShardedLru;
 use crate::fleet::Fleet;
 use crate::hist::{self, Histogram};
 use crate::http::{Request, Response};
-use crate::store::{ModelEntry, ModelStore};
+use crate::store::{ModelEntry, ModelStore, MAX_NODES};
 use crate::submit::OnlineSched;
 
 /// Query-shape tags mixed into cache keys so different derivations from
@@ -891,23 +890,13 @@ pub fn compute_plan(
     let compute = match *spec {
         ComputeSpec::Frontier {
             arm, amd, units, ..
-        } => {
-            let [low, high] = platform_pair(entry);
-            let space = ConfigSpace::two_type(low, arm, high, amd);
-            let table = RateTable::build_pruned(&space, &entry.models)
-                .map_err(|e| Response::error(422, &format!("model rejected: {e}")))?;
-            let frontier = table
-                .frontier(units)
-                .map_err(|e| Response::error(422, &format!("sweep failed: {e}")))?;
-            CachedCompute::Frontier(frontier)
-        }
+        } => CachedCompute::Frontier(pruned_frontier(entry, arm, amd, units)?),
         ComputeSpec::ResilientFrontier {
             arm, amd, units, k, ..
         } => {
-            let [low, high] = platform_pair(entry);
-            let space = ConfigSpace::two_type(low, arm, high, amd);
-            let table = ResilientTable::build(&space, &entry.models)
-                .map_err(|e| Response::error(422, &format!("model rejected: {e}")))?;
+            let table = sliced(entry, "model rejected", |c| {
+                ResilientTable::from_catalog(c, &[Some(arm), Some(amd)])
+            })?;
             let frontier = table
                 .frontier(units, k)
                 .map_err(|e| Response::error(422, &format!("resilient sweep failed: {e}")))?;
@@ -925,9 +914,9 @@ pub fn compute_plan(
                 .map_err(|e| Response::error(422, &format!("bad budget: {e}")))?;
             let mut rungs = Vec::with_capacity(ladder.len());
             for mix in ladder {
-                let (frontier, _prune) = mix
-                    .frontier(&low, &high, &entry.models, units)
-                    .map_err(|e| Response::error(422, &format!("rung sweep failed: {e}")))?;
+                let (frontier, _prune) = sliced(entry, "rung sweep failed", |c| {
+                    mix.catalog_frontier(c, units)
+                })?;
                 rungs.push(WhatifRung {
                     label: mix.label(&low, &high),
                     low_nodes: mix.low_nodes,
@@ -947,13 +936,7 @@ pub fn compute_plan(
             window_s,
             ..
         } => {
-            let platforms = platform_pair(entry);
-            let space = ConfigSpace::two_type(platforms[0].clone(), arm, platforms[1].clone(), amd);
-            let table = RateTable::build_pruned(&space, &entry.models)
-                .map_err(|e| Response::error(422, &format!("model rejected: {e}")))?;
-            let frontier = table
-                .frontier(units)
-                .map_err(|e| Response::error(422, &format!("sweep failed: {e}")))?;
+            let frontier = pruned_frontier(entry, arm, amd, units)?;
             let menu = menu_from_frontier(&frontier, &entry.models);
             let target = TailTarget::new(0.99, p99_s)
                 .map_err(|e| Response::error(422, &format!("bad tail target: {e}")))?;
@@ -976,6 +959,35 @@ pub fn compute_plan(
             compute_us,
         }),
     ))
+}
+
+/// Cut a table from the entry's option catalog with `slice`; a rejection
+/// becomes a 422 prefixed with `what`. Every compute kind gets its tables
+/// here, so no request evaluates a model option.
+fn sliced<T>(
+    entry: &ModelEntry,
+    what: &str,
+    slice: impl FnOnce(&OptionCatalog) -> hecmix_core::Result<T>,
+) -> Result<T, Response> {
+    entry
+        .catalog()
+        .and_then(slice)
+        .map_err(|e| Response::error(422, &format!("{what}: {e}")))
+}
+
+/// The plain frontier of the pruned `arm × amd` table, shared by `/plan`,
+/// `/frontier` and the tail planner's menu.
+fn pruned_frontier(
+    entry: &ModelEntry,
+    arm: u32,
+    amd: u32,
+    units: f64,
+) -> Result<ParetoFrontier, Response> {
+    sliced(entry, "model rejected", |c| {
+        c.pruned(&[Some(arm), Some(amd)])
+    })?
+    .frontier(units)
+    .map_err(|e| Response::error(422, &format!("sweep failed: {e}")))
 }
 
 // ---- response formatting ----
@@ -1370,10 +1382,6 @@ pub fn cache_key(parts: &[u64]) -> u64 {
 }
 
 type Common<'a> = (&'a ModelEntry, &'a str, u32, u32, f64);
-
-/// Most nodes of one type a request may span: the `arm`/`amd` caps of
-/// `/plan` and `/frontier`, and the all-low rung of a `/whatif` ladder.
-const MAX_NODES: u32 = 512;
 
 /// Parse the fields `/plan` and `/frontier` share: workload (required),
 /// arm/amd node caps (default 10), units (default: the workload's

@@ -16,10 +16,12 @@
 
 use std::collections::HashMap;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
+use hecmix_core::config::{ConfigSpace, TypeBounds};
 use hecmix_core::persist::{self, models_hash};
 use hecmix_core::profile::WorkloadModel;
+use hecmix_core::rate_table::OptionCatalog;
 use hecmix_workloads::workload_by_name;
 
 /// Platform file-name suffixes recognized by [`ModelStore::from_dir`], in
@@ -30,6 +32,11 @@ pub const PLATFORM_SUFFIXES: [&str; 2] = ["cortex-a9", "k10"];
 /// Default job size when a workload is unknown to the registry (so a
 /// hand-authored model file still serves).
 const FALLBACK_UNITS: f64 = 1_000_000.0;
+
+/// Most nodes of one type a request may span: the `arm`/`amd` caps of
+/// `/plan` and `/frontier`, the all-low rung of a `/whatif` ladder, and so
+/// the cap of every entry's option catalog.
+pub(crate) const MAX_NODES: u32 = 512;
 
 /// One workload's serving bundle.
 #[derive(Debug)]
@@ -43,6 +50,35 @@ pub struct ModelEntry {
     pub default_units: f64,
     /// Order-sensitive FNV-1a content hash of the serialized bundle.
     pub hash: u64,
+    /// Every option of each model up to [`MAX_NODES`] nodes, evaluated on
+    /// the entry's first compute, so a reload drops it with the entry.
+    catalog: OnceLock<hecmix_core::Result<OptionCatalog>>,
+}
+
+impl ModelEntry {
+    /// The bundle's option catalog, one type per model in bundle order,
+    /// each capped at the 512 nodes a request may span. The first call
+    /// builds it; every table a compute needs is a slice of it.
+    ///
+    /// # Errors
+    /// A bundle whose capped space has no configuration at all.
+    pub fn catalog(&self) -> hecmix_core::Result<&OptionCatalog> {
+        self.catalog
+            .get_or_init(|| {
+                let space = ConfigSpace::new(
+                    self.models
+                        .iter()
+                        .map(|m| TypeBounds {
+                            platform: m.platform.clone(),
+                            max_nodes: MAX_NODES,
+                        })
+                        .collect(),
+                );
+                OptionCatalog::build(&space, &self.models)
+            })
+            .as_ref()
+            .map_err(Clone::clone)
+    }
 }
 
 /// Immutable map from workload name to serving bundle.
@@ -76,6 +112,7 @@ impl ModelStore {
                 models: Arc::new(models),
                 default_units,
                 hash,
+                catalog: OnceLock::new(),
             },
         );
     }
@@ -202,6 +239,16 @@ mod tests {
         assert_eq!(hashes.len(), 1);
         assert!(hashes[0].starts_with("ep:"), "{}", hashes[0]);
         assert_eq!(hashes[0].len(), "ep:".len() + 16);
+    }
+
+    #[test]
+    fn catalog_is_built_once_at_the_request_cap() {
+        let mut store = ModelStore::new();
+        store.insert("ep", pair());
+        let entry = store.get("ep").expect("entry");
+        let catalog = entry.catalog().expect("non-empty space");
+        assert_eq!(catalog.caps(), vec![Some(MAX_NODES); 2]);
+        assert!(std::ptr::eq(catalog, entry.catalog().unwrap()));
     }
 
     #[test]
