@@ -104,9 +104,9 @@ impl BudgetMix {
 
     /// Energy–deadline Pareto frontier of this mix for one workload, via
     /// the streaming pruned sweep — the path every substitution-ladder and
-    /// cluster-scaling rung goes through. `models` may be in any order and
-    /// may contain extra platforms; they are matched to the mix's types by
-    /// platform name (a dropped zero side needs no model).
+    /// cluster-scaling rung goes through. `models` is the `[low, high]`
+    /// pair by position, as in [`Self::catalog_frontier`]; a dropped zero
+    /// side's model goes unused, and anything but two models is an error.
     pub fn frontier(
         &self,
         low: &Platform,
@@ -114,24 +114,18 @@ impl BudgetMix {
         models: &[WorkloadModel],
         w_units: f64,
     ) -> Result<(ParetoFrontier, PruneStats)> {
-        let space = self.config_space(low, high);
-        let space_models: Vec<WorkloadModel> = space
-            .types
+        if models.len() != 2 {
+            return Err(Error::InvalidInput(format!(
+                "a mix needs its [low, high] model pair, got {} models",
+                models.len()
+            )));
+        }
+        let space_models: Vec<WorkloadModel> = models
             .iter()
-            .map(|t| {
-                models
-                    .iter()
-                    .find(|m| m.platform.name == t.platform.name)
-                    .cloned()
-                    .ok_or_else(|| {
-                        Error::InvalidInput(format!(
-                            "no workload model for platform `{}`",
-                            t.platform.name
-                        ))
-                    })
-            })
-            .collect::<Result<_>>()?;
-        stream_frontier_pruned(&space, &space_models, w_units)
+            .zip(self.caps())
+            .filter_map(|(model, cap)| cap.map(|_| model.clone()))
+            .collect();
+        stream_frontier_pruned(&self.config_space(low, high), &space_models, w_units)
     }
 
     /// [`Self::frontier`] with the mix's pruned table sliced from
@@ -377,11 +371,10 @@ mod tests {
         use crate::profile::WorkloadModel;
 
         let (arm, amd) = platforms();
-        // Models deliberately in reverse order and with a surplus entry:
-        // frontier() must match them to the mix's types by platform name.
+        // Models are the `[low, high]` pair, by position.
         let models = vec![
-            WorkloadModel::synthetic_cpu_bound(&amd, "ep", 40.0),
             WorkloadModel::synthetic_cpu_bound(&arm, "ep", 60.0),
+            WorkloadModel::synthetic_cpu_bound(&amd, "ep", 40.0),
         ];
         let mix = BudgetMix {
             low_nodes: 4,
@@ -390,15 +383,64 @@ mod tests {
         let (frontier, stats) = mix.frontier(&arm, &amd, &models, 1e6).unwrap();
         assert!(!frontier.is_empty());
         assert!(stats.evaluated_configs < stats.full_space);
-        // A zero side drops its type and needs no model for it.
+        // A zero side drops its type, and its model goes unused.
         let arm_only = BudgetMix {
             low_nodes: 4,
             high_nodes: 0,
         };
-        let (f, _) = arm_only.frontier(&arm, &amd, &models[1..], 1e6).unwrap();
+        let (f, _) = arm_only.frontier(&arm, &amd, &models, 1e6).unwrap();
         assert!(f.points.iter().all(|p| p.config.types_used() == 1));
         // A missing model is an error, not a panic.
         assert!(mix.frontier(&arm, &amd, &models[..1], 1e6).is_err());
+    }
+
+    #[test]
+    fn mix_frontier_takes_models_by_position_not_name() {
+        use crate::pareto::ParetoFrontier;
+        use crate::profile::WorkloadModel;
+
+        fn bits(f: &ParetoFrontier) -> Vec<(u64, u64, String)> {
+            f.points
+                .iter()
+                .map(|p| {
+                    (
+                        p.time_s.to_bits(),
+                        p.energy_j.to_bits(),
+                        format!("{:?}", p.config),
+                    )
+                })
+                .collect()
+        }
+        let (arm, amd) = platforms();
+        let models = [
+            WorkloadModel::synthetic_cpu_bound(&arm, "ep", 60.0),
+            WorkloadModel::synthetic_cpu_bound(&amd, "ep", 40.0),
+        ];
+        // The same pair, with both platforms under one name.
+        let renamed: Vec<WorkloadModel> = models
+            .iter()
+            .map(|m| {
+                let mut m = m.clone();
+                m.platform.name = "twin".to_owned();
+                m
+            })
+            .collect();
+        let (twin_low, twin_high) = (&renamed[0].platform, &renamed[1].platform);
+        for (low_nodes, high_nodes) in [(4, 3), (4, 0), (0, 3)] {
+            let mix = BudgetMix {
+                low_nodes,
+                high_nodes,
+            };
+            let (want, _) = mix.frontier(&arm, &amd, &models, 1e6).unwrap();
+            let (got, _) = mix.frontier(twin_low, twin_high, &renamed, 1e6).unwrap();
+            assert_eq!(bits(&got), bits(&want), "mix {low_nodes}:{high_nodes}");
+        }
+        let mix = BudgetMix {
+            low_nodes: 4,
+            high_nodes: 3,
+        };
+        let three = [models[0].clone(), models[1].clone(), models[1].clone()];
+        assert!(mix.frontier(&arm, &amd, &three, 1e6).is_err());
     }
 
     #[test]

@@ -430,6 +430,15 @@ pub fn models_hash(models: &[WorkloadModel]) -> u64 {
     h
 }
 
+/// The name a bundle is stored under, without the `.model` extension:
+/// `{workload}-{last word of the platform name, lowercased}`, as in
+/// `ep-k10`. Bundle directories and manifest lines use it.
+#[must_use]
+pub fn bundle_stem(workload: &str, platform: &Platform) -> String {
+    let short = platform.name.split_whitespace().last().unwrap_or("node");
+    format!("{workload}-{}", short.to_lowercase())
+}
+
 /// Write a bundle to a file.
 pub fn save(model: &WorkloadModel, path: &std::path::Path) -> Result<()> {
     std::fs::write(path, to_string(model))

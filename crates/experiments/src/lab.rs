@@ -117,8 +117,8 @@ impl Lab {
             .iter()
             .flat_map(|(name, models)| {
                 models.iter().map(move |m| {
-                    let short = m.platform.name.split_whitespace().last().unwrap_or("node");
-                    format!("{name}-{}:{:016x}", short.to_lowercase(), m.content_hash())
+                    let stem = hecmix_core::persist::bundle_stem(name, &m.platform);
+                    format!("{stem}:{:016x}", m.content_hash())
                 })
             })
             .collect();

@@ -783,8 +783,8 @@ fn run_export_models(lab: &Lab, results_dir: &str) {
     for w in hecmix_workloads::all_workloads() {
         let models = lab.models(w.as_ref());
         for m in models.iter() {
-            let short = m.platform.name.split_whitespace().last().unwrap_or("node");
-            let path = dir.join(format!("{}-{}.model", w.name(), short.to_lowercase()));
+            let stem = hecmix_core::persist::bundle_stem(w.name(), &m.platform);
+            let path = dir.join(format!("{stem}.model"));
             match hecmix_core::persist::save(m, &path) {
                 Ok(()) => {
                     // Round-trip verification before reporting success.

@@ -20,7 +20,9 @@
 //! * [`AppState::route`] — parse and classify, on an I/O thread. Cache
 //!   hits, health/stat reads, and errors are answered immediately
 //!   ([`Routed::Ready`]); a cache miss yields a [`PendingCompute`] that
-//!   the caller hands to the single-flight registry and compute pool.
+//!   the caller hands to the single-flight registry and compute pool. A
+//!   gateway parses a plan request the same way, then yields a
+//!   [`PendingForward`] for the pool instead of reading a cache.
 //! * [`AppState::compute`] — the expensive sweep, on a compute thread.
 //!   The result (a [`CachedPlan`]) is inserted into the sharded LRU so
 //!   every later identical question is a `route`-time hit.
@@ -323,12 +325,6 @@ pub enum RespCtx {
         /// Optional deadline to rank rungs by.
         deadline_ms: Option<f64>,
     },
-    /// `POST /reload` (answered by [`AppState::do_reload`], never by
-    /// [`format_response`]).
-    Reload,
-    /// A gateway-forwarded request: the replica formats the response, the
-    /// gateway only needs the path for telemetry.
-    Proxy(&'static str),
 }
 
 impl RespCtx {
@@ -340,8 +336,6 @@ impl RespCtx {
             Self::Plan { .. } | Self::TailPlan { .. } => "/plan",
             Self::Frontier { .. } => "/frontier",
             Self::Whatif { .. } => "/whatif",
-            Self::Reload => "/reload",
-            Self::Proxy(path) => path,
         }
     }
 }
@@ -380,6 +374,8 @@ impl Routed {
 /// replica will derive, because gateway and replicas share the same model
 /// bundles), which is what the consistent-hash ring routes on.
 pub struct PendingForward {
+    /// The fleet that routed it.
+    pub fleet: Arc<Fleet>,
     /// The routing key: the plan-cache key of this request.
     pub key: u64,
     /// Endpoint path.
@@ -497,22 +493,6 @@ impl AppState {
         state
     }
 
-    /// The fleet, when this daemon is a gateway.
-    #[must_use]
-    pub fn fleet(&self) -> Option<&Arc<Fleet>> {
-        self.fleet.as_ref()
-    }
-
-    /// Forward one validated request through the fleet (gateway mode
-    /// only; blocks through retries/hedges, so the compute pool runs it).
-    #[must_use]
-    pub fn forward(&self, key: u64, path: &'static str, body: &str) -> Response {
-        match &self.fleet {
-            Some(fleet) => fleet.forward(key, path, body),
-            None => Response::error(500, "not a gateway"),
-        }
-    }
-
     /// Configure what `POST /reload` does (rebuild from a directory, a
     /// lab, …). Without one, `/reload` answers 400.
     pub fn set_reload(&self, f: Arc<ReloadFn>) {
@@ -559,13 +539,7 @@ impl AppState {
         match (req.method.as_str(), req.path.as_str()) {
             ("GET", "/healthz") => Routed::ready(self.healthz()),
             ("GET", "/statz") => Routed::ready(self.statz()),
-            ("POST", "/plan" | "/frontier" | "/whatif") => {
-                if self.fleet.is_some() {
-                    self.route_forward(req)
-                } else {
-                    self.route_compute(req)
-                }
-            }
+            ("POST", "/plan" | "/frontier" | "/whatif") => self.route_plan(req),
             ("POST", "/reload") => Routed::Reload,
             ("POST", "/submit") => Routed::ready(self.submit(req)),
             ("GET", "/jobz") => match self.sched() {
@@ -581,18 +555,20 @@ impl AppState {
         }
     }
 
-    fn route_compute(&self, req: &Request) -> Routed {
+    /// Parse a `/plan`, `/frontier` or `/whatif` request and derive its
+    /// plan-cache key. Malformed requests die here, at the edge, so they
+    /// never burn a compute or an upstream attempt. A gateway hands back a
+    /// forward keyed by the cache key and keeps no plan cache of its own:
+    /// the replicas' sharded LRUs *are* the cache, partitioned by that key.
+    /// A replica answers a hit now and hands back a miss for the pool.
+    fn route_plan(&self, req: &Request) -> Routed {
         let t0 = Instant::now();
-        let v = match parse_body(&req.body) {
-            Ok(v) => v,
-            Err(resp) => return Routed::ready(resp),
-        };
         let store = self.store();
-        let parsed = match req.path.as_str() {
+        let parsed = parse_body(&req.body).and_then(|v| match req.path.as_str() {
             "/plan" => parse_plan(&store, &v),
             "/frontier" => parse_frontier(&store, &v),
             _ => parse_whatif(&store, &v),
-        };
+        });
         let (spec, ctx) = match parsed {
             Ok(p) => p,
             Err(resp) => return Routed::ready(resp),
@@ -602,6 +578,14 @@ impl AppState {
             .map(|e| e.hash)
             .unwrap_or_default();
         let key = spec.key(hash);
+        if let Some(fleet) = &self.fleet {
+            return Routed::Forward(PendingForward {
+                fleet: Arc::clone(fleet),
+                key,
+                path: ctx.path(),
+                body: String::from_utf8_lossy(&req.body).into_owned(),
+            });
+        }
         if let Some(hit) = self.cache.get(key) {
             // Elapsed covers parse + lookup only: response serialization
             // costs the same on hits and misses, so including it would
@@ -615,37 +599,6 @@ impl AppState {
             spec,
             store,
             ctx,
-        })
-    }
-
-    /// Gateway-mode routing: validate exactly like [`Self::route_compute`]
-    /// (malformed requests die at the edge, never burn an upstream
-    /// attempt), derive the plan-cache key, and hand back a forward. The
-    /// gateway keeps no plan cache of its own — the replicas' sharded
-    /// LRUs *are* the cache, partitioned by this key.
-    fn route_forward(&self, req: &Request) -> Routed {
-        let v = match parse_body(&req.body) {
-            Ok(v) => v,
-            Err(resp) => return Routed::ready(resp),
-        };
-        let store = self.store();
-        let parsed = match req.path.as_str() {
-            "/plan" => parse_plan(&store, &v),
-            "/frontier" => parse_frontier(&store, &v),
-            _ => parse_whatif(&store, &v),
-        };
-        let (spec, ctx) = match parsed {
-            Ok(p) => p,
-            Err(resp) => return Routed::ready(resp),
-        };
-        let hash = store
-            .get(spec.workload())
-            .map(|e| e.hash)
-            .unwrap_or_default();
-        Routed::Forward(PendingForward {
-            key: spec.key(hash),
-            path: ctx.path(),
-            body: String::from_utf8_lossy(&req.body).into_owned(),
         })
     }
 
@@ -1198,7 +1151,6 @@ pub fn format_response(
             o.u64("compute_us", compute_us);
             Response::json(200, o.finish())
         }
-        RespCtx::Reload | RespCtx::Proxy(_) => Response::error(500, "not a formatted compute"),
     }
 }
 

@@ -1,31 +1,19 @@
-//! Seeded chaos injection for the replica fleet.
+//! Seeded replica crashes for the fleet.
 //!
 //! Robustness claims are only worth what their experiments can reproduce,
 //! so fault injection here follows the PR-2 `FaultSchedule` design: a
 //! [`ChaosSchedule`] is **data, not randomness at run time**. The builder
-//! records impairment windows (kill, connection reset, fixed/bimodal
-//! delay, black-hole) at fixed offsets from an epoch; the only use of the
-//! seed is to pick deterministically *which* connections land on the slow
-//! mode of a bimodal window. Two runs with the same seed and the same
-//! builder calls produce byte-identical schedules ([`ChaosSchedule::to_json`]
-//! is embedded in `BENCH_fleet.json` precisely so the artifact proves it).
+//! records kills at fixed offsets from an epoch, and the schedule carries
+//! the run's seed. Two runs with the same seed and the same builder calls
+//! produce byte-identical schedules ([`ChaosSchedule::to_json`] is
+//! embedded in `BENCH_fleet.json` precisely so the artifact proves it).
 //!
 //! A [`ChaosProxy`] sits between the gateway and one replica as a plain
-//! TCP forwarder and applies whatever windows are active at each moment:
-//!
-//! * `kill` — new connections are closed at accept and existing pumps cut,
-//!   so the replica looks dead (probes fail, in-flight forwards error);
-//! * `conn_reset` — new connections die at accept, established ones live;
-//! * `delay` / `bimodal_delay` — upstream bytes are held back before
-//!   relaying (the bimodal form makes every `slow_nth`-th connection much
-//!   slower, which is the tail shape hedging exists to beat);
-//! * `black_hole` — upstream bytes are swallowed entirely (the client
-//!   sees a connected-but-silent peer, the worst failure mode for naive
-//!   timeouts).
-//!
-//! The proxy re-evaluates windows per relayed chunk, so an impairment can
-//! start and end in the middle of a keep-alive connection — a restart is
-//! simply the end of a kill window.
+//! TCP forwarder. Once a kill of its replica starts, it closes new
+//! connections at accept and cuts the ones it is relaying, so the replica
+//! looks dead: probes fail and in-flight forwards error. A kill never
+//! ends. The proxy checks the schedule per relayed chunk, so a kill lands
+//! in the middle of a keep-alive connection.
 
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -36,84 +24,15 @@ use std::time::{Duration, Instant};
 
 use hecmix_obs::json::Object;
 
-use crate::router::splitmix64;
 use crate::server::accept_until;
 
-/// One impairment mode.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ChaosKind {
-    /// Replica appears dead: connections refused, existing ones cut.
-    Kill,
-    /// New connections are reset immediately after accept.
-    ConnReset,
-    /// Every relayed upstream chunk is held back by `ms`.
-    Delay {
-        /// Added latency, milliseconds.
-        ms: u64,
-    },
-    /// Every `slow_nth`-th connection (seed-selected) gets `slow_ms` of
-    /// added latency per chunk; the rest get `fast_ms`.
-    BimodalDelay {
-        /// Added latency on fast-mode connections, milliseconds.
-        fast_ms: u64,
-        /// Added latency on slow-mode connections, milliseconds.
-        slow_ms: u64,
-        /// One in `slow_nth` connections is slow.
-        slow_nth: u32,
-    },
-    /// Upstream bytes are swallowed; the client sees silence.
-    BlackHole,
-}
-
-impl ChaosKind {
-    fn name(self) -> &'static str {
-        match self {
-            Self::Kill => "kill",
-            Self::ConnReset => "conn_reset",
-            Self::Delay { .. } => "delay",
-            Self::BimodalDelay { .. } => "bimodal_delay",
-            Self::BlackHole => "black_hole",
-        }
-    }
-}
-
-/// One scheduled impairment window `[from_s, to_s)` on one replica,
-/// offsets in seconds from the run epoch.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ChaosEvent {
-    /// Replica index the window applies to.
-    pub replica: usize,
-    /// Window start, seconds from epoch.
-    pub from_s: f64,
-    /// Window end, seconds from epoch (`f64::INFINITY` = never ends).
-    pub to_s: f64,
-    /// The impairment.
-    pub kind: ChaosKind,
-}
-
-impl ChaosEvent {
-    fn active(&self, replica: usize, elapsed_s: f64) -> bool {
-        self.replica == replica && elapsed_s >= self.from_s && elapsed_s < self.to_s
-    }
-}
-
-/// A deterministic, seeded schedule of chaos windows. Built once, shared
+/// A deterministic, seeded schedule of replica kills. Built once, shared
 /// (via `Arc`) by every [`ChaosProxy`] of a run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChaosSchedule {
     seed: u64,
-    events: Vec<ChaosEvent>,
-}
-
-fn assert_window(from_s: f64, to_s: f64) {
-    assert!(
-        from_s.is_finite() && from_s >= 0.0,
-        "chaos window start must be finite and non-negative"
-    );
-    assert!(
-        to_s > from_s,
-        "chaos window must end after it starts ({from_s}..{to_s})"
-    );
+    /// `(replica, at_s)` per kill, in builder order.
+    kills: Vec<(usize, f64)>,
 }
 
 impl ChaosSchedule {
@@ -122,198 +41,49 @@ impl ChaosSchedule {
     pub fn new(seed: u64) -> Self {
         Self {
             seed,
-            events: Vec::new(),
+            kills: Vec::new(),
         }
     }
 
-    /// The schedule's seed.
-    #[must_use]
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// Scheduled windows, in builder order.
-    #[must_use]
-    pub fn events(&self) -> &[ChaosEvent] {
-        &self.events
-    }
-
-    /// Kill `replica` at `at_s`, forever (no restart).
-    #[must_use]
-    pub fn kill(self, replica: usize, at_s: f64) -> Self {
-        self.kill_between(replica, at_s, f64::INFINITY)
-    }
-
-    /// Kill `replica` during `[from_s, to_s)`; the window's end is the
-    /// restart.
-    #[must_use]
-    pub fn kill_between(mut self, replica: usize, from_s: f64, to_s: f64) -> Self {
-        assert_window(from_s, to_s);
-        self.events.push(ChaosEvent {
-            replica,
-            from_s,
-            to_s,
-            kind: ChaosKind::Kill,
-        });
-        self
-    }
-
-    /// Reset new connections to `replica` during `[from_s, to_s)`.
-    #[must_use]
-    pub fn conn_reset(mut self, replica: usize, from_s: f64, to_s: f64) -> Self {
-        assert_window(from_s, to_s);
-        self.events.push(ChaosEvent {
-            replica,
-            from_s,
-            to_s,
-            kind: ChaosKind::ConnReset,
-        });
-        self
-    }
-
-    /// Add `ms` of latency to `replica`'s responses during `[from_s, to_s)`.
-    #[must_use]
-    pub fn delay(mut self, replica: usize, from_s: f64, to_s: f64, ms: u64) -> Self {
-        assert_window(from_s, to_s);
-        self.events.push(ChaosEvent {
-            replica,
-            from_s,
-            to_s,
-            kind: ChaosKind::Delay { ms },
-        });
-        self
-    }
-
-    /// Bimodal latency on `replica` during `[from_s, to_s)`: one in
-    /// `slow_nth` connections (picked by the seed) gets `slow_ms`, the
-    /// rest `fast_ms`.
+    /// Kill `replica` at `at_s` seconds from the epoch, forever (no
+    /// restart).
     ///
     /// # Panics
-    /// Panics if `slow_nth` is zero or the window is malformed.
+    /// Panics if `at_s` is negative or not finite.
     #[must_use]
-    pub fn bimodal_delay(
-        mut self,
-        replica: usize,
-        from_s: f64,
-        to_s: f64,
-        fast_ms: u64,
-        slow_ms: u64,
-        slow_nth: u32,
-    ) -> Self {
-        assert_window(from_s, to_s);
-        assert!(slow_nth > 0, "slow_nth must be at least 1");
-        self.events.push(ChaosEvent {
-            replica,
-            from_s,
-            to_s,
-            kind: ChaosKind::BimodalDelay {
-                fast_ms,
-                slow_ms,
-                slow_nth,
-            },
-        });
+    pub fn kill(mut self, replica: usize, at_s: f64) -> Self {
+        assert!(
+            at_s.is_finite() && at_s >= 0.0,
+            "chaos kill offset must be finite and non-negative"
+        );
+        self.kills.push((replica, at_s));
         self
     }
 
-    /// Swallow `replica`'s responses during `[from_s, to_s)`.
-    #[must_use]
-    pub fn black_hole(mut self, replica: usize, from_s: f64, to_s: f64) -> Self {
-        assert_window(from_s, to_s);
-        self.events.push(ChaosEvent {
-            replica,
-            from_s,
-            to_s,
-            kind: ChaosKind::BlackHole,
-        });
-        self
-    }
-
-    /// Is a kill window active for `replica` at `elapsed_s`?
+    /// Is `replica` killed at `elapsed_s`?
     #[must_use]
     pub fn kill_active(&self, replica: usize, elapsed_s: f64) -> bool {
-        self.events
+        self.kills
             .iter()
-            .any(|e| e.kind == ChaosKind::Kill && e.active(replica, elapsed_s))
+            .any(|&(r, at_s)| r == replica && elapsed_s >= at_s)
     }
 
-    fn reset_active(&self, replica: usize, elapsed_s: f64) -> bool {
-        self.events
-            .iter()
-            .any(|e| e.kind == ChaosKind::ConnReset && e.active(replica, elapsed_s))
-    }
-
-    fn black_hole_active(&self, replica: usize, elapsed_s: f64) -> bool {
-        self.events
-            .iter()
-            .any(|e| e.kind == ChaosKind::BlackHole && e.active(replica, elapsed_s))
-    }
-
-    /// Whether connection number `conn` lands on the slow mode of a
-    /// bimodal window with `slow_nth`. Pure function of (seed, conn), so
-    /// two runs with the same seed slow the same connections.
-    #[must_use]
-    pub fn slow_conn(&self, conn: u64, slow_nth: u32) -> bool {
-        splitmix64(self.seed ^ conn).is_multiple_of(u64::from(slow_nth))
-    }
-
-    /// Added latency for connection `conn` of `replica` at `elapsed_s`:
-    /// the maximum over all active delay windows.
-    #[must_use]
-    pub fn delay_ms(&self, replica: usize, elapsed_s: f64, conn: u64) -> u64 {
-        self.events
-            .iter()
-            .filter(|e| e.active(replica, elapsed_s))
-            .map(|e| match e.kind {
-                ChaosKind::Delay { ms } => ms,
-                ChaosKind::BimodalDelay {
-                    fast_ms,
-                    slow_ms,
-                    slow_nth,
-                } => {
-                    if self.slow_conn(conn, slow_nth) {
-                        slow_ms
-                    } else {
-                        fast_ms
-                    }
-                }
-                _ => 0,
-            })
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// The expanded schedule as one JSON object — embedded in
-    /// `BENCH_fleet.json` so a run's artifact carries the exact fault
-    /// script it survived (byte-identical per seed + builder calls).
+    /// The schedule as one JSON object — embedded in `BENCH_fleet.json`
+    /// so a run's artifact carries the exact fault script it survived
+    /// (byte-identical per seed + builder calls).
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut o = Object::new();
         o.u64("seed", self.seed);
         let mut events = String::from("[");
-        for (i, e) in self.events.iter().enumerate() {
+        for (i, &(replica, at_s)) in self.kills.iter().enumerate() {
             if i > 0 {
                 events.push(',');
             }
             let mut eo = Object::new();
-            eo.u64("replica", e.replica as u64);
-            eo.str("kind", e.kind.name());
-            eo.f64("from_s", e.from_s);
-            if e.to_s.is_finite() {
-                eo.f64("to_s", e.to_s);
-            }
-            match e.kind {
-                ChaosKind::Delay { ms } => eo.u64("ms", ms),
-                ChaosKind::BimodalDelay {
-                    fast_ms,
-                    slow_ms,
-                    slow_nth,
-                } => {
-                    eo.u64("fast_ms", fast_ms);
-                    eo.u64("slow_ms", slow_ms);
-                    eo.u64("slow_nth", u64::from(slow_nth));
-                }
-                _ => {}
-            }
+            eo.u64("replica", replica as u64);
+            eo.str("kind", "kill");
+            eo.f64("from_s", at_s);
             events.push_str(&eo.finish());
         }
         events.push(']');
@@ -322,12 +92,12 @@ impl ChaosSchedule {
     }
 }
 
-/// How often pump threads re-check stop flags and chaos windows while a
+/// How often pump threads re-check stop flags and the schedule while a
 /// socket is quiet.
 const PUMP_TICK: Duration = Duration::from_millis(25);
 
 /// An in-process chaos proxy fronting one replica: a TCP forwarder that
-/// applies the schedule's active windows for its replica index.
+/// goes dark once the schedule kills its replica.
 pub struct ChaosProxy {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
@@ -337,8 +107,8 @@ pub struct ChaosProxy {
 }
 
 impl ChaosProxy {
-    /// Bind an ephemeral local port and forward connections to `upstream`,
-    /// impaired per `schedule` for `replica`, with windows measured from
+    /// Bind an ephemeral local port and forward connections to `upstream`
+    /// until `schedule` kills `replica`, with kill offsets measured from
     /// `epoch`.
     ///
     /// # Errors
@@ -398,22 +168,18 @@ fn accept_loop(
     epoch: Instant,
     stop: &Arc<AtomicBool>,
 ) {
-    let mut conn_no = 0u64;
     accept_until(
         listener,
         poller,
         || stop.load(Ordering::Relaxed),
         |client| {
-            let conn = conn_no;
-            conn_no += 1;
-            let elapsed = epoch.elapsed().as_secs_f64();
-            if schedule.kill_active(replica, elapsed) || schedule.reset_active(replica, elapsed) {
+            if schedule.kill_active(replica, epoch.elapsed().as_secs_f64()) {
                 // Closing immediately after accept is the client-visible
                 // "reset": the in-flight request dies with a broken read.
                 return;
             }
             if let Ok(server) = TcpStream::connect_timeout(&upstream, Duration::from_millis(500)) {
-                spawn_pumps(replica, conn, client, server, schedule, epoch, stop);
+                spawn_pumps(replica, client, server, schedule, epoch, stop);
             }
         },
     );
@@ -421,10 +187,9 @@ fn accept_loop(
 
 /// Two relay threads per connection (client→upstream and upstream→client).
 /// They are detached: each exits within one [`PUMP_TICK`] of the stop flag,
-/// a kill window, or either side closing (`Shutdown::Both` cuts the twin).
+/// a kill, or either side closing (`Shutdown::Both` cuts the twin).
 fn spawn_pumps(
     replica: usize,
-    conn: u64,
     client: TcpStream,
     server: TcpStream,
     schedule: &Arc<ChaosSchedule>,
@@ -436,64 +201,32 @@ fn spawn_pumps(
     let (Ok(client_r), Ok(server_r)) = (client.try_clone(), server.try_clone()) else {
         return;
     };
-    {
-        // client → upstream: plain relay, cut on kill.
+    for (dir, from, to) in [("c2u", client_r, server), ("u2c", server_r, client)] {
         let (schedule, stop) = (Arc::clone(schedule), Arc::clone(stop));
         let _ = std::thread::Builder::new()
-            .name(format!("chaos-c2u-{replica}"))
-            .spawn(move || {
-                pump(
-                    &schedule, replica, conn, epoch, &stop, client_r, server, false,
-                );
-            });
-    }
-    {
-        // upstream → client: the impaired direction (delay, black-hole).
-        let (schedule, stop) = (Arc::clone(schedule), Arc::clone(stop));
-        let _ = std::thread::Builder::new()
-            .name(format!("chaos-u2c-{replica}"))
-            .spawn(move || {
-                pump(
-                    &schedule, replica, conn, epoch, &stop, server_r, client, true,
-                );
-            });
+            .name(format!("chaos-{dir}-{replica}"))
+            .spawn(move || pump(&schedule, replica, epoch, &stop, from, to));
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Relay `from` to `to` until either side closes, the proxy stops, or the
+/// schedule kills `replica`.
 fn pump(
     schedule: &ChaosSchedule,
     replica: usize,
-    conn: u64,
     epoch: Instant,
     stop: &AtomicBool,
     mut from: TcpStream,
     mut to: TcpStream,
-    impaired: bool,
 ) {
     let _ = from.set_read_timeout(Some(PUMP_TICK));
     let mut chunk = [0u8; 4096];
-    loop {
-        if stop.load(Ordering::Relaxed) {
-            break;
-        }
-        let elapsed = epoch.elapsed().as_secs_f64();
-        if schedule.kill_active(replica, elapsed) {
-            break;
-        }
+    while !stop.load(Ordering::Relaxed)
+        && !schedule.kill_active(replica, epoch.elapsed().as_secs_f64())
+    {
         match from.read(&mut chunk) {
             Ok(0) => break,
             Ok(n) => {
-                if impaired {
-                    let elapsed = epoch.elapsed().as_secs_f64();
-                    if schedule.black_hole_active(replica, elapsed) {
-                        continue; // swallowed
-                    }
-                    let ms = schedule.delay_ms(replica, elapsed, conn);
-                    if ms > 0 {
-                        std::thread::sleep(Duration::from_millis(ms));
-                    }
-                }
                 if to.write_all(&chunk[..n]).is_err() {
                     break;
                 }
@@ -514,28 +247,12 @@ fn pump(
 mod tests {
     use super::*;
 
-    fn sample_schedule(seed: u64) -> ChaosSchedule {
-        ChaosSchedule::new(seed)
-            .kill_between(1, 2.0, 3.5)
-            .conn_reset(0, 0.5, 0.75)
-            .delay(2, 1.0, 4.0, 30)
-            .bimodal_delay(0, 1.0, 2.0, 1, 80, 4)
-            .black_hole(2, 5.0, 6.0)
-    }
-
     #[test]
-    fn schedule_replays_bit_identically_per_seed() {
-        assert_eq!(sample_schedule(42).to_json(), sample_schedule(42).to_json());
-        assert_ne!(sample_schedule(42).to_json(), sample_schedule(43).to_json());
-    }
-
-    #[test]
-    fn windows_are_half_open_and_per_replica() {
-        let s = ChaosSchedule::new(7).kill_between(1, 2.0, 3.0);
+    fn kill_starts_at_its_offset_on_its_replica_only() {
+        let s = ChaosSchedule::new(7).kill(1, 2.0);
         assert!(!s.kill_active(1, 1.99));
         assert!(s.kill_active(1, 2.0));
         assert!(s.kill_active(1, 2.99));
-        assert!(!s.kill_active(1, 3.0), "restart at window end");
         assert!(!s.kill_active(0, 2.5), "other replicas untouched");
     }
 
@@ -546,39 +263,16 @@ mod tests {
     }
 
     #[test]
-    fn bimodal_selection_is_deterministic_and_seed_dependent() {
-        let a = ChaosSchedule::new(1);
-        let b = ChaosSchedule::new(1);
-        let c = ChaosSchedule::new(2);
-        let slow_a: Vec<bool> = (0..64).map(|n| a.slow_conn(n, 4)).collect();
-        let slow_b: Vec<bool> = (0..64).map(|n| b.slow_conn(n, 4)).collect();
-        let slow_c: Vec<bool> = (0..64).map(|n| c.slow_conn(n, 4)).collect();
-        assert_eq!(slow_a, slow_b, "same seed, same slow connections");
-        assert_ne!(slow_a, slow_c, "different seed reshuffles the slow set");
-        let slow_count = slow_a.iter().filter(|&&s| s).count();
-        assert!(
-            (4..=28).contains(&slow_count),
-            "roughly 1-in-4 slow, got {slow_count}/64"
+    fn kill_schedule_json_is_pinned() {
+        // `BENCH_fleet.json` embeds this object, so its bytes are part of
+        // the artifact: the seed, then each kill with no end.
+        assert_eq!(
+            ChaosSchedule::new(42).kill(1, 2.0).to_json(),
+            r#"{"seed":42,"events":[{"replica":1,"kind":"kill","from_s":2.0}]}"#
         );
-    }
-
-    #[test]
-    fn delay_takes_the_worst_active_window() {
-        let s = ChaosSchedule::new(0)
-            .delay(0, 0.0, 10.0, 20)
-            .delay(0, 5.0, 10.0, 50);
-        assert_eq!(s.delay_ms(0, 1.0, 0), 20);
-        assert_eq!(s.delay_ms(0, 6.0, 0), 50);
-        assert_eq!(s.delay_ms(0, 11.0, 0), 0);
-        assert_eq!(s.delay_ms(1, 6.0, 0), 0);
-    }
-
-    #[test]
-    fn to_json_names_every_kind() {
-        let j = sample_schedule(9).to_json();
-        for kind in ["kill", "conn_reset", "delay", "bimodal_delay", "black_hole"] {
-            assert!(j.contains(kind), "{kind} missing from {j}");
-        }
-        assert!(!j.contains("inf"), "infinite windows must omit to_s: {j}");
+        assert_eq!(
+            ChaosSchedule::new(9).kill(0, 0.5).kill(2, 3.25).to_json(),
+            r#"{"seed":9,"events":[{"replica":0,"kind":"kill","from_s":0.5},{"replica":2,"kind":"kill","from_s":3.25}]}"#
+        );
     }
 }

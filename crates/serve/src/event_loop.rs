@@ -35,9 +35,9 @@ use std::time::{Duration, Instant};
 
 use hecmix_obs::{emit, Event};
 
-use crate::api::{PendingCompute, PendingForward, RespCtx, Routed};
+use crate::api::{PendingCompute, Routed};
 use crate::http::{self, Response};
-use crate::server::{Job, Msg, Shared, Waiter};
+use crate::server::{FlightWaiter, Job, Msg, Shared, Waiter};
 
 /// How often the idle sweep runs.
 const SWEEP_EVERY: Duration = Duration::from_millis(500);
@@ -330,127 +330,75 @@ impl IoLoop<'_> {
             let path = req.path.clone();
             emit(move || Event::RequestStart { path, queue_depth });
         }
+        let shared = self.shared;
         match state.route(req) {
             Routed::Ready { resp, cached } => {
                 state.record_done(self.idx, &req.path, &resp, start.elapsed(), cached);
                 self.send(token, resp, draining);
             }
-            Routed::Compute(pc) => {
-                if draining {
-                    self.shed_now(token, start, pc.ctx.path(), draining);
-                    return;
-                }
+            Routed::Compute(pc) => self.park(token, start, pc.ctx.path(), draining, |waiter| {
+                // A miss joins its key's single flight, and only the
+                // flight's leader queues the compute.
                 let PendingCompute {
                     key,
                     spec,
                     store,
                     ctx,
                 } = pc;
-                let path = ctx.path();
-                let waiter_store = Arc::clone(&store);
-                let (idx, loop_token) = (self.idx, token);
-                let is_leader = self.shared.flight.join_with(key, move |leader| Waiter {
-                    loop_idx: idx,
-                    token: loop_token,
+                let path = waiter.path;
+                let flight_store = Arc::clone(&store);
+                let leader = shared.flight.join_with(key, |leader| FlightWaiter {
+                    waiter,
                     ctx,
-                    store: waiter_store,
-                    start,
+                    store: flight_store,
                     coalesced: !leader,
                 });
-                if is_leader {
-                    let job = Job::Compute {
-                        key,
-                        spec,
-                        store,
-                        enqueued: Instant::now(),
-                    };
-                    match self.shared.jobs.push(job) {
-                        Ok(()) => {
-                            state
-                                .metrics
-                                .queue_depth
-                                .store(self.shared.jobs.depth(), Ordering::Relaxed);
-                        }
-                        Err(_) => {
-                            // Backpressure: fail the flight we just opened
-                            // (it holds only this request) via the mailbox.
-                            for waiter in self.shared.flight.complete(key) {
-                                self.shared.shed(waiter, "compute queue full");
-                            }
-                        }
-                    }
-                } else {
-                    state.metrics.coalesced.fetch_add(1, Ordering::Relaxed);
-                    emit(|| Event::RequestCoalesced {
-                        path: path.to_owned(),
-                        key,
-                    });
+                if leader {
+                    return Some(Job::Compute { key, spec, store });
                 }
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    conn.busy = true;
-                }
-            }
-            Routed::Forward(pf) => {
-                if draining {
-                    self.shed_now(token, start, pf.path, draining);
-                    return;
-                }
-                let PendingForward { key, path, body } = pf;
-                let waiter = Waiter {
-                    loop_idx: self.idx,
-                    token,
-                    ctx: RespCtx::Proxy(path),
-                    store: state.store(),
-                    start,
-                    coalesced: false,
-                };
-                let job = Job::Forward {
-                    waiter,
+                state.metrics.coalesced.fetch_add(1, Ordering::Relaxed);
+                emit(|| Event::RequestCoalesced {
+                    path: path.to_owned(),
                     key,
-                    body,
-                    enqueued: Instant::now(),
-                };
-                if let Err(job) = self.shared.jobs.push(job) {
-                    if let Job::Forward { waiter, .. } = job {
-                        self.shared.shed(waiter, "compute queue full");
-                    }
-                } else {
-                    state
-                        .metrics
-                        .queue_depth
-                        .store(self.shared.jobs.depth(), Ordering::Relaxed);
-                }
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    conn.busy = true;
-                }
-            }
-            Routed::Reload => {
-                if draining {
-                    self.shed_now(token, start, "/reload", draining);
-                    return;
-                }
-                let waiter = Waiter {
-                    loop_idx: self.idx,
-                    token,
-                    ctx: RespCtx::Reload,
-                    store: state.store(),
-                    start,
-                    coalesced: false,
-                };
-                if let Err(job) = self.shared.jobs.push(Job::Reload { waiter }) {
-                    if let Job::Reload { waiter } = job {
-                        self.shared.shed(waiter, "compute queue full");
-                    }
-                } else {
-                    state
-                        .metrics
-                        .queue_depth
-                        .store(self.shared.jobs.depth(), Ordering::Relaxed);
-                }
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    conn.busy = true;
-                }
-            }
+                });
+                None
+            }),
+            Routed::Forward(pf) => self.park(token, start, pf.path, draining, |waiter| {
+                Some(Job::Forward(waiter, pf))
+            }),
+            Routed::Reload => self.park(token, start, "/reload", draining, |waiter| {
+                Some(Job::Reload(waiter))
+            }),
+        }
+    }
+
+    /// Park a request bound for the compute pool until its answer comes
+    /// back through the mailbox: hand its waiter to `job`, and queue the
+    /// job that returns (none for a compute follower). During drain it is
+    /// shed at once instead.
+    fn park(
+        &mut self,
+        token: usize,
+        start: Instant,
+        path: &'static str,
+        draining: bool,
+        job: impl FnOnce(Waiter) -> Option<Job>,
+    ) {
+        if draining {
+            self.shed_now(token, start, path, draining);
+            return;
+        }
+        let waiter = Waiter {
+            loop_idx: self.idx,
+            token,
+            path,
+            start,
+        };
+        if let Some(job) = job(waiter) {
+            self.shared.enqueue(job);
+        }
+        if let Some(conn) = self.conns.get_mut(&token) {
+            conn.busy = true;
         }
     }
 

@@ -903,7 +903,7 @@ impl Fleet {
     /// displaced key, the cold-start cliff is officially closed — record
     /// the failover→rehit time.
     fn check_rehit(&self, key: u64, body: &str) {
-        if !body.contains("\"cached\":true") {
+        if !answered_from_cache(body) {
             return;
         }
         let mut watch = self.rehit.lock().expect("rehit watch poisoned");
@@ -999,6 +999,12 @@ impl Fleet {
         o.raw("members", &rows);
         o.finish()
     }
+}
+
+/// Whether a replica's answer `body` came from its plan cache. The
+/// gateway keeps no cache, so this is how it learns a forward was a hit.
+pub(crate) fn answered_from_cache(body: &str) -> bool {
+    body.contains("\"cached\":true")
 }
 
 /// One blocking HTTP exchange on a fresh connection, closed afterwards

@@ -50,10 +50,10 @@
 //! breakers, bounded jittered retries that honor `Retry-After`, hedged
 //! requests after an adaptive p95 delay, and failover re-warm of a dead
 //! replica's hot keys. Robustness is proven, not asserted: a seeded
-//! [`chaos`] schedule drives an in-process TCP proxy that injects
-//! connection resets, delays, black-holes, and kill windows
-//! deterministically, and [`fleetbench`] scripts a replica crash under
-//! load while gating on zero client-visible errors.
+//! [`chaos`] schedule of replica kills drives an in-process TCP proxy
+//! that makes a replica look dead at a fixed offset, and [`fleetbench`]
+//! scripts such a crash under load while gating on zero client-visible
+//! errors.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

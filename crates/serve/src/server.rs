@@ -40,8 +40,10 @@
 //!   affecting the rest of the flight.
 //! * The **compute pool** pulls from a bounded job queue (a full queue
 //!   503s the whole flight immediately — backpressure, not backlog) and
-//!   sheds jobs that waited past `queue_deadline`. `POST /reload` runs
-//!   here too, so a model rebuild + cache warm never stalls an I/O loop.
+//!   sheds jobs that waited past `queue_deadline`, through the same
+//!   `Shared::shed`. `POST /reload` runs here too, so a model rebuild +
+//!   cache warm never stalls an I/O loop, and so does a gateway's forward,
+//!   which blocks through retries and hedges.
 //! * **Shutdown** is a relaxed [`AtomicBool`] plus a wakeup broadcast: the
 //!   accept thread closes the listener, I/O loops answer whatever is
 //!   parsed or in flight (with `Connection: close`), shed new computes,
@@ -59,7 +61,8 @@ use std::time::{Duration, Instant};
 
 use hecmix_obs::{emit, Event};
 
-use crate::api::{self, AppState, ComputeSpec, RespCtx};
+use crate::api::{self, AppState, ComputeSpec, PendingForward, RespCtx};
+use crate::fleet;
 use crate::http::Response;
 use crate::singleflight::SingleFlight;
 use crate::store::ModelStore;
@@ -153,15 +156,22 @@ impl Mailbox {
     }
 }
 
-/// A request parked while its compute is in flight: where to deliver the
-/// answer and how to format it. Holds no socket — delivery to a token
-/// whose connection has since closed is a no-op.
+/// A request parked on the compute pool: where to deliver its answer.
+/// Holds no socket — delivery to a token whose connection has since
+/// closed is a no-op.
 pub(crate) struct Waiter {
     pub(crate) loop_idx: usize,
     pub(crate) token: usize,
+    pub(crate) path: &'static str,
+    pub(crate) start: Instant,
+}
+
+/// A waiter on a compute flight, with what it needs to format the
+/// flight's one plan as its own answer.
+pub(crate) struct FlightWaiter {
+    pub(crate) waiter: Waiter,
     pub(crate) ctx: RespCtx,
     pub(crate) store: Arc<ModelStore>,
-    pub(crate) start: Instant,
     pub(crate) coalesced: bool,
 }
 
@@ -173,23 +183,18 @@ pub(crate) enum Job {
         key: u64,
         spec: ComputeSpec,
         store: Arc<ModelStore>,
-        enqueued: Instant,
     },
     /// A model reload + cache warm, answered to one waiter.
-    Reload { waiter: Waiter },
+    Reload(Waiter),
     /// Gateway mode: forward one request through the fleet (blocking
     /// through retries and hedges), answered to one waiter.
-    Forward {
-        waiter: Waiter,
-        key: u64,
-        body: String,
-        enqueued: Instant,
-    },
+    Forward(Waiter, PendingForward),
 }
 
-/// Bounded MPMC job queue for the compute pool.
+/// Bounded MPMC job queue for the compute pool; each job carries the
+/// instant it was queued.
 pub(crate) struct JobQueue {
-    q: Mutex<VecDeque<Job>>,
+    q: Mutex<VecDeque<(Job, Instant)>>,
     cv: Condvar,
     capacity: usize,
 }
@@ -207,21 +212,22 @@ impl JobQueue {
     // The large Err is the point: a shed job returns to the caller so the
     // waiter inside it can be answered 503 — boxing would be pure churn.
     #[allow(clippy::result_large_err)]
-    pub(crate) fn push(&self, job: Job) -> Result<(), Job> {
+    fn push(&self, job: Job) -> Result<(), Job> {
         let mut q = self.q.lock().expect("job queue poisoned");
         if q.len() >= self.capacity {
             return Err(job);
         }
-        q.push_back(job);
+        q.push_back((job, Instant::now()));
         drop(q);
         self.cv.notify_one();
         Ok(())
     }
 
-    /// Dequeue the next job; `None` once shutdown is flagged **and** the
-    /// queue is empty (pop-before-check, so jobs pushed right before the
-    /// flag are still drained and no waiter is stranded).
-    fn pop(&self, shutdown: &AtomicBool) -> Option<Job> {
+    /// Dequeue the next job and when it was queued; `None` once shutdown
+    /// is flagged **and** the queue is empty (pop-before-check, so jobs
+    /// pushed right before the flag are still drained and no waiter is
+    /// stranded).
+    fn pop(&self, shutdown: &AtomicBool) -> Option<(Job, Instant)> {
         let mut q = self.q.lock().expect("job queue poisoned");
         loop {
             if let Some(job) = q.pop_front() {
@@ -253,7 +259,7 @@ impl JobQueue {
 pub(crate) struct Shared {
     pub(crate) config: ServeConfig,
     pub(crate) state: Arc<AppState>,
-    pub(crate) flight: SingleFlight<Waiter>,
+    pub(crate) flight: SingleFlight<FlightWaiter>,
     pub(crate) jobs: JobQueue,
     pub(crate) loops: Vec<Mailbox>,
     /// Wakes the accept thread out of its wait on the listener.
@@ -267,28 +273,53 @@ impl Shared {
     }
 
     /// Route a finished response back to the waiter's I/O loop.
-    pub(crate) fn deliver(&self, waiter: Waiter, resp: Response, cached: bool) {
+    fn deliver(&self, waiter: Waiter, resp: Response, cached: bool) {
         self.loops[waiter.loop_idx].send(Msg::Response {
             token: waiter.token,
             resp,
             start: waiter.start,
-            path: waiter.ctx.path(),
+            path: waiter.path,
             cached,
         });
     }
 
-    /// Shed one waiter with a 503 (queue full, queue deadline, or drain).
-    pub(crate) fn shed(&self, waiter: Waiter, why: &str) {
-        self.state.metrics.rejected.fetch_add(1, Ordering::Relaxed);
+    /// Queue `job` for the pool. A full queue sheds it at once:
+    /// backpressure, not backlog.
+    pub(crate) fn enqueue(&self, job: Job) {
+        match self.jobs.push(job) {
+            Ok(()) => self
+                .state
+                .metrics
+                .queue_depth
+                .store(self.jobs.depth(), Ordering::Relaxed),
+            Err(job) => self.shed(job, "compute queue full"),
+        }
+    }
+
+    /// Answer every waiter of `job` with a 503 `why`: a compute's whole
+    /// flight, or the one waiter of a reload or a forward.
+    fn shed(&self, job: Job, why: &str) {
+        let waiters = match job {
+            Job::Compute { key, .. } => self
+                .flight
+                .complete(key)
+                .into_iter()
+                .map(|f| f.waiter)
+                .collect(),
+            Job::Reload(waiter) | Job::Forward(waiter, _) => vec![waiter],
+        };
         let retry_after_s = self.config.retry_after_s;
-        let queue_depth = self.jobs.depth();
-        emit(|| Event::RequestRejected {
-            queue_depth,
-            retry_after_s,
-        });
-        let mut resp = Response::error(503, why);
-        resp.retry_after_s = Some(retry_after_s);
-        self.deliver(waiter, resp, false);
+        for waiter in waiters {
+            self.state.metrics.rejected.fetch_add(1, Ordering::Relaxed);
+            let queue_depth = self.jobs.depth();
+            emit(|| Event::RequestRejected {
+                queue_depth,
+                retry_after_s,
+            });
+            let mut resp = Response::error(503, why);
+            resp.retry_after_s = Some(retry_after_s);
+            self.deliver(waiter, resp, false);
+        }
     }
 }
 
@@ -503,73 +534,57 @@ fn reject(mut stream: TcpStream, shared: &Shared) {
 /// One compute-pool thread: pull jobs until shutdown *and* empty, compute
 /// once per flight, fan the result out to every parked waiter.
 fn compute_loop(shared: &Shared) {
-    while let Some(job) = shared.jobs.pop(&shared.shutdown) {
+    while let Some((job, enqueued)) = shared.jobs.pop(&shared.shutdown) {
         shared
             .state
             .metrics
             .queue_depth
             .store(shared.jobs.depth(), Ordering::Relaxed);
+        // Stale work: its clients have waited past the deadline, so shed it
+        // rather than burn a sweep or an upstream attempt on it. A reload
+        // is never stale, and during drain nothing is: answering parked
+        // waiters beats 503ing them on the way out.
+        let stale = match job {
+            Job::Compute { .. } => Some("compute queue deadline exceeded"),
+            Job::Forward(..) => Some("forward queue deadline exceeded"),
+            Job::Reload(_) => None,
+        };
+        if let Some(why) = stale.filter(|_| {
+            enqueued.elapsed() > shared.config.queue_deadline && !shared.shutting_down()
+        }) {
+            shared.shed(job, why);
+            continue;
+        }
         match job {
-            Job::Compute {
-                key,
-                spec,
-                store,
-                enqueued,
-            } => {
-                if enqueued.elapsed() > shared.config.queue_deadline && !shared.shutting_down() {
-                    // Stale work: the clients have waited past the deadline,
-                    // shed the whole flight rather than burn a sweep on it.
-                    // (During drain we compute anyway — answering parked
-                    // waiters beats 503ing them on the way out.)
-                    for waiter in shared.flight.complete(key) {
-                        shared.shed(waiter, "compute queue deadline exceeded");
-                    }
-                    continue;
-                }
+            Job::Compute { key, spec, store } => {
                 let result = shared.state.compute(&spec, &store);
                 // Complete *after* the cache insert: a request that missed
                 // the cache an instant ago either joined this flight (and
                 // is in `waiters`) or will now hit the cache.
-                let waiters = shared.flight.complete(key);
-                match result {
-                    Ok(plan) => {
-                        for waiter in waiters {
-                            let resp = api::format_response(
-                                &waiter.ctx,
-                                &waiter.store,
-                                &plan,
-                                false,
-                                waiter.coalesced,
-                                plan.compute_us,
-                            );
-                            shared.deliver(waiter, resp, false);
-                        }
-                    }
-                    Err(err) => {
-                        for waiter in waiters {
-                            shared.deliver(waiter, err.clone(), false);
-                        }
-                    }
+                for f in shared.flight.complete(key) {
+                    let resp = match &result {
+                        Ok(plan) => api::format_response(
+                            &f.ctx,
+                            &f.store,
+                            plan,
+                            false,
+                            f.coalesced,
+                            plan.compute_us,
+                        ),
+                        Err(err) => err.clone(),
+                    };
+                    shared.deliver(f.waiter, resp, false);
                 }
             }
-            Job::Reload { waiter } => {
+            Job::Reload(waiter) => {
                 let resp = shared.state.do_reload();
                 shared.deliver(waiter, resp, false);
             }
-            Job::Forward {
-                waiter,
-                key,
-                body,
-                enqueued,
-            } => {
-                if enqueued.elapsed() > shared.config.queue_deadline && !shared.shutting_down() {
-                    shared.shed(waiter, "forward queue deadline exceeded");
-                    continue;
-                }
-                let resp = shared.state.forward(key, waiter.ctx.path(), &body);
+            Job::Forward(waiter, fwd) => {
+                let resp = fwd.fleet.forward(fwd.key, fwd.path, &fwd.body);
                 // The replica, not the gateway, knows whether it answered
                 // from cache; recover the flag for telemetry parity.
-                let cached = resp.body.contains("\"cached\":true");
+                let cached = fleet::answered_from_cache(&resp.body);
                 shared.deliver(waiter, resp, cached);
             }
         }

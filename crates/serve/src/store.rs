@@ -25,8 +25,8 @@ use hecmix_core::rate_table::OptionCatalog;
 use hecmix_workloads::workload_by_name;
 
 /// Platform file-name suffixes recognized by [`ModelStore::from_dir`], in
-/// the `{workload}-{platform}.model` naming scheme the experiment harness
-/// uses.
+/// the `{workload}-{platform}.model` naming scheme of
+/// [`persist::bundle_stem`].
 pub const PLATFORM_SUFFIXES: [&str; 2] = ["cortex-a9", "k10"];
 
 /// Default job size when a workload is unknown to the registry (so a

@@ -8,14 +8,20 @@
 //! (one leader, one single-flight follower) is still running on the pool.
 //! Both waiters must get real answers tagged `Connection: close`, every
 //! thread must exit within a bounded join, and the listener must be gone.
+//! A third test sheds work at the **compute pool**: a full queue answers
+//! `503` with `Retry-After` at once, and a job that out-waited the queue
+//! deadline answers `503` when a worker reaches it, for computes, reloads
+//! and gateway forwards alike (a reload is never stale).
 
 use std::io::Write as _;
 use std::net::TcpStream;
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use hecmix_experiments::Lab;
 use hecmix_obs::json::{self, Value};
+use hecmix_serve::fleet::{Fleet, FleetConfig};
 use hecmix_serve::http;
 use hecmix_serve::{start, AppState, ModelStore, ServeConfig, ServerHandle};
 
@@ -287,4 +293,113 @@ fn slowloris_partial_head_is_reaped_with_408() {
 
     handle.shutdown();
     handle.join();
+}
+
+/// Send `POST path` with `body` on a fresh connection, unanswered yet.
+fn post(handle: &ServerHandle, path: &str, body: &str) -> TcpStream {
+    let mut conn = connect(handle);
+    conn.write_all(http::format_request("POST", path, body).as_bytes())
+        .expect("send");
+    conn
+}
+
+/// Read one answer: `(status, Retry-After, "error" message)`.
+fn answer(conn: &mut TcpStream) -> (u16, Option<String>, Option<String>) {
+    let (status, headers, body) = http::read_response(conn).expect("response");
+    let retry_after = headers
+        .iter()
+        .find(|(k, _)| k == "retry-after")
+        .map(|(_, v)| v.clone());
+    let v = json::parse(std::str::from_utf8(&body).expect("UTF-8")).expect("JSON");
+    let error = v.get("error").and_then(Value::as_str).map(str::to_owned);
+    (status, retry_after, error)
+}
+
+/// The answer of a shed job: 503, `Retry-After: 7`, and `why`.
+fn shed(why: &str) -> (u16, Option<String>, Option<String>) {
+    (503, Some("7".to_owned()), Some(why.to_owned()))
+}
+
+#[test]
+fn full_or_stale_pool_jobs_are_shed_with_503() {
+    // One worker held 400 ms by every compute, room for one queued job,
+    // and a 150 ms queue deadline, so a job queued behind a compute is
+    // stale by the time the worker reaches it.
+    let pool = ServeConfig {
+        io_threads: 1,
+        workers: 1,
+        max_connections: 64,
+        queue_capacity: 1,
+        read_timeout: Duration::from_secs(5),
+        queue_deadline: Duration::from_millis(150),
+        retry_after_s: 7,
+        ..ServeConfig::default()
+    };
+    let state = Arc::new(AppState::new(build_store(), 1, 16));
+    state.set_reload(Arc::new(|| Ok(build_store())));
+    state.set_compute_delay(Duration::from_millis(400));
+    let replica = start(pool.clone(), Arc::clone(&state)).expect("replica starts");
+    let frontier = |arm: u32| format!(r#"{{"workload":"ep","arm":{arm},"amd":3}}"#);
+    // Occupy the worker with the miss `arm`: a second copy coalesces only
+    // once the first is queued, and the queue then empties only when the
+    // worker takes it.
+    let occupy = |arm: u32| {
+        let coalesced = state.metrics.coalesced.load(Ordering::Relaxed);
+        let held = [0, 1].map(|_| post(&replica, "/frontier", &frontier(arm)));
+        wait_until("the copy to coalesce", || {
+            state.metrics.coalesced.load(Ordering::Relaxed) > coalesced
+        });
+        wait_until("the worker to take the miss", || replica.queue_depth() == 0);
+        held
+    };
+
+    // The second miss waits in the queue; a third miss, and a reload,
+    // find it full.
+    let running = occupy(1);
+    let mut queued = post(&replica, "/frontier", &frontier(2));
+    wait_until("the second miss to queue", || replica.queue_depth() == 1);
+    for (path, body) in [("/frontier", frontier(3)), ("/reload", String::new())] {
+        let mut full = post(&replica, path, &body);
+        assert_eq!(answer(&mut full), shed("compute queue full"), "{path}");
+    }
+    // The queued miss out-waits the deadline behind the running compute.
+    assert_eq!(answer(&mut queued), shed("compute queue deadline exceeded"));
+    for mut conn in running {
+        assert_eq!(answer(&mut conn).0, 200);
+    }
+
+    // A reload queued just as long is still answered.
+    let running = occupy(4);
+    let mut reload = post(&replica, "/reload", "");
+    wait_until("the reload to queue", || replica.queue_depth() == 1);
+    let (status, _, error) = answer(&mut reload);
+    assert_eq!((status, error), (200, None), "a reload is never stale");
+    for mut conn in running {
+        assert_eq!(answer(&mut conn).0, 200);
+    }
+    assert_eq!(state.metrics.rejected.load(Ordering::Relaxed), 3);
+
+    // A gateway with the same pool in front of the replica: its worker
+    // blocks on one forward while the replica computes for 400 ms.
+    let fleet = Arc::new(
+        Fleet::new(FleetConfig {
+            replicas: vec![replica.addr().to_string()],
+            ..FleetConfig::default()
+        })
+        .expect("fleet"),
+    );
+    let gateway_state = Arc::new(AppState::new_gateway(build_store(), 1, Arc::clone(&fleet)));
+    let gateway = start(pool, gateway_state).expect("gateway starts");
+    let mut running = post(&gateway, "/frontier", &frontier(5));
+    wait_until("the worker to forward", || fleet.connect_count() == 1);
+    let mut queued = post(&gateway, "/frontier", &frontier(6));
+    wait_until("the second forward to queue", || gateway.queue_depth() == 1);
+    let mut full = post(&gateway, "/frontier", &frontier(7));
+    assert_eq!(answer(&mut full), shed("compute queue full"));
+    assert_eq!(answer(&mut queued), shed("forward queue deadline exceeded"));
+    assert_eq!(answer(&mut running).0, 200);
+
+    gateway.join();
+    fleet.stop();
+    replica.join();
 }

@@ -9,7 +9,7 @@
 //! 2. **Failover + rewarm** — killing a replica never surfaces to
 //!    clients, and the displaced hot keys come back warm on their new
 //!    owners (the failover→first-rehit watch records it).
-//! 3. **Crash under drain** — a replica dies abruptly (chaos proxy reset)
+//! 3. **Crash under drain** — a replica dies abruptly (chaos proxy kill)
 //!    while the gateway is draining; every in-flight client still gets a
 //!    `200`.
 //! 4. **Hedging** — a slow owner is raced by a hedge to another replica
@@ -309,7 +309,7 @@ fn replica_death_triggers_failover_and_rewarms_displaced_keys() {
 #[test]
 fn replica_crash_during_gateway_drain_answers_every_client() {
     // The abrupt version: the victim replica sits behind a chaos proxy
-    // whose schedule resets every connection 300 ms in — mid-compute for
+    // whose schedule kills it 300 ms in — mid-compute for
     // the 600 ms sweeps below — and the gateway starts draining while
     // those requests are still in the air. Every client must still get a
     // definitive 200: retries run during drain, never shed.

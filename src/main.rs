@@ -128,35 +128,6 @@ fn get_workload(
     })
 }
 
-/// Load `[ARM, AMD]` bundles for a workload from a `--models` directory
-/// written by `hecmix characterize` (falls back to `None` when the flag is
-/// absent, in which case callers characterize on the simulated testbed).
-fn load_models(
-    flags: &HashMap<String, String>,
-    workload: &str,
-) -> Result<Option<Vec<hecmix_core::profile::WorkloadModel>>, ExitCode> {
-    let Some(dir) = flags.get("models") else {
-        return Ok(None);
-    };
-    let dir = std::path::Path::new(dir);
-    let mut out = Vec::new();
-    for platform in ["cortex-a9", "k10"] {
-        let path = dir.join(format!("{workload}-{platform}.model"));
-        match hecmix_core::persist::load(&path) {
-            Ok(m) => out.push(m),
-            Err(e) => {
-                eprintln!("cannot load {}: {e}", path.display());
-                eprintln!(
-                    "(generate bundles with: hecmix characterize --out {})",
-                    dir.display()
-                );
-                return Err(ExitCode::FAILURE);
-            }
-        }
-    }
-    Ok(Some(out))
-}
-
 fn get_num<T: std::str::FromStr>(
     flags: &HashMap<String, String>,
     key: &str,
@@ -184,10 +155,28 @@ fn cmd_recommend(flags: &HashMap<String, String>) -> ExitCode {
         return ExitCode::FAILURE;
     };
     let lab = Lab::new();
-    let models = match load_models(flags, w.name()) {
-        Ok(Some(m)) => std::sync::Arc::new(m),
-        Ok(None) => lab.models(w.as_ref()),
-        Err(c) => return c,
+    // `--models DIR` reads the `[ARM, AMD]` bundles `hecmix characterize`
+    // wrote; without it, characterize on the simulated testbed.
+    let models = match flags.get("models") {
+        None => lab.models(w.as_ref()),
+        Some(dir) => {
+            let only = [w.name().to_owned()];
+            let loaded = hecmix_serve::ModelStore::from_dir(std::path::Path::new(dir), &only)
+                .and_then(|store| {
+                    store
+                        .get(w.name())
+                        .map(|entry| std::sync::Arc::clone(&entry.models))
+                        .ok_or_else(|| format!("no `{}` bundles", w.name()))
+                });
+            match loaded {
+                Ok(models) => models,
+                Err(e) => {
+                    eprintln!("cannot load models from {dir}: {e}");
+                    eprintln!("(generate bundles with: hecmix characterize --out {dir})");
+                    return ExitCode::FAILURE;
+                }
+            }
+        }
     };
     let units = w.analysis_units() as f64;
     let space = ConfigSpace::two_type(lab.arm.platform.clone(), arm, lab.amd.platform.clone(), amd);
@@ -367,8 +356,8 @@ fn cmd_characterize(flags: &HashMap<String, String>) -> ExitCode {
     for w in workloads {
         let models = lab.models(w.as_ref());
         for m in models.iter() {
-            let short = m.platform.name.split_whitespace().last().unwrap_or("node");
-            let path = dir.join(format!("{}-{}.model", w.name(), short.to_lowercase()));
+            let stem = hecmix_core::persist::bundle_stem(w.name(), &m.platform);
+            let path = dir.join(format!("{stem}.model"));
             match hecmix_core::persist::save(m, &path) {
                 Ok(()) => println!("wrote {}", path.display()),
                 Err(e) => {
