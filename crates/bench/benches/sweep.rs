@@ -193,6 +193,10 @@ fn bench_streaming_engine(c: &mut Criterion) {
     group.bench_function("catalog_pruned_512x128", |b| {
         b.iter(|| black_box(black_box(&catalog).pruned(&[Some(512), Some(128)]).unwrap()))
     });
+    // The tail planner's end of the request caps.
+    group.bench_function("catalog_pruned_16x14", |b| {
+        b.iter(|| black_box(black_box(&catalog).pruned(&[Some(16), Some(14)]).unwrap()))
+    });
     group.finish();
 }
 

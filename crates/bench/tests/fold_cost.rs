@@ -8,7 +8,11 @@
 //! * `RateTable::build_pruned` must take at most 1.5× `RateTable::build`
 //!   on the same space: pruning may not cost more than half a build;
 //! * cutting that pruned table from a 512 × 512 `OptionCatalog` must take
-//!   at most 0.3× `build_pruned`: a slice evaluates no model option.
+//!   at most 0.3× `build_pruned`: a slice evaluates no model option;
+//! * once the catalog's prefix-dominance index is built, that pruned slice
+//!   must take at most 0.3× the full slice at the same caps: it walks only
+//!   the options some prefix keeps, while the full slice copies the whole
+//!   prefix.
 //!
 //! One `#[test]` runs them in turn: the fold spawns workers, and a second
 //! test timing alongside it on a two-core runner reads their noise.
@@ -64,5 +68,13 @@ fn row_fold_and_pruning_stay_cheap() {
     assert!(
         slice.as_secs_f64() <= 0.3 * build.as_secs_f64(),
         "the catalog slice took {slice:?}, build_pruned {build:?}"
+    );
+
+    // The first pruned slice builds the index; time only the walk.
+    catalog.pruned(&caps).unwrap();
+    let (walk, copy) = best_of(5, || catalog.pruned(&caps), || catalog.full(&caps));
+    assert!(
+        walk.as_secs_f64() <= 0.3 * copy.as_secs_f64(),
+        "the indexed pruned slice took {walk:?}, the full slice {copy:?}"
     );
 }

@@ -21,6 +21,10 @@
 //!   nodes-outermost, so a cap of `N` nodes keeps the first
 //!   `N·|OPPs|·cores` of them. The one-shot constructors build a catalog at
 //!   their own caps; the serving daemon keeps one per model bundle.
+//! * **Prefix-dominance index.** Each type's `(max r, min b)` option set
+//!   under every cap is fixed by the model, so a catalog lists once the
+//!   options that some prefix keeps, each with the prefix lengths that keep
+//!   it, and a pruned slice walks that list instead of pruning its prefix.
 //! * **Lean kernel.** A matched cluster is then
 //!   `T = W / Σr` and `E = T · Σb` ([`SweepOutcome`]) — a handful of adds
 //!   and one divide per configuration, no allocation. The full
@@ -182,9 +186,18 @@ impl RateTable {
     /// within-type dominated option for its dominator never worsens either
     /// axis, so the pruned product preserves the frontier as an
     /// energy-per-deadline curve.
+    ///
+    /// One prefix per build, so this prunes it directly and builds no
+    /// `PrefixIndex`; the result is bit for bit [`OptionCatalog::pruned`]'s.
     pub fn build_pruned(space: &ConfigSpace, models: &[WorkloadModel]) -> Result<Self> {
         let catalog = OptionCatalog::build(space, models)?;
-        catalog.pruned(&catalog.caps())
+        catalog.slice(&catalog.caps(), |t, len| {
+            let prefix = &t.options[..len];
+            pareto_order(prefix)
+                .into_iter()
+                .map(|i| prefix[i])
+                .collect()
+        })
     }
 
     fn from_options(per_type: Vec<Vec<RateOption>>, unpruned_radices: Vec<usize>) -> Self {
@@ -389,9 +402,9 @@ impl RateTable {
 /// A type's options are kept in [`crate::dvfs::ladder_options`] order,
 /// which enumerates node counts outermost, so the options under a cap of
 /// `n ≤` the catalog's cap are exactly its first `n·|OPPs|·cores`. A slice
-/// takes that prefix per type: [`Self::full`] as is, [`Self::pruned`]
-/// through the same pruning pass as [`RateTable::build_pruned`]. Either is
-/// bit for bit the table the one-shot constructor builds over the capped
+/// takes that prefix per type: [`Self::full`] as is, [`Self::pruned`] as
+/// the options of each type's `PrefixIndex` that the prefix keeps. Either
+/// is bit for bit the table the one-shot constructor builds over the capped
 /// space, with no model evaluation.
 ///
 /// A type stops at its first option whose lone run fails and records that
@@ -414,6 +427,9 @@ struct TypeCatalog {
     options: Vec<RateOption>,
     /// The lone-run error of option `options.len()`, when one failed.
     failure: Option<Error>,
+    /// The options some prefix of `options` keeps, built on the first
+    /// pruned slice.
+    index: OnceLock<PrefixIndex>,
 }
 
 impl OptionCatalog {
@@ -452,6 +468,7 @@ impl OptionCatalog {
                     per_node: model.dvfs.ladder.len() * bounds.platform.cores as usize,
                     options,
                     failure,
+                    index: OnceLock::new(),
                 }
             })
             .collect();
@@ -476,17 +493,23 @@ impl OptionCatalog {
     /// An empty capped space, a cap above the catalog's, or a type's
     /// recorded lone-run failure inside its prefix.
     pub fn full(&self, caps: &[Option<u32>]) -> Result<RateTable> {
-        self.slice(caps, <[RateOption]>::to_vec)
+        self.slice(caps, |t, len| t.options[..len].to_vec())
     }
 
     /// The dominance-pruned table over the catalog's types capped at
-    /// `caps` (as in [`Self::full`]).
+    /// `caps` (as in [`Self::full`]), the one [`RateTable::build_pruned`]
+    /// builds over the capped space. The first call builds each sliced
+    /// type's `PrefixIndex`; every call then walks it.
     ///
     /// # Errors
     /// As [`Self::full`].
     pub fn pruned(&self, caps: &[Option<u32>]) -> Result<RateTable> {
-        self.slice(caps, |opts| {
-            pareto_order(opts).into_iter().map(|i| opts[i]).collect()
+        self.slice(caps, |t, len| {
+            t.index
+                .get_or_init(|| PrefixIndex::build(&t.options))
+                .kept(len)
+                .map(|i| t.options[i])
+                .collect()
         })
     }
 
@@ -501,10 +524,13 @@ impl OptionCatalog {
             .collect()
     }
 
+    /// The table whose type `t` holds `keep(t, len)`, where `len` is the
+    /// length of `t`'s prefix under its cap, after the capped space's
+    /// checks.
     fn slice(
         &self,
         caps: &[Option<u32>],
-        keep: impl Fn(&[RateOption]) -> Vec<RateOption>,
+        keep: impl Fn(&TypeCatalog, usize) -> Vec<RateOption>,
     ) -> Result<RateTable> {
         let kept: Vec<(&TypeCatalog, u32)> = self
             .types
@@ -537,11 +563,79 @@ impl OptionCatalog {
             if let Some(e) = t.failure.as_ref().filter(|_| len > t.options.len()) {
                 return Err(e.clone());
             }
-            prefixes.push(&t.options[..len]);
+            prefixes.push((t, len));
         }
-        let unpruned_radices = prefixes.iter().map(|p| p.len() + 1).collect();
-        let per_type = prefixes.into_iter().map(keep).collect();
+        let unpruned_radices = prefixes.iter().map(|&(_, len)| len + 1).collect();
+        let per_type = prefixes.into_iter().map(|(t, len)| keep(t, len)).collect();
         Ok(RateTable::from_options(per_type, unpruned_radices))
+    }
+}
+
+/// The options that some prefix of a type's option list keeps under
+/// [`pareto_order`], in the order it keeps them, each with the prefix
+/// lengths that keep it.
+///
+/// [`pareto_order`] keeps option `i` of a prefix of length `n` exactly
+/// when no option `j < n` that sorts before `i` by (rate desc, power asc,
+/// index asc) has power `≤ b_i`: call such a `j` a dominator of `i`. With
+/// `d(i)` the least index of a dominator (`u32::MAX` when there is none),
+/// `i` is kept exactly when `i < n ≤ d(i)`, and kept options come out in
+/// key order whatever `n` is. So the index holds the options with
+/// `d(i) > i`, the only ones any prefix keeps, in key order, as `(i, d(i))`
+/// pairs, and a slice is one filtered walk over it.
+#[derive(Debug, Clone)]
+struct PrefixIndex(Vec<(u32, u32)>);
+
+impl PrefixIndex {
+    /// One pass over `opts` in list order, keeping the current prefix's
+    /// staircase: its kept options in key order, powers strictly falling.
+    /// Option `i` enters unless the member keyed just before it has power
+    /// `≤ b_i`; on entry it evicts the members keyed after it with power
+    /// `≥ b_i`, and each evicted member gets `d = i`.
+    ///
+    /// If any earlier option dominates `i`, so does some current member:
+    /// domination is transitive, and an option leaves the staircase, or
+    /// never enters it, only through a dominator that is, or becomes, a
+    /// member. A member is not dominated by another member, so neither is
+    /// any option that dominates a member: a member's first dominator
+    /// enters and evicts it, which sets its `d` exactly.
+    fn build(opts: &[RateOption]) -> Self {
+        let idx = |i: usize| u32::try_from(i).expect("a catalog holds fewer than 2^32 options");
+        // Rate descending, then power ascending.
+        let key =
+            |(ra, ba): (f64, f64), (rb, bb): (f64, f64)| rb.total_cmp(&ra).then(ba.total_cmp(&bb));
+        let mut entries: Vec<(u32, u32)> = Vec::new();
+        // Members as ((rate, power), position in `entries`), in key order.
+        let mut stair: Vec<((f64, f64), usize)> = Vec::new();
+        for (i, o) in opts.iter().enumerate() {
+            let (r, b) = (o.rate, o.power_w);
+            // Members before `at` key below `i`: they beat it on rate and
+            // power, or tie both with a smaller index.
+            let at = stair.partition_point(|&(m, _)| key(m, (r, b)).is_le());
+            if at > 0 && stair[at - 1].0 .1 <= b {
+                continue;
+            }
+            let evicted = stair[at..]
+                .iter()
+                .take_while(|&&((_, mb), _)| mb >= b)
+                .count();
+            for &(_, e) in &stair[at..at + evicted] {
+                entries[e].1 = idx(i);
+            }
+            stair.splice(at..at + evicted, [((r, b), entries.len())]);
+            entries.push((idx(i), u32::MAX));
+        }
+        let key_of = |i: u32| (opts[i as usize].rate, opts[i as usize].power_w);
+        entries.sort_unstable_by(|&(a, _), &(b, _)| key(key_of(a), key_of(b)).then(a.cmp(&b)));
+        Self(entries)
+    }
+
+    /// The options a prefix of `len` keeps, in key order.
+    fn kept(&self, len: usize) -> impl Iterator<Item = usize> + '_ {
+        self.0
+            .iter()
+            .filter(move |&&(i, d)| (i as usize) < len && len <= d as usize)
+            .map(|&(i, _)| i as usize)
     }
 }
 
@@ -1353,18 +1447,16 @@ mod tests {
         }
     }
 
-    /// [`pareto_order`] over options with these `(rate, power)` keys.
-    fn pareto_order_of(keys: &[(f64, f64)]) -> Vec<usize> {
-        let opts: Vec<RateOption> = keys
-            .iter()
+    /// Options with these `(rate, power)` keys.
+    fn options_of(keys: &[(f64, f64)]) -> Vec<RateOption> {
+        keys.iter()
             .map(|&(rate, power_w)| RateOption {
                 cfg: NodeConfig::new(1, 1, crate::types::Frequency::from_ghz(1.0)),
                 rate,
                 power_w,
                 opp: 0,
             })
-            .collect();
-        pareto_order(&opts)
+            .collect()
     }
 
     /// Pruning by a full stable sort by `(rate desc, power asc)`, keeping
@@ -1386,12 +1478,13 @@ mod tests {
         order
     }
 
-    #[test]
-    fn prefiltered_pruning_matches_sort_and_retain() {
+    /// Crafted key lists with ties in rate, in power and in both, then 300
+    /// seeded lists on grids of 3, 20 and 10^6 values per axis.
+    fn key_lists() -> Vec<Vec<(f64, f64)>> {
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
 
-        let crafted: Vec<Vec<(f64, f64)>> = vec![
+        let mut lists: Vec<Vec<(f64, f64)>> = vec![
             // A single option.
             vec![(2.0, 3.0)],
             // All rates equal: zero bucket width, min power then index wins.
@@ -1413,30 +1506,47 @@ mod tests {
                 .map(|i| (1e-3 * 1.4f64.powi(i), 1.0 + f64::from(i % 11)))
                 .collect(),
         ];
-        for keys in &crafted {
-            assert_eq!(
-                pareto_order_of(keys),
-                pareto_order_by_sort(keys),
-                "{keys:?}"
-            );
-        }
         let mut rng = SmallRng::seed_from_u64(8);
         for case in 0..300 {
             let n = rng.gen_range(1..300usize);
             let grid: f64 = [3.0, 20.0, 1e6][case % 3];
-            let keys: Vec<(f64, f64)> = (0..n)
-                .map(|_| {
-                    (
-                        1.0 + rng.gen_range(0.0..grid).floor(),
-                        1.0 + rng.gen_range(0.0..grid).floor(),
-                    )
-                })
-                .collect();
-            assert_eq!(
-                pareto_order_of(&keys),
-                pareto_order_by_sort(&keys),
-                "case {case}"
+            lists.push(
+                (0..n)
+                    .map(|_| {
+                        (
+                            1.0 + rng.gen_range(0.0..grid).floor(),
+                            1.0 + rng.gen_range(0.0..grid).floor(),
+                        )
+                    })
+                    .collect(),
             );
+        }
+        lists
+    }
+
+    #[test]
+    fn prefiltered_pruning_matches_sort_and_retain() {
+        for (case, keys) in key_lists().iter().enumerate() {
+            assert_eq!(
+                pareto_order(&options_of(keys)),
+                pareto_order_by_sort(keys),
+                "case {case}: {keys:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn prefix_index_matches_pareto_order_on_every_prefix() {
+        for (case, keys) in key_lists().iter().enumerate() {
+            let opts = options_of(keys);
+            let index = PrefixIndex::build(&opts);
+            for len in 0..=opts.len() {
+                assert_eq!(
+                    index.kept(len).collect::<Vec<_>>(),
+                    pareto_order(&opts[..len]),
+                    "case {case}, prefix {len}: {keys:?}"
+                );
+            }
         }
     }
 }

@@ -118,13 +118,14 @@ impl ModelStore {
     }
 
     /// Load every complete `{workload}-{platform}.model` pair under `dir`.
-    /// When `only` is non-empty, other workloads are skipped. Files with
-    /// unrecognized platform suffixes are ignored; a workload with fewer
-    /// than two platform models is an error (the planner needs a pair).
+    /// When `only` is non-empty, other workloads are skipped, and each name
+    /// in it must have bundle files. Files with unrecognized platform
+    /// suffixes are ignored; a workload with fewer than two platform models
+    /// is an error (the planner needs a pair).
     ///
     /// # Errors
-    /// I/O or parse failures, and incomplete pairs, as a human-readable
-    /// message.
+    /// I/O or parse failures, workloads in `only` without bundle files (all
+    /// of them named), and incomplete pairs, as a human-readable message.
     pub fn from_dir(dir: &Path, only: &[String]) -> Result<Self, String> {
         let mut by_workload: HashMap<String, Vec<WorkloadModel>> = HashMap::new();
         let rd = std::fs::read_dir(dir).map_err(|e| format!("read {}: {e}", dir.display()))?;
@@ -152,6 +153,18 @@ impl ModelStore {
                 .entry(workload.to_owned())
                 .or_default()
                 .push(model);
+        }
+        let missing: Vec<String> = only
+            .iter()
+            .filter(|w| !by_workload.contains_key(w.as_str()))
+            .map(|w| format!("`{w}`"))
+            .collect();
+        if !missing.is_empty() {
+            return Err(format!(
+                "no bundle files for {} in {}",
+                missing.join(", "),
+                dir.display()
+            ));
         }
         let mut store = Self::new();
         for (workload, models) in by_workload {
@@ -318,9 +331,18 @@ mod tests {
         direct.insert("ep", pair());
         assert_eq!(entry.hash, direct.get("ep").expect("direct").hash);
 
-        // Filter that excludes everything.
-        let none = ModelStore::from_dir(&dir, &["memcached".to_owned()]).expect("filtered");
-        assert!(none.is_empty());
+        // A requested workload without bundle files is named, with the
+        // directory, and only the missing ones are.
+        let err = ModelStore::from_dir(&dir, &["memcached".to_owned()])
+            .expect_err("a filter naming no bundle must fail");
+        assert!(err.contains("`memcached`"), "{err}");
+        assert!(err.contains(&dir.display().to_string()), "{err}");
+        let err = ModelStore::from_dir(&dir, &["ep".to_owned(), "memcached".to_owned()])
+            .expect_err("one missing workload fails the load");
+        assert!(
+            err.contains("`memcached`") && !err.contains("`ep`"),
+            "{err}"
+        );
 
         // A singleton pair is a hard error.
         std::fs::remove_file(dir.join("ep-k10.model")).expect("rm");

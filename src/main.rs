@@ -161,15 +161,13 @@ fn cmd_recommend(flags: &HashMap<String, String>) -> ExitCode {
         None => lab.models(w.as_ref()),
         Some(dir) => {
             let only = [w.name().to_owned()];
-            let loaded = hecmix_serve::ModelStore::from_dir(std::path::Path::new(dir), &only)
-                .and_then(|store| {
-                    store
+            match hecmix_serve::ModelStore::from_dir(std::path::Path::new(dir), &only) {
+                Ok(store) => {
+                    let entry = store
                         .get(w.name())
-                        .map(|entry| std::sync::Arc::clone(&entry.models))
-                        .ok_or_else(|| format!("no `{}` bundles", w.name()))
-                });
-            match loaded {
-                Ok(models) => models,
+                        .expect("from_dir rejects a missing requested workload");
+                    std::sync::Arc::clone(&entry.models)
+                }
                 Err(e) => {
                     eprintln!("cannot load models from {dir}: {e}");
                     eprintln!("(generate bundles with: hecmix characterize --out {dir})");
