@@ -7,8 +7,10 @@
 //!   in `hecmix-check`, which evaluates and bisects every point;
 //! * `RateTable::build_pruned` must take at most 1.5× `RateTable::build`
 //!   on the same space: pruning may not cost more than half a build;
-//! * cutting that pruned table from a 512 × 512 `OptionCatalog` must take
-//!   at most 0.3× `build_pruned`: a slice evaluates no model option;
+//! * the first pruned slice of a fresh 512 × 512 `OptionCatalog`, which
+//!   also builds the catalog's prefix-dominance index, must take at most
+//!   2× `build_pruned`: a daemon's first request on a model bundle may not
+//!   cost much more than the one-shot build it replaces;
 //! * once the catalog's prefix-dominance index is built, that pruned slice
 //!   must take at most 0.3× the full slice at the same caps: it walks only
 //!   the options some prefix keeps, while the full slice copies the whole
@@ -60,17 +62,26 @@ fn row_fold_and_pruning_stay_cheap() {
     let wide = ConfigSpace::two_type(arm.clone(), 512, amd.clone(), 512);
     let catalog = OptionCatalog::build(&wide, &models).unwrap();
     let caps = [Some(512), Some(128)];
-    let (slice, build) = best_of(
+    // One clone per round, taken before the index exists; cloning and
+    // dropping them stay out of the timed calls.
+    let mut fresh: Vec<OptionCatalog> = (0..5).map(|_| catalog.clone()).collect();
+    let mut used = Vec::with_capacity(fresh.len());
+    let (first, build) = best_of(
         5,
-        || catalog.pruned(&caps),
+        || {
+            let c = fresh.pop().unwrap();
+            let slice = c.pruned(&caps);
+            used.push(c);
+            slice
+        },
         || RateTable::build_pruned(&space, &models),
     );
     assert!(
-        slice.as_secs_f64() <= 0.3 * build.as_secs_f64(),
-        "the catalog slice took {slice:?}, build_pruned {build:?}"
+        first.as_secs_f64() <= 2.0 * build.as_secs_f64(),
+        "the first catalog slice took {first:?}, build_pruned {build:?}"
     );
 
-    // The first pruned slice builds the index; time only the walk.
+    // Later pruned slices reuse the index; time only the walk.
     catalog.pruned(&caps).unwrap();
     let (walk, copy) = best_of(5, || catalog.pruned(&caps), || catalog.full(&caps));
     assert!(

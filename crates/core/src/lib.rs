@@ -113,8 +113,7 @@ pub mod prelude {
         stream_frontier, stream_frontier_pruned, RateOption, RateTable, SweepOutcome,
     };
     pub use crate::resilience::{
-        predict_crash_run, resilient_frontier, CrashPlan, DegradedPrediction, ResilientTable,
-        TypeRate,
+        predict_crash_run, CrashPlan, DegradedPrediction, ResilientTable, TypeRate,
     };
     pub use crate::sweep::{sweep_space, EvaluatedConfig, PruneStats};
     pub use crate::types::{Frequency, Platform, PlatformId};

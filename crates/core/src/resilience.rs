@@ -191,16 +191,6 @@ impl ResilientTable {
     }
 }
 
-/// One-shot convenience: the `k`-failure resilient frontier of a space.
-pub fn resilient_frontier(
-    space: &ConfigSpace,
-    models: &[WorkloadModel],
-    w_units: f64,
-    k: u32,
-) -> Result<ParetoFrontier> {
-    ResilientTable::build(space, models)?.frontier(w_units, k)
-}
-
 /// Per-type aggregates the crash predictor needs, for the node types of a
 /// *specific deployed configuration* (cf. [`crate::rate_table::RateOption`],
 /// which describes a candidate option during a sweep).

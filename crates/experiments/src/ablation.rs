@@ -19,7 +19,6 @@
 use hecmix_core::config::{ClusterPoint, NodeConfig};
 use hecmix_core::exec_time::ExecTimeModel;
 use hecmix_core::mix_match::{evaluate, evaluate_split, TypeDeployment};
-use hecmix_core::pareto::ParetoFrontier;
 use hecmix_core::profile::SpiMemFit;
 use hecmix_core::stats::relative_error_pct;
 use hecmix_sim::{run_node, NodeRunSpec};
@@ -230,12 +229,6 @@ pub fn switching_ablation(lab: &Lab, w: &dyn Workload) -> Vec<SwitchingSample> {
             })
         })
         .collect()
-}
-
-/// Convenience frontier accessor used by the binary's report.
-#[must_use]
-pub fn frontier_of(lab: &Lab, w: &dyn Workload, mix: BudgetMix) -> ParetoFrontier {
-    mix_frontiers(lab, w, &[mix]).remove(0).frontier
 }
 
 #[cfg(test)]

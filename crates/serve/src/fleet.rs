@@ -19,10 +19,9 @@
 //!   open breaker takes the replica out of the candidate rotation without
 //!   waiting for the health prober.
 //! * **Retries**: bounded attempts cascade along the ring's preference
-//!   order with exponential backoff, deterministic jitter (seeded
-//!   splitmix64 of `seed ⊕ key ⊕ attempt` — no RNG state, replayable),
-//!   and `Retry-After` honored as a floor
-//!   ([`hecmix_obs::Event::RequestRetry`]).
+//!   order with the shared [`router::backoff_ms`]: exponential, floored by
+//!   `Retry-After`, and jittered by `seed ⊕ key ⊕ attempt` — no RNG
+//!   state, replayable ([`hecmix_obs::Event::RequestRetry`]).
 //! * **Hedging**: if the primary attempt outlives an adaptive delay (the
 //!   fleet-wide p95 of upstream latencies, clamped to
 //!   `[hedge_min, hedge_max]`), a duplicate races to the next distinct
@@ -30,16 +29,18 @@
 //!   ([`hecmix_obs::Event::RequestHedged`]). One slow replica cannot own
 //!   the tail.
 //!
-//! Forwards travel over per-replica pools of idle keep-alive connections,
-//! so a forward normally costs one request/response exchange: no connect,
-//! no accept. The primary attempt runs on the calling (forward-worker)
-//! thread, which waits up to the hedge delay for the first response byte;
-//! only when that delay passes do the primary and the hedge finish on
-//! threads of their own and race. A pooled connection the replica retired
-//! while it sat idle fails before any response byte; that request is sent
-//! once more on a fresh connection, which costs no retry and no health or
-//! breaker failure. Probes and the `/reload` fan-out always dial fresh,
-//! because a probe must exercise connect and accept.
+//! Connections and answers are [`http`]'s ([`http::dial`],
+//! [`http::read_answer`]); the fleet adds per-replica pools of idle
+//! keep-alive connections, so a forward normally costs one exchange: no
+//! connect, no accept. The primary attempt runs on the calling
+//! (forward-worker) thread, which `peek`s up to the hedge delay for the
+//! first response byte; only when that delay passes do the primary and
+//! the hedge finish on threads of their own and race. A pooled connection
+//! the replica retired while it sat idle fails before any response byte;
+//! that request is sent once more on a fresh connection, which costs no
+//! retry and no health or breaker failure. Probes and the `/reload`
+//! fan-out are one [`http::exchange`] on a fresh connection each, because
+//! a probe must exercise connect and accept.
 //!
 //! When a replica is marked down, its hash range implicitly re-maps to
 //! the next preference entry — and the fleet *re-warms* the dead
@@ -63,8 +64,8 @@ use hecmix_obs::json::Object;
 use hecmix_obs::{emit, Event};
 
 use crate::hist::{self, Histogram};
-use crate::http::{self, Response};
-use crate::router::{splitmix64, Ring};
+use crate::http::{self, Answer, Response};
+use crate::router::{self, Ring};
 
 /// Tunables for one gateway's fleet.
 #[derive(Debug, Clone)]
@@ -277,9 +278,6 @@ struct RehitWatch {
     keys: HashSet<u64>,
 }
 
-/// One upstream answer: `(status, Retry-After seconds, body)`.
-type Answer = (u16, Option<u64>, Vec<u8>);
-
 /// The gateway's replica fleet. Shared (`Arc`) between the compute pool
 /// (which runs [`Fleet::forward`]), the prober thread, and `/statz`.
 pub struct Fleet {
@@ -470,19 +468,12 @@ impl Fleet {
 
     fn probe_all(self: &Arc<Self>) {
         for idx in 0..self.replicas.len() {
-            let r = &self.replicas[idx];
-            let outcome = attempt_once(
-                &r.sock,
-                "GET",
-                "/healthz",
-                "",
-                self.cfg.probe_timeout,
-                self.cfg.probe_timeout,
-            );
+            let outcome = http::dial(self.replicas[idx].sock, self.cfg.probe_timeout)
+                .and_then(|mut conn| http::exchange(&mut conn, "GET", "/healthz", ""));
             match outcome {
-                Ok((status, _, _)) if status < 500 => self.note_success(idx, None),
-                Ok((status, _, _)) => self.note_failure(idx, &format!("probe status {status}")),
-                Err(why) => self.note_failure(idx, &format!("probe {why}")),
+                Ok(a) if a.status < 500 => self.note_success(idx, None),
+                Ok(a) => self.note_failure(idx, &format!("probe status {}", a.status)),
+                Err(e) => self.note_failure(idx, &format!("probe {e}")),
             }
         }
     }
@@ -629,24 +620,13 @@ impl Fleet {
             })
     }
 
-    /// Deterministic jittered backoff before retry `attempt` (≥ 1):
-    /// exponential base capped at `backoff_cap_ms`, floored by any
-    /// upstream `Retry-After` hint (itself capped), then jittered to
-    /// `[base/2, 1.5·base)` by a seeded hash so synchronized clients
-    /// fan out instead of stampeding.
+    /// The fleet's [`router::backoff_ms`] before retry `attempt` (≥ 1) of
+    /// `key`, jittered by `seed ⊕ key ⊕ attempt`.
     fn backoff_ms(&self, key: u64, attempt: u32, retry_after_s: Option<u64>) -> u64 {
-        let exp = self
-            .cfg
-            .backoff_base_ms
-            .saturating_mul(1 << attempt.saturating_sub(1).min(6))
-            .min(self.cfg.backoff_cap_ms);
-        let base = match retry_after_s {
-            Some(ra) => exp.max(ra.saturating_mul(1000).min(self.cfg.retry_after_cap_ms)),
-            None => exp,
-        }
-        .max(1);
-        let jitter = splitmix64(self.cfg.seed ^ key ^ u64::from(attempt)) % base;
-        base / 2 + jitter
+        let c = &self.cfg;
+        let (base, cap, hint_cap) = (c.backoff_base_ms, c.backoff_cap_ms, c.retry_after_cap_ms);
+        let jitter = c.seed ^ key ^ u64::from(attempt);
+        router::backoff_ms(base, cap, hint_cap, attempt, retry_after_s, jitter)
     }
 
     /// The adaptive hedge delay: fleet-wide p95 of upstream latencies,
@@ -696,25 +676,25 @@ impl Fleet {
             }
             let hedge = self.pick_hedge(&cands, primary);
             match self.race(primary, hedge, path, body) {
-                Ok((replica, (status, retry_after, resp_body))) => {
-                    if status == 503 {
+                Ok((replica, answer)) => {
+                    if answer.status == 503 {
                         // Admission backpressure, not death: honor the
                         // advertised Retry-After on the next backoff.
-                        retry_after_hint = retry_after;
+                        retry_after_hint = answer.retry_after_s;
                         last_why = "upstream 503".to_owned();
                         continue;
                     }
-                    if status >= 500 {
-                        last_why = format!("upstream status {status}");
+                    if answer.status >= 500 {
+                        last_why = format!("upstream status {}", answer.status);
                         continue;
                     }
-                    let text = String::from_utf8_lossy(&resp_body).into_owned();
-                    if status == 200 {
+                    let text = String::from_utf8_lossy(&answer.body).into_owned();
+                    if answer.status == 200 {
                         self.record_hot(replica, key, path, body);
                         self.check_rehit(key, &text);
                     }
-                    let mut resp = Response::json(status, text);
-                    resp.retry_after_s = retry_after;
+                    let mut resp = Response::json(answer.status, text);
+                    resp.retry_after_s = answer.retry_after_s;
                     return resp;
                 }
                 Err(why) => {
@@ -840,10 +820,12 @@ impl Fleet {
                 return Ok(started);
             }
         }
-        let started = dial(&r.sock, self.cfg.connect_timeout).and_then(|conn| {
-            r.connects.fetch_add(1, Ordering::Relaxed);
-            send(conn, &wire, wait)
-        });
+        let started = http::dial(r.sock, self.cfg.connect_timeout)
+            .map_err(|e| format!("connect: {e}"))
+            .and_then(|conn| {
+                r.connects.fetch_add(1, Ordering::Relaxed);
+                send(conn, &wire, wait)
+            });
         if let Err(why) = &started {
             self.note_failure(replica, why);
         }
@@ -861,18 +843,15 @@ impl Fleet {
     ) -> Result<Answer, String> {
         let remaining = self.cfg.attempt_timeout.saturating_sub(t0.elapsed());
         let result = read_timeout(&conn, remaining)
-            .and_then(|()| read_answer(&mut conn))
-            .map(|(answer, keep_alive)| {
-                if keep_alive {
-                    self.replicas[replica].checkin(conn);
-                }
-                answer
-            });
+            .and_then(|()| http::read_answer(&mut conn).map_err(|e| format!("read: {e:?}")));
+        if result.as_ref().is_ok_and(|answer| !answer.close) {
+            self.replicas[replica].checkin(conn);
+        }
         match &result {
             // Alive but shedding: neither a health nor a breaker signal.
-            Ok((503, ..)) => {}
-            Ok((status, ..)) if *status >= 500 => {
-                self.note_failure(replica, &format!("status {status}"));
+            Ok(a) if a.status == 503 => {}
+            Ok(a) if a.status >= 500 => {
+                self.note_failure(replica, &format!("status {}", a.status));
             }
             Ok(_) => self.note_success(replica, Some(t0.elapsed())),
             Err(why) => self.note_failure(replica, why),
@@ -927,17 +906,12 @@ impl Fleet {
         let mut rows = String::from("[");
         let mut all_ok = true;
         for (idx, r) in self.replicas.iter().enumerate() {
-            let status = match attempt_once(
-                &r.sock,
-                "POST",
-                "/reload",
-                "",
-                self.cfg.connect_timeout,
-                Duration::from_secs(60),
-            ) {
-                Ok((status, ..)) => status,
-                Err(_) => 0,
-            };
+            let status = http::dial(r.sock, self.cfg.connect_timeout)
+                .and_then(|mut conn| {
+                    conn.set_read_timeout(Some(Duration::from_secs(60)))?;
+                    http::exchange(&mut conn, "POST", "/reload", "")
+                })
+                .map_or(0, |a| a.status);
             all_ok &= status == 200;
             if idx > 0 {
                 rows.push(',');
@@ -1007,30 +981,6 @@ pub(crate) fn answered_from_cache(body: &str) -> bool {
     body.contains("\"cached\":true")
 }
 
-/// One blocking HTTP exchange on a fresh connection, closed afterwards
-/// (probes and the `/reload` fan-out). Returns the answer or a transport
-/// error string.
-fn attempt_once(
-    addr: &SocketAddr,
-    method: &str,
-    path: &str,
-    body: &str,
-    connect_timeout: Duration,
-    timeout: Duration,
-) -> Result<Answer, String> {
-    let mut conn = dial(addr, connect_timeout)?;
-    read_timeout(&conn, timeout)?;
-    conn.write_all(http::format_request(method, path, body).as_bytes())
-        .map_err(|e| format!("send: {e}"))?;
-    read_answer(&mut conn).map(|(answer, _)| answer)
-}
-
-fn dial(addr: &SocketAddr, timeout: Duration) -> Result<TcpStream, String> {
-    let conn = TcpStream::connect_timeout(addr, timeout).map_err(|e| format!("connect: {e}"))?;
-    let _ = conn.set_nodelay(true);
-    Ok(conn)
-}
-
 /// Bound every blocking read on `conn` by `timeout` (at least 1 ms: a
 /// zero timeout is an error to the OS, not an immediate one).
 fn read_timeout(conn: &TcpStream, timeout: Duration) -> Result<(), String> {
@@ -1053,21 +1003,6 @@ fn send(mut conn: TcpStream, wire: &str, wait: Duration) -> Result<(TcpStream, b
         }
         Err(e) => Err(format!("read: {e}")),
     }
-}
-
-/// Read one response: the answer, and whether the connection can carry
-/// another request (the replica did not answer `Connection: close`).
-fn read_answer(conn: &mut TcpStream) -> Result<(Answer, bool), String> {
-    let (status, headers, body) = http::read_response(conn).map_err(|e| format!("read: {e:?}"))?;
-    let header = |name: &str| {
-        headers
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v.trim())
-    };
-    let retry_after = header("retry-after").and_then(|v| v.parse().ok());
-    let keep_alive = !header("connection").is_some_and(|v| v.eq_ignore_ascii_case("close"));
-    Ok(((status, retry_after, body), keep_alive))
 }
 
 #[cfg(test)]
@@ -1125,6 +1060,44 @@ mod tests {
             hinted >= cap / 2 && hinted < cap + cap / 2,
             "{hinted} vs cap {cap}"
         );
+    }
+
+    #[test]
+    fn backoff_values_are_pinned() {
+        // Captured from the fleet's own backoff before it moved to
+        // `router::backoff_ms`, under the default config: per key, the
+        // waits for attempts 1–8 without a usable hint (none or
+        // `Retry-After: 0`) and with one (1, 2 or 30 s, all past the cap).
+        let pinned: [(u64, [u64; 8], [u64; 8]); 3] = [
+            (
+                0,
+                [5, 28, 53, 63, 85, 231, 226, 289],
+                [410, 748, 463, 593, 515, 581, 576, 339],
+            ),
+            (
+                99,
+                [5, 10, 23, 57, 194, 287, 136, 229],
+                [300, 550, 353, 507, 724, 337, 486, 679],
+            ),
+            (
+                0xDEAD_BEEF,
+                [6, 28, 58, 86, 194, 264, 229, 217],
+                [421, 688, 508, 556, 744, 614, 679, 467],
+            ),
+        ];
+        let f = fleet(2);
+        for (key, plain, hinted) in pinned {
+            for (hint, want) in [
+                (None, plain),
+                (Some(0), plain),
+                (Some(1), hinted),
+                (Some(2), hinted),
+                (Some(30), hinted),
+            ] {
+                let got: Vec<u64> = (1..=8).map(|a| f.backoff_ms(key, a, hint)).collect();
+                assert_eq!(got, want, "key {key}, Retry-After {hint:?}");
+            }
+        }
     }
 
     #[test]

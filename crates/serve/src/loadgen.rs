@@ -33,15 +33,17 @@
 //! for the plan cache's speedup claim, immune to loopback RTT noise — and
 //! scrapes `GET /statz` before and after the run to report server-side
 //! deltas (computes, coalesced answers, warmed entries, cache hits).
-//! [`LoadReport::gate`] turns a run into a pass/fail check for CI.
+//! [`LoadReport::gate`] turns a run into a pass/fail check for CI. Every
+//! exchange goes through [`http::exchange`], and 503 retries wait
+//! [`retry_503_wait_ms`], the shared [`backoff_ms`] with loadgen's caps.
 
-use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use hecmix_obs::json::{self, Object, Value};
 
 use crate::http;
+use crate::router::backoff_ms;
 
 /// Relative request frequencies per endpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -306,29 +308,8 @@ fn request_for(cfg: &LoadgenConfig, ticket: u64) -> (Endpoint, &'static str, Str
     }
 }
 
-fn connect(addr: &str) -> std::io::Result<TcpStream> {
-    let stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(Duration::from_secs(30)))?;
-    Ok(stream)
-}
-
-/// One request/response exchange; returns `(status, retry_after_s, body)`.
-fn exchange(
-    conn: &mut TcpStream,
-    path: &str,
-    body: &str,
-) -> std::io::Result<(u16, Option<u64>, Vec<u8>)> {
-    use std::io::Write as _;
-    let wire = http::format_request("POST", path, body);
-    conn.write_all(wire.as_bytes())?;
-    let (status, headers, resp_body) = http::read_response(conn)?;
-    let retry_after = headers
-        .iter()
-        .find(|(k, _)| k == "retry-after")
-        .and_then(|(_, v)| v.parse().ok());
-    Ok((status, retry_after, resp_body))
-}
+/// Connect and read timeout of every client connection.
+const TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Total 503 retries allowed per ticket before it counts as an error.
 const MAX_503_RETRIES: u32 = 32;
@@ -336,27 +317,17 @@ const MAX_503_RETRIES: u32 = 32;
 /// How long to sleep before 503-retry number `attempt` (1-based) of
 /// `ticket`, or `None` once the attempt budget is spent.
 ///
-/// The base wait grows exponentially (5 ms, doubling, capped at 100 ms)
-/// and is floored by the server's `Retry-After` (seconds, also capped at
-/// 100 ms — a load generator that sleeps whole seconds measures nothing).
-/// The result is then jittered to `[base/2, 1.5·base)` by a hash of
-/// `(ticket, attempt)`: deterministic per ticket for replayable runs, but
+/// This is [`backoff_ms`] from 5 ms, doubling, capped at 100 ms, with the
+/// server's `Retry-After` also capped at 100 ms — a load generator that
+/// sleeps whole seconds measures nothing. The jitter key is `(ticket,
+/// attempt)`: deterministic per ticket for replayable runs, but
 /// de-synchronized *across* tickets, so a fleet of workers rejected in
 /// the same instant cannot form a retry storm against a recovering
 /// replica.
 #[must_use]
 pub fn retry_503_wait_ms(ticket: u64, attempt: u32, retry_after_s: Option<u64>) -> Option<u64> {
-    if attempt > MAX_503_RETRIES {
-        return None;
-    }
-    let exp = 5u64
-        .saturating_mul(1 << attempt.saturating_sub(1).min(5))
-        .min(100);
-    let base = retry_after_s
-        .map_or(exp, |s| exp.max((s * 1000).min(100)))
-        .max(1);
-    let jitter = crate::router::splitmix64(ticket ^ (u64::from(attempt) << 32)) % base;
-    Some(base / 2 + jitter)
+    let jitter = ticket ^ (u64::from(attempt) << 32);
+    (attempt <= MAX_503_RETRIES).then(|| backoff_ms(5, 100, 100, attempt, retry_after_s, jitter))
 }
 
 fn worker(cfg: &LoadgenConfig, tickets: &AtomicU64, start: Instant) -> WorkerOut {
@@ -368,7 +339,7 @@ fn worker(cfg: &LoadgenConfig, tickets: &AtomicU64, start: Instant) -> WorkerOut
         frontier_cold_us: Vec::new(),
         frontier_warm_us: Vec::new(),
     };
-    let mut conn = connect(&cfg.addr).ok();
+    let mut conn = http::dial(cfg.addr.as_str(), TIMEOUT).ok();
     'tickets: loop {
         let ticket = tickets.fetch_add(1, Ordering::Relaxed);
         // Stop criterion: wall clock in duration mode, count otherwise.
@@ -408,7 +379,7 @@ fn worker(cfg: &LoadgenConfig, tickets: &AtomicU64, start: Instant) -> WorkerOut
         let mut backoffs = 0u32;
         loop {
             let Some(c) = conn.as_mut() else {
-                match connect(&cfg.addr) {
+                match http::dial(cfg.addr.as_str(), TIMEOUT) {
                     Ok(c) => {
                         conn = Some(c);
                         continue;
@@ -425,8 +396,8 @@ fn worker(cfg: &LoadgenConfig, tickets: &AtomicU64, start: Instant) -> WorkerOut
                     }
                 }
             };
-            match exchange(c, path, &body) {
-                Ok((200, _, resp_body)) => {
+            match http::exchange(c, "POST", path, &body) {
+                Ok(answer) if answer.status == 200 => {
                     out.ok += 1;
                     out.samples.push(Sample {
                         endpoint: endpoint.index(),
@@ -437,11 +408,11 @@ fn worker(cfg: &LoadgenConfig, tickets: &AtomicU64, start: Instant) -> WorkerOut
                     // so both endpoints sample the cold/warm compute clock
                     // (whichever arrives first takes the cold hit).
                     if path == "/frontier" || path == "/plan" {
-                        record_frontier_compute(&resp_body, &mut out);
+                        record_frontier_compute(&answer.body, &mut out);
                     }
                     break;
                 }
-                Ok((503, retry_after, _)) => {
+                Ok(answer) if answer.status == 503 => {
                     // Admission control asked us to back off; honor it
                     // (capped — Retry-After is in whole seconds), jittered
                     // per ticket so every worker that got the same
@@ -451,7 +422,7 @@ fn worker(cfg: &LoadgenConfig, tickets: &AtomicU64, start: Instant) -> WorkerOut
                     out.rejected_retries += 1;
                     conn = None;
                     backoffs += 1;
-                    match retry_503_wait_ms(ticket, backoffs, retry_after) {
+                    match retry_503_wait_ms(ticket, backoffs, answer.retry_after_s) {
                         Some(wait) => std::thread::sleep(Duration::from_millis(wait)),
                         None => {
                             out.errors += 1;
@@ -459,7 +430,7 @@ fn worker(cfg: &LoadgenConfig, tickets: &AtomicU64, start: Instant) -> WorkerOut
                         }
                     }
                 }
-                Ok((_status, _, _)) => {
+                Ok(_) => {
                     out.errors += 1;
                     break;
                 }
@@ -589,15 +560,12 @@ fn aggregate(outs: Vec<WorkerOut>, sent: u64, wall_s: f64, warmup_s: f64) -> Loa
 
 /// Scraped slice of `GET /statz`.
 fn scrape_statz(addr: &str) -> Option<ServerDelta> {
-    use std::io::Write as _;
-    let mut conn = connect(addr).ok()?;
-    conn.write_all(http::format_request("GET", "/statz", "").as_bytes())
-        .ok()?;
-    let (status, _headers, body) = http::read_response(&mut conn).ok()?;
-    if status != 200 {
+    let mut conn = http::dial(addr, TIMEOUT).ok()?;
+    let answer = http::exchange(&mut conn, "GET", "/statz", "").ok()?;
+    if answer.status != 200 {
         return None;
     }
-    let v = json::parse(std::str::from_utf8(&body).ok()?).ok()?;
+    let v = json::parse(std::str::from_utf8(&answer.body).ok()?).ok()?;
     let u = |field: &str| v.get(field).and_then(Value::as_u64).unwrap_or(0);
     let cache = |field: &str| {
         v.get("cache")
@@ -975,5 +943,55 @@ mod tests {
         // The attempt budget is finite.
         assert!(retry_503_wait_ms(1, MAX_503_RETRIES, None).is_some());
         assert!(retry_503_wait_ms(1, MAX_503_RETRIES + 1, None).is_none());
+    }
+
+    #[test]
+    fn retry_503_wait_values_are_pinned() {
+        // Captured from loadgen's own backoff before it moved to
+        // `router::backoff_ms`: per ticket, the waits for attempts 1–8
+        // without a usable hint (none or `Retry-After: 0`) and with one
+        // (1, 2 or 30 s, all past the 100 ms cap).
+        let pinned: [(u64, [u64; 8], [u64; 8]); 3] = [
+            (
+                0,
+                [3, 7, 25, 43, 66, 94, 139, 124],
+                [106, 132, 145, 93, 96, 94, 139, 124],
+            ),
+            (
+                99,
+                [4, 9, 17, 44, 63, 139, 139, 59],
+                [147, 54, 77, 54, 133, 139, 139, 59],
+            ),
+            (
+                0xDEAD_BEEF,
+                [4, 13, 19, 31, 108, 53, 63, 133],
+                [97, 128, 79, 61, 138, 53, 63, 133],
+            ),
+        ];
+        for (ticket, plain, hinted) in pinned {
+            for (hint, want) in [
+                (None, plain),
+                (Some(0), plain),
+                (Some(1), hinted),
+                (Some(2), hinted),
+                (Some(30), hinted),
+            ] {
+                let got: Vec<u64> = (1..=8)
+                    .map(|a| retry_503_wait_ms(ticket, a, hint).expect("within budget"))
+                    .collect();
+                assert_eq!(got, want, "ticket {ticket}, Retry-After {hint:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_huge_retry_after_saturates_at_the_cap() {
+        for attempt in [1, 7, MAX_503_RETRIES] {
+            let wait = retry_503_wait_ms(1, attempt, Some(u64::MAX)).expect("within budget");
+            assert!(
+                (50..150).contains(&wait),
+                "wait {wait} escaped the capped band"
+            );
+        }
     }
 }

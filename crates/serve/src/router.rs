@@ -95,16 +95,41 @@ impl Ring {
     }
 }
 
-/// SplitMix64: a tiny, high-quality 64-bit mixer. The fleet derives
-/// deterministic retry jitter from it (seed ⊕ key ⊕ attempt), and loadgen
-/// uses it to de-synchronize `Retry-After` backoffs across workers —
-/// data-dependent randomness with no RNG state to carry around.
+/// SplitMix64: a tiny, high-quality 64-bit mixer. [`backoff_ms`] jitters
+/// from it — data-dependent randomness with no RNG state to carry around.
 #[must_use]
 pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     x ^ (x >> 31)
+}
+
+/// Milliseconds to wait before retry `attempt` (≥ 1): the fleet's retries
+/// and loadgen's 503 retries. The base doubles from `base_ms` (at most 6
+/// times) up to `cap_ms`; `Retry-After` floors it, capped at
+/// `retry_after_cap_ms`; every step saturates. [`splitmix64`] of the
+/// caller's `jitter` key spreads the wait over `[base/2, 1.5·base)`, so a
+/// retry always waits the same time while clients rejected together fan
+/// out.
+#[must_use]
+pub fn backoff_ms(
+    base_ms: u64,
+    cap_ms: u64,
+    retry_after_cap_ms: u64,
+    attempt: u32,
+    retry_after_s: Option<u64>,
+    jitter: u64,
+) -> u64 {
+    let exp = base_ms
+        .saturating_mul(1 << attempt.saturating_sub(1).min(6))
+        .min(cap_ms);
+    let base = match retry_after_s {
+        Some(s) => exp.max(s.saturating_mul(1000).min(retry_after_cap_ms)),
+        None => exp,
+    }
+    .max(1);
+    base / 2 + splitmix64(jitter) % base
 }
 
 #[cfg(test)]

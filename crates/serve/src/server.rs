@@ -528,7 +528,7 @@ fn reject(mut stream: TcpStream, shared: &Shared) {
     let mut resp = Response::error(503, "connection limit reached");
     resp.retry_after_s = Some(retry_after_s);
     resp.close = true;
-    let _ = resp.write_to(&mut stream);
+    let _ = io::Write::write_all(&mut stream, &resp.to_bytes());
 }
 
 /// One compute-pool thread: pull jobs until shutdown *and* empty, compute

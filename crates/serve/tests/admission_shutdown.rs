@@ -54,25 +54,12 @@ fn small_daemon(store: ModelStore, max_connections: usize) -> (ServerHandle, Arc
 }
 
 fn connect(handle: &ServerHandle) -> TcpStream {
-    let conn = TcpStream::connect(handle.addr()).expect("connect");
-    conn.set_read_timeout(Some(Duration::from_secs(10)))
-        .expect("timeout");
-    conn
+    http::dial(handle.addr(), Duration::from_secs(10)).expect("connect")
 }
 
-/// Send `GET /healthz` on `conn` and return `(status, retry_after,
-/// connection_header)`.
-fn healthz(conn: &mut TcpStream) -> (u16, Option<String>, Option<String>) {
-    conn.write_all(http::format_request("GET", "/healthz", "").as_bytes())
-        .expect("send");
-    let (status, headers, _body) = http::read_response(conn).expect("response");
-    let find = |name: &str| {
-        headers
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v.clone())
-    };
-    (status, find("retry-after"), find("connection"))
+/// Send `GET /healthz` on `conn` and return its answer.
+fn healthz(conn: &mut TcpStream) -> http::Answer {
+    http::exchange(conn, "GET", "/healthz", "").expect("response")
 }
 
 fn wait_until(what: &str, mut f: impl FnMut() -> bool) {
@@ -91,17 +78,17 @@ fn connection_cap_gets_503_with_retry_after() {
     // loop and fully functional.
     let mut c0 = connect(&handle);
     let mut c1 = connect(&handle);
-    assert_eq!(healthz(&mut c0).0, 200);
-    assert_eq!(healthz(&mut c1).0, 200);
+    assert_eq!(healthz(&mut c0).status, 200);
+    assert_eq!(healthz(&mut c1).status, 200);
     wait_until("both connections registered", || handle.connections() == 2);
 
     // The third connection is rejected by the accept loop itself — it
     // never reaches the event loop or the compute pool.
     let mut c2 = connect(&handle);
-    let (status, retry_after, connection) = healthz(&mut c2);
-    assert_eq!(status, 503, "admission control must reject");
-    assert_eq!(retry_after.as_deref(), Some("7"), "Retry-After advertised");
-    assert_eq!(connection.as_deref(), Some("close"));
+    let answer = healthz(&mut c2);
+    assert_eq!(answer.status, 503, "admission control must reject");
+    assert_eq!(answer.retry_after_s, Some(7), "Retry-After advertised");
+    assert!(answer.close);
     let rejected = state
         .metrics
         .rejected
@@ -109,14 +96,14 @@ fn connection_cap_gets_503_with_retry_after() {
     assert!(rejected >= 1, "rejection counted in metrics");
 
     // The admitted connections still work: overload never broke them.
-    assert_eq!(healthz(&mut c0).0, 200);
-    assert_eq!(healthz(&mut c1).0, 200);
+    assert_eq!(healthz(&mut c0).status, 200);
+    assert_eq!(healthz(&mut c1).status, 200);
 
     // Dropping an admitted connection frees a slot for a new one.
     drop(c0);
     wait_until("slot freed", || handle.connections() < 2);
     let mut c3 = connect(&handle);
-    assert_eq!(healthz(&mut c3).0, 200, "freed slot must be reusable");
+    assert_eq!(healthz(&mut c3).status, 200, "freed slot must be reusable");
 
     handle.shutdown();
     handle.join();
@@ -156,19 +143,11 @@ fn graceful_shutdown_drains_coalesced_in_flight_compute() {
     // Both waiters get the real answer, tagged for close.
     let mut answers = Vec::new();
     for (name, conn) in [("leader", &mut c_leader), ("follower", &mut c_follower)] {
-        let (status, headers, resp) =
-            http::read_response(conn).unwrap_or_else(|e| panic!("{name} must be answered: {e:?}"));
-        assert_eq!(status, 200, "{name} gets the computed frontier");
-        let connection = headers
-            .iter()
-            .find(|(k, _)| k == "connection")
-            .map(|(_, v)| v.as_str().to_owned());
-        assert_eq!(
-            connection.as_deref(),
-            Some("close"),
-            "{name} told to close during drain"
-        );
-        let v = json::parse(std::str::from_utf8(&resp).expect("UTF-8")).expect("JSON");
+        let answer =
+            http::read_answer(conn).unwrap_or_else(|e| panic!("{name} must be answered: {e:?}"));
+        assert_eq!(answer.status, 200, "{name} gets the computed frontier");
+        assert!(answer.close, "{name} told to close during drain");
+        let v = json::parse(std::str::from_utf8(&answer.body).expect("UTF-8")).expect("JSON");
         answers.push(v);
     }
     let coalesced_flags: Vec<bool> = answers
@@ -228,7 +207,7 @@ fn slowloris_partial_head_is_reaped_with_408() {
     // slowloris reaping untouched (its buffers are empty between
     // requests, so the head deadline never applies).
     let mut honest = connect(&handle);
-    assert_eq!(healthz(&mut honest).0, 200);
+    assert_eq!(healthz(&mut honest).status, 200);
 
     // The attacker sends half a request line, then drip-feeds one byte
     // every 100 ms from a second thread — each byte refreshes
@@ -247,23 +226,15 @@ fn slowloris_partial_head_is_reaped_with_408() {
         }
     });
     let t0 = Instant::now();
-    let (status, headers, _body) =
-        http::read_response(&mut slow).expect("slowloris connection must get a response");
+    let answer = http::read_answer(&mut slow).expect("slowloris connection must get a response");
     stop.store(true, std::sync::atomic::Ordering::Relaxed);
     trickler.join().expect("trickler thread");
-    assert_eq!(status, 408, "partial head reaped with 408");
+    assert_eq!(answer.status, 408, "partial head reaped with 408");
     assert!(
         t0.elapsed() < Duration::from_secs(5),
         "reap happens on the head deadline, not the 30 s idle timeout"
     );
-    assert_eq!(
-        headers
-            .iter()
-            .find(|(k, _)| k == "connection")
-            .map(|(_, v)| v.as_str()),
-        Some("close"),
-        "a reaped connection is told to close"
-    );
+    assert!(answer.close, "a reaped connection is told to close");
     wait_until("timeout counted", || {
         state
             .metrics
@@ -273,15 +244,12 @@ fn slowloris_partial_head_is_reaped_with_408() {
     });
 
     // The honest connection was untouched by the reaping.
-    assert_eq!(healthz(&mut honest).0, 200);
+    assert_eq!(healthz(&mut honest).status, 200);
 
     // And the counter is visible in /statz.
-    let mut c = connect(&handle);
-    c.write_all(http::format_request("GET", "/statz", "").as_bytes())
-        .expect("send");
-    let (status, _headers, resp) = http::read_response(&mut c).expect("statz");
-    assert_eq!(status, 200);
-    let v = json::parse(std::str::from_utf8(&resp).expect("UTF-8")).expect("JSON");
+    let statz = http::exchange(&mut connect(&handle), "GET", "/statz", "").expect("statz");
+    assert_eq!(statz.status, 200);
+    let v = json::parse(std::str::from_utf8(&statz.body).expect("UTF-8")).expect("JSON");
     assert_eq!(
         v.get("schema").and_then(Value::as_str),
         Some("hecmix-statz-v4")
@@ -304,20 +272,16 @@ fn post(handle: &ServerHandle, path: &str, body: &str) -> TcpStream {
 }
 
 /// Read one answer: `(status, Retry-After, "error" message)`.
-fn answer(conn: &mut TcpStream) -> (u16, Option<String>, Option<String>) {
-    let (status, headers, body) = http::read_response(conn).expect("response");
-    let retry_after = headers
-        .iter()
-        .find(|(k, _)| k == "retry-after")
-        .map(|(_, v)| v.clone());
-    let v = json::parse(std::str::from_utf8(&body).expect("UTF-8")).expect("JSON");
+fn answer(conn: &mut TcpStream) -> (u16, Option<u64>, Option<String>) {
+    let answer = http::read_answer(conn).expect("response");
+    let v = json::parse(std::str::from_utf8(&answer.body).expect("UTF-8")).expect("JSON");
     let error = v.get("error").and_then(Value::as_str).map(str::to_owned);
-    (status, retry_after, error)
+    (answer.status, answer.retry_after_s, error)
 }
 
 /// The answer of a shed job: 503, `Retry-After: 7`, and `why`.
-fn shed(why: &str) -> (u16, Option<String>, Option<String>) {
-    (503, Some("7".to_owned()), Some(why.to_owned()))
+fn shed(why: &str) -> (u16, Option<u64>, Option<String>) {
+    (503, Some(7), Some(why.to_owned()))
 }
 
 #[test]

@@ -5,8 +5,7 @@
 //! One daemon instance serves the whole file (building it characterizes a
 //! workload, which takes real time); tests share it via a `OnceLock`.
 
-use std::io::Write as _;
-use std::net::TcpStream;
+use std::io::{Read as _, Write as _};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
@@ -61,16 +60,11 @@ fn daemon() -> &'static Daemon {
 
 /// One request over a fresh connection; returns `(status, parsed body)`.
 fn call(method: &str, path: &str, body: &str) -> (u16, Value) {
-    let addr = daemon().handle.addr();
-    let mut conn = TcpStream::connect(addr).expect("connect");
-    conn.set_read_timeout(Some(Duration::from_secs(30)))
-        .expect("timeout");
-    conn.write_all(http::format_request(method, path, body).as_bytes())
-        .expect("send");
-    let (status, _headers, resp) = http::read_response(&mut conn).expect("response");
-    let text = std::str::from_utf8(&resp).expect("UTF-8 body");
+    let mut conn = http::dial(daemon().handle.addr(), Duration::from_secs(30)).expect("connect");
+    let answer = http::exchange(&mut conn, method, path, body).expect("response");
+    let text = std::str::from_utf8(&answer.body).expect("UTF-8 body");
     let value = json::parse(text).unwrap_or_else(|e| panic!("bad JSON ({e}): {text}"));
-    (status, value)
+    (answer.status, value)
 }
 
 fn as_u64(v: &Value, k: &str) -> u64 {
@@ -584,6 +578,25 @@ fn error_paths_return_typed_statuses() {
     for (method, path, body, want) in cases {
         let (status, _) = call(method, path, body);
         assert_eq!(status, want, "{method} {path} with {body:?}");
+    }
+}
+
+#[test]
+fn http10_is_answered_and_closed_unless_it_asks_for_keep_alive() {
+    for (connection, closes) in [("", true), ("Connection: keep-alive\r\n", false)] {
+        let mut conn =
+            http::dial(daemon().handle.addr(), Duration::from_secs(30)).expect("connect");
+        let wire = format!("GET /healthz HTTP/1.0\r\n{connection}\r\n");
+        conn.write_all(wire.as_bytes()).expect("send");
+        let answer = http::read_answer(&mut conn).expect("response");
+        assert_eq!((answer.status, answer.close), (200, closes), "{wire:?}");
+        if closes {
+            let n = conn.read(&mut [0u8; 16]).expect("clean close");
+            assert_eq!(n, 0, "the daemon closes the socket after its answer");
+        } else {
+            let again = http::exchange(&mut conn, "GET", "/healthz", "").expect("kept alive");
+            assert_eq!((again.status, again.close), (200, false));
+        }
     }
 }
 

@@ -19,7 +19,6 @@
 //!    redone on a fresh one without counting as a failure, and a tripped
 //!    breaker empties its replica's pool.
 
-use std::io::Write as _;
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, OnceLock};
@@ -120,10 +119,7 @@ fn boot_gateway(fleet: &Arc<Fleet>) -> ServerHandle {
 }
 
 fn connect(handle: &ServerHandle) -> TcpStream {
-    let conn = TcpStream::connect(handle.addr()).expect("connect");
-    conn.set_read_timeout(Some(Duration::from_secs(30)))
-        .expect("timeout");
-    conn
+    http::dial(handle.addr(), Duration::from_secs(30)).expect("connect")
 }
 
 fn body(arm: u32) -> String {
@@ -171,12 +167,10 @@ fn breaker(fleet: &Fleet, idx: usize) -> String {
 
 /// `(status, cached)` of one `/frontier` exchange on a keep-alive conn.
 fn frontier(conn: &mut TcpStream, body: &str) -> (u16, bool) {
-    conn.write_all(http::format_request("POST", "/frontier", body).as_bytes())
-        .expect("send");
-    let (status, _headers, resp) = http::read_response(conn).expect("response");
-    let v = json::parse(std::str::from_utf8(&resp).expect("UTF-8")).expect("JSON");
+    let answer = http::exchange(conn, "POST", "/frontier", body).expect("response");
+    let v = json::parse(std::str::from_utf8(&answer.body).expect("UTF-8")).expect("JSON");
     let cached = v.get("cached").and_then(Value::as_bool).unwrap_or(false);
-    (status, cached)
+    (answer.status, cached)
 }
 
 #[test]

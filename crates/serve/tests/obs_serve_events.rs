@@ -26,18 +26,12 @@ fn build_store() -> ModelStore {
 }
 
 fn connect(handle: &ServerHandle) -> TcpStream {
-    let conn = TcpStream::connect(handle.addr()).expect("connect");
-    conn.set_read_timeout(Some(Duration::from_secs(30)))
-        .expect("timeout");
-    conn
+    http::dial(handle.addr(), Duration::from_secs(30)).expect("connect")
 }
 
 fn call(handle: &ServerHandle, method: &str, path: &str, body: &str) -> u16 {
-    let mut conn = connect(handle);
-    conn.write_all(http::format_request(method, path, body).as_bytes())
-        .expect("send");
-    let (status, _headers, _resp) = http::read_response(&mut conn).expect("response");
-    status
+    let answer = http::exchange(&mut connect(handle), method, path, body).expect("response");
+    answer.status
 }
 
 /// The `(kind, field)` pairs read one step looser than their schema type:
@@ -94,10 +88,10 @@ fn serving_path_emits_schema_complete_jsonl_events() {
         );
         std::thread::sleep(Duration::from_millis(2));
     }
-    let (status, _, _) = http::read_response(&mut c_leader).expect("leader answered");
-    assert_eq!(status, 200);
-    let (status, _, _) = http::read_response(&mut c_follower).expect("follower answered");
-    assert_eq!(status, 200);
+    let leader = http::read_answer(&mut c_leader).expect("leader answered");
+    assert_eq!(leader.status, 200);
+    let follower = http::read_answer(&mut c_follower).expect("follower answered");
+    assert_eq!(follower.status, 200);
 
     // 3. A reload re-warms the hot set (the frontier key cached above).
     state.set_compute_delay(Duration::ZERO);

@@ -45,29 +45,25 @@ fn daemon(compute_delay: Duration) -> (ServerHandle, Arc<AppState>) {
 }
 
 fn connect(handle: &ServerHandle) -> TcpStream {
-    let conn = TcpStream::connect(handle.addr()).expect("connect");
-    conn.set_read_timeout(Some(Duration::from_secs(30)))
-        .expect("timeout");
-    conn
+    http::dial(handle.addr(), Duration::from_secs(30)).expect("connect")
+}
+
+/// `(status, cached, coalesced)` of an answer to `/frontier`.
+fn flags(answer: &http::Answer) -> (u16, bool, bool) {
+    let v = json::parse(std::str::from_utf8(&answer.body).expect("UTF-8")).expect("JSON");
+    let flag = |k: &str| v.get(k).and_then(Value::as_bool).unwrap_or(false);
+    (answer.status, flag("cached"), flag("coalesced"))
 }
 
 /// `(status, cached, coalesced)` of one `/frontier` exchange.
 fn frontier(conn: &mut TcpStream, body: &str) -> (u16, bool, bool) {
-    conn.write_all(http::format_request("POST", "/frontier", body).as_bytes())
-        .expect("send");
-    let (status, _headers, resp) = http::read_response(conn).expect("response");
-    let v = json::parse(std::str::from_utf8(&resp).expect("UTF-8")).expect("JSON");
-    let flag = |k: &str| v.get(k).and_then(Value::as_bool).unwrap_or(false);
-    (status, flag("cached"), flag("coalesced"))
+    flags(&http::exchange(conn, "POST", "/frontier", body).expect("response"))
 }
 
 fn statz(handle: &ServerHandle) -> Value {
-    let mut conn = connect(handle);
-    conn.write_all(http::format_request("GET", "/statz", "").as_bytes())
-        .expect("send");
-    let (status, _headers, resp) = http::read_response(&mut conn).expect("response");
-    assert_eq!(status, 200);
-    json::parse(std::str::from_utf8(&resp).expect("UTF-8")).expect("JSON")
+    let answer = http::exchange(&mut connect(handle), "GET", "/statz", "").expect("response");
+    assert_eq!(answer.status, 200);
+    json::parse(std::str::from_utf8(&answer.body).expect("UTF-8")).expect("JSON")
 }
 
 fn statz_u64(handle: &ServerHandle, field: &str) -> u64 {
@@ -183,13 +179,8 @@ fn disconnected_leader_does_not_strand_followers() {
     // connection; the flight itself must keep going.
     drop(c_leader);
 
-    let (status, cached, coalesced) = {
-        let (status, _headers, resp) =
-            http::read_response(&mut c_follower).expect("follower answered");
-        let v = json::parse(std::str::from_utf8(&resp).expect("UTF-8")).expect("JSON");
-        let flag = |k: &str| v.get(k).and_then(Value::as_bool).unwrap_or(false);
-        (status, flag("cached"), flag("coalesced"))
-    };
+    let (status, cached, coalesced) =
+        flags(&http::read_answer(&mut c_follower).expect("follower answered"));
     assert_eq!(status, 200, "follower gets the plan the leader ordered");
     assert!(
         coalesced && !cached,
@@ -258,13 +249,9 @@ fn leader_crash_during_drain_answers_followers_cleanly() {
             followers
                 .into_iter()
                 .map(|mut f| {
-                    let (status, _headers, resp) =
-                        http::read_response(&mut f).expect("follower answered, not hung");
-                    let v = json::parse(std::str::from_utf8(&resp).expect("UTF-8")).expect("JSON");
-                    (
-                        status,
-                        v.get("coalesced").and_then(Value::as_bool).unwrap_or(false),
-                    )
+                    let (status, _, coalesced) =
+                        flags(&http::read_answer(&mut f).expect("follower answered, not hung"));
+                    (status, coalesced)
                 })
                 .collect::<Vec<_>>()
         });
