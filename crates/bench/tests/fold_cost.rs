@@ -2,9 +2,14 @@
 //! an option catalog. Every check is a ratio between two code paths timed
 //! alternately on the same machine, so runner speed cannot flap them:
 //!
-//! * `RateTable::frontier` (rows over columns, in-row dominance skips,
-//!   hinted inserts) must take at most 0.3× the per-point reference fold
-//!   in `hecmix-check`, which evaluates and bisects every point;
+//! * `RateTable::frontier` (rows over columns, dominated blocks skipped
+//!   whole, in-row dominance skips, hinted inserts) must take at most
+//!   0.07× the per-point reference fold in `hecmix-check`, which evaluates
+//!   and bisects every point;
+//! * `ResilientTable::frontier` at `k = 1` on the unpruned 10 × 10 space
+//!   (rows over columns, the row's degraded constants computed once per
+//!   row) must take at most 0.5× the per-point degraded fold, which
+//!   degrades, re-encodes and evaluates every point on its own;
 //! * `RateTable::build_pruned` must take at most 1.5× `RateTable::build`
 //!   on the same space: pruning may not cost more than half a build;
 //! * the first pruned slice of a fresh 512 × 512 `OptionCatalog`, which
@@ -20,10 +25,11 @@
 //! test timing alongside it on a two-core runner reads their noise.
 
 use hecmix_bench::best_of;
-use hecmix_check::reference::per_point_fold;
+use hecmix_check::reference::{per_point_degraded_fold, per_point_fold};
 use hecmix_core::config::ConfigSpace;
 use hecmix_core::profile::WorkloadModel;
 use hecmix_core::rate_table::{OptionCatalog, RateTable};
+use hecmix_core::resilience::ResilientTable;
 use hecmix_core::types::Platform;
 
 #[test]
@@ -44,8 +50,27 @@ fn row_fold_and_pruning_stay_cheap() {
     );
     let (fold, reference) = best_of(5, || table.frontier(w), || per_point_fold(&table, w));
     assert!(
-        fold.as_secs_f64() <= 0.3 * reference.as_secs_f64(),
+        fold.as_secs_f64() <= 0.07 * reference.as_secs_f64(),
         "the row fold took {fold:?}, the per-point fold {reference:?}"
+    );
+
+    // The `/frontier` `resilient_k` shape at its largest caps, 10 × 10,
+    // whose table is unpruned.
+    let (arm, amd) = (&space.types[0].platform, &space.types[1].platform);
+    let small = ConfigSpace::two_type(arm.clone(), 10, amd.clone(), 10);
+    let resilient = ResilientTable::build(&small, &models).unwrap();
+    assert_eq!(
+        resilient.frontier(w, 1).unwrap().len(),
+        per_point_degraded_fold(&resilient, w, 1).len()
+    );
+    let (rows, points) = best_of(
+        5,
+        || resilient.frontier(w, 1),
+        || per_point_degraded_fold(&resilient, w, 1),
+    );
+    assert!(
+        rows.as_secs_f64() <= 0.5 * points.as_secs_f64(),
+        "the k-degraded row fold took {rows:?}, the per-point degraded fold {points:?}"
     );
 
     let (pruned, full) = best_of(
@@ -58,7 +83,6 @@ fn row_fold_and_pruning_stay_cheap() {
         "build_pruned took {pruned:?}, build {full:?}"
     );
 
-    let (arm, amd) = (&space.types[0].platform, &space.types[1].platform);
     let wide = ConfigSpace::two_type(arm.clone(), 512, amd.clone(), 512);
     let catalog = OptionCatalog::build(&wide, &models).unwrap();
     let caps = [Some(512), Some(128)];

@@ -6,8 +6,9 @@
 //! cleverly or in closed form, kept so the clever version can be compared
 //! with it:
 //!
-//! * [`per_point_fold`] and [`two_point_energy`] for the rate-table fold
-//!   and the ladder lift, bit for bit;
+//! * [`per_point_fold`], [`per_point_degraded_fold`] and
+//!   [`two_point_energy`] for the rate-table fold, the k-degraded fold and
+//!   the ladder lift, bit for bit;
 //! * [`match_two_numeric`], a bisection split, for the closed-form
 //!   mix-and-match split;
 //! * [`des`], a request-level simulation of the M/D/1 dispatcher queue,
@@ -21,6 +22,7 @@ use hecmix_core::energy::EnergyBreakdown;
 use hecmix_core::exec_time::TimeBreakdown;
 use hecmix_core::profile::WorkloadModel;
 use hecmix_core::rate_table::RateTable;
+use hecmix_core::resilience::ResilientTable;
 use hecmix_core::{Error, Result};
 
 /// One frontier point of [`per_point_fold`]: its time and energy, and the
@@ -48,31 +50,55 @@ pub struct FoldPoint {
 /// chunking of the same fold must produce.
 #[must_use]
 pub fn per_point_fold(table: &RateTable, w_units: f64) -> Vec<FoldPoint> {
-    let mut entries: Vec<FoldPoint> = Vec::new();
+    let mut entries = Vec::new();
     for flat in 1..=table.count() {
         let out = table.outcome(flat, w_units);
-        let c = FoldPoint {
-            time_s: out.time_s,
-            energy_j: out.energy_j,
-            flat,
-        };
-        if !c.time_s.is_finite() || !c.energy_j.is_finite() {
-            continue;
-        }
-        let i = entries.partition_point(|p| {
-            p.time_s
-                .total_cmp(&c.time_s)
-                .then(p.energy_j.total_cmp(&c.energy_j))
-                .then(p.flat.cmp(&c.flat))
-                .is_lt()
-        });
-        if i > 0 && entries[i - 1].energy_j <= c.energy_j {
-            continue;
-        }
-        let k = entries[i..].partition_point(|p| p.energy_j >= c.energy_j);
-        entries.splice(i..i + k, std::iter::once(c));
+        insert(&mut entries, out.time_s, out.energy_j, flat);
     }
     entries
+}
+
+/// The `k`-failure resilient frontier of `table` by the straightforward
+/// fold: degrade every flat index on its own with
+/// [`ResilientTable::degraded_flat`], evaluate the degraded configuration
+/// with [`RateTable::outcome`], and insert it under the deployed flat
+/// index as [`per_point_fold`] does. Points that cannot tolerate `k`
+/// losses are left out.
+#[must_use]
+pub fn per_point_degraded_fold(table: &ResilientTable, w_units: f64, k: u32) -> Vec<FoldPoint> {
+    let mut entries = Vec::new();
+    for flat in 1..=table.table().count() {
+        if let Some(d) = table.degraded_flat(flat, k) {
+            let out = table.table().outcome(d, w_units);
+            insert(&mut entries, out.time_s, out.energy_j, flat);
+        }
+    }
+    entries
+}
+
+/// Binary-search insert one point into a sorted frontier, by the rule
+/// [`per_point_fold`] states.
+fn insert(entries: &mut Vec<FoldPoint>, time_s: f64, energy_j: f64, flat: u64) {
+    let c = FoldPoint {
+        time_s,
+        energy_j,
+        flat,
+    };
+    if !c.time_s.is_finite() || !c.energy_j.is_finite() {
+        return;
+    }
+    let i = entries.partition_point(|p| {
+        p.time_s
+            .total_cmp(&c.time_s)
+            .then(p.energy_j.total_cmp(&c.energy_j))
+            .then(p.flat.cmp(&c.flat))
+            .is_lt()
+    });
+    if i > 0 && entries[i - 1].energy_j <= c.energy_j {
+        return;
+    }
+    let k = entries[i..].partition_point(|p| p.energy_j >= c.energy_j);
+    entries.splice(i..i + k, std::iter::once(c));
 }
 
 /// Energy of `cfg.nodes` nodes of `model`'s type over a job lasting

@@ -10,6 +10,7 @@ use hecmix_check::{oracles, reference};
 use hecmix_core::config::{ClusterPoint, ConfigSpace, NodeConfig, TypeBounds};
 use hecmix_core::profile::WorkloadModel;
 use hecmix_core::rate_table::RateTable;
+use hecmix_core::resilience::ResilientTable;
 use hecmix_core::types::{Frequency, Platform};
 
 /// Random two-type scenario: reference platforms with random node caps,
@@ -193,11 +194,49 @@ proptest! {
     }
 }
 
-/// Random one- to three-type table: the reference platforms plus a
-/// third, node caps that may leave a type out (but not every type),
-/// CPU- or I/O-bound profiles with instruction demand over seven decades,
-/// pruned or not, and a random job size. Unpruned spaces get smaller caps
-/// so the per-point reference stays quick.
+/// One to three types from the reference platforms plus a third, at
+/// these node caps (a cap of 0 leaves a type out, but never every type),
+/// with CPU- or I/O-bound profiles of instruction demand `10^demand`.
+fn fold_space(
+    types: usize,
+    mut caps: [u32; 3],
+    demand: [f64; 3],
+    io_bound: bool,
+) -> (ConfigSpace, Vec<WorkloadModel>) {
+    let mid = Platform {
+        name: "ARM Cortex-A15".to_owned(),
+        freqs: vec![Frequency::from_ghz(0.6), Frequency::from_ghz(1.8)],
+        peak_power_w: 9.0,
+        idle_power_w: 2.6,
+        ..Platform::reference_arm()
+    };
+    let platforms = [Platform::reference_arm(), Platform::reference_amd(), mid];
+    if caps[..types].iter().all(|&c| c == 0) {
+        caps[0] = 1;
+    }
+    let bounds = (0..types)
+        .map(|t| TypeBounds {
+            platform: platforms[t].clone(),
+            max_nodes: caps[t],
+        })
+        .collect();
+    let models = (0..types)
+        .map(|t| {
+            let i_ps = 10f64.powf(demand[t]);
+            if io_bound {
+                WorkloadModel::synthetic_io_bound(&platforms[t], "fold", i_ps, 512.0)
+            } else {
+                WorkloadModel::synthetic_cpu_bound(&platforms[t], "fold", i_ps)
+            }
+        })
+        .collect();
+    (ConfigSpace::new(bounds), models)
+}
+
+/// Random one- to three-type table: [`fold_space`] at random caps,
+/// demands and profile kind, pruned or not, and a random job size.
+/// Unpruned spaces get smaller caps so the per-point reference stays
+/// quick.
 fn fold_scenario() -> impl Strategy<Value = (RateTable, f64)> {
     (
         1usize..=3,
@@ -208,43 +247,38 @@ fn fold_scenario() -> impl Strategy<Value = (RateTable, f64)> {
         1e3f64..1e8,
     )
         .prop_map(|(types, caps, demand, io_bound, pruned, w)| {
-            let mid = Platform {
-                name: "ARM Cortex-A15".to_owned(),
-                freqs: vec![Frequency::from_ghz(0.6), Frequency::from_ghz(1.8)],
-                peak_power_w: 9.0,
-                idle_power_w: 2.6,
-                ..Platform::reference_arm()
-            };
-            let platforms = [Platform::reference_arm(), Platform::reference_amd(), mid];
             let limit = if pruned { 40 } else { [40, 6, 3][types - 1] };
-            let mut caps = [caps.0, caps.1, caps.2].map(|c| c * limit / 40);
-            if caps[..types].iter().all(|&c| c == 0) {
-                caps[0] = 1;
-            }
-            let demand = [demand.0, demand.1, demand.2];
-            let bounds = (0..types)
-                .map(|t| TypeBounds {
-                    platform: platforms[t].clone(),
-                    max_nodes: caps[t],
-                })
-                .collect();
-            let models: Vec<WorkloadModel> = (0..types)
-                .map(|t| {
-                    let i_ps = 10f64.powf(demand[t]);
-                    if io_bound {
-                        WorkloadModel::synthetic_io_bound(&platforms[t], "fold", i_ps, 512.0)
-                    } else {
-                        WorkloadModel::synthetic_cpu_bound(&platforms[t], "fold", i_ps)
-                    }
-                })
-                .collect();
-            let space = ConfigSpace::new(bounds);
+            let caps = [caps.0, caps.1, caps.2].map(|c| c * limit / 40);
+            let (space, models) = fold_space(types, caps, [demand.0, demand.1, demand.2], io_bound);
             let table = if pruned {
                 RateTable::build_pruned(&space, &models)
             } else {
                 RateTable::build(&space, &models)
             };
             (table.expect("valid scenario"), w)
+        })
+}
+
+/// Random full table for the k-degraded fold: [`fold_space`] at the
+/// unpruned caps of [`fold_scenario`], or at caps of at most one node
+/// (where no configuration tolerates `k ≥` the type count), a random job
+/// size and `k ∈ 0..=3`.
+fn degraded_scenario() -> impl Strategy<Value = (ResilientTable, f64, u32)> {
+    (
+        1usize..=3,
+        (0u32..=40, 0u32..=40, 0u32..=40),
+        (2.0f64..9.0, 2.0f64..9.0, 2.0f64..9.0),
+        any::<bool>(),
+        any::<bool>(),
+        1e3f64..1e8,
+        0u32..=3,
+    )
+        .prop_map(|(types, caps, demand, io_bound, tiny, w, k)| {
+            let limit = if tiny { 1 } else { [40, 6, 3][types - 1] };
+            let caps = [caps.0, caps.1, caps.2].map(|c| (c * limit).div_ceil(40));
+            let (space, models) = fold_space(types, caps, [demand.0, demand.1, demand.2], io_bound);
+            let table = ResilientTable::build(&space, &models).expect("valid scenario");
+            (table, w, k)
         })
 }
 
@@ -265,6 +299,22 @@ proptest! {
             prop_assert_eq!(f.time_s.to_bits(), s.time_s.to_bits());
             prop_assert_eq!(f.energy_j.to_bits(), s.energy_j.to_bits());
             prop_assert_eq!(&f.config, &table.decode(s.flat));
+        }
+    }
+
+    // The k-degraded row fold (row constants per lost-node count, type 0's
+    // loss per cell, in-row dominance skips, parallel chunks) must return
+    // exactly the per-point degraded fold's frontier, empty when no
+    // configuration tolerates `k`.
+    #[test]
+    fn prop_degraded_row_fold_equals_per_point_fold((table, w, k) in degraded_scenario()) {
+        let fast = table.frontier(w, k).unwrap();
+        let slow = reference::per_point_degraded_fold(&table, w, k);
+        prop_assert_eq!(fast.len(), slow.len());
+        for (f, s) in fast.points.iter().zip(&slow) {
+            prop_assert_eq!(f.time_s.to_bits(), s.time_s.to_bits());
+            prop_assert_eq!(f.energy_j.to_bits(), s.energy_j.to_bits());
+            prop_assert_eq!(&f.config, &table.table().decode(s.flat));
         }
     }
 }

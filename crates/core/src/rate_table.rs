@@ -47,6 +47,16 @@
 //!   the same chunk already dominates, and survivors enter the partial
 //!   frontier through an insert that starts searching where the last one
 //!   landed.
+//! * **Dominated blocks.** Each column also keeps, per block of 16 digits,
+//!   its largest rate and least power. Summed with the row's constants in
+//!   the kernel's order, they bound every cell of the block from below in
+//!   both time and energy, since rounding is monotone. When the partial
+//!   frontier already holds an entry no slower than that time bound and
+//!   strictly cheaper than that energy bound, it would reject every cell
+//!   of the block, so the fold skips the block unwalked. The frontier is a
+//!   thin staircase and most of a space lies far above it, so most blocks
+//!   go this way; the result stays bit for bit the per-point fold's.
+//!   The k-degraded fold of [`crate::resilience`] walks the same rows.
 //!
 //! ## Soundness of the `(r, b)` aggregation
 //!
@@ -63,6 +73,7 @@
 //! `tests/streaming_equivalence.rs`.
 
 use std::num::NonZeroUsize;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
@@ -124,23 +135,48 @@ pub(crate) fn lone_run(model: &WorkloadModel, cfg: &NodeConfig) -> Result<(f64, 
     Ok((rate, power_w))
 }
 
+/// Digits per block of a column: the row fold bounds a block's cells at
+/// once and skips the block when the partial frontier beats the bound.
+const BLOCK: usize = 16;
+
 /// One type's options as columns indexed by digit: entry 0 is the `0.0`
 /// sentinel for "type unused", entry `d ≥ 1` is option `d - 1`. Rates and
 /// powers are positive, and `x + 0.0 == x` for every `x ≥ +0`, so summing
 /// the sentinel leaves a configuration's `Σr` and `Σb` bit-unchanged.
 #[derive(Debug, Clone)]
-struct Column {
+pub(crate) struct Column {
     rate: Vec<f64>,
     power: Vec<f64>,
+    /// Per digit, the option's node count (`0` at the unused digit).
+    pub(crate) nodes: Vec<u32>,
+    /// Per digit, the option's per-node rate `rate / nodes` (`0.0` at the
+    /// unused digit).
+    pub(crate) node_rate: Vec<f64>,
+    /// Per block of [`BLOCK`] digits, the largest rate and the least power.
+    blocks: Vec<(f64, f64)>,
 }
 
 impl Column {
     fn new(opts: &[RateOption]) -> Self {
         let col =
             |f: fn(&RateOption) -> f64| std::iter::once(0.0).chain(opts.iter().map(f)).collect();
+        let (rate, power): (Vec<f64>, Vec<f64>) = (col(|o| o.rate), col(|o| o.power_w));
+        let blocks = rate
+            .chunks(BLOCK)
+            .zip(power.chunks(BLOCK))
+            .map(|(r, b)| {
+                let max = r.iter().copied().fold(0.0, f64::max);
+                (max, b.iter().copied().fold(f64::INFINITY, f64::min))
+            })
+            .collect();
         Self {
-            rate: col(|o| o.rate),
-            power: col(|o| o.power_w),
+            rate,
+            power,
+            nodes: std::iter::once(0)
+                .chain(opts.iter().map(|o| o.cfg.nodes))
+                .collect(),
+            node_rate: col(|o| o.rate / f64::from(o.cfg.nodes)),
+            blocks,
         }
     }
 
@@ -149,7 +185,8 @@ impl Column {
         self.rate.len()
     }
 
-    fn at(&self, d: usize) -> (f64, f64) {
+    /// Digit `d`'s rate and power.
+    pub(crate) fn at(&self, d: usize) -> (f64, f64) {
         (self.rate[d], self.power[d])
     }
 }
@@ -306,30 +343,22 @@ impl RateTable {
         }
     }
 
-    /// Fold flat indices `start ..= end` into `partial`, with exactly the
-    /// outcome of [`Self::outcome`] for every point.
-    ///
-    /// `start` is decoded once. Digit 0 is the inner loop over contiguous
-    /// columns; the other digits' `(r, b)` are row constants, refreshed
-    /// only when a row ends and the odometer carries.
-    ///
-    /// A point is skipped when an earlier point of this chunk dominates it.
-    /// The fold keeps the time of the previous finite point and the least
-    /// energy since time last decreased: every point of that run has a time
-    /// no larger than the current one and a smaller flat index, so a
-    /// current energy at or above the run's least means an earlier point
-    /// keys below it with no more energy. That point went into `partial`
-    /// (or lost there to a point keyed lower still with no more energy), so
-    /// `partial` would reject the skipped point anyway and ends up exactly
-    /// as if every point had been pushed. Non-finite points never enter a
-    /// run. In a pruned table digit 0 runs from the unused sentinel to
-    /// ever slower options, so each row is two runs and most points cost
-    /// two adds, a divide, a multiply and one predictable compare.
-    fn fold_rows(&self, start: u64, end: u64, w_units: f64, partial: &mut PartialFrontier) {
-        let (first, rest) = self
-            .columns
-            .split_first()
-            .expect("a table has at least one type");
+    /// The kernel's columns, one per type in type order.
+    pub(crate) fn columns(&self) -> &[Column] {
+        &self.columns
+    }
+
+    /// Walk flat indices `start ..= end` row by row: `visit` gets each
+    /// row's digits of the types after the first, the range of digit 0 it
+    /// covers, and the flat index of that range's first cell. `start` is
+    /// decoded once; after it the digits carry like an odometer, with no
+    /// per-point `%` or `/`.
+    pub(crate) fn rows(
+        &self,
+        start: u64,
+        end: u64,
+        mut visit: impl FnMut(&[usize], Range<usize>, u64),
+    ) {
         let mut digits = Vec::with_capacity(self.columns.len());
         let mut left = start;
         for col in &self.columns {
@@ -337,61 +366,141 @@ impl RateTable {
             digits.push((left % radix) as usize);
             left /= radix;
         }
-        // The row constants, per type after the first, in type order.
-        let mut row: Vec<(f64, f64)> = rest
-            .iter()
-            .zip(&digits[1..])
-            .map(|(c, &d)| c.at(d))
-            .collect();
-        let (mut last_t, mut run_min_e) = (f64::NEG_INFINITY, f64::INFINITY);
+        let radix0 = self.columns[0].radix();
         let mut flat = start;
         let mut d0 = digits[0];
         loop {
             // The rest of this row, or of the chunk if it ends first.
-            let len = ((first.radix() - d0) as u64).min(end - flat + 1) as usize;
-            let cells = first.rate[d0..d0 + len]
-                .iter()
-                .zip(&first.power[d0..d0 + len]);
-            for (k, (&r, &b)) in cells.enumerate() {
+            let len = ((radix0 - d0) as u64).min(end - flat + 1) as usize;
+            visit(&digits[1..], d0..d0 + len, flat);
+            flat += len as u64;
+            if flat > end {
+                return;
+            }
+            d0 = 0;
+            for (d, col) in digits[1..].iter_mut().zip(&self.columns[1..]) {
+                *d += 1;
+                if *d < col.radix() {
+                    break;
+                }
+                *d = 0;
+            }
+        }
+    }
+
+    /// Fold flat indices `start ..= end` into `partial`, with exactly the
+    /// outcome of [`Self::outcome`] for every point.
+    ///
+    /// Digit 0 is the inner loop over contiguous columns; the other
+    /// digits' `(r, b)` are row constants. A row's cells go in blocks of
+    /// [`BLOCK`] digits. Before walking a block, the fold bounds its cells
+    /// from below: `t_lo = W/(r_max + Σr_row)` and
+    /// `e_lo = t_lo·(b_min + Σb_row)`, with the block's largest rate and
+    /// least power summed in the kernel's order. Rounding is monotone, so
+    /// every cell's computed time is at least `t_lo` and its energy at
+    /// least `e_lo`. If `partial` holds an entry with time `≤ t_lo` and
+    /// energy `< e_lo`, that entry keys below every cell of the block with
+    /// strictly less energy, so `partial` would reject them all: the block
+    /// is skipped, and the in-row run below restarts. The strict energy
+    /// test never skips an exact tie, which a smaller flat index could
+    /// win. A NaN bound never skips, and an infinite one only skips cells
+    /// that are not finite. The bound holds for any option order, so full
+    /// and pruned tables share it.
+    ///
+    /// Inside a walked block a point is skipped when an earlier point of
+    /// this chunk dominates it ([`Run`]). In a pruned table digit 0 runs
+    /// from the unused sentinel to ever slower options, so each row is two
+    /// runs and most walked points cost two adds, a divide, a multiply and
+    /// one predictable compare.
+    fn fold_rows(&self, start: u64, end: u64, w_units: f64, partial: &mut PartialFrontier) {
+        let (first, rest) = self
+            .columns
+            .split_first()
+            .expect("a table has at least one type");
+        // The row constants, per type after the first, in type order.
+        let mut row: Vec<(f64, f64)> = Vec::with_capacity(rest.len());
+        let mut run = Run::FRESH;
+        self.rows(start, end, |digits, cells, flat| {
+            row.clear();
+            row.extend(rest.iter().zip(digits).map(|(c, &d)| c.at(d)));
+            let outcome = |r: f64, b: f64| {
                 let (mut sum_r, mut sum_b) = (r, b);
                 for &(r, b) in &row {
                     sum_r += r;
                     sum_b += b;
                 }
                 let time_s = w_units / sum_r;
-                let energy_j = time_s * sum_b;
-                if !(time_s.is_finite() && energy_j.is_finite()) {
+                (time_s, time_s * sum_b)
+            };
+            let mut lo = cells.start;
+            while lo < cells.end {
+                let hi = ((lo / BLOCK + 1) * BLOCK).min(cells.end);
+                let (t_lo, e_lo) = {
+                    let (r_max, b_min) = first.blocks[lo / BLOCK];
+                    outcome(r_max, b_min)
+                };
+                if partial.beats(t_lo, e_lo) {
+                    run = Run::FRESH;
+                    lo = hi;
                     continue;
                 }
-                if time_s < last_t {
-                    run_min_e = f64::INFINITY;
+                let block = first.rate[lo..hi].iter().zip(&first.power[lo..hi]);
+                for (d, (&r, &b)) in (lo..).zip(block) {
+                    let (time_s, energy_j) = outcome(r, b);
+                    if run.admits(time_s, energy_j) {
+                        partial.push(Entry {
+                            time_s,
+                            energy_j,
+                            flat: flat + (d - cells.start) as u64,
+                        });
+                    }
                 }
-                last_t = time_s;
-                if energy_j >= run_min_e {
-                    continue;
-                }
-                run_min_e = energy_j;
-                partial.push(Entry {
-                    time_s,
-                    energy_j,
-                    flat: flat + k as u64,
-                });
+                lo = hi;
             }
-            flat += len as u64;
-            if flat > end {
-                return;
-            }
-            d0 = 0;
-            for ((d, col), cell) in digits[1..].iter_mut().zip(rest).zip(&mut row) {
-                *d += 1;
-                if *d < col.radix() {
-                    *cell = col.at(*d);
-                    break;
-                }
-                *d = 0;
-                *cell = col.at(0);
-            }
+        });
+    }
+}
+
+/// The in-row dominance skip of a chunk's fold: the time of the previous
+/// finite point and the least energy since time last decreased.
+///
+/// Every point of that run has a time no larger than the current one and
+/// a smaller flat index, so a current energy at or above the run's least
+/// means an earlier point keys below it with no more energy. That point
+/// went into the partial frontier (or lost there to a point keyed lower
+/// still with no more energy), so the partial would reject the current
+/// point anyway and ends up exactly as if every point had been pushed.
+/// Non-finite points never enter a run. A fold that skips points without
+/// walking them restarts its run.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Run {
+    last_t: f64,
+    min_e: f64,
+}
+
+impl Run {
+    /// A run with no point in it yet.
+    pub(crate) const FRESH: Self = Self {
+        last_t: f64::NEG_INFINITY,
+        min_e: f64::INFINITY,
+    };
+
+    /// Extend the run by the next point in flat order; `false` when the
+    /// point is not finite or an earlier point of the run dominates it.
+    #[inline]
+    pub(crate) fn admits(&mut self, time_s: f64, energy_j: f64) -> bool {
+        if !(time_s.is_finite() && energy_j.is_finite()) {
+            return false;
         }
+        if time_s < self.last_t {
+            self.min_e = f64::INFINITY;
+        }
+        self.last_t = time_s;
+        if energy_j >= self.min_e {
+            return false;
+        }
+        self.min_e = energy_j;
+        true
     }
 }
 
@@ -869,7 +978,7 @@ where
     })
 }
 
-/// Emit the end-of-sweep summary (points scanned, frontier size, wall
+/// Emit the end-of-sweep summary (points in the table, frontier size, wall
 /// time). `t0` is `Some` only when telemetry was enabled at sweep start.
 fn emit_sweep_end(points: u64, frontier: usize, t0: Option<std::time::Instant>) {
     let wall_s = t0.map_or(0.0, |t| t.elapsed().as_secs_f64());
@@ -921,9 +1030,29 @@ pub(crate) struct PartialFrontier {
     /// rejected candidate's position. A fold's consecutive survivors land
     /// close together, so each search starts here.
     hint: usize,
+    /// Where the last [`Self::beats`] query's prefix ended; a row's blocks
+    /// query nearby times, so each search starts here.
+    probe: usize,
 }
 
 impl PartialFrontier {
+    /// Whether an entry has time `≤ t` and energy `< e`. Such an entry
+    /// keys below every point with time `≥ t` and energy `≥ e`, with
+    /// strictly less energy, so [`Self::push`] would reject each of them.
+    /// The entries with time `≤ t` are a prefix whose last entry has the
+    /// least energy; the search for its end gallops forward from the last
+    /// query's, or bisects below it. False when `t` or `e` is NaN.
+    pub(crate) fn beats(&mut self, t: f64, e: f64) -> bool {
+        let probe = self.probe.min(self.entries.len());
+        let i = if probe == 0 || self.entries[probe - 1].time_s <= t {
+            probe + gallop(&self.entries[probe..], |p| p.time_s <= t)
+        } else {
+            self.entries[..probe - 1].partition_point(|p| p.time_s <= t)
+        };
+        self.probe = i;
+        i > 0 && self.entries[i - 1].energy_j < e
+    }
+
     /// Insert `c` unless an entry keyed below it has no more energy, and
     /// drop the entries keyed above it that it dominates. The insertion
     /// index is `partition_point(key < c)`, found from the hint: if the
@@ -1149,14 +1278,34 @@ mod tests {
 
     /// The per-point fold: every flat index evaluated on its own and pushed.
     fn per_point_entries(table: &RateTable, start: u64, end: u64, w: f64) -> Vec<Entry> {
+        seeded_fold(table, start, end, w, &[], false)
+    }
+
+    /// Fold `start ..= end` into a partial frontier that already holds
+    /// `seed`: with the row fold, or point by point.
+    fn seeded_fold(
+        table: &RateTable,
+        start: u64,
+        end: u64,
+        w: f64,
+        seed: &[Entry],
+        rows: bool,
+    ) -> Vec<Entry> {
         let mut partial = PartialFrontier::default();
-        for flat in start..=end {
-            let out = table.outcome(flat, w);
-            partial.push(Entry {
-                time_s: out.time_s,
-                energy_j: out.energy_j,
-                flat,
-            });
+        for &e in seed {
+            partial.push(e);
+        }
+        if rows {
+            table.fold_rows(start, end, w, &mut partial);
+        } else {
+            for flat in start..=end {
+                let out = table.outcome(flat, w);
+                partial.push(Entry {
+                    time_s: out.time_s,
+                    energy_j: out.energy_j,
+                    flat,
+                });
+            }
         }
         partial.entries
     }
@@ -1239,6 +1388,90 @@ mod tests {
                     start = end + 1;
                 }
                 assert_eq!(bits(&merged), bits(&whole), "chunk length {chunk}");
+            }
+        }
+    }
+
+    #[test]
+    fn block_bound_ties_are_walked() {
+        let e = |time_s: f64, energy_j: f64, flat: u64| Entry {
+            time_s,
+            energy_j,
+            flat,
+        };
+        let mut pf = PartialFrontier::default();
+        for c in [e(1.0, 9.0, 1), e(2.0, 4.0, 2), e(3.0, 1.0, 3)] {
+            pf.push(c);
+        }
+        // An entry exactly at the bound beats nothing. It beats a bound one
+        // ulp above its energy, not one a ulp below its time.
+        assert!(!pf.beats(2.0, 4.0));
+        assert!(pf.beats(2.0, 4.0f64.next_up()));
+        assert!(pf.beats(2.0, 9.0) && !pf.beats(2.0f64.next_down(), 9.0));
+        assert!(pf.beats(2.5, 4.5) && pf.beats(10.0, 1.5) && !pf.beats(10.0, 1.0));
+        assert!(pf.beats(1.0, 9.5) && !pf.beats(0.5, 100.0));
+        assert!(!pf.beats(f64::NAN, 100.0) && !pf.beats(5.0, f64::NAN));
+
+        // Seed the partial frontier with an entry at each block's bound,
+        // under a flat index larger than any cell's. Where a block's
+        // bound is one of its cells (a block holding only the unused
+        // digit, or only one option), that cell ties the seed exactly and
+        // must replace it, as a point-by-point fold does.
+        let (arm, amd) = (Platform::reference_arm(), Platform::reference_amd());
+        let (_, models) = setup();
+        let w = 3e6;
+        // Type 0 at cap 0 holds only the unused digit; at cap 4 its 81
+        // digits end in a block of one option.
+        for arm_cap in [0, 4] {
+            let space = ConfigSpace::two_type(arm.clone(), arm_cap, amd.clone(), 2);
+            let table = RateTable::build(&space, &models).unwrap();
+            let (first, second) = (&table.columns[0], &table.columns[1]);
+            let mut seed = Vec::new();
+            for d1 in 0..second.radix() {
+                let (r1, b1) = second.at(d1);
+                for &(r_max, b_min) in &first.blocks {
+                    let t_lo = w / (r_max + r1);
+                    seed.push(e(t_lo, t_lo * (b_min + b1), u64::MAX - seed.len() as u64));
+                }
+            }
+            let count = table.count();
+            let want = seeded_fold(&table, 1, count, w, &seed, false);
+            assert!(
+                want.iter().any(|p| p.flat <= count),
+                "a cell replaced its tied seed"
+            );
+            assert_eq!(
+                bits(&seeded_fold(&table, 1, count, w, &seed, true)),
+                bits(&want),
+                "ARM cap {arm_cap}"
+            );
+        }
+    }
+
+    #[test]
+    fn mid_block_chunks_skip_like_per_point() {
+        // Seeded with the whole table's frontier, a chunk skips nearly
+        // every block it touches, including the partial blocks where it
+        // starts and ends; the fold must still match pushing every point.
+        let (space, models) = setup();
+        let w = 5e6;
+        for table in [
+            RateTable::build(&space, &models).unwrap(),
+            RateTable::build_pruned(&space, &models).unwrap(),
+        ] {
+            let count = table.count();
+            let seed = per_point_entries(&table, 1, count, w);
+            for len in [1, 5, 15, 16, 17, 33, 70] {
+                let mut start = 1;
+                while start <= count {
+                    let end = count.min(start + len - 1);
+                    assert_eq!(
+                        bits(&seeded_fold(&table, start, end, w, &seed, true)),
+                        bits(&seeded_fold(&table, start, end, w, &seed, false)),
+                        "chunk {start}..={end}"
+                    );
+                    start = end + 1;
+                }
             }
         }
     }

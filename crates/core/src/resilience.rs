@@ -32,15 +32,26 @@
 //!
 //! Configurations with `k` or fewer total nodes cannot tolerate `k`
 //! failures and are excluded from the `k`-failure frontier entirely.
-
-use std::cell::RefCell;
+//!
+//! ## The `k`-failure fold
+//!
+//! [`ResilientTable::frontier`] walks the rate table row by row, as the
+//! plain fold does. Within a row only type 0's option changes, and type 0
+//! loses nodes before a row type exactly when its per-node rate is at
+//! least that type's (ties go to the lower type index). So the row's own
+//! lost nodes are always a prefix of its nodes in the adversary's order:
+//! the row precomputes its degraded `(r, b)` for every count of lost row
+//! nodes up to `min(k, row nodes)`, and each cell works out only type 0's
+//! loss. The result is bit for bit the per-point degradation's
+//! ([`ResilientTable::degraded_flat`] then [`RateTable::outcome`]).
 
 use crate::config::{ConfigSpace, NodeConfig};
 use crate::error::{Error, Result};
 use crate::pareto::ParetoFrontier;
 use crate::profile::WorkloadModel;
 use crate::rate_table::{
-    lone_run, stream_fold, validate_work, Entry, OptionCatalog, RateTable, SweepOutcome,
+    lone_run, stream_fold, validate_work, Entry, OptionCatalog, PartialFrontier, RateTable, Run,
+    SweepOutcome,
 };
 
 /// A rate table plus the per-type digit strides needed to re-encode a
@@ -57,21 +68,6 @@ pub struct ResilientTable {
     /// removing `j` nodes from digit `d` gives digit `d - j·stride` (or `0`
     /// when the type is wiped out).
     node_stride: Vec<u64>,
-}
-
-thread_local! {
-    /// Per-thread scratch for [`ResilientTable::degraded_flat`]: the sweep
-    /// calls it once per configuration, and the whole point of the
-    /// streaming fold is to stay allocation-free on that path.
-    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
-}
-
-#[derive(Default)]
-struct Scratch {
-    /// Mixed-radix digits of the flat index being degraded.
-    digits: Vec<u64>,
-    /// Used types as `(per_node_rate, nodes, type_idx)`.
-    used: Vec<(f64, u32, usize)>,
 }
 
 impl ResilientTable {
@@ -104,50 +100,47 @@ impl ResilientTable {
         if k == 0 {
             return Some(flat);
         }
-        SCRATCH.with(|scratch| {
-            let s = &mut *scratch.borrow_mut();
-            s.digits.clear();
-            s.used.clear();
-            let mut rest = flat;
-            let mut total_nodes: u64 = 0;
-            for (t, opts) in self.table.options().iter().enumerate() {
-                let radix = opts.len() as u64 + 1;
-                let d = rest % radix;
-                rest /= radix;
-                s.digits.push(d);
-                if d != 0 {
-                    let o = &opts[(d - 1) as usize];
-                    total_nodes += u64::from(o.cfg.nodes);
-                    s.used
-                        .push((o.rate / f64::from(o.cfg.nodes), o.cfg.nodes, t));
-                }
+        let per_type = self.table.options();
+        let mut digits = Vec::with_capacity(per_type.len());
+        // Used types as `(per_node_rate, nodes, type_idx)`.
+        let mut used = Vec::with_capacity(per_type.len());
+        let mut rest = flat;
+        let mut total_nodes: u64 = 0;
+        for (t, opts) in per_type.iter().enumerate() {
+            let radix = opts.len() as u64 + 1;
+            let d = rest % radix;
+            rest /= radix;
+            digits.push(d);
+            if d != 0 {
+                let o = &opts[(d - 1) as usize];
+                total_nodes += u64::from(o.cfg.nodes);
+                used.push((o.rate / f64::from(o.cfg.nodes), o.cfg.nodes, t));
             }
-            if total_nodes <= u64::from(k) {
-                return None;
+        }
+        if total_nodes <= u64::from(k) {
+            return None;
+        }
+        // Highest per-node rate dies first; ties broken by type index so
+        // the degradation is deterministic.
+        used.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.2.cmp(&b.2)));
+        let mut left = k;
+        for (_, nodes, t) in used {
+            if left == 0 {
+                break;
             }
-            // Highest per-node rate dies first; ties broken by type index
-            // so the degradation is deterministic.
-            s.used
-                .sort_by(|a, b| b.0.total_cmp(&a.0).then(a.2.cmp(&b.2)));
-            let mut left = k;
-            for &(_, nodes, t) in s.used.iter() {
-                if left == 0 {
-                    break;
-                }
-                let take = left.min(nodes);
-                left -= take;
-                s.digits[t] = if take == nodes {
-                    0
-                } else {
-                    s.digits[t] - u64::from(take) * self.node_stride[t]
-                };
-            }
-            let mut degraded = 0u64;
-            for (t, opts) in self.table.options().iter().enumerate().rev() {
-                degraded = degraded * (opts.len() as u64 + 1) + s.digits[t];
-            }
-            Some(degraded)
-        })
+            let take = left.min(nodes);
+            left -= take;
+            digits[t] = if take == nodes {
+                0
+            } else {
+                digits[t] - u64::from(take) * self.node_stride[t]
+            };
+        }
+        let mut degraded = 0u64;
+        for (t, opts) in per_type.iter().enumerate().rev() {
+            degraded = degraded * (opts.len() as u64 + 1) + digits[t];
+        }
+        Some(degraded)
     }
 
     /// Degraded outcome of deploying `flat` and then losing the worst-case
@@ -169,18 +162,116 @@ impl ResilientTable {
             return self.table.frontier(w_units);
         }
         let entries = stream_fold(self.table.count(), |start, end, partial| {
-            for flat in start..=end {
-                if let Some(d) = self.degraded_flat(flat, k) {
-                    let out = self.table.outcome(d, w_units);
+            self.fold_degraded_rows(start, end, w_units, k, partial);
+        })?;
+        Ok(self.table.frontier_of(entries))
+    }
+
+    /// Fold flat indices `start ..= end` into `partial`, each with exactly
+    /// [`Self::degraded_outcome`] and its own (deployed) flat index,
+    /// skipping the points that cannot tolerate `k` losses.
+    ///
+    /// The fold walks the table's rows ([`RateTable::rows`]). The greedy
+    /// adversary takes nodes in order of per-node rate, highest first, ties
+    /// to the lower type index; type 0 goes ahead of a row type exactly
+    /// when its per-node rate is at least that type's. So whatever the
+    /// cell, the row's own lost nodes are a prefix of its nodes in that
+    /// order, and the row's degraded `(r, b)` depend only on how many of
+    /// its nodes are lost, `m ≤ min(k, row nodes)`: a row precomputes them
+    /// for each `m`. A cell then works out only type 0's loss and its
+    /// degraded digit, and sums from that digit in type order, which gives
+    /// the bits of [`RateTable::outcome`] on [`Self::degraded_flat`]
+    /// because `0.0 + x == x`. Nothing is sized by `k`. Inside a row the
+    /// in-row run skip ([`Run`]) applies as in the plain fold.
+    fn fold_degraded_rows(
+        &self,
+        start: u64,
+        end: u64,
+        w_units: f64,
+        k: u32,
+        partial: &mut PartialFrontier,
+    ) {
+        let (first, rest) = self
+            .table
+            .columns()
+            .split_first()
+            .expect("a table has at least one type");
+        let (k, stride0) = (u64::from(k), self.node_stride[0] as usize);
+        // The row's used types as `(per-node rate, nodes, type)`, in the
+        // adversary's order; types count from 0 after the first.
+        let mut used: Vec<(f64, u64, usize)> = Vec::with_capacity(rest.len());
+        // The row's degraded `(r, b)` per type in type order, for `m` lost
+        // nodes at `m·rest.len()`.
+        let mut degraded: Vec<(f64, f64)> = Vec::new();
+        // The row's digits after the losses counted so far.
+        let mut row_digits = Vec::with_capacity(rest.len());
+        let mut run = Run::FRESH;
+        self.table.rows(start, end, |digits, cells, flat| {
+            used.clear();
+            for (t, (col, &d)) in rest.iter().zip(digits).enumerate() {
+                if d != 0 {
+                    used.push((col.node_rate[d], u64::from(col.nodes[d]), t));
+                }
+            }
+            used.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.2.cmp(&b.2)));
+            let row_nodes: u64 = used.iter().map(|u| u.1).sum();
+            row_digits.clear();
+            row_digits.extend_from_slice(digits);
+            degraded.clear();
+            degraded.extend(rest.iter().zip(&row_digits).map(|(c, &d)| c.at(d)));
+            let mut m = 0;
+            'lose: for &(_, nodes, t) in &used {
+                for take in 1..=nodes {
+                    if m == k {
+                        break 'lose;
+                    }
+                    m += 1;
+                    row_digits[t] = if take == nodes {
+                        0
+                    } else {
+                        digits[t] - take as usize * self.node_stride[t + 1] as usize
+                    };
+                    degraded.extend(rest.iter().zip(&row_digits).map(|(c, &d)| c.at(d)));
+                }
+            }
+            for d0 in cells.clone() {
+                let n0 = u64::from(first.nodes[d0]);
+                if n0 + row_nodes <= k {
+                    continue;
+                }
+                let take0 = if n0 == 0 {
+                    0
+                } else {
+                    let rho0 = first.node_rate[d0];
+                    let ahead: u64 = used
+                        .iter()
+                        .take_while(|u| u.0.total_cmp(&rho0).is_gt())
+                        .map(|u| u.1)
+                        .sum();
+                    k.saturating_sub(ahead).min(n0)
+                };
+                let d0_lost = if take0 == n0 {
+                    0
+                } else {
+                    d0 - take0 as usize * stride0
+                };
+                let m = (k - take0) as usize;
+                let (mut sum_r, mut sum_b) = first.at(d0_lost);
+                for &(r, b) in &degraded[m * rest.len()..(m + 1) * rest.len()] {
+                    sum_r += r;
+                    sum_b += b;
+                }
+                let time_s = w_units / sum_r;
+                let energy_j = time_s * sum_b;
+                if run.admits(time_s, energy_j) {
                     partial.push(Entry {
-                        time_s: out.time_s,
-                        energy_j: out.energy_j,
-                        flat,
+                        time_s,
+                        energy_j,
+                        flat: flat + (d0 - cells.start) as u64,
                     });
                 }
             }
-        })?;
-        Ok(self.table.frontier_of(entries))
+        });
     }
 
     /// Frontiers for every tolerance level `0 ..= k_max`, sharing one table
@@ -350,7 +441,7 @@ pub fn predict_crash_run(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ClusterPoint;
+    use crate::config::{ClusterPoint, TypeBounds};
     use crate::exec_time::ExecTimeModel;
     use crate::types::Platform;
 
@@ -488,6 +579,65 @@ mod tests {
                     }
                     other => panic!("flat {flat} k {k}: tolerance mismatch {other:?}"),
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn row_fold_breaks_per_node_rate_ties_like_degraded_flat() {
+        // Types 0 and 1 share a model, so options with the same cores and
+        // OPP tie on per-node rate, and the greedy order then goes by type
+        // index. The frontier must be exactly the one that degrading each
+        // point on its own gives: sorted by (time, energy, flat), keeping
+        // each point that strictly lowers the energy.
+        let arm = Platform::reference_arm();
+        let amd = Platform::reference_amd();
+        let ep = WorkloadModel::synthetic_cpu_bound(&arm, "ep", 60.0);
+        let space = ConfigSpace::new(vec![
+            TypeBounds {
+                platform: arm.clone(),
+                max_nodes: 3,
+            },
+            TypeBounds {
+                platform: arm,
+                max_nodes: 2,
+            },
+            TypeBounds {
+                platform: amd.clone(),
+                max_nodes: 1,
+            },
+        ]);
+        let models = vec![
+            ep.clone(),
+            ep,
+            WorkloadModel::synthetic_cpu_bound(&amd, "ep", 40.0),
+        ];
+        let rt = ResilientTable::build(&space, &models).unwrap();
+        let w = 2e6;
+        for k in 0..=6 {
+            let mut points: Vec<(f64, f64, u64)> = (1..=rt.table().count())
+                .filter_map(|flat| {
+                    rt.degraded_outcome(flat, k, w)
+                        .map(|o| (o.time_s, o.energy_j, flat))
+                })
+                .collect();
+            points.sort_by(|a, b| {
+                a.0.total_cmp(&b.0)
+                    .then(a.1.total_cmp(&b.1))
+                    .then(a.2.cmp(&b.2))
+            });
+            let mut best = f64::INFINITY;
+            points.retain(|p| {
+                let keep = p.1 < best;
+                best = best.min(p.1);
+                keep
+            });
+            let got = rt.frontier(w, k).unwrap();
+            assert_eq!(got.len(), points.len(), "k = {k}");
+            for (g, p) in got.points.iter().zip(&points) {
+                assert_eq!(g.time_s.to_bits(), p.0.to_bits(), "k = {k}");
+                assert_eq!(g.energy_j.to_bits(), p.1.to_bits(), "k = {k}");
+                assert_eq!(g.config, rt.table().decode(p.2), "k = {k}");
             }
         }
     }

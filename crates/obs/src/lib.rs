@@ -273,7 +273,8 @@ events! {
     },
     /// A streaming frontier sweep finished.
     SweepEnd = "sweep_end" {
-        /// Points scanned in total.
+        /// Points in the swept table. Folds skip dominated points without
+        /// visiting them, so this is not a count of points visited.
         points: u64,
         /// Frontier size.
         frontier: usize,

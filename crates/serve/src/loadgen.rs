@@ -31,8 +31,9 @@
 //! `compute_us`/`cached` fields the daemon embeds in every response and
 //! reports the cold-vs-warm `/frontier` compute medians — the honest basis
 //! for the plan cache's speedup claim, immune to loopback RTT noise — and
-//! scrapes `GET /statz` before and after the run to report server-side
-//! deltas (computes, coalesced answers, warmed entries, cache hits).
+//! scrapes a replica's `GET /statz` before and after the run to report
+//! server-side deltas (computes, coalesced answers, warmed entries, cache
+//! hits); against a gateway it reports none.
 //! [`LoadReport::gate`] turns a run into a pass/fail check for CI. Every
 //! exchange goes through [`http::exchange`], and 503 retries wait
 //! [`retry_503_wait_ms`], the shared [`backoff_ms`] with loadgen's caps.
@@ -229,7 +230,8 @@ pub struct LoadReport {
     pub frontier_warm_us: u64,
     /// `frontier_cold_us / frontier_warm_us` (0 when either is missing).
     pub cache_speedup: f64,
-    /// Server counter deltas, when `/statz` was reachable on both ends.
+    /// Server counter deltas, when a replica's `/statz` was reachable on
+    /// both ends; a gateway's `/statz` has no counters of its own to report.
     pub server: Option<ServerDelta>,
 }
 
@@ -565,7 +567,16 @@ fn scrape_statz(addr: &str) -> Option<ServerDelta> {
     if answer.status != 200 {
         return None;
     }
-    let v = json::parse(std::str::from_utf8(&answer.body).ok()?).ok()?;
+    statz_counters(&json::parse(std::str::from_utf8(&answer.body).ok()?).ok()?)
+}
+
+/// The counters of a replica's `/statz` body. `None` for a gateway's (one
+/// with a `fleet` section): its replicas do the computing and caching, so
+/// its own top-level counters never move.
+fn statz_counters(v: &Value) -> Option<ServerDelta> {
+    if v.get("fleet").is_some() {
+        return None;
+    }
     let u = |field: &str| v.get(field).and_then(Value::as_u64).unwrap_or(0);
     let cache = |field: &str| {
         v.get("cache")
@@ -643,6 +654,24 @@ impl LoadReport {
         } else {
             Err(problems.join("; "))
         }
+    }
+
+    /// The line that reports a passed [`Self::gate`], naming only the
+    /// limits that were set: `max_tail_ratio` 0 and `min_ok` 0 check
+    /// nothing. `None` when neither was set.
+    #[must_use]
+    pub fn gate_summary(&self, max_tail_ratio: f64, min_ok: u64) -> Option<String> {
+        let mut checks = Vec::new();
+        if max_tail_ratio > 0.0 {
+            checks.push(format!(
+                "tail ratio {:.1} <= {max_tail_ratio:.1}",
+                self.tail_ratio
+            ));
+        }
+        if min_ok > 0 {
+            checks.push(format!("ok {} >= {min_ok}", self.ok));
+        }
+        (!checks.is_empty()).then(|| format!("loadgen gate passed ({})", checks.join(", ")))
     }
 
     /// Encode as the `BENCH_serve.json` artifact schema.
@@ -854,6 +883,51 @@ mod tests {
             ..LoadReport::default()
         };
         assert!(bad.gate(0.0, 0).is_err(), "any error fails the gate");
+    }
+
+    #[test]
+    fn gate_summary_names_only_the_limits_that_were_set() {
+        let report = LoadReport {
+            ok: 24_721,
+            tail_ratio: 2.1,
+            ..LoadReport::default()
+        };
+        assert_eq!(report.gate_summary(0.0, 0), None);
+        assert_eq!(
+            report.gate_summary(0.0, 1000).as_deref(),
+            Some("loadgen gate passed (ok 24721 >= 1000)")
+        );
+        assert_eq!(
+            report.gate_summary(50.0, 0).as_deref(),
+            Some("loadgen gate passed (tail ratio 2.1 <= 50.0)")
+        );
+        assert_eq!(
+            report.gate_summary(50.0, 10_000).as_deref(),
+            Some("loadgen gate passed (tail ratio 2.1 <= 50.0, ok 24721 >= 10000)")
+        );
+    }
+
+    #[test]
+    fn a_gateway_statz_has_no_server_counters() {
+        let replica = json::parse(
+            r#"{"computes":7,"coalesced":2,"warmed":1,"cache":{"hits":40,"misses":9}}"#,
+        )
+        .expect("valid JSON");
+        assert_eq!(
+            statz_counters(&replica),
+            Some(ServerDelta {
+                computes: 7,
+                coalesced: 2,
+                warmed: 1,
+                cache_hits: 40,
+                cache_misses: 9,
+            })
+        );
+        let gateway = json::parse(
+            r#"{"computes":0,"coalesced":0,"warmed":0,"cache":{"hits":0,"misses":0},"fleet":{"replicas":[]}}"#,
+        )
+        .expect("valid JSON");
+        assert_eq!(statz_counters(&gateway), None);
     }
 
     #[test]

@@ -438,6 +438,42 @@ fn resilient_frontier_dominates_plain_energy() {
 }
 
 #[test]
+fn a_huge_resilient_k_answers_an_empty_frontier_quickly() {
+    // No configuration of 10 × 10 nodes survives 2^32 − 1 losses, so the
+    // k-degraded fold keeps nothing; a fold that sized anything by `k`
+    // would take far longer or fail. The body is pinned up to its
+    // `compute_us`, the one field that varies between runs.
+    let _guard = CACHE_SENSITIVE.lock().unwrap();
+    let addr = daemon().handle.addr();
+    let mut conn = http::dial(addr, Duration::from_secs(30)).expect("connect");
+    let t0 = std::time::Instant::now();
+    let answer = http::exchange(
+        &mut conn,
+        "POST",
+        "/frontier",
+        r#"{"workload":"ep","arm":10,"amd":10,"resilient_k":4294967295}"#,
+    )
+    .expect("response");
+    let elapsed = t0.elapsed();
+    let text = std::str::from_utf8(&answer.body).expect("UTF-8 body");
+    let (pinned, compute_us) = text.rsplit_once(r#","compute_us":"#).expect("compute_us");
+    assert_eq!(answer.status, 200);
+    assert_eq!(
+        pinned,
+        concat!(
+            r#"{"workload":"ep","arm":10,"amd":10,"units":50000000.0,"#,
+            r#""resilient_k":4294967295,"count":0,"points":[],"cached":false,"#,
+            r#""coalesced":false"#
+        )
+    );
+    assert!(
+        compute_us.trim_end_matches('}').parse::<u64>().is_ok(),
+        "{text}"
+    );
+    assert!(elapsed < Duration::from_secs(1), "took {elapsed:?}");
+}
+
+#[test]
 fn whatif_ladder_spans_all_high_to_all_low() {
     let _guard = CACHE_SENSITIVE.lock().unwrap();
     let (status, v) = call(

@@ -989,11 +989,8 @@ fn cmd_loadgen(flags: &HashMap<String, String>) -> ExitCode {
         eprintln!("loadgen gate FAILED: {why}");
         return ExitCode::FAILURE;
     }
-    if gate_tail_ratio > 0.0 || gate_min_ok > 0 {
-        println!(
-            "loadgen gate passed (tail ratio {:.1} <= {gate_tail_ratio:.1}, ok {} >= {gate_min_ok})",
-            report.tail_ratio, report.ok
-        );
+    if let Some(line) = report.gate_summary(gate_tail_ratio, gate_min_ok) {
+        println!("{line}");
     }
     ExitCode::SUCCESS
 }
