@@ -13,17 +13,23 @@
 //!   mix-and-match split;
 //! * [`des`], a request-level simulation of the M/D/1 dispatcher queue,
 //!   and [`MG1`], the Pollaczek–Khinchine mean wait for general service,
-//!   for the exact M/D/1 waits.
+//!   for the exact M/D/1 waits;
+//! * [`FrontierAnswer`], a `/frontier` answer rendered one object and one
+//!   string per point, for the daemon's one-buffer rendering, byte for
+//!   byte.
 
 pub mod des;
 
-use hecmix_core::config::NodeConfig;
+use hecmix_core::config::{ClusterPoint, NodeConfig};
 use hecmix_core::energy::EnergyBreakdown;
 use hecmix_core::exec_time::TimeBreakdown;
+use hecmix_core::pareto::ParetoFrontier;
 use hecmix_core::profile::WorkloadModel;
 use hecmix_core::rate_table::RateTable;
 use hecmix_core::resilience::ResilientTable;
+use hecmix_core::types::Platform;
 use hecmix_core::{Error, Result};
+use hecmix_obs::json::Object;
 
 /// One frontier point of [`per_point_fold`]: its time and energy, and the
 /// flat index of the configuration it came from.
@@ -99,6 +105,92 @@ fn insert(entries: &mut Vec<FoldPoint>, time_s: f64, energy_j: f64, flat: u64) {
     }
     let k = entries[i..].partition_point(|p| p.energy_j >= c.energy_j);
     entries.splice(i..i + k, std::iter::once(c));
+}
+
+/// The fields of one `/frontier` answer of the planning daemon
+/// (`hecmix-serve`), in wire order.
+#[derive(Debug)]
+pub struct FrontierAnswer<'a> {
+    /// Workload name.
+    pub workload: &'a str,
+    /// Low-power node cap.
+    pub arm: u32,
+    /// High-performance node cap.
+    pub amd: u32,
+    /// Work units.
+    pub units: f64,
+    /// Degraded-frontier k, when requested.
+    pub resilient_k: Option<u32>,
+    /// The frontier to list.
+    pub frontier: &'a ParetoFrontier,
+    /// The bundle's platforms, in type order; the labels name them.
+    pub platforms: &'a [Platform],
+    /// Whether the answer came from the plan cache.
+    pub cached: bool,
+    /// Whether it was shared from another request's compute.
+    pub coalesced: bool,
+    /// Server-side compute time, µs.
+    pub compute_us: u64,
+}
+
+impl FrontierAnswer<'_> {
+    /// The answer's body, built the plain way: each point an [`Object`] of
+    /// its own, each number and label a `String` of its own (a label is
+    /// one `format!` per used type, joined), and the points array copied
+    /// into the answer.
+    #[must_use]
+    pub fn render(&self) -> String {
+        let number = |v: f64| {
+            if v.is_finite() {
+                format!("{v:?}")
+            } else {
+                "null".to_owned()
+            }
+        };
+        let mut o = Object::new();
+        o.str("workload", self.workload);
+        o.u64("arm", u64::from(self.arm));
+        o.u64("amd", u64::from(self.amd));
+        o.raw("units", &number(self.units));
+        if let Some(k) = self.resilient_k {
+            o.u64("resilient_k", u64::from(k));
+        }
+        o.u64("count", self.frontier.len() as u64);
+        let mut points = String::from("[");
+        for (i, p) in self.frontier.points.iter().enumerate() {
+            if i > 0 {
+                points.push(',');
+            }
+            let mut po = Object::new();
+            po.raw("time_ms", &number(p.time_s * 1e3));
+            po.raw("energy_j", &number(p.energy_j));
+            po.str("config", &joined_label(&p.config, self.platforms));
+            points.push_str(&po.finish());
+        }
+        points.push(']');
+        o.raw("points", &points);
+        o.bool("cached", self.cached);
+        o.bool("coalesced", self.coalesced);
+        o.u64("compute_us", self.compute_us);
+        o.finish()
+    }
+}
+
+/// `point`'s label as one `format!` per used type joined by ` + `, or
+/// `empty`.
+fn joined_label(point: &ClusterPoint, platforms: &[Platform]) -> String {
+    let parts: Vec<String> = platforms
+        .iter()
+        .zip(&point.per_type)
+        .filter_map(|(p, cfg)| {
+            cfg.map(|c| format!("{} {}({}c@{})", p.name, c.nodes, c.cores, c.freq))
+        })
+        .collect();
+    if parts.is_empty() {
+        "empty".to_owned()
+    } else {
+        parts.join(" + ")
+    }
 }
 
 /// Energy of `cfg.nodes` nodes of `model`'s type over a job lasting

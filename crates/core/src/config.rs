@@ -18,6 +18,10 @@
 //! two-point space; [`crate::rate_table::RateTable::count`] is the size of
 //! any space.
 
+use std::borrow::Cow;
+use std::fmt::Write as _;
+use std::ops::Range;
+
 use serde::{Deserialize, Serialize};
 
 use crate::types::{Frequency, Platform};
@@ -84,21 +88,100 @@ impl ClusterPoint {
         self.per_type.iter().flatten().map(|c| c.nodes).sum()
     }
 
-    /// Compact human-readable label, e.g. `ARM 8(4c@1.40 GHz) + AMD 1(6c@2.10 GHz)`.
+    /// Compact human-readable label, e.g. `ARM 8(4c@1.40 GHz) + AMD 1(6c@2.10 GHz)`:
+    /// [`Labeler::label`] over the platforms' names.
     #[must_use]
     pub fn label(&self, platforms: &[Platform]) -> String {
-        let mut parts = Vec::new();
-        for (p, cfg) in platforms.iter().zip(&self.per_type) {
-            if let Some(c) = cfg {
-                parts.push(format!("{} {}({}c@{})", p.name, c.nodes, c.cores, c.freq));
-            }
-        }
-        if parts.is_empty() {
-            "empty".to_owned()
-        } else {
-            parts.join(" + ")
+        Labeler::new(platforms.iter().map(|p| p.name.as_str())).label(self)
+    }
+}
+
+/// Writes [`ClusterPoint`] labels into a caller's buffer; the one
+/// definition of the label format. Each used type reads
+/// `{name} {nodes}({cores}c@{freq})`, types are joined by ` + `, and a
+/// point that uses no type reads `empty`. The [`Frequency`] text
+/// (`{:.2} GHz`) is the costliest part, so each distinct frequency is
+/// formatted once per labeler, keyed by its bits; keep one labeler for
+/// one answer or one menu.
+#[derive(Debug)]
+pub struct Labeler<'a> {
+    /// Type names in type order, written as given.
+    names: Vec<Cow<'a, str>>,
+    /// Each formatted frequency's bits and its text's span in `texts`.
+    freqs: Vec<(u64, Range<usize>)>,
+    texts: String,
+}
+
+impl<'a> Labeler<'a> {
+    /// A labeler naming the types `names`, in type order. A label names
+    /// only as many types as both it and the point have, like a `zip`.
+    /// Names are written verbatim, so a caller that embeds labels in
+    /// another format passes them already escaped for it.
+    #[must_use]
+    pub fn new<S: Into<Cow<'a, str>>>(names: impl IntoIterator<Item = S>) -> Self {
+        Self {
+            names: names.into_iter().map(Into::into).collect(),
+            freqs: Vec::new(),
+            texts: String::new(),
         }
     }
+
+    /// The label of `point` as a new string.
+    #[must_use]
+    pub fn label(&mut self, point: &ClusterPoint) -> String {
+        let mut out = String::new();
+        self.write(&mut out, point);
+        out
+    }
+
+    /// Append the label of `point` to `out`.
+    pub fn write(&mut self, out: &mut String, point: &ClusterPoint) {
+        let mut first = true;
+        for (name, cfg) in self.names.iter().zip(&point.per_type) {
+            let Some(c) = cfg else { continue };
+            if !first {
+                out.push_str(" + ");
+            }
+            first = false;
+            out.push_str(name);
+            out.push(' ');
+            push_decimal(out, c.nodes);
+            out.push('(');
+            push_decimal(out, c.cores);
+            out.push_str("c@");
+            let bits = c.freq.hz().to_bits();
+            let span = match self.freqs.iter().find(|(b, _)| *b == bits) {
+                Some((_, span)) => span.clone(),
+                None => {
+                    let start = self.texts.len();
+                    let _ = write!(self.texts, "{}", c.freq);
+                    let span = start..self.texts.len();
+                    self.freqs.push((bits, span.clone()));
+                    span
+                }
+            };
+            out.push_str(&self.texts[span]);
+            out.push(')');
+        }
+        if first {
+            out.push_str("empty");
+        }
+    }
+}
+
+/// Append the decimal digits of `n` to `out`.
+fn push_decimal(out: &mut String, mut n: u32) {
+    let mut digits = [0u8; 10];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
 }
 
 /// Bounds for one node type inside a [`ConfigSpace`].
@@ -219,6 +302,93 @@ mod tests {
         let label = p.label(&[arm, amd]);
         assert!(label.contains("ARM Cortex-A9 8(4c@1.40 GHz)"), "{label}");
         assert!(label.contains("AMD K10 1(6c@2.10 GHz)"), "{label}");
+    }
+
+    /// SplitMix64, for seeded points.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// The label as one `format!` per used type, joined: the oracle for
+    /// the labeler's direct writes and its frequency memo.
+    fn oracle(point: &ClusterPoint, names: &[&str]) -> String {
+        let mut parts = Vec::new();
+        for (name, cfg) in names.iter().zip(&point.per_type) {
+            if let Some(c) = cfg {
+                parts.push(format!("{} {}({}c@{})", name, c.nodes, c.cores, c.freq));
+            }
+        }
+        if parts.is_empty() {
+            "empty".to_owned()
+        } else {
+            parts.join(" + ")
+        }
+    }
+
+    #[test]
+    fn labeler_writes_what_format_and_join_write() {
+        let names = ["ARM Cortex-A9", "AMD \"K10\" \\ x86\nrev", "Ærø ⚡ 节点"];
+        let freqs = [
+            Frequency::from_ghz(0.2),
+            Frequency::from_ghz(1.4),
+            Frequency::from_ghz(2.1),
+            Frequency::from_ghz(2.105),
+            Frequency::from_ghz(1e-9),
+            Frequency::from_ghz(123_456.789),
+            Frequency::from_hz(1.4e9 * 0.75),
+        ];
+        let mut state = 0x1abe1;
+        // One labeler over every point, so frequencies repeat within it.
+        let mut labels = Labeler::new(names);
+        let mut out = String::from("prefix|");
+        let mut want = String::from("prefix|");
+        for i in 0..3_000 {
+            let types = 1 + (splitmix(&mut state) % 3) as usize;
+            let per_type = (0..types)
+                .map(|_| {
+                    let r = splitmix(&mut state);
+                    (!r.is_multiple_of(4)).then(|| {
+                        let nodes = match r >> 8 & 7 {
+                            0 => u32::MAX,
+                            1 => 0,
+                            _ => (r >> 16) as u32 % 1_000,
+                        };
+                        let cores = if r >> 40 & 3 == 0 {
+                            u32::MAX
+                        } else {
+                            (r >> 42) as u32 % 64
+                        };
+                        NodeConfig::new(nodes, cores, freqs[(r >> 50) as usize % freqs.len()])
+                    })
+                })
+                .collect();
+            let point = ClusterPoint { per_type };
+            let names = &names[..types.min(names.len())];
+            let mut fresh = Labeler::new(names.iter().copied());
+            assert_eq!(fresh.label(&point), oracle(&point, names), "point {i}");
+            if i % 3 == 0 {
+                // The long-lived labeler names all three types; the point
+                // may have fewer, and the zip stops at the shorter.
+                labels.write(&mut out, &point);
+                want.push_str(&oracle(&point, names));
+                out.push('|');
+                want.push('|');
+            }
+        }
+        assert_eq!(out, want);
+        assert!(labels.freqs.len() <= freqs.len());
+
+        let empty = ClusterPoint {
+            per_type: vec![None, None],
+        };
+        assert_eq!(labels.label(&empty), "empty");
+        assert_eq!(labels.label(&ClusterPoint { per_type: vec![] }), "empty");
+        let platforms = [Platform::reference_arm(), Platform::reference_amd()];
+        assert_eq!(empty.label(&platforms), "empty");
     }
 
     #[test]

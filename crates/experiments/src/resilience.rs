@@ -3,7 +3,7 @@
 //! to failures), summarize `k`-failure resilient frontiers, and price the
 //! energy premium of failure-aware dispatch.
 
-use hecmix_core::config::{ClusterPoint, ConfigSpace, NodeConfig, TypeBounds};
+use hecmix_core::config::{ClusterPoint, ConfigSpace, Labeler, NodeConfig, TypeBounds};
 use hecmix_core::mix_match::{evaluate, TypeDeployment};
 use hecmix_core::resilience::{predict_crash_run, CrashPlan, ResilientTable, TypeRate};
 use hecmix_core::stats::relative_error_pct;
@@ -228,7 +228,7 @@ pub fn resilient_dispatch(
     // Each k = 1 frontier point carries the *deployed* configuration with
     // its worst-case degraded time; its nominal behaviour is the same flat
     // index evaluated without losses.
-    let platforms: Vec<_> = models.iter().map(|m| m.platform.clone()).collect();
+    let mut labels = Labeler::new(models.iter().map(|m| m.platform.name.as_str()));
     let resilient_menu: Vec<ResilientChoice> = degraded_frontier
         .points
         .iter()
@@ -240,7 +240,7 @@ pub fn resilient_dispatch(
             ResilientChoice {
                 nominal: ConfigChoice::for_config(
                     &p.config,
-                    &platforms,
+                    &mut labels,
                     &models,
                     nominal.time_s,
                     nominal.energy_j,

@@ -1,127 +1,210 @@
-//! Minimal JSON encoding and parsing for flat telemetry records.
+//! Minimal JSON encoding and parsing for telemetry records and answers.
 //!
 //! The offline workspace has no `serde_json`; the events and manifests this
 //! crate emits only need objects of strings, numbers, bools, and arrays of
-//! strings — which this module hand-rolls with correct string escaping and
-//! deterministic (insertion) key order. The [`parse`] half exists for the
-//! consumers of those lines: `hecmix-serve` decodes request bodies with it,
-//! and tests use it to assert that every emitted JSONL line round-trips.
+//! strings, and `hecmix-serve`'s answers add nested objects — which this
+//! module hand-rolls with correct string escaping and deterministic
+//! (insertion) key order. The writers append to a caller's `String`, so an
+//! [`Object`] and everything nested in it are written into one buffer. The
+//! [`parse`] half exists for the consumers of those lines: `hecmix-serve`
+//! decodes request bodies with it, and tests use it to assert that every
+//! emitted JSONL line round-trips.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
-/// Escape `s` per JSON string rules into `out` (without surrounding quotes).
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+/// Whether byte `b` must be escaped inside a JSON string. Only ASCII
+/// bytes ever do, so a multi-byte character is never split.
+fn needs_escape(b: u8) -> bool {
+    b < 0x20 || b == b'"' || b == b'\\'
+}
+
+/// Escape `s` per JSON string rules into `out` (without surrounding
+/// quotes), copying each run of bytes that need no escape whole.
+fn escape_into(out: &mut String, mut s: &str) {
+    while let Some(i) = s.bytes().position(needs_escape) {
+        out.push_str(&s[..i]);
+        match s.as_bytes()[i] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            b => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
+        s = &s[i + 1..];
+    }
+    out.push_str(s);
+}
+
+/// `s` escaped per JSON string rules, without quotes: borrowed when no
+/// character needs escaping, which is the common case for names.
+#[must_use]
+pub fn escaped(s: &str) -> Cow<'_, str> {
+    if !s.bytes().any(needs_escape) {
+        Cow::Borrowed(s)
+    } else {
+        let mut out = String::with_capacity(s.len() + 8);
+        escape_into(&mut out, s);
+        Cow::Owned(out)
     }
 }
 
-/// Quote and escape `s` as a JSON string.
-#[must_use]
-pub fn string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
+/// Append `s` to `out` as a quoted, escaped JSON string.
+pub fn write_string(out: &mut String, s: &str) {
     out.push('"');
-    escape_into(&mut out, s);
+    escape_into(out, s);
     out.push('"');
-    out
 }
 
-/// Encode a finite `f64` as a JSON number; non-finite values (which JSON
-/// cannot represent) become `null`.
-#[must_use]
-pub fn number(v: f64) -> String {
+/// Append a finite `f64` to `out` as a JSON number; non-finite values
+/// (which JSON cannot represent) become `null`.
+pub fn write_number(out: &mut String, v: f64) {
     if v.is_finite() {
         // `{:?}` round-trips f64 exactly (shortest representation).
-        format!("{v:?}")
+        let _ = write!(out, "{v:?}");
     } else {
-        "null".to_string()
+        out.push_str("null");
     }
 }
 
-/// Incremental builder for a flat JSON object with insertion-ordered keys.
-#[derive(Debug, Default)]
+/// Incremental builder for a JSON object with insertion-ordered keys.
+/// Every field, nested objects included, is written in place into the one
+/// buffer that [`Object::finish`] hands back.
+#[derive(Debug)]
 pub struct Object {
-    body: String,
+    buf: String,
+    /// No field written yet.
+    empty: bool,
+}
+
+impl Default for Object {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl Object {
     /// Start an empty object.
     #[must_use]
     pub fn new() -> Self {
-        Self::default()
+        Self::with_capacity(0)
+    }
+
+    /// Start an empty object whose buffer holds `capacity` bytes before it
+    /// grows.
+    #[must_use]
+    pub fn with_capacity(capacity: usize) -> Self {
+        Self::open(String::with_capacity(capacity))
+    }
+
+    /// Continue `buf` with a new object.
+    fn open(mut buf: String) -> Self {
+        buf.push('{');
+        Self { buf, empty: true }
     }
 
     fn key(&mut self, k: &str) {
-        if !self.body.is_empty() {
-            self.body.push(',');
+        if !self.empty {
+            self.buf.push(',');
         }
-        self.body.push('"');
-        escape_into(&mut self.body, k);
-        self.body.push_str("\":");
+        self.empty = false;
+        write_string(&mut self.buf, k);
+        self.buf.push(':');
     }
 
     /// Add a string field.
     pub fn str(&mut self, k: &str, v: &str) {
         self.key(k);
-        self.body.push('"');
-        escape_into(&mut self.body, v);
-        self.body.push('"');
+        write_string(&mut self.buf, v);
+    }
+
+    /// Add a string field whose text `write` appends to the buffer. The
+    /// text must already be escaped: `write` sees the raw buffer.
+    pub fn str_with(&mut self, k: &str, write: impl FnOnce(&mut String)) {
+        self.key(k);
+        self.buf.push('"');
+        write(&mut self.buf);
+        self.buf.push('"');
     }
 
     /// Add an unsigned integer field.
     pub fn u64(&mut self, k: &str, v: u64) {
         self.key(k);
-        let _ = write!(self.body, "{v}");
+        let _ = write!(self.buf, "{v}");
     }
 
     /// Add a float field (`null` if non-finite).
     pub fn f64(&mut self, k: &str, v: f64) {
         self.key(k);
-        self.body.push_str(&number(v));
+        write_number(&mut self.buf, v);
     }
 
     /// Add a boolean field.
     pub fn bool(&mut self, k: &str, v: bool) {
         self.key(k);
-        self.body.push_str(if v { "true" } else { "false" });
+        self.buf.push_str(if v { "true" } else { "false" });
     }
 
     /// Add an array-of-strings field.
     pub fn str_array<S: AsRef<str>>(&mut self, k: &str, vs: &[S]) {
         self.key(k);
-        self.body.push('[');
+        self.buf.push('[');
         for (i, v) in vs.iter().enumerate() {
             if i > 0 {
-                self.body.push(',');
+                self.buf.push(',');
             }
-            self.body.push('"');
-            escape_into(&mut self.body, v.as_ref());
-            self.body.push('"');
+            write_string(&mut self.buf, v.as_ref());
         }
-        self.body.push(']');
+        self.buf.push(']');
+    }
+
+    /// Add a nested object field whose fields `fields` writes.
+    pub fn object(&mut self, k: &str, fields: impl FnOnce(&mut Object)) {
+        self.key(k);
+        self.nest(fields);
+    }
+
+    /// Add an array-of-objects field: one object per item of `items`, its
+    /// fields written by `fields`.
+    pub fn objects<T>(
+        &mut self,
+        k: &str,
+        items: impl IntoIterator<Item = T>,
+        mut fields: impl FnMut(&mut Object, T),
+    ) {
+        self.key(k);
+        self.buf.push('[');
+        for (i, item) in items.into_iter().enumerate() {
+            if i > 0 {
+                self.buf.push(',');
+            }
+            self.nest(|o| fields(o, item));
+        }
+        self.buf.push(']');
+    }
+
+    /// Write one nested object into this object's buffer.
+    fn nest(&mut self, fields: impl FnOnce(&mut Object)) {
+        let mut inner = Object::open(std::mem::take(&mut self.buf));
+        fields(&mut inner);
+        self.buf = inner.finish();
     }
 
     /// Finish: the complete `{...}` text.
     #[must_use]
-    pub fn finish(self) -> String {
-        format!("{{{}}}", self.body)
+    pub fn finish(mut self) -> String {
+        self.buf.push('}');
+        self.buf
     }
 
     /// Add a raw, already-encoded JSON fragment (e.g. a nested array built
     /// elsewhere). The caller is responsible for its validity.
     pub fn raw(&mut self, k: &str, fragment: &str) {
         self.key(k);
-        self.body.push_str(fragment);
+        self.buf.push_str(fragment);
     }
 }
 
@@ -425,10 +508,72 @@ impl Parser<'_> {
 mod tests {
     use super::*;
 
+    fn string(s: &str) -> String {
+        let mut out = String::new();
+        write_string(&mut out, s);
+        out
+    }
+
+    fn number(v: f64) -> String {
+        let mut out = String::new();
+        write_number(&mut out, v);
+        out
+    }
+
+    /// SplitMix64, for seeded inputs.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
     #[test]
     fn escapes_quotes_and_control_chars() {
         assert_eq!(string("a\"b\\c\nd"), r#""a\"b\\c\nd""#);
         assert_eq!(string("\u{1}"), "\"\\u0001\"");
+        assert_eq!(string("\u{7f}é"), "\"\u{7f}é\"");
+    }
+
+    #[test]
+    fn escaping_matches_the_per_character_rule() {
+        // The rule as a per-character match, the oracle for the run copy.
+        let oracle = |s: &str| {
+            let mut out = String::from("\"");
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+            out
+        };
+        let alphabet = [
+            'a', ' ', '"', '\\', '\n', '\r', '\t', '\u{0}', '\u{1f}', '\u{7f}', 'é', '😀',
+        ];
+        let mut state = 0x5eed;
+        for _ in 0..2_000 {
+            let len = (splitmix(&mut state) % 12) as usize;
+            let s: String = (0..len)
+                .map(|_| alphabet[(splitmix(&mut state) % alphabet.len() as u64) as usize])
+                .collect();
+            assert_eq!(string(&s), oracle(&s), "{s:?}");
+            assert_eq!(format!("\"{}\"", escaped(&s)), oracle(&s), "{s:?}");
+            assert_eq!(
+                matches!(escaped(&s), Cow::Borrowed(_)),
+                !s.chars()
+                    .any(|c| c == '"' || c == '\\' || (c as u32) < 0x20),
+                "{s:?}"
+            );
+            assert_eq!(parse(&string(&s)), Ok(Value::Str(s)));
+        }
     }
 
     #[test]
@@ -436,6 +581,57 @@ mod tests {
         assert_eq!(number(0.1), "0.1");
         assert_eq!(number(f64::NAN), "null");
         assert_eq!(number(f64::INFINITY), "null");
+    }
+
+    #[test]
+    fn write_number_is_the_debug_text_of_every_finite_f64() {
+        let oracle = |v: f64| {
+            if v.is_finite() {
+                format!("{v:?}")
+            } else {
+                "null".to_owned()
+            }
+        };
+        let mut named = vec![
+            0.0,
+            -0.0,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::from_bits(0x000f_ffff_ffff_ffff),
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::MIN,
+            f64::EPSILON,
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7ff0_0000_0000_0001),
+            f64::from_bits(0xfff8_dead_beef_0001),
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        // Both sides of where `{:?}` switches to and from an exponent.
+        for edge in [1e-5_f64, 1e-4, 1e15, 1e16, 1e17] {
+            for v in [edge, -edge] {
+                named.extend([
+                    v,
+                    f64::from_bits(v.to_bits() - 1),
+                    f64::from_bits(v.to_bits() + 1),
+                ]);
+            }
+        }
+        let mut state = 0xf64;
+        let seeded = (0..100_000).map(|_| f64::from_bits(splitmix(&mut state)));
+        // Appends keep what the buffer already holds.
+        let mut out = String::from("[");
+        let mut want = String::from("[");
+        for v in named.into_iter().chain(seeded) {
+            let at = out.len();
+            write_number(&mut out, v);
+            assert_eq!(out[at..], oracle(v), "bits {:#018x}", v.to_bits());
+            want.push_str(&oracle(v));
+        }
+        assert_eq!(out, want);
     }
 
     #[test]
@@ -449,6 +645,35 @@ mod tests {
         assert_eq!(
             o.finish(),
             r#"{"b":"x","a":3,"c":true,"d":["p","q"],"e":[1,2]}"#
+        );
+        assert_eq!(Object::default().finish(), "{}");
+    }
+
+    #[test]
+    fn nested_objects_write_into_the_one_buffer() {
+        let mut o = Object::with_capacity(64);
+        o.u64("n", 2);
+        o.object("empty", |_| {});
+        o.object("shares", |s| {
+            s.f64("low", 0.25);
+            s.f64("high", f64::NAN);
+        });
+        o.objects("points", [1.5, 2.0], |p, t| {
+            p.f64("t", t);
+            p.str_with("label", |out| out.push_str("a \\\"b\\\""));
+        });
+        o.objects("none", std::iter::empty::<u8>(), |_, _| {});
+        o.str("after", "z");
+        let text = o.finish();
+        assert_eq!(
+            text,
+            r#"{"n":2,"empty":{},"shares":{"low":0.25,"high":null},"points":[{"t":1.5,"label":"a \"b\""},{"t":2.0,"label":"a \"b\""}],"none":[],"after":"z"}"#
+        );
+        let v = parse(&text).unwrap();
+        let points = v.get("points").and_then(Value::as_array).unwrap();
+        assert_eq!(
+            points[1].get("label").and_then(Value::as_str),
+            Some("a \"b\"")
         );
     }
 

@@ -30,10 +30,9 @@
 
 use serde::{Deserialize, Serialize};
 
-use hecmix_core::config::ClusterPoint;
+use hecmix_core::config::{ClusterPoint, Labeler};
 use hecmix_core::pareto::ParetoFrontier;
 use hecmix_core::profile::WorkloadModel;
-use hecmix_core::types::Platform;
 use hecmix_core::{Error, Result};
 
 use crate::{window_energy, window_energy_sleep, SleepPolicy, MD1};
@@ -54,19 +53,19 @@ pub struct ConfigChoice {
 
 impl ConfigChoice {
     /// The entry for `config` serving one job in `service_s` for
-    /// `job_energy_j`. `platforms` and `models` are in type order: the
-    /// label names the platforms, and the idle draw is each powered type's
-    /// nodes × its model's `idle_w`, summed in type order.
+    /// `job_energy_j`. `labels` names the types, and `models` are in type
+    /// order: the idle draw is each powered type's nodes × its model's
+    /// `idle_w`, summed in type order.
     #[must_use]
     pub fn for_config(
         config: &ClusterPoint,
-        platforms: &[Platform],
+        labels: &mut Labeler<'_>,
         models: &[WorkloadModel],
         service_s: f64,
         job_energy_j: f64,
     ) -> Self {
         Self {
-            label: config.label(platforms),
+            label: labels.label(config),
             service_s,
             job_energy_j,
             idle_power_w: config
@@ -80,17 +79,18 @@ impl ConfigChoice {
 }
 
 /// The dispatch menu of a frontier: one [`ConfigChoice::for_config`] entry
-/// per point, with the point's makespan as its service time.
+/// per point, with the point's makespan as its service time, all labelled
+/// by one [`Labeler`] over the models' platform names.
 #[must_use]
 pub fn menu_from_frontier(
     frontier: &ParetoFrontier,
     models: &[WorkloadModel],
 ) -> Vec<ConfigChoice> {
-    let platforms: Vec<Platform> = models.iter().map(|m| m.platform.clone()).collect();
+    let mut labels = Labeler::new(models.iter().map(|m| m.platform.name.as_str()));
     frontier
         .points
         .iter()
-        .map(|p| ConfigChoice::for_config(&p.config, &platforms, models, p.time_s, p.energy_j))
+        .map(|p| ConfigChoice::for_config(&p.config, &mut labels, models, p.time_s, p.energy_j))
         .collect()
 }
 

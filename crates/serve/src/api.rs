@@ -45,12 +45,12 @@ use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
 use hecmix_core::budget::PowerBudget;
+use hecmix_core::config::Labeler;
 use hecmix_core::mix_match::mix_and_match;
 use hecmix_core::pareto::ParetoFrontier;
 use hecmix_core::persist::fnv1a;
 use hecmix_core::rate_table::OptionCatalog;
 use hecmix_core::resilience::ResilientTable;
-use hecmix_core::types::Platform;
 use hecmix_obs::json::{self, Object, Value};
 use hecmix_obs::{emit, Event};
 use hecmix_queueing::dispatch::{
@@ -861,9 +861,9 @@ pub fn compute_plan(
             step_high,
             ..
         } => {
-            let [low, high] = platform_pair(entry);
+            let (low, high) = (&entry.models[0].platform, &entry.models[1].platform);
             let ladder = PowerBudget::new(budget_w)
-                .substitution_ladder(&low, &high, step_high)
+                .substitution_ladder(low, high, step_high)
                 .map_err(|e| Response::error(422, &format!("bad budget: {e}")))?;
             let mut rungs = Vec::with_capacity(ladder.len());
             for mix in ladder {
@@ -871,10 +871,10 @@ pub fn compute_plan(
                     mix.catalog_frontier(c, units)
                 })?;
                 rungs.push(WhatifRung {
-                    label: mix.label(&low, &high),
+                    label: mix.label(low, high),
                     low_nodes: mix.low_nodes,
                     high_nodes: mix.high_nodes,
-                    peak_w: mix.peak_power_w(&low, &high),
+                    peak_w: mix.peak_power_w(low, high),
                     frontier,
                 });
             }
@@ -974,8 +974,7 @@ pub fn format_response(
             let Some(entry) = store.get(workload) else {
                 return Response::error(500, "workload disappeared during compute");
             };
-            let platforms = platform_pair(entry);
-            let mut o = Object::new();
+            let mut o = Object::with_capacity(512);
             o.str("workload", workload);
             o.u64("arm", u64::from(*arm));
             o.u64("amd", u64::from(*amd));
@@ -984,17 +983,17 @@ pub fn format_response(
             match frontier.min_energy_for_deadline(deadline_ms / 1e3) {
                 Some(point) => {
                     o.bool("feasible", true);
-                    o.str("config", &point.config.label(&platforms));
+                    o.str_with("config", |out| labeler(entry).write(out, &point.config));
                     o.f64("time_ms", point.time_s * 1e3);
                     o.f64("energy_j", point.energy_j);
                     if let Ok(split) = mix_and_match(&point.config, &entry.models, *units) {
                         // `MatchedSplit::shares` are absolute work units
                         // summing to `units`; the wire format reports
                         // fractions.
-                        let mut s = Object::new();
-                        s.f64("low", split.shares.first().copied().unwrap_or(0.0) / units);
-                        s.f64("high", split.shares.get(1).copied().unwrap_or(0.0) / units);
-                        o.raw("shares", &s.finish());
+                        o.object("shares", |s| {
+                            s.f64("low", split.shares.first().copied().unwrap_or(0.0) / units);
+                            s.f64("high", split.shares.get(1).copied().unwrap_or(0.0) / units);
+                        });
                     }
                 }
                 None => {
@@ -1021,7 +1020,7 @@ pub fn format_response(
             let CachedCompute::TailPlan(result) = &plan.compute else {
                 return Response::error(500, "cache type confusion");
             };
-            let mut o = Object::new();
+            let mut o = Object::with_capacity(512);
             o.str("workload", workload);
             o.u64("arm", u64::from(*arm));
             o.u64("amd", u64::from(*amd));
@@ -1064,8 +1063,8 @@ pub fn format_response(
             let Some(entry) = store.get(workload) else {
                 return Response::error(500, "workload disappeared during compute");
             };
-            let platforms = platform_pair(entry);
-            let mut o = Object::new();
+            let mut labels = labeler(entry);
+            let mut o = Object::with_capacity(256 + 128 * frontier.len());
             o.str("workload", workload);
             o.u64("arm", u64::from(*arm));
             o.u64("amd", u64::from(*amd));
@@ -1074,19 +1073,11 @@ pub fn format_response(
                 o.u64("resilient_k", u64::from(*k));
             }
             o.u64("count", frontier.len() as u64);
-            let mut points = String::from("[");
-            for (i, p) in frontier.points.iter().enumerate() {
-                if i > 0 {
-                    points.push(',');
-                }
-                let mut po = Object::new();
+            o.objects("points", &frontier.points, |po, p| {
                 po.f64("time_ms", p.time_s * 1e3);
                 po.f64("energy_j", p.energy_j);
-                po.str("config", &p.config.label(&platforms));
-                points.push_str(&po.finish());
-            }
-            points.push(']');
-            o.raw("points", &points);
+                po.str_with("config", |out| labels.write(out, &p.config));
+            });
             o.bool("cached", cached);
             o.bool("coalesced", coalesced);
             o.u64("compute_us", compute_us);
@@ -1102,18 +1093,13 @@ pub fn format_response(
             let CachedCompute::Whatif(result) = &plan.compute else {
                 return Response::error(500, "cache type confusion");
             };
-            let mut o = Object::new();
+            let mut o = Object::with_capacity(512 + 192 * result.rungs.len());
             o.str("workload", workload);
             o.f64("budget_w", *budget_w);
             o.f64("units", *units);
             o.u64("step_high", u64::from(*step_high));
             let mut best: Option<(usize, f64)> = None;
-            let mut rungs = String::from("[");
-            for (i, rung) in result.rungs.iter().enumerate() {
-                if i > 0 {
-                    rungs.push(',');
-                }
-                let mut ro = Object::new();
+            o.objects("rungs", result.rungs.iter().enumerate(), |ro, (i, rung)| {
                 ro.str("mix", &rung.label);
                 ro.u64("arm", u64::from(rung.low_nodes));
                 ro.u64("amd", u64::from(rung.high_nodes));
@@ -1135,10 +1121,7 @@ pub fn format_response(
                         None => ro.bool("deadline_feasible", false),
                     }
                 }
-                rungs.push_str(&ro.finish());
-            }
-            rungs.push(']');
-            o.raw("rungs", &rungs);
+            });
             if let Some(d) = deadline_ms {
                 o.f64("deadline_ms", *d);
                 if let Some((i, e)) = best {
@@ -1314,13 +1297,9 @@ fn parse_whatif(store: &ModelStore, v: &Value) -> Result<(ComputeSpec, RespCtx),
     ))
 }
 
-/// The `[low, high]` platform pair of a bundle (cloned; labels and spaces
-/// need owned platforms).
-fn platform_pair(entry: &ModelEntry) -> [Platform; 2] {
-    [
-        entry.models[0].platform.clone(),
-        entry.models[1].platform.clone(),
-    ]
+/// A labeler over the bundle's platform names, escaped for a JSON string.
+fn labeler(entry: &ModelEntry) -> Labeler<'_> {
+    Labeler::new(entry.models.iter().map(|m| json::escaped(&m.platform.name)))
 }
 
 /// FNV-1a over the little-endian concatenation of `parts`.

@@ -16,6 +16,7 @@
 //! gateway, the load generator and the integration tests all use them;
 //! [`read_response`] is the same reader returning every header.
 
+use std::fmt::Write as _;
 use std::io::{self, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
@@ -208,15 +209,15 @@ impl Response {
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = String::with_capacity(self.body.len() + 128);
-        out.push_str(&format!(
-            "HTTP/1.1 {} {}\r\n",
+        let _ = write!(
+            out,
+            "HTTP/1.1 {} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n",
             self.status,
-            status_text(self.status)
-        ));
-        out.push_str("Content-Type: application/json\r\n");
-        out.push_str(&format!("Content-Length: {}\r\n", self.body.len()));
+            status_text(self.status),
+            self.body.len()
+        );
         if let Some(s) = self.retry_after_s {
-            out.push_str(&format!("Retry-After: {s}\r\n"));
+            let _ = write!(out, "Retry-After: {s}\r\n");
         }
         out.push_str(if self.close {
             "Connection: close\r\n"

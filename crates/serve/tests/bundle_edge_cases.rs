@@ -1,11 +1,15 @@
 //! Answers for model bundles at the edges of what the daemon serves: a
-//! bundle whose options stop evaluating past a node count, and a bundle
-//! whose two platforms share a name.
+//! bundle whose options stop evaluating past a node count, a bundle whose
+//! two platforms share a name, and a bundle whose platform names need
+//! escaping in JSON.
 
 use hecmix_core::persist::fnv1a;
 use hecmix_core::profile::WorkloadModel;
 use hecmix_core::types::Platform;
-use hecmix_serve::api::{compute_plan, format_response, ComputeSpec, RespCtx};
+use hecmix_obs::json::{self, Value};
+use hecmix_serve::api::{
+    compute_plan, format_response, CachedCompute, CachedPlan, ComputeSpec, RespCtx,
+};
 use hecmix_serve::ModelStore;
 
 /// The synthetic `ep` pair, `[ARM, AMD]`.
@@ -191,4 +195,67 @@ fn whatif_rungs_take_models_by_position() {
             "budget {budget_w} W, step {step_high}"
         );
     }
+}
+
+/// Labels are written into answers with each platform name escaped once
+/// per answer, so a bundle whose names hold a quote, a backslash, control
+/// characters and non-ASCII characters still answers JSON that parses, and
+/// every `config` reads back as the point's `ClusterPoint::label`.
+#[test]
+fn platform_names_needing_escapes_answer_valid_json() {
+    let mut models = ep_pair();
+    models[0].platform.name = "ARM \"big\\LITTLE\"\nrev é".to_owned();
+    models[1].platform.name = "AMD\tK10 \u{1} ⚡ 节点".to_owned();
+    let mut store = ModelStore::new();
+    store.insert("ep", models);
+    let entry = store.get("ep").expect("just inserted");
+    let platforms: Vec<Platform> = entry.models.iter().map(|m| m.platform.clone()).collect();
+    let parsed = |ctx: &RespCtx, plan: &CachedPlan| {
+        let body = format_response(ctx, &store, plan, false, false, 0).body;
+        json::parse(&body).unwrap_or_else(|e| panic!("{e}: {body}"))
+    };
+
+    let mut labels = 0;
+    for (arm, amd, k) in [(16, 14, None), (0, 8, None), (40, 0, None), (6, 5, Some(1))] {
+        let (spec, ctx) = frontier(arm, amd, k);
+        let (_, plan) = compute_plan(&spec, &store).expect("ep plans");
+        let CachedCompute::Frontier(f) = &plan.compute else {
+            panic!("a /frontier spec computes a frontier");
+        };
+        let v = parsed(&ctx, &plan);
+        let points = v.get("points").and_then(Value::as_array).expect("points");
+        assert_eq!(points.len(), f.len());
+        for (got, want) in points.iter().zip(&f.points) {
+            let label = want.config.label(&platforms);
+            assert_eq!(
+                got.get("config").and_then(Value::as_str),
+                Some(label.as_str())
+            );
+            labels += 1;
+        }
+        if k.is_some() {
+            continue;
+        }
+
+        // `/plan` at the deadline of the frontier's middle point.
+        let deadline_ms = f.points[f.len() / 2].time_s * 1e3;
+        let chosen = f
+            .min_energy_for_deadline(deadline_ms / 1e3)
+            .expect("the middle point meets its own time");
+        let ctx = RespCtx::Plan {
+            workload: "ep".to_owned(),
+            arm,
+            amd,
+            units: 2e6,
+            deadline_ms,
+        };
+        let v = parsed(&ctx, &plan);
+        assert_eq!(v.get("feasible").and_then(Value::as_bool), Some(true));
+        let label = chosen.config.label(&platforms);
+        assert_eq!(
+            v.get("config").and_then(Value::as_str),
+            Some(label.as_str())
+        );
+    }
+    assert!(labels > 20, "{labels} labels checked");
 }

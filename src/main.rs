@@ -1046,7 +1046,7 @@ fn cmd_queueing(flags: &HashMap<String, String>) -> ExitCode {
             }
             Ok(Some(out)) => {
                 // `{:?}` prints the shortest round-trip form of an f64, with
-                // an exponent at the extremes, as `json::number` does.
+                // an exponent at the extremes, as `json::write_number` does.
                 println!(
                     "{}: λ = {lambda:?} jobs/s over a {window_s:?} s window, p99 deadline {p99_ms:?} ms",
                     w.name()
