@@ -143,7 +143,7 @@ fn bench_streaming_engine(c: &mut Criterion) {
 
     // Beyond-paper scale: 128 low-power + 16 high-performance nodes,
     // ~740k configurations. The old path would materialize every point
-    // and outcome; the fold keeps only per-chunk partial frontiers.
+    // and outcome; the fold keeps only one partial frontier.
     let mc = Memcached::default();
     let mc_models = bundles(&mc);
     let mc_units = mc.analysis_units() as f64;

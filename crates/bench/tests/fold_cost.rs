@@ -21,8 +21,8 @@
 //!   the options some prefix keeps, while the full slice copies the whole
 //!   prefix.
 //!
-//! One `#[test]` runs them in turn: the fold spawns workers, and a second
-//! test timing alongside it on a two-core runner reads their noise.
+//! One `#[test]` runs them in turn, so no other test times alongside them
+//! on a two-core runner and reads as their noise.
 
 use hecmix_bench::best_of;
 use hecmix_check::reference::{per_point_degraded_fold, per_point_fold};

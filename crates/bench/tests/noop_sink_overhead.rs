@@ -51,7 +51,7 @@ fn noop_sink_keeps_sweep_smoke_within_threshold() {
     let bare = best_of(5, &space, &models, w_units);
 
     // No-op sink installed: tracing enabled, every record discarded. The
-    // sweep only pays one atomic load plus per-chunk counter bumps, so
+    // sweep only pays one atomic load plus an event at each end, so
     // anything past 2x the bare time means the cheap-path contract broke.
     // (The 2x slack absorbs shared-runner noise; the real overhead is
     // within measurement jitter.)

@@ -18,6 +18,7 @@ use hecmix_core::config::{ClusterPoint, ConfigSpace, NodeConfig};
 use hecmix_core::exec_time::ExecTimeModel;
 use hecmix_core::mix_match::{evaluate, ClusterOutcome};
 use hecmix_core::profile::WorkloadModel;
+use hecmix_obs::json::Object;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -62,8 +63,7 @@ pub struct Disagreement {
 
 impl Disagreement {
     /// One-line JSON reproducer: seed, violated law, and the minimal
-    /// `(config, w)` input. Nested by hand — the flat `hecmix_obs::json`
-    /// encoder cannot express the per-type array.
+    /// `(config, w)` input, with `null` for each unused type.
     #[must_use]
     pub fn to_json(&self, seed: u64) -> String {
         let per_type: Vec<String> = self
@@ -72,39 +72,23 @@ impl Disagreement {
             .iter()
             .map(|slot| match slot {
                 None => "null".to_owned(),
-                Some(c) => format!(
-                    "{{\"nodes\":{},\"cores\":{},\"freq_ghz\":{}}}",
-                    c.nodes,
-                    c.cores,
-                    c.freq.ghz()
-                ),
+                Some(c) => {
+                    let mut o = Object::new();
+                    o.u64("nodes", u64::from(c.nodes));
+                    o.u64("cores", u64::from(c.cores));
+                    o.f64("freq_ghz", c.freq.ghz());
+                    o.finish()
+                }
             })
             .collect();
-        format!(
-            "{{\"seed\":{seed},\"check\":\"{}\",\"detail\":\"{}\",\"w_units\":{},\"per_type\":[{}]}}",
-            escape(self.check),
-            escape(&self.detail),
-            self.w_units,
-            per_type.join(",")
-        )
+        let mut o = Object::new();
+        o.u64("seed", seed);
+        o.str("check", self.check);
+        o.str("detail", &self.detail);
+        o.f64("w_units", self.w_units);
+        o.raw("per_type", &format!("[{}]", per_type.join(",")));
+        o.finish()
     }
-}
-
-/// Minimal JSON string escaping for the hand-rolled reproducer.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Test-only outcome perturbation: mutates the evaluated [`ClusterOutcome`]
@@ -360,6 +344,7 @@ pub fn fuzz_with(
 mod tests {
     use super::*;
     use crate::reference_scenario;
+    use hecmix_obs::json::Value;
 
     #[test]
     fn clean_models_fuzz_clean() {
@@ -375,7 +360,7 @@ mod tests {
     fn json_reproducer_is_one_escaped_line() {
         let d = Disagreement {
             check: "share-conservation",
-            detail: "sum \"off\"\nby 1".to_owned(),
+            detail: "sum \"off\"\nby 1 \\ \t\u{1}".to_owned(),
             point: ClusterPoint::new(vec![
                 Some(NodeConfig::new(
                     2,
@@ -389,8 +374,25 @@ mod tests {
         let j = d.to_json(42);
         assert!(!j.contains('\n'), "{j}");
         assert!(j.contains("\"seed\":42"));
-        assert!(j.contains("\\\"off\\\"\\nby 1"));
+        assert!(j.contains("\\\"off\\\"\\nby 1 \\\\ \\t\\u0001"), "{j}");
         assert!(j.contains("{\"nodes\":2,\"cores\":1,\"freq_ghz\":0.8}"));
         assert!(j.ends_with("null]}"));
+
+        // The line parses back to the same fields.
+        let v = hecmix_obs::json::parse(&j).unwrap();
+        assert_eq!(v.get("seed").and_then(Value::as_u64), Some(42));
+        assert_eq!(v.get("check").and_then(Value::as_str), Some(d.check));
+        assert_eq!(v.get("detail").and_then(Value::as_str), Some(&*d.detail));
+        assert_eq!(v.get("w_units").and_then(Value::as_f64), Some(d.w_units));
+        let per_type = v.get("per_type").and_then(Value::as_array).unwrap();
+        assert_eq!(per_type.len(), 2);
+        let c = &per_type[0];
+        assert_eq!(c.get("nodes").and_then(Value::as_u64), Some(2));
+        assert_eq!(c.get("cores").and_then(Value::as_u64), Some(1));
+        assert_eq!(
+            c.get("freq_ghz").and_then(Value::as_f64),
+            Some(hecmix_core::types::Frequency::from_ghz(0.8).ghz())
+        );
+        assert_eq!(per_type[1], Value::Null);
     }
 }

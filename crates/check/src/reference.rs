@@ -52,8 +52,8 @@ pub struct FoldPoint {
 /// `f64::total_cmp`. A candidate is dropped when it is not finite or when
 /// the entry keyed just below it has no more energy; otherwise it replaces
 /// the entries keyed above it that it dominates. The result depends only
-/// on the set of points, not on their order, so it is exactly what any
-/// chunking of the same fold must produce.
+/// on the set of points, not on their order, so it is exactly what the row
+/// fold, which walks and skips points in its own order, must produce.
 #[must_use]
 pub fn per_point_fold(table: &RateTable, w_units: f64) -> Vec<FoldPoint> {
     let mut entries = Vec::new();

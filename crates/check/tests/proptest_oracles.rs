@@ -285,8 +285,8 @@ fn degraded_scenario() -> impl Strategy<Value = (ResilientTable, f64, u32)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    // The row-by-row fold (column sums, in-row dominance skips, hinted
-    // inserts, parallel chunks) must return exactly the per-point fold's
+    // The row-by-row fold (column sums, dominated blocks, in-row dominance
+    // skips, hinted inserts) must return exactly the per-point fold's
     // frontier: same bits, same configurations. A table's flat indices
     // decode to distinct configurations, so equal configurations mean
     // equal flat indices.
@@ -303,7 +303,7 @@ proptest! {
     }
 
     // The k-degraded row fold (row constants per lost-node count, type 0's
-    // loss per cell, in-row dominance skips, parallel chunks) must return
+    // loss per cell, in-row dominance skips) must return
     // exactly the per-point degraded fold's frontier, empty when no
     // configuration tolerates `k`.
     #[test]

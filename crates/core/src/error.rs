@@ -39,8 +39,8 @@ pub enum Error {
         /// Offered utilization.
         utilization: f64,
     },
-    /// A parallel sweep worker panicked; the payload message is preserved
-    /// so the caller's thread survives and can report the failure.
+    /// A sweep's fold panicked; the payload message is preserved so the
+    /// caller's thread survives and can report the failure.
     WorkerPanic(String),
 }
 

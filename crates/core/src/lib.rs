@@ -35,8 +35,8 @@
 //! * [`sweep`] — rayon-parallel exhaustive evaluation of whole
 //!   configuration spaces (the reference path, full per-point outcomes).
 //! * [`rate_table`] — the streaming sweep engine: per-type `(r, b)` rate
-//!   tables, a lean time/energy kernel, and a chunked parallel fold that
-//!   derives frontiers of million-point spaces without materializing them.
+//!   tables, a lean time/energy kernel, and a row-by-row fold that derives
+//!   frontiers of million-point spaces without materializing them.
 //!
 //! The *measured* quantities the model consumes are produced by the
 //! `hecmix-profile` crate, which characterizes workloads on the simulated

@@ -32,21 +32,17 @@
 //!   reports and validation.
 //! * **Streaming fold.** Configurations are indexed by a flat mixed-radix
 //!   integer (digit `0` = type unused, digit `d ≥ 1` = option `d − 1` of
-//!   [`crate::dvfs::ladder_options`], type 0 fastest); worker threads
-//!   claim chunks of the index
-//!   range from an atomic cursor, fold each chunk into a small partial
-//!   Pareto frontier, and the partials are merged `O(n + m)` at the end.
-//!   Peak memory is `O(threads × frontier)`, independent of the space
-//!   size, and only frontier survivors are ever decoded back into
-//!   [`ClusterPoint`]s.
+//!   [`crate::dvfs::ladder_options`], type 0 fastest); the fold walks the
+//!   index range on the caller's thread into one Pareto frontier. Peak
+//!   memory is `O(frontier)`, independent of the space size, and only
+//!   frontier survivors are ever decoded back into [`ClusterPoint`]s.
 //! * **Rows over columns.** Each type's `r` and `b` live in their own
 //!   columns with a `0.0` sentinel at digit 0, so a configuration's sums
-//!   take no branch. A chunk is decoded once; the fold then walks digit 0
-//!   along contiguous columns and carries the other digits like an
-//!   odometer. Within a chunk it skips every point an earlier point of
-//!   the same chunk already dominates, and survivors enter the partial
-//!   frontier through an insert that starts searching where the last one
-//!   landed.
+//!   take no branch. The fold walks digit 0 along contiguous columns and
+//!   carries the other digits like an odometer. A point that an earlier
+//!   point of its run already dominates is skipped, and survivors enter
+//!   the frontier through an insert that starts searching where the last
+//!   one landed.
 //! * **Dominated blocks.** Each column also keeps, per block of 16 digits,
 //!   its largest rate and least power. Summed with the row's constants in
 //!   the kernel's order, they bound every cell of the block from below in
@@ -72,9 +68,7 @@
 //! associativity — property-tested to 1e-9 relative tolerance in
 //! `tests/streaming_equivalence.rs`.
 
-use std::num::NonZeroUsize;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use crate::config::{ClusterPoint, ConfigSpace, NodeConfig, TypeBounds};
@@ -318,14 +312,11 @@ impl RateTable {
     /// Stream the whole table through the lean kernel and fold it into the
     /// energy–deadline Pareto frontier, without materializing the space.
     ///
-    /// Deterministic: near-duplicate outcomes are tie-broken by the
-    /// smallest flat index, so the result is independent of thread count
-    /// and chunk scheduling.
+    /// Deterministic: of two equal outcomes the smaller flat index wins, so
+    /// the result is the per-point fold's, bit for bit.
     pub fn frontier(&self, w_units: f64) -> Result<ParetoFrontier> {
         validate_work(w_units)?;
-        let entries = stream_fold(self.count(), |start, end, partial| {
-            self.fold_rows(start, end, w_units, partial);
-        })?;
+        let entries = stream_fold(self.count(), |partial| self.fold_rows(w_units, partial))?;
         Ok(self.frontier_of(entries))
     }
 
@@ -348,37 +339,23 @@ impl RateTable {
         &self.columns
     }
 
-    /// Walk flat indices `start ..= end` row by row: `visit` gets each
+    /// Walk every flat index `1 ..= count()` row by row: `visit` gets each
     /// row's digits of the types after the first, the range of digit 0 it
-    /// covers, and the flat index of that range's first cell. `start` is
-    /// decoded once; after it the digits carry like an odometer, with no
-    /// per-point `%` or `/`.
-    pub(crate) fn rows(
-        &self,
-        start: u64,
-        end: u64,
-        mut visit: impl FnMut(&[usize], Range<usize>, u64),
-    ) {
-        let mut digits = Vec::with_capacity(self.columns.len());
-        let mut left = start;
-        for col in &self.columns {
-            let radix = col.radix() as u64;
-            digits.push((left % radix) as usize);
-            left /= radix;
-        }
+    /// covers, and the flat index of that range's first cell. The digits
+    /// carry like an odometer, with no per-point `%` or `/`.
+    pub(crate) fn rows(&self, mut visit: impl FnMut(&[usize], Range<usize>, u64)) {
+        let end = self.count();
         let radix0 = self.columns[0].radix();
-        let mut flat = start;
-        let mut d0 = digits[0];
-        loop {
-            // The rest of this row, or of the chunk if it ends first.
-            let len = ((radix0 - d0) as u64).min(end - flat + 1) as usize;
-            visit(&digits[1..], d0..d0 + len, flat);
-            flat += len as u64;
-            if flat > end {
-                return;
+        let mut digits = vec![0; self.columns.len() - 1];
+        // Flat index 0, the empty cluster, is not a configuration.
+        let (mut d0, mut flat) = (1, 1);
+        while flat <= end {
+            if d0 < radix0 {
+                visit(&digits, d0..radix0, flat);
+                flat += (radix0 - d0) as u64;
             }
             d0 = 0;
-            for (d, col) in digits[1..].iter_mut().zip(&self.columns[1..]) {
+            for (d, col) in digits.iter_mut().zip(&self.columns[1..]) {
                 *d += 1;
                 if *d < col.radix() {
                     break;
@@ -388,8 +365,8 @@ impl RateTable {
         }
     }
 
-    /// Fold flat indices `start ..= end` into `partial`, with exactly the
-    /// outcome of [`Self::outcome`] for every point.
+    /// Fold every flat index into `partial`, with exactly the outcome of
+    /// [`Self::outcome`] for every point.
     ///
     /// Digit 0 is the inner loop over contiguous columns; the other
     /// digits' `(r, b)` are row constants. A row's cells go in blocks of
@@ -408,11 +385,11 @@ impl RateTable {
     /// and pruned tables share it.
     ///
     /// Inside a walked block a point is skipped when an earlier point of
-    /// this chunk dominates it ([`Run`]). In a pruned table digit 0 runs
+    /// its run dominates it ([`Run`]). In a pruned table digit 0 runs
     /// from the unused sentinel to ever slower options, so each row is two
     /// runs and most walked points cost two adds, a divide, a multiply and
     /// one predictable compare.
-    fn fold_rows(&self, start: u64, end: u64, w_units: f64, partial: &mut PartialFrontier) {
+    fn fold_rows(&self, w_units: f64, partial: &mut PartialFrontier) {
         let (first, rest) = self
             .columns
             .split_first()
@@ -420,7 +397,7 @@ impl RateTable {
         // The row constants, per type after the first, in type order.
         let mut row: Vec<(f64, f64)> = Vec::with_capacity(rest.len());
         let mut run = Run::FRESH;
-        self.rows(start, end, |digits, cells, flat| {
+        self.rows(|digits, cells, flat| {
             row.clear();
             row.extend(rest.iter().zip(digits).map(|(c, &d)| c.at(d)));
             let outcome = |r: f64, b: f64| {
@@ -461,8 +438,8 @@ impl RateTable {
     }
 }
 
-/// The in-row dominance skip of a chunk's fold: the time of the previous
-/// finite point and the least energy since time last decreased.
+/// The in-row dominance skip of a fold: the time of the previous finite
+/// point and the least energy since time last decreased.
 ///
 /// Every point of that run has a time no larger than the current one and
 /// a smaller flat index, so a current energy at or above the run's least
@@ -839,16 +816,6 @@ fn pareto_order(opts: &[RateOption]) -> Vec<usize> {
         .collect()
 }
 
-/// Below this many configurations per thread, spawning is not worth it.
-const MIN_CHUNK: u64 = 4096;
-
-/// Threads the fold may use, read once: `available_parallelism` reads
-/// cgroup files on every call, which costs more than a small fold.
-fn parallelism() -> usize {
-    static CPUS: OnceLock<usize> = OnceLock::new();
-    *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
-}
-
 /// Shared work-size validation for every public sweep entry point.
 pub(crate) fn validate_work(w_units: f64) -> Result<()> {
     if !(w_units > 0.0) || !w_units.is_finite() {
@@ -890,92 +857,39 @@ fn empty_space() -> Error {
     )
 }
 
-/// Fold flat indices `1..=count` into sorted frontier entries — the
-/// chunked parallel core shared by [`RateTable::frontier`] and the
-/// degraded-mode sweeps in [`crate::resilience`]. Each chunk reaches
-/// `fold` as `(start, end, partial)`: `fold` pushes the survivors among
-/// `start ..= end` into its worker's partial frontier, skipping any index
-/// it likes (e.g. a configuration that cannot tolerate the requested
+/// Fold a table of `count` configurations into sorted frontier entries on
+/// the caller's thread: the core shared by [`RateTable::frontier`] and the
+/// k-degraded fold in [`crate::resilience`]. `fold` walks the table and
+/// pushes its survivors into one partial frontier, skipping any index it
+/// likes (e.g. a configuration that cannot tolerate the requested
 /// failures).
 ///
-/// Worker panics are captured and surfaced as [`Error::WorkerPanic`]
-/// instead of aborting the caller's thread; every worker is still joined
-/// before returning, so no detached thread outlives the call.
-pub(crate) fn stream_fold<F>(count: u64, fold: F) -> Result<Vec<Entry>>
-where
-    F: Fn(u64, u64, &mut PartialFrontier) + Sync,
-{
+/// A panic inside `fold` is captured and surfaced as
+/// [`Error::WorkerPanic`] instead of unwinding through the caller, so a
+/// serving thread survives a fold that fails.
+pub(crate) fn stream_fold(
+    count: u64,
+    fold: impl FnOnce(&mut PartialFrontier),
+) -> Result<Vec<Entry>> {
     if count == 0 {
         return Ok(Vec::new());
     }
-    let threads = parallelism().min(count.div_ceil(MIN_CHUNK) as usize);
-    // Telemetry is one event at each end of the sweep, never per point or
-    // per worker, so a seeded trace does not depend on which thread claimed
-    // which chunk; the disabled cost of the whole fold is this flag read.
+    // Telemetry is one event at each end of the sweep, never per point; the
+    // disabled cost of the whole fold is this flag read.
     let tracing = hecmix_obs::enabled();
     let sweep_t0 = tracing.then(std::time::Instant::now);
     if tracing {
-        hecmix_obs::emit(|| hecmix_obs::Event::SweepStart {
-            points: count,
-            workers: threads.max(1),
-        });
+        hecmix_obs::emit(|| hecmix_obs::Event::SweepStart { points: count });
     }
-    if threads <= 1 {
-        // Same capture contract as the threaded path, so callers see
-        // `WorkerPanic` regardless of how the fold was scheduled.
-        return std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut partial = PartialFrontier::default();
-            fold(1, count, &mut partial);
-            if tracing {
-                emit_sweep_end(count, partial.entries.len(), sweep_t0);
-            }
-            partial.entries
-        }))
-        .map_err(|payload| Error::WorkerPanic(panic_message(&*payload)));
-    }
-    let chunk = (count / (threads as u64 * 8)).clamp(MIN_CHUNK, 1 << 16);
-    let cursor = AtomicU64::new(1);
-    std::thread::scope(|s| {
-        let workers: Vec<_> = (0..threads)
-            .map(|_| {
-                // Move only copies and references into the worker: `fold`
-                // itself stays owned by the caller.
-                let (fold, cursor) = (&fold, &cursor);
-                s.spawn(move || {
-                    let mut partial = PartialFrontier::default();
-                    loop {
-                        let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                        if start > count {
-                            break;
-                        }
-                        fold(start, count.min(start + chunk - 1), &mut partial);
-                    }
-                    partial.entries
-                })
-            })
-            .collect();
-        // Join every worker even after a panic: leaving handles for the
-        // scope to auto-join would re-raise the panic we mean to capture.
-        let mut acc = Vec::new();
-        let mut panic_msg: Option<String> = None;
-        for w in workers {
-            match w.join() {
-                Ok(part) => acc = merge_entries(&acc, &part),
-                Err(payload) => {
-                    panic_msg.get_or_insert_with(|| panic_message(&*payload));
-                }
-            }
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let mut partial = PartialFrontier::default();
+        fold(&mut partial);
+        if tracing {
+            emit_sweep_end(count, partial.entries.len(), sweep_t0);
         }
-        match panic_msg {
-            Some(msg) => Err(Error::WorkerPanic(msg)),
-            None => {
-                if tracing {
-                    emit_sweep_end(count, acc.len(), sweep_t0);
-                }
-                Ok(acc)
-            }
-        }
-    })
+        partial.entries
+    }))
+    .map_err(|payload| Error::WorkerPanic(panic_message(&*payload)))
 }
 
 /// Emit the end-of-sweep summary (points in the table, frontier size, wall
@@ -1102,33 +1016,6 @@ fn gallop<T>(slice: &[T], pred: impl Fn(&T) -> bool) -> usize {
     // `pred` holds on `slice[..hi/2]` and fails at `hi-1` if that exists.
     let lo = hi / 2;
     lo + slice[lo..hi.min(slice.len())].partition_point(pred)
-}
-
-/// Merge two partial frontiers in `O(n + m)`: a sorted merge by key with
-/// the same strictly-improving-energy pass `from_points` uses.
-fn merge_entries(a: &[Entry], b: &[Entry]) -> Vec<Entry> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    let mut best = f64::INFINITY;
-    while i < a.len() || j < b.len() {
-        let take_a = match (a.get(i), b.get(j)) {
-            (Some(p), Some(q)) => key_lt(p, q),
-            (Some(_), None) => true,
-            _ => false,
-        };
-        let e = if take_a {
-            i += 1;
-            a[i - 1]
-        } else {
-            j += 1;
-            b[j - 1]
-        };
-        if e.energy_j < best {
-            best = e.energy_j;
-            out.push(e);
-        }
-    }
-    out
 }
 
 /// Streaming frontier of the **full** space: build the complete rate table
@@ -1277,28 +1164,21 @@ mod tests {
     }
 
     /// The per-point fold: every flat index evaluated on its own and pushed.
-    fn per_point_entries(table: &RateTable, start: u64, end: u64, w: f64) -> Vec<Entry> {
-        seeded_fold(table, start, end, w, &[], false)
+    fn per_point_entries(table: &RateTable, w: f64) -> Vec<Entry> {
+        seeded_fold(table, w, &[], false)
     }
 
-    /// Fold `start ..= end` into a partial frontier that already holds
+    /// Fold the whole table into a partial frontier that already holds
     /// `seed`: with the row fold, or point by point.
-    fn seeded_fold(
-        table: &RateTable,
-        start: u64,
-        end: u64,
-        w: f64,
-        seed: &[Entry],
-        rows: bool,
-    ) -> Vec<Entry> {
+    fn seeded_fold(table: &RateTable, w: f64, seed: &[Entry], rows: bool) -> Vec<Entry> {
         let mut partial = PartialFrontier::default();
         for &e in seed {
             partial.push(e);
         }
         if rows {
-            table.fold_rows(start, end, w, &mut partial);
+            table.fold_rows(w, &mut partial);
         } else {
-            for flat in start..=end {
+            for flat in 1..=table.count() {
                 let out = table.outcome(flat, w);
                 partial.push(Entry {
                     time_s: out.time_s,
@@ -1318,41 +1198,10 @@ mod tests {
     }
 
     #[test]
-    fn streaming_is_deterministic_across_chunkings() {
-        // Force the sequential path (small count) and compare against the
-        // same table folded through tiny hand-fed chunks.
-        let (space, models) = setup();
-        let table = RateTable::build(&space, &models).unwrap();
-        let w = 2e6;
-        let reference = table.frontier(w).unwrap();
-        let mut parts: Vec<Vec<Entry>> = Vec::new();
-        let mut flat = 1;
-        while flat <= table.count() {
-            parts.push(per_point_entries(
-                &table,
-                flat,
-                table.count().min(flat + 96),
-                w,
-            ));
-            flat += 97;
-        }
-        let merged = parts
-            .into_iter()
-            .fold(Vec::new(), |acc, p| merge_entries(&acc, &p));
-        assert_eq!(merged.len(), reference.len());
-        for (m, r) in merged.iter().zip(&reference.points) {
-            assert_eq!(m.time_s, r.time_s);
-            assert_eq!(m.energy_j, r.energy_j);
-            assert_eq!(table.decode(m.flat), r.config);
-        }
-    }
-
-    #[test]
-    fn mid_row_chunks_fold_like_one_chunk() {
-        // Rows of the 3+2 table are 61 points long; chunk lengths that are
-        // not multiples of it start and end mid-row, and single points
-        // exercise a carry after every row of one. The three-type table
-        // also carries from its second digit into its third.
+    fn row_fold_carries_like_per_point() {
+        // Rows of the 3+2 table are 61 points long, and the three-type
+        // tables also carry from the second digit into the third. Full and
+        // pruned, each must fold like pushing every point.
         let (space, models) = setup();
         let mut third = space.types[0].clone();
         third.max_nodes = 1;
@@ -1365,30 +1214,10 @@ mod tests {
             RateTable::build(&space3, &models3).unwrap(),
             RateTable::build_pruned(&space3, &models3).unwrap(),
         ] {
-            let count = table.count();
-            let whole = {
-                let mut partial = PartialFrontier::default();
-                table.fold_rows(1, count, w, &mut partial);
-                partial.entries
-            };
-            assert_eq!(bits(&whole), bits(&per_point_entries(&table, 1, count, w)));
-            for chunk in [1, 2, 7, 60, 61, 62, 97, 1000] {
-                let mut merged = Vec::new();
-                let mut start = 1;
-                while start <= count {
-                    let end = count.min(start + chunk - 1);
-                    let mut partial = PartialFrontier::default();
-                    table.fold_rows(start, end, w, &mut partial);
-                    assert_eq!(
-                        bits(&partial.entries),
-                        bits(&per_point_entries(&table, start, end, w)),
-                        "chunk {start}..={end}"
-                    );
-                    merged = merge_entries(&merged, &partial.entries);
-                    start = end + 1;
-                }
-                assert_eq!(bits(&merged), bits(&whole), "chunk length {chunk}");
-            }
+            assert_eq!(
+                bits(&seeded_fold(&table, w, &[], true)),
+                bits(&per_point_entries(&table, w))
+            );
         }
     }
 
@@ -1434,14 +1263,13 @@ mod tests {
                     seed.push(e(t_lo, t_lo * (b_min + b1), u64::MAX - seed.len() as u64));
                 }
             }
-            let count = table.count();
-            let want = seeded_fold(&table, 1, count, w, &seed, false);
+            let want = seeded_fold(&table, w, &seed, false);
             assert!(
-                want.iter().any(|p| p.flat <= count),
+                want.iter().any(|p| p.flat <= table.count()),
                 "a cell replaced its tied seed"
             );
             assert_eq!(
-                bits(&seeded_fold(&table, 1, count, w, &seed, true)),
+                bits(&seeded_fold(&table, w, &seed, true)),
                 bits(&want),
                 "ARM cap {arm_cap}"
             );
@@ -1449,30 +1277,21 @@ mod tests {
     }
 
     #[test]
-    fn mid_block_chunks_skip_like_per_point() {
-        // Seeded with the whole table's frontier, a chunk skips nearly
-        // every block it touches, including the partial blocks where it
-        // starts and ends; the fold must still match pushing every point.
+    fn seeded_row_fold_skips_like_per_point() {
+        // Seeded with the whole table's frontier, the fold skips nearly
+        // every block, including the short last block of each row; it must
+        // still match pushing every point.
         let (space, models) = setup();
         let w = 5e6;
         for table in [
             RateTable::build(&space, &models).unwrap(),
             RateTable::build_pruned(&space, &models).unwrap(),
         ] {
-            let count = table.count();
-            let seed = per_point_entries(&table, 1, count, w);
-            for len in [1, 5, 15, 16, 17, 33, 70] {
-                let mut start = 1;
-                while start <= count {
-                    let end = count.min(start + len - 1);
-                    assert_eq!(
-                        bits(&seeded_fold(&table, start, end, w, &seed, true)),
-                        bits(&seeded_fold(&table, start, end, w, &seed, false)),
-                        "chunk {start}..={end}"
-                    );
-                    start = end + 1;
-                }
-            }
+            let seed = per_point_entries(&table, w);
+            assert_eq!(
+                bits(&seeded_fold(&table, w, &seed, true)),
+                bits(&seeded_fold(&table, w, &seed, false))
+            );
         }
     }
 
@@ -1498,7 +1317,7 @@ mod tests {
     fn no_point_vectors_needed_for_large_space() {
         // A space far past what sweep_space would comfortably materialize
         // per-point: 64 + 8 nodes ≈ 187k configurations. The streaming fold
-        // only ever holds per-thread partial frontiers.
+        // only ever holds one partial frontier.
         let arm = Platform::reference_arm();
         let amd = Platform::reference_amd();
         let space = ConfigSpace::two_type(arm.clone(), 64, amd.clone(), 8);
@@ -1572,9 +1391,8 @@ mod tests {
 
     #[test]
     fn worker_panic_surfaces_as_error() {
-        // Sequential path (count below the spawn threshold).
-        let got = stream_fold(16, |start, end, _| {
-            for flat in start..=end {
+        let got = stream_fold(16, |_| {
+            for flat in 1..=16 {
                 if flat == 7 {
                     panic!("boom at {flat}");
                 }
@@ -1584,20 +1402,9 @@ mod tests {
             matches!(&got, Err(Error::WorkerPanic(msg)) if msg.contains("boom at 7")),
             "{got:?}"
         );
-        // Threaded path: enough indices that workers are spawned (when the
-        // host has more than one CPU; otherwise this re-checks sequential).
-        let got = stream_fold(MIN_CHUNK * 64, |start, end, _| {
-            if (start..=end).any(|flat| flat % (MIN_CHUNK + 1) == 0) {
-                panic!("threaded boom");
-            }
-        });
-        assert!(
-            matches!(&got, Err(Error::WorkerPanic(msg)) if msg.contains("threaded boom")),
-            "{got:?}"
-        );
-        // And a clean fold still works after the captured panics.
-        let ok = stream_fold(8, |start, end, partial| {
-            for flat in start..=end {
+        // And a clean fold still works after the captured panic.
+        let ok = stream_fold(8, |partial| {
+            for flat in 1..=8 {
                 partial.push(Entry {
                     time_s: flat as f64,
                     energy_j: -(flat as f64),

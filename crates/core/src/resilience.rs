@@ -161,13 +161,13 @@ impl ResilientTable {
         if k == 0 {
             return self.table.frontier(w_units);
         }
-        let entries = stream_fold(self.table.count(), |start, end, partial| {
-            self.fold_degraded_rows(start, end, w_units, k, partial);
+        let entries = stream_fold(self.table.count(), |partial| {
+            self.fold_degraded_rows(w_units, k, partial);
         })?;
         Ok(self.table.frontier_of(entries))
     }
 
-    /// Fold flat indices `start ..= end` into `partial`, each with exactly
+    /// Fold every flat index into `partial`, each with exactly
     /// [`Self::degraded_outcome`] and its own (deployed) flat index,
     /// skipping the points that cannot tolerate `k` losses.
     ///
@@ -183,14 +183,7 @@ impl ResilientTable {
     /// the bits of [`RateTable::outcome`] on [`Self::degraded_flat`]
     /// because `0.0 + x == x`. Nothing is sized by `k`. Inside a row the
     /// in-row run skip ([`Run`]) applies as in the plain fold.
-    fn fold_degraded_rows(
-        &self,
-        start: u64,
-        end: u64,
-        w_units: f64,
-        k: u32,
-        partial: &mut PartialFrontier,
-    ) {
+    fn fold_degraded_rows(&self, w_units: f64, k: u32, partial: &mut PartialFrontier) {
         let (first, rest) = self
             .table
             .columns()
@@ -206,7 +199,7 @@ impl ResilientTable {
         // The row's digits after the losses counted so far.
         let mut row_digits = Vec::with_capacity(rest.len());
         let mut run = Run::FRESH;
-        self.table.rows(start, end, |digits, cells, flat| {
+        self.table.rows(|digits, cells, flat| {
             used.clear();
             for (t, (col, &d)) in rest.iter().zip(digits).enumerate() {
                 if d != 0 {

@@ -717,6 +717,112 @@ mod tests {
         assert_eq!(arr[2].as_str(), Some("é😀"));
     }
 
+    /// `v` written back as JSON text through this module's writers.
+    fn encode(v: &Value, out: &mut String) {
+        match v {
+            Value::Null => out.push_str("null"),
+            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Value::Num(n) => write_number(out, *n),
+            Value::Str(s) => write_string(out, s),
+            Value::Array(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    encode(item, out);
+                }
+                out.push(']');
+            }
+            Value::Object(fields) => {
+                out.push('{');
+                for (i, (k, item)) in fields.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    write_string(out, k);
+                    out.push(':');
+                    encode(item, out);
+                }
+                out.push('}');
+            }
+        }
+    }
+
+    /// How deep containers nest in `v`: 0 for a scalar.
+    fn depth(v: &Value) -> usize {
+        match v {
+            Value::Array(items) => 1 + items.iter().map(depth).max().unwrap_or(0),
+            Value::Object(fields) => 1 + fields.iter().map(|(_, v)| depth(v)).max().unwrap_or(0),
+            _ => 0,
+        }
+    }
+
+    #[test]
+    fn mutated_documents_never_panic_or_nest_past_the_cap() {
+        let mut answer = Object::new();
+        answer.str("kind", "a \"quoted\" \\ line\n\t\u{1}\u{7f}");
+        answer.str("name", "é 😀 ǅ");
+        answer.u64("max", u64::MAX);
+        answer.bool("cached", false);
+        answer.f64("nan", f64::NAN);
+        answer.object("shares", |s| {
+            s.f64("low", -0.0);
+            s.f64("high", f64::MIN_POSITIVE);
+            s.object("empty", |_| {});
+        });
+        let times = [f64::from_bits(1), 1e-5, 1e16, f64::MAX, -1.5e-300];
+        answer.objects("points", times, |p, t| {
+            p.f64("t", t);
+            p.str_array("tags", &["a", "\"", ""]);
+            p.raw("raw", "[1,[2.5,[]],{}]");
+        });
+        let nested = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        let seeds = [
+            answer.finish(),
+            nested(MAX_DEPTH),
+            r#"{"workload":"ep","arm":512,"amd":128,"deadline_ms":40.5}"#.to_owned(),
+        ];
+        // Every seed parses, and its value written back parses to itself.
+        for seed in &seeds {
+            let v = parse(seed).unwrap_or_else(|e| panic!("{seed}: {e}"));
+            let mut text = String::new();
+            encode(&v, &mut text);
+            assert_eq!(parse(&text), Ok(v), "{seed}");
+        }
+        assert!(parse(&nested(MAX_DEPTH + 1)).is_err());
+
+        let inserts: [&str; 4] = ["\\u", "\\ud800", "1e999", "nul"];
+        let mut state = 0x4a53_4f4e;
+        let mut pick = |n: usize| (splitmix(&mut state) % n.max(1) as u64) as usize;
+        for _ in 0..20_000 {
+            let mut bytes = seeds[pick(seeds.len())].clone().into_bytes();
+            for _ in 0..=pick(3) {
+                let at = pick(bytes.len() + 1);
+                match pick(4) {
+                    0 if at < bytes.len() => bytes[at] ^= 1 << pick(8),
+                    1 => bytes.truncate(at),
+                    2 => {
+                        let donor = seeds[pick(seeds.len())].as_bytes();
+                        let from = pick(donor.len());
+                        let to = from + pick(donor.len() - from + 1);
+                        bytes.splice(at..at, donor[from..to].iter().copied());
+                    }
+                    _ => {
+                        let insert = inserts[pick(inserts.len())];
+                        bytes.splice(at..at, insert.bytes());
+                    }
+                }
+            }
+            let Ok(text) = std::str::from_utf8(&bytes) else {
+                continue;
+            };
+            if let Ok(v) = parse(text) {
+                assert!(depth(&v) <= MAX_DEPTH, "{text}");
+            }
+        }
+    }
+
     #[test]
     fn parse_rejects_malformed_input() {
         for bad in [

@@ -7,7 +7,7 @@
 //!
 //! - [`Event`]: a closed schema of structured events emitted by the
 //!   simulator (phase transitions, memory contention, DVFS switches, fault
-//!   lifecycle), the sweep engine (chunk/scan/merge counters, timers), the
+//!   lifecycle), the sweep engine (space sizes, frontier sizes, timers), the
 //!   dispatcher (per-slot decisions), and the experiment runner (CSV
 //!   warnings, artifact manifests). Each variant is declared once, in the
 //!   `events!` table, which also yields the machine-readable
@@ -268,8 +268,6 @@ events! {
     SweepStart = "sweep_start" {
         /// Points in the (possibly pruned) configuration space.
         points: u64,
-        /// Worker threads (1 = sequential path).
-        workers: usize,
     },
     /// A streaming frontier sweep finished.
     SweepEnd = "sweep_end" {
