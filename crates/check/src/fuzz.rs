@@ -31,10 +31,6 @@ pub struct FuzzConfig {
     pub seed: u64,
     /// Random inputs to try.
     pub iters: u32,
-    /// Job-size range sampled per input, `[w_lo, w_hi)` units.
-    pub w_lo: f64,
-    /// Upper end of the job-size range.
-    pub w_hi: f64,
 }
 
 impl Default for FuzzConfig {
@@ -42,11 +38,12 @@ impl Default for FuzzConfig {
         Self {
             seed: 42,
             iters: 200,
-            w_lo: 1e3,
-            w_hi: 1e7,
         }
     }
 }
+
+/// Job sizes sampled per input, in units.
+const W_UNITS: std::ops::Range<f64> = 1e3..1e7;
 
 /// A minimal reproducing input for one violated law.
 #[derive(Debug, Clone)]
@@ -326,7 +323,7 @@ pub fn fuzz_with(
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
     for _ in 0..cfg.iters {
         let point = random_point(&mut rng, space);
-        let w_units = rng.gen_range(cfg.w_lo..cfg.w_hi);
+        let w_units = rng.gen_range(W_UNITS);
         if check_point(&point, models, w_units, perturb).is_some() {
             let (point, w_units, (check, detail)) = shrink(point, w_units, space, models, perturb);
             return Some(Disagreement {

@@ -1,5 +1,5 @@
-//! Metamorphic invariant checkers (feature `check`): laws the model must
-//! satisfy for *any* valid input, independent of what the right answer is.
+//! Metamorphic invariant checkers: laws the model must satisfy for *any*
+//! valid input, independent of what the right answer is.
 //!
 //! Each checker walks the deterministic sample of cluster points from
 //! [`crate::oracles::sample_points`] (or the swept frontier) and reports

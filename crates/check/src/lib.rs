@@ -13,10 +13,10 @@
 //!
 //! * [`oracles`] — pairwise differential checks between independent
 //!   implementations, each with an explicitly justified tolerance;
-//! * [`invariants`] (behind the `check` feature) — metamorphic laws that
-//!   must hold for *any* input: work-share conservation, energy-component
-//!   non-negativity and additivity, Pareto staircase monotonicity,
-//!   frontier-merge idempotence, time monotonicity in work;
+//! * [`invariants`] — metamorphic laws that must hold for *any* input:
+//!   work-share conservation, energy-component non-negativity and
+//!   additivity, Pareto staircase monotonicity, frontier-merge
+//!   idempotence, time monotonicity in work;
 //! * [`fuzz`] — a seeded random-configuration driver that replays the
 //!   cheap checks over arbitrary cluster points and *shrinks* any failure
 //!   to a minimal reproducing configuration, emitted as one-line JSON;
@@ -36,7 +36,6 @@
 #![warn(missing_docs)]
 
 pub mod fuzz;
-#[cfg(feature = "check")]
 pub mod invariants;
 pub mod oracles;
 pub mod reference;
@@ -110,39 +109,6 @@ impl CheckReport {
     }
 }
 
-/// The metamorphic invariant checkers, when compiled in (`check`
-/// feature); an empty extension otherwise.
-#[cfg(feature = "check")]
-fn invariant_results(space: &ConfigSpace, models: &[WorkloadModel], w: f64) -> Vec<CheckResult> {
-    vec![
-        CheckResult::new(
-            "work-share-conservation",
-            invariants::work_share_conservation(space, models, w),
-        ),
-        CheckResult::new(
-            "energy-components",
-            invariants::energy_components(space, models, w),
-        ),
-        CheckResult::new(
-            "pareto-staircase",
-            invariants::pareto_staircase(space, models, w),
-        ),
-        CheckResult::new(
-            "merge-idempotence",
-            invariants::merge_idempotence(space, models, w),
-        ),
-        CheckResult::new(
-            "time-monotonicity",
-            invariants::time_monotonicity(space, models, w),
-        ),
-    ]
-}
-
-#[cfg(not(feature = "check"))]
-fn invariant_results(_space: &ConfigSpace, _models: &[WorkloadModel], _w: f64) -> Vec<CheckResult> {
-    Vec::new()
-}
-
 /// The synthetic two-type scenario the cheap (model-only) checks run
 /// against: the paper's reference platforms with small node counts, a
 /// CPU-bound bundle per type, and a mid-sized job.
@@ -158,14 +124,14 @@ pub fn reference_scenario() -> (ConfigSpace, Vec<WorkloadModel>, f64) {
     (space, models, 1e6)
 }
 
-/// Run every oracle (and, with the `check` feature, every metamorphic
-/// invariant) once and collect the outcomes. Violations and the final
-/// summary are also emitted as observability events.
+/// Run every oracle and every metamorphic invariant once and collect the
+/// outcomes. Violations and the final summary are also emitted as
+/// observability events.
 #[must_use]
 pub fn run_all(seed: u64) -> CheckReport {
     let started = std::time::Instant::now();
     let (space, models, w) = reference_scenario();
-    let mut results: Vec<CheckResult> = vec![
+    let results: Vec<CheckResult> = vec![
         CheckResult::new(
             "closed-form-vs-numeric",
             oracles::closed_form_vs_numeric(&space, &models, w),
@@ -194,8 +160,27 @@ pub fn run_all(seed: u64) -> CheckReport {
             "sched-degenerate-vs-mix",
             oracles::sched_degenerate_vs_mix(),
         ),
+        CheckResult::new(
+            "work-share-conservation",
+            invariants::work_share_conservation(&space, &models, w),
+        ),
+        CheckResult::new(
+            "energy-components",
+            invariants::energy_components(&space, &models, w),
+        ),
+        CheckResult::new(
+            "pareto-staircase",
+            invariants::pareto_staircase(&space, &models, w),
+        ),
+        CheckResult::new(
+            "merge-idempotence",
+            invariants::merge_idempotence(&space, &models, w),
+        ),
+        CheckResult::new(
+            "time-monotonicity",
+            invariants::time_monotonicity(&space, &models, w),
+        ),
     ];
-    results.extend(invariant_results(&space, &models, w));
     for r in &results {
         for v in &r.violations {
             emit(|| Event::CheckViolation {

@@ -55,7 +55,6 @@ fn clean_models_survive_a_long_fuzz_run() {
     let cfg = FuzzConfig {
         seed: 7,
         iters: 500,
-        ..FuzzConfig::default()
     };
     assert!(
         fuzz_with(&space, &models, &cfg, None).is_none(),

@@ -333,7 +333,6 @@ proptest! {
     }
 }
 
-#[cfg(feature = "check")]
 mod invariant_props {
     use super::*;
     use hecmix_check::invariants;

@@ -25,10 +25,9 @@ fn run_all_is_clean_and_publishes_a_summary() {
         );
     }
     assert!(report.is_clean());
-    let expected = if cfg!(feature = "check") { 15 } else { 10 };
-    assert_eq!(report.checks(), expected);
+    assert_eq!(report.checks(), 15);
     let outcome = report.outcome();
-    assert_eq!(outcome.checks, expected);
+    assert_eq!(outcome.checks, 15);
     assert_eq!(outcome.violations, 0);
 
     hecmix_obs::uninstall();
@@ -46,7 +45,7 @@ fn run_all_is_clean_and_publishes_a_summary() {
             wall_s,
         } => {
             assert_eq!(*seed, 42);
-            assert_eq!(*checks, expected);
+            assert_eq!(*checks, 15);
             assert_eq!(*violations, 0);
             assert!(*wall_s >= 0.0);
         }

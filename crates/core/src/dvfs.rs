@@ -14,9 +14,9 @@
 //! - [`IdleState`] — one per-core idle state with a residency cost.
 //! - [`OppLadder`] — a validated, monotone list of active states plus the
 //!   idle-state ladder.
-//! - [`PowerDomain`] — a nested domain tree; [`PowerDomain::floor_w`]
-//!   credits a domain's `sleep_w` only when **all** leaves beneath it are
-//!   idle, else the domain stays at `idle_w` and recurses into children.
+//! - [`PowerDomain`] — a nested domain tree, as the model file format
+//!   carries it; parking prices the root's [`PowerDomain::asleep_w`] and
+//!   `residency_s`.
 //! - [`NodeDvfs`] — the pair `(ladder, domain)` every
 //!   [`WorkloadModel`](crate::profile::WorkloadModel) carries.
 //!
@@ -269,13 +269,9 @@ impl OppLadder {
 
 /// A node in the nested power-domain tree. Leaves are the smallest
 /// power-gateable units (typically cores); interior nodes are clusters,
-/// caches, or the whole package.
-///
-/// The accounting rule ("a cluster only sleeps when all its cores do"):
-/// a domain contributes `sleep_w` to the node floor **iff every leaf
-/// beneath it is idle**; otherwise it contributes `idle_w` plus whatever
-/// its children contribute under the same rule — see
-/// [`PowerDomain::floor_w`].
+/// caches, or the whole package. A sleeping domain covers its whole
+/// subtree, so a parked node draws the root's `sleep_w`
+/// ([`PowerDomain::asleep_w`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PowerDomain {
     /// Domain name (`"cluster0"`, `"core0"`, …).
@@ -386,44 +382,6 @@ impl PowerDomain {
     #[must_use]
     pub fn asleep_w(&self) -> f64 {
         self.sleep_w
-    }
-
-    /// Floor power of the subtree given which leaves are idle, in DFS
-    /// leaf order. A domain contributes `sleep_w` (and nothing for its
-    /// children) iff **every** leaf beneath it is idle; otherwise it
-    /// contributes `idle_w` plus its children's contributions under the
-    /// same rule.
-    ///
-    /// # Errors
-    /// [`Error::InvalidInput`] when `leaf_idle.len() != self.leaf_count()`.
-    pub fn floor_w(&self, leaf_idle: &[bool]) -> Result<f64> {
-        if leaf_idle.len() != self.leaf_count() {
-            return Err(Error::InvalidInput(format!(
-                "power domain {:?}: expected {} leaf states, got {}",
-                self.name,
-                self.leaf_count(),
-                leaf_idle.len()
-            )));
-        }
-        Ok(self.floor_w_inner(leaf_idle))
-    }
-
-    fn floor_w_inner(&self, leaf_idle: &[bool]) -> f64 {
-        if leaf_idle.iter().all(|&i| i) {
-            return self.sleep_w;
-        }
-        if self.children.is_empty() {
-            // A lone awake leaf.
-            return self.idle_w;
-        }
-        let mut total = self.idle_w;
-        let mut offset = 0usize;
-        for c in &self.children {
-            let n = c.leaf_count();
-            total += c.floor_w_inner(&leaf_idle[offset..offset + n]);
-            offset += n;
-        }
-        total
     }
 }
 
@@ -728,26 +686,6 @@ mod tests {
                 PowerDomain::leaf("core1", 0.5, 0.05, 1e-3),
             ],
         )
-    }
-
-    #[test]
-    fn domain_sleeps_only_when_all_children_idle() {
-        let d = two_core_domain();
-        d.validate().unwrap();
-        assert_eq!(d.leaf_count(), 2);
-        // Fully awake: 1.0 + 0.5 + 0.5.
-        assert!((d.floor_w(&[false, false]).unwrap() - 2.0).abs() < 1e-12);
-        // One core asleep: cluster stays up, that core credits its own
-        // sleep state only.
-        assert!((d.floor_w(&[true, false]).unwrap() - (1.0 + 0.05 + 0.5)).abs() < 1e-12);
-        // All asleep: the cluster's deep state covers the whole subtree.
-        assert!((d.floor_w(&[true, true]).unwrap() - 0.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn domain_floor_rejects_wrong_leaf_count() {
-        let d = two_core_domain();
-        assert!(matches!(d.floor_w(&[true]), Err(Error::InvalidInput(_))));
     }
 
     #[test]

@@ -1,9 +1,10 @@
-//! Small statistics toolbox: least-squares linear regression, Pearson
-//! correlation, means and standard deviations.
+//! Small statistics toolbox: least-squares linear regression with its r²,
+//! means and standard deviations.
 //!
 //! The paper's characterization step (§II-D, §III-C) fits `SPI_mem` linearly
 //! over core frequency and reports the Pearson correlation (`r² ≥ 0.94` in
-//! Fig. 3). These helpers are shared by the model (`SpiMemFit`) and by the
+//! Fig. 3), which for a one-variable least-squares line is the fit's r².
+//! These helpers are shared by the model (`SpiMemFit`) and by the
 //! `hecmix-profile` measurement pipeline.
 
 use serde::{Deserialize, Serialize};
@@ -169,25 +170,6 @@ pub fn std_dev(xs: &[f64]) -> f64 {
     (xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64).sqrt()
 }
 
-/// Pearson correlation coefficient `r` between two samples.
-/// Returns 0 when either sample is constant.
-#[must_use]
-pub fn pearson_r(xs: &[f64], ys: &[f64]) -> f64 {
-    assert_eq!(xs.len(), ys.len(), "x/y length mismatch");
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let mx = mean(xs);
-    let my = mean(ys);
-    let sxy: f64 = xs.iter().zip(ys).map(|(x, y)| (x - mx) * (y - my)).sum();
-    let sxx: f64 = xs.iter().map(|x| (x - mx) * (x - mx)).sum();
-    let syy: f64 = ys.iter().map(|y| (y - my) * (y - my)).sum();
-    if sxx == 0.0 || syy == 0.0 {
-        return 0.0;
-    }
-    sxy / (sxx * syy).sqrt()
-}
-
 /// Relative error `|predicted - measured| / measured` as a percentage.
 /// Returns 0 when `measured` is 0 and `predicted` is 0 too; infinite
 /// otherwise (surfaced deliberately — a zero measurement with a non-zero
@@ -273,20 +255,6 @@ mod tests {
         let fit = LinearFit::fit(&[1.0, 2.0, 3.0], &[5.0, 5.0, 5.0]);
         assert!((fit.slope).abs() < 1e-12);
         assert!((fit.r2 - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pearson_perfect_and_anticorrelated() {
-        let xs = [1.0, 2.0, 3.0, 4.0];
-        let ys = [2.0, 4.0, 6.0, 8.0];
-        assert!((pearson_r(&xs, &ys) - 1.0).abs() < 1e-12);
-        let zs = [8.0, 6.0, 4.0, 2.0];
-        assert!((pearson_r(&xs, &zs) + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pearson_constant_input_is_zero() {
-        assert_eq!(pearson_r(&[1.0, 1.0], &[2.0, 3.0]), 0.0);
     }
 
     #[test]

@@ -440,7 +440,7 @@ pub fn governor_study(lab: &Lab) -> Vec<GovernorRow> {
                 arch,
                 &w.trace(),
                 &NodeRunSpec::new(arch.platform.cores, arch.platform.fmin(), units, 0x60F)
-                    .with_governor(Governor::ondemand()),
+                    .with_governor(Governor::Ondemand),
             );
             GovernorRow {
                 workload: w.name().to_owned(),

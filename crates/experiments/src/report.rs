@@ -92,7 +92,6 @@ pub struct CsvWriter {
     dir: PathBuf,
     context: Option<RunContext>,
     selfcheck: parking_lot::Mutex<Option<hecmix_obs::SelfCheckOutcome>>,
-    model_hashes: parking_lot::Mutex<Vec<String>>,
     model_hash_source: parking_lot::Mutex<Option<ModelHashSource>>,
 }
 
@@ -109,28 +108,16 @@ impl CsvWriter {
             dir: dir.as_ref().to_owned(),
             context: None,
             selfcheck: parking_lot::Mutex::new(None),
-            model_hashes: parking_lot::Mutex::new(Vec::new()),
             model_hash_source: parking_lot::Mutex::new(None),
         })
     }
 
     /// Attach a lazy model-hash supplier (e.g. the lab's characterization
-    /// cache). Its lines are merged with [`Self::record_model_hash`]
-    /// entries in every manifest written afterwards.
+    /// cache) of lines `"<workload>-<platform>:<16-hex-fnv1a>"`. Every
+    /// manifest written afterwards lists them, sorted and deduplicated,
+    /// so an artifact attests exactly which characterizations produced it.
     pub fn set_model_hash_source(&self, source: ModelHashSource) {
         *self.model_hash_source.lock() = Some(source);
-    }
-
-    /// Record a model bundle's content hash (format
-    /// `"<workload>-<platform>:<16-hex-fnv1a>"`). Every manifest written
-    /// afterwards lists the hashes, so an artifact attests exactly which
-    /// characterizations produced it. Duplicates are merged; the list is
-    /// kept sorted for stable manifests.
-    pub fn record_model_hash(&self, line: String) {
-        let mut hashes = self.model_hashes.lock();
-        if let Err(pos) = hashes.binary_search(&line) {
-            hashes.insert(pos, line);
-        }
     }
 
     /// Attach a self-check outcome: every manifest written afterwards
@@ -184,12 +171,13 @@ impl CsvWriter {
         let path = self.dir.join(format!("{name}.csv"));
         fs::write(&path, body)?;
         if let Some(ctx) = &self.context {
-            let mut model_hashes = self.model_hashes.lock().clone();
-            if let Some(source) = &*self.model_hash_source.lock() {
-                model_hashes.extend(source());
-                model_hashes.sort();
-                model_hashes.dedup();
-            }
+            let mut model_hashes = self
+                .model_hash_source
+                .lock()
+                .as_ref()
+                .map_or_else(Vec::new, |source| source());
+            model_hashes.sort();
+            model_hashes.dedup();
             RunManifest {
                 artifact: name.to_owned(),
                 seed: ctx.seed,
@@ -405,10 +393,14 @@ mod tests {
         // No hashes recorded: the field is omitted entirely.
         assert!(!side.contains("model_hashes"), "{side}");
 
-        // Recorded hashes appear sorted and deduplicated in later manifests.
-        w.record_model_hash("ep-k10:00000000deadbeef".into());
-        w.record_model_hash("ep-cortex-a9:00000000cafef00d".into());
-        w.record_model_hash("ep-k10:00000000deadbeef".into());
+        // Sourced hashes appear sorted and deduplicated in later manifests.
+        w.set_model_hash_source(Box::new(|| {
+            vec![
+                "ep-k10:00000000deadbeef".into(),
+                "ep-cortex-a9:00000000cafef00d".into(),
+                "ep-k10:00000000deadbeef".into(),
+            ]
+        }));
         w.write("m2", &["a"], &[vec!["1".into()]]).unwrap();
         let side2 = std::fs::read_to_string(dir.join("m2.manifest.json")).unwrap();
         assert!(

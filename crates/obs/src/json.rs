@@ -473,34 +473,58 @@ impl Parser<'_> {
         }
     }
 
+    /// Exactly four ASCII hex digits, as `\u` requires (no sign).
     fn hex4(&mut self) -> Result<u32, String> {
-        let end = self.pos + 4;
-        let hex = self
+        let digits = self
             .bytes
-            .get(self.pos..end)
-            .and_then(|b| std::str::from_utf8(b).ok())
+            .get(self.pos..self.pos + 4)
             .ok_or_else(|| "truncated \\u escape".to_owned())?;
-        let v = u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape".to_owned())?;
-        self.pos = end;
+        let mut v = 0;
+        for &b in digits {
+            let d = char::from(b)
+                .to_digit(16)
+                .ok_or_else(|| "bad \\u escape".to_owned())?;
+            v = v * 16 + d;
+        }
+        self.pos += 4;
         Ok(v)
     }
 
-    fn number(&mut self) -> Result<Value, String> {
+    /// Advance past one byte if it is one of `set`.
+    fn eat(&mut self, set: &[u8]) -> bool {
+        let hit = self.peek().is_some_and(|c| set.contains(&c));
+        self.pos += usize::from(hit);
+        hit
+    }
+
+    /// Advance past a run of ASCII digits; false when the run is empty.
+    fn digits(&mut self) -> bool {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        while self.peek().is_some_and(|c| c.is_ascii_digit()) {
             self.pos += 1;
         }
-        while let Some(c) = self.peek() {
-            if c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-') {
-                self.pos += 1;
-            } else {
-                break;
-            }
+        self.pos > start
+    }
+
+    /// RFC 8259's `number`: `-? (0 | [1-9][0-9]*) (. [0-9]+)?
+    /// ([eE] [+-]? [0-9]+)?`. A leading zero ends the integer part, so
+    /// `01` leaves `1` behind as trailing data.
+    fn number(&mut self) -> Result<Value, String> {
+        let start = self.pos;
+        self.eat(b"-");
+        let mut ok = self.eat(b"0") || self.digits();
+        if self.eat(b".") {
+            ok &= self.digits();
+        }
+        if self.eat(b"eE") {
+            self.eat(b"+-");
+            ok &= self.digits();
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>()
-            .map(Value::Num)
-            .map_err(|_| format!("bad number {text:?} at byte {start}"))
+        match text.parse::<f64>() {
+            Ok(v) if ok => Ok(Value::Num(v)),
+            _ => Err(format!("bad number {text:?} at byte {start}")),
+        }
     }
 }
 
@@ -836,6 +860,20 @@ mod tests {
             "nul",
             "\"\\u12\"",
             "\"\\ud800\"", // unpaired surrogate
+            // Numbers outside RFC 8259's grammar.
+            "01",
+            "-01",
+            "00",
+            "1.",
+            "-.5",
+            "1.e5",
+            "[01]",
+            "{\"arm\":01}",
+            "1e",
+            "1e+",
+            "-",
+            // `\u` takes exactly four hex digits, with no sign.
+            "\"\\u+041\"",
         ] {
             assert!(parse(bad).is_err(), "{bad:?} must not parse");
         }

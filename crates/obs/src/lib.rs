@@ -675,8 +675,9 @@ impl Event {
     }
 }
 
-/// Destination for [`Event`]s. Implementations must be `Send + Sync`: the
-/// sweep engine records from scoped worker threads concurrently.
+/// Destination for [`Event`]s. Implementations must be `Send + Sync`: one
+/// sink is process-wide, and a daemon's I/O loops, compute workers and
+/// fleet threads record into it concurrently.
 pub trait Sink: Send + Sync {
     /// Record one event. Must be cheap enough to call from hot-ish paths;
     /// the engine only calls it when a sink is installed.

@@ -40,7 +40,7 @@
 //! ## Migration and charge rollback
 //!
 //! Faults reuse [`hecmix_sim::faults`] verbatim. A running task charges
-//! energy and work in whole chunks of `chunk_frac · size`; when a fault
+//! energy and work in whole chunks of `size / 64`; when a fault
 //! interrupts it, the committed chunks keep their charge and the
 //! in-flight partial chunk is rolled back — its units *and* its energy —
 //! exactly mirroring the crash accounting of `run_cluster_faulted`. The
@@ -68,6 +68,11 @@ use hecmix_sim::faults::{FaultEvent, FaultKind, FaultSchedule};
 use crate::job::JobSpec;
 use crate::pool::Pool;
 
+/// Commit granularity as a fraction of the job size: work and energy are
+/// charged in whole chunks, and the in-flight chunk rolls back on
+/// interruption.
+const CHUNK_FRAC: f64 = 1.0 / 64.0;
+
 /// Scheduler knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SchedConfig {
@@ -77,10 +82,6 @@ pub struct SchedConfig {
     /// Admission bound: a job arriving while this many admitted jobs are
     /// still outstanding is rejected (≥ 1).
     pub max_outstanding: usize,
-    /// Commit granularity as a fraction of the job size, in `(0, 1]`.
-    /// Work and energy are charged in whole chunks; the in-flight chunk
-    /// rolls back on interruption.
-    pub chunk_frac: f64,
     /// Telemetry tick period in seconds; `0` disables ticks.
     pub tick_s: f64,
 }
@@ -90,7 +91,6 @@ impl Default for SchedConfig {
         Self {
             alpha: 0.5,
             max_outstanding: 256,
-            chunk_frac: 1.0 / 64.0,
             tick_s: 0.0,
         }
     }
@@ -108,12 +108,6 @@ impl SchedConfig {
             return Err(Error::InvalidInput(
                 "admission bound must be at least 1".into(),
             ));
-        }
-        if !(self.chunk_frac > 0.0 && self.chunk_frac <= 1.0) {
-            return Err(Error::InvalidInput(format!(
-                "chunk fraction must lie in (0, 1], got {}",
-                self.chunk_frac
-            )));
         }
         if !self.tick_s.is_finite() || self.tick_s < 0.0 {
             return Err(Error::InvalidInput(format!(
@@ -817,7 +811,7 @@ impl Session {
                 end_s: best.finish_s,
                 eff_rate: best.eff_rate,
                 power_w: best.power_w,
-                chunk_units: self.sched.cfg.chunk_frac * units,
+                chunk_units: CHUNK_FRAC * units,
             },
         );
         let ni = self.node(best.type_idx, best.node_idx);
@@ -1055,14 +1049,6 @@ mod tests {
             },
             SchedConfig {
                 max_outstanding: 0,
-                ..ok
-            },
-            SchedConfig {
-                chunk_frac: 0.0,
-                ..ok
-            },
-            SchedConfig {
-                chunk_frac: 1.5,
                 ..ok
             },
             SchedConfig { tick_s: -1.0, ..ok },

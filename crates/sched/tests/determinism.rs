@@ -95,7 +95,6 @@ fn replay_is_bit_identical() {
             alpha: 0.5,
             max_outstanding: 32,
             tick_s: 60.0,
-            ..SchedConfig::default()
         },
     )
     .unwrap();

@@ -41,7 +41,6 @@ fn scheduler_emits_schema_complete_jsonl_events() {
             alpha: 1.0,         // deterministic landing on the fastest slot
             max_outstanding: 2, // third simultaneous arrival is rejected
             tick_s: 1.0,
-            ..SchedConfig::default()
         },
     )
     .unwrap();

@@ -127,7 +127,6 @@ fn scheduler_runs_are_pinned() {
                 alpha,
                 max_outstanding,
                 tick_s,
-                ..SchedConfig::default()
             },
         )
         .unwrap();

@@ -401,7 +401,9 @@ pub type ReloadFn = dyn Fn() -> Result<ModelStore, String> + Send + Sync;
 
 /// Per-daemon counters and per-I/O-thread latency histograms.
 pub struct Metrics {
-    /// One histogram per I/O thread (indexed by loop id; lock-free writes).
+    /// Latency histograms (lock-free writes): I/O loop `i` records into
+    /// `hists[i % hists.len()]`, so a daemon with more loops than
+    /// histograms shares them rather than dropping samples.
     pub hists: Vec<Histogram>,
     /// Requests answered (any status except admission rejections).
     pub served: AtomicU64,
@@ -625,8 +627,8 @@ impl AppState {
         Ok(plan)
     }
 
-    /// Record a finished request: bump `served`, feed the I/O thread's
-    /// histogram, emit [`Event::RequestDone`].
+    /// Record a finished request: bump `served`, feed I/O loop `hist`'s
+    /// histogram (see [`Metrics::hists`]), emit [`Event::RequestDone`].
     pub fn record_done(
         &self,
         hist: usize,
@@ -636,9 +638,8 @@ impl AppState {
         cached: bool,
     ) {
         self.metrics.served.fetch_add(1, Ordering::Relaxed);
-        if let Some(h) = self.metrics.hists.get(hist) {
-            h.record(wall.as_nanos() as u64);
-        }
+        let hists = &self.metrics.hists;
+        hists[hist % hists.len()].record(wall.as_nanos() as u64);
         let status = resp.status;
         emit(|| Event::RequestDone {
             path: path.to_owned(),

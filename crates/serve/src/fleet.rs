@@ -11,8 +11,8 @@
 //! * **Health**: an active prober `GET /healthz`es every replica on an
 //!   interval, and every forwarded attempt reports passively into the
 //!   same accounting. `fail_threshold` consecutive failures mark a
-//!   replica down, `revive_threshold` consecutive successes bring it
-//!   back ([`hecmix_obs::Event::ReplicaHealthChange`]).
+//!   replica down, two consecutive successes bring it back
+//!   ([`hecmix_obs::Event::ReplicaHealthChange`]).
 //! * **Circuit breakers**: per replica, closed → open on consecutive
 //!   forward failures, half-open after a cooldown, closed again on the
 //!   first trial success ([`hecmix_obs::Event::BreakerTransition`]). An
@@ -78,34 +78,21 @@ pub struct FleetConfig {
     pub probe_timeout: Duration,
     /// Consecutive failures (probe or forward) that mark a replica down.
     pub fail_threshold: u32,
-    /// Consecutive successes that mark a downed replica healthy again.
-    pub revive_threshold: u32,
     /// How long an open breaker waits before letting a half-open trial by.
     pub breaker_cooldown: Duration,
     /// Consecutive forward failures that trip a breaker open.
     pub breaker_threshold: u32,
-    /// Total upstream attempts per forwarded request (first try included).
-    pub max_attempts: u32,
     /// Exponential backoff base, milliseconds (doubles per retry).
     pub backoff_base_ms: u64,
     /// Backoff ceiling, milliseconds.
     pub backoff_cap_ms: u64,
-    /// Cap on how much of an upstream `Retry-After` is honored, ms — a
-    /// recovering replica must not park the gateway for whole seconds.
-    pub retry_after_cap_ms: u64,
     /// Floor for the adaptive hedge delay.
     pub hedge_min: Duration,
     /// Ceiling for the adaptive hedge delay (also used until enough
     /// latency samples exist to estimate a p95).
     pub hedge_max: Duration,
-    /// Hard deadline for one raced attempt set (primary + hedge).
-    pub attempt_timeout: Duration,
-    /// TCP connect timeout per upstream attempt.
-    pub connect_timeout: Duration,
     /// Virtual nodes per replica on the hash ring.
     pub vnodes: usize,
-    /// Hot keys remembered per replica for failover re-warm.
-    pub hot_keys_per_replica: usize,
     /// Seed for deterministic retry jitter.
     pub seed: u64,
 }
@@ -117,23 +104,31 @@ impl Default for FleetConfig {
             probe_interval: Duration::from_millis(250),
             probe_timeout: Duration::from_millis(500),
             fail_threshold: 2,
-            revive_threshold: 2,
             breaker_cooldown: Duration::from_secs(1),
             breaker_threshold: 3,
-            max_attempts: 4,
             backoff_base_ms: 10,
             backoff_cap_ms: 200,
-            retry_after_cap_ms: 500,
             hedge_min: Duration::from_millis(20),
             hedge_max: Duration::from_millis(500),
-            attempt_timeout: Duration::from_secs(2),
-            connect_timeout: Duration::from_millis(250),
             vnodes: 64,
-            hot_keys_per_replica: 64,
             seed: 42,
         }
     }
 }
+
+/// Consecutive successes that mark a downed replica healthy again.
+const REVIVE_THRESHOLD: u64 = 2;
+/// Total upstream attempts per forwarded request (first try included).
+const MAX_ATTEMPTS: u32 = 4;
+/// Cap on how much of an upstream `Retry-After` is honored, ms: a
+/// recovering replica must not park the gateway for whole seconds.
+const RETRY_AFTER_CAP_MS: u64 = 500;
+/// Hard deadline for one raced attempt set (primary + hedge).
+const ATTEMPT_TIMEOUT: Duration = Duration::from_secs(2);
+/// TCP connect timeout per upstream attempt.
+const CONNECT_TIMEOUT: Duration = Duration::from_millis(250);
+/// Hot keys remembered per replica for failover re-warm.
+const HOT_KEYS_PER_REPLICA: usize = 64;
 
 /// Circuit-breaker states (names as emitted in telemetry).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -489,7 +484,7 @@ impl Fleet {
         r.breaker.lock().expect("breaker poisoned").on_success(idx);
         r.consec_fail.store(0, Ordering::Relaxed);
         let ok = r.consec_ok.fetch_add(1, Ordering::Relaxed) + 1;
-        if !r.healthy.load(Ordering::Relaxed) && ok >= u64::from(self.cfg.revive_threshold) {
+        if !r.healthy.load(Ordering::Relaxed) && ok >= REVIVE_THRESHOLD {
             r.healthy.store(true, Ordering::Relaxed);
             let (addr, consecutive) = (r.addr.clone(), ok as u32);
             emit(|| Event::ReplicaHealthChange {
@@ -624,7 +619,7 @@ impl Fleet {
     /// `key`, jittered by `seed ⊕ key ⊕ attempt`.
     fn backoff_ms(&self, key: u64, attempt: u32, retry_after_s: Option<u64>) -> u64 {
         let c = &self.cfg;
-        let (base, cap, hint_cap) = (c.backoff_base_ms, c.backoff_cap_ms, c.retry_after_cap_ms);
+        let (base, cap, hint_cap) = (c.backoff_base_ms, c.backoff_cap_ms, RETRY_AFTER_CAP_MS);
         let jitter = c.seed ^ key ^ u64::from(attempt);
         router::backoff_ms(base, cap, hint_cap, attempt, retry_after_s, jitter)
     }
@@ -648,7 +643,7 @@ impl Fleet {
     pub fn forward(self: &Arc<Self>, key: u64, path: &'static str, body: &str) -> Response {
         let mut last_why = String::from("no candidate replica");
         let mut retry_after_hint: Option<u64> = None;
-        for attempt in 0..self.cfg.max_attempts {
+        for attempt in 0..MAX_ATTEMPTS {
             let cands = self.candidates(key);
             let Some(primary) = self.pick(&cands, attempt) else {
                 last_why = "all breakers open".to_owned();
@@ -738,10 +733,9 @@ impl Fleet {
         let t0 = Instant::now();
         // Read once, so the hedge event reports the delay actually waited.
         let delay = self.hedge_delay();
-        let timeout = self.cfg.attempt_timeout;
-        let (conn, answering) = self.start(primary, path, body, delay.min(timeout))?;
+        let (conn, answering) = self.start(primary, path, body, delay.min(ATTEMPT_TIMEOUT))?;
         let hedge = match hedge {
-            Some(h) if !answering && delay < timeout => h,
+            Some(h) if !answering && delay < ATTEMPT_TIMEOUT => h,
             _ => return self.finish(primary, conn, t0).map(|a| (primary, a)),
         };
         self.hedges.fetch_add(1, Ordering::Relaxed);
@@ -760,7 +754,7 @@ impl Fleet {
         self.spawn_racer(&tx, hedge, move |fleet| fleet.attempt(hedge, path, &body));
         drop(tx);
 
-        let deadline = Instant::now() + timeout;
+        let deadline = Instant::now() + ATTEMPT_TIMEOUT;
         let mut last_err = None;
         while let Ok((replica, result)) =
             rx.recv_timeout(deadline.saturating_duration_since(Instant::now()))
@@ -793,7 +787,7 @@ impl Fleet {
     /// One whole attempt on `replica`, on the calling thread.
     fn attempt(self: &Arc<Self>, replica: usize, path: &str, body: &str) -> Result<Answer, String> {
         let t0 = Instant::now();
-        let (conn, _) = self.start(replica, path, body, self.cfg.attempt_timeout)?;
+        let (conn, _) = self.start(replica, path, body, ATTEMPT_TIMEOUT)?;
         self.finish(replica, conn, t0)
     }
 
@@ -820,7 +814,7 @@ impl Fleet {
                 return Ok(started);
             }
         }
-        let started = http::dial(r.sock, self.cfg.connect_timeout)
+        let started = http::dial(r.sock, CONNECT_TIMEOUT)
             .map_err(|e| format!("connect: {e}"))
             .and_then(|conn| {
                 r.connects.fetch_add(1, Ordering::Relaxed);
@@ -841,7 +835,7 @@ impl Fleet {
         mut conn: TcpStream,
         t0: Instant,
     ) -> Result<Answer, String> {
-        let remaining = self.cfg.attempt_timeout.saturating_sub(t0.elapsed());
+        let remaining = ATTEMPT_TIMEOUT.saturating_sub(t0.elapsed());
         let result = read_timeout(&conn, remaining)
             .and_then(|()| http::read_answer(&mut conn).map_err(|e| format!("read: {e:?}")));
         if result.as_ref().is_ok_and(|answer| !answer.close) {
@@ -873,7 +867,7 @@ impl Fleet {
                 body: body.to_owned(),
             },
         ));
-        while hot.len() > self.cfg.hot_keys_per_replica.max(1) {
+        while hot.len() > HOT_KEYS_PER_REPLICA {
             hot.pop_front();
         }
     }
@@ -906,7 +900,7 @@ impl Fleet {
         let mut rows = String::from("[");
         let mut all_ok = true;
         for (idx, r) in self.replicas.iter().enumerate() {
-            let status = http::dial(r.sock, self.cfg.connect_timeout)
+            let status = http::dial(r.sock, CONNECT_TIMEOUT)
                 .and_then(|mut conn| {
                     conn.set_read_timeout(Some(Duration::from_secs(60)))?;
                     http::exchange(&mut conn, "POST", "/reload", "")
@@ -1055,7 +1049,7 @@ mod tests {
         assert!(a >= base / 2 && a < base + base / 2, "{a} vs base {base}");
         // A Retry-After hint floors the wait but is capped.
         let hinted = f.backoff_ms(99, 1, Some(30));
-        let cap = f.cfg.retry_after_cap_ms;
+        let cap = RETRY_AFTER_CAP_MS;
         assert!(
             hinted >= cap / 2 && hinted < cap + cap / 2,
             "{hinted} vs cap {cap}"
@@ -1165,7 +1159,7 @@ mod tests {
             }
         }
         let hot = f.replicas[0].hot.lock().unwrap();
-        assert_eq!(hot.len(), f.cfg.hot_keys_per_replica);
+        assert_eq!(hot.len(), HOT_KEYS_PER_REPLICA);
         let mut keys: Vec<u64> = hot.iter().map(|(k, _)| *k).collect();
         keys.sort_unstable();
         keys.dedup();

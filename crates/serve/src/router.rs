@@ -1,8 +1,8 @@
 //! Consistent-hash routing for the replica fleet.
 //!
 //! The gateway partitions the plan-cache key space across N replicas with
-//! a classic consistent-hash ring: each replica contributes
-//! [`Ring::vnodes`] virtual points (FNV-1a of `"replica-{i}/vnode-{v}"`),
+//! a classic consistent-hash ring: each replica contributes `vnodes`
+//! virtual points (FNV-1a of `"replica-{i}/vnode-{v}"`, see [`Ring::new`]),
 //! the points are sorted, and a key is owned by the first point clockwise
 //! from the key's own hash. Cache keys are already FNV-1a over
 //! `models_hash` + query shape ([`crate::api::cache_key`]), so the ring
@@ -51,18 +51,6 @@ impl Ring {
         // index so the ring is deterministic regardless of build order.
         points.sort_unstable();
         Self { replicas, points }
-    }
-
-    /// Number of replicas on the ring.
-    #[must_use]
-    pub fn replicas(&self) -> usize {
-        self.replicas
-    }
-
-    /// Virtual points per replica.
-    #[must_use]
-    pub fn vnodes(&self) -> usize {
-        self.points.len() / self.replicas
     }
 
     /// The replica that owns `key`: the first ring point clockwise from

@@ -84,17 +84,6 @@ impl<W> SingleFlight<W> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Keys currently in flight (for drain diagnostics).
-    #[must_use]
-    pub fn keys(&self) -> Vec<u64> {
-        self.inflight
-            .lock()
-            .expect("singleflight poisoned")
-            .keys()
-            .copied()
-            .collect()
-    }
 }
 
 #[cfg(test)]

@@ -11,7 +11,9 @@
 //! A third test sheds work at the **compute pool**: a full queue answers
 //! `503` with `Retry-After` at once, and a job that out-waited the queue
 //! deadline answers `503` when a worker reaches it, for computes, reloads
-//! and gateway forwards alike (a reload is never stale).
+//! and gateway forwards alike (a reload is never stale). A fourth runs
+//! more **I/O loops** than the state has latency histograms: `/statz`
+//! must still time every request it counts as served.
 
 use std::io::Write as _;
 use std::net::TcpStream;
@@ -366,4 +368,36 @@ fn full_or_stale_pool_jobs_are_shed_with_503() {
     gateway.join();
     fleet.stop();
     replica.join();
+}
+
+#[test]
+fn statz_times_every_answer_when_loops_outnumber_histograms() {
+    // One histogram behind two I/O loops. The accept thread deals
+    // connections to the loops in turn, so the two clients land on
+    // different loops, and loop 1 has no histogram of its own.
+    let state = Arc::new(AppState::new(ModelStore::new(), 1, 16));
+    let config = ServeConfig {
+        io_threads: 2,
+        workers: 1,
+        ..ServeConfig::default()
+    };
+    let handle = start(config, Arc::clone(&state)).expect("daemon starts");
+    let mut conns = [connect(&handle), connect(&handle)];
+    for conn in &mut conns {
+        for _ in 0..3 {
+            assert_eq!(healthz(conn).status, 200);
+        }
+    }
+    // Each answer is recorded before it is written, so all six are in.
+    let statz = http::exchange(&mut conns[0], "GET", "/statz", "").expect("statz");
+    let v = json::parse(std::str::from_utf8(&statz.body).expect("UTF-8")).expect("JSON");
+    let served = v.get("served").and_then(Value::as_u64);
+    let timed = v
+        .get("latency_us")
+        .and_then(|l| l.get("count"))
+        .and_then(Value::as_u64);
+    assert_eq!((served, timed), (Some(6), Some(6)), "served vs timed");
+
+    handle.shutdown();
+    handle.join();
 }

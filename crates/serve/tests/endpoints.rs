@@ -619,6 +619,13 @@ fn error_paths_return_typed_statuses() {
             422,
         ),
         ("POST", "/frontier", "{not json", 400),
+        // A leading zero is not JSON, so `01` is not arm 1.
+        (
+            "POST",
+            "/frontier",
+            r#"{"workload":"ep","arm":01,"amd":2}"#,
+            400,
+        ),
         ("GET", "/plan", "", 405),
         ("POST", "/healthz", "", 405),
         ("GET", "/nope", "", 404),

@@ -32,30 +32,18 @@ use crate::trace::{ArrivalProcess, WorkloadTrace};
 pub enum Governor {
     /// Stay at the configured P-state for the whole run.
     Fixed,
-    /// Sample utilization every `interval_s`; step the P-state up when
-    /// utilization exceeds `up_threshold`, down when it falls below
-    /// `down_threshold`.
-    Ondemand {
-        /// Sampling interval, seconds.
-        interval_s: f64,
-        /// Utilization above which to raise the frequency.
-        up_threshold: f64,
-        /// Utilization below which to lower it.
-        down_threshold: f64,
-    },
+    /// A stock ondemand configuration: sample utilization every 10 ms,
+    /// step the P-state up when utilization exceeds 80 % and down when it
+    /// falls below 30 %.
+    Ondemand,
 }
 
-impl Governor {
-    /// A stock ondemand-like configuration (10 ms sampling, 80 %/30 %).
-    #[must_use]
-    pub fn ondemand() -> Self {
-        Governor::Ondemand {
-            interval_s: 0.010,
-            up_threshold: 0.8,
-            down_threshold: 0.3,
-        }
-    }
-}
+/// [`Governor::Ondemand`]'s sampling interval, seconds.
+const ONDEMAND_INTERVAL_S: f64 = 0.010;
+/// Utilization above which [`Governor::Ondemand`] raises the frequency.
+const ONDEMAND_UP_THRESHOLD: f64 = 0.8;
+/// Utilization below which [`Governor::Ondemand`] lowers the frequency.
+const ONDEMAND_DOWN_THRESHOLD: f64 = 0.3;
 
 /// Per-node run parameters.
 #[derive(Debug, Clone, Copy)]
@@ -323,17 +311,10 @@ impl<'a> NodeSim<'a> {
         self.arch.platform.freqs[self.freq_idx]
     }
 
-    /// Governor tick: measure utilization since the last tick, step the
-    /// P-state, and reschedule while the run is still active.
+    /// Governor tick (scheduled only under [`Governor::Ondemand`]):
+    /// measure utilization since the last tick, step the P-state, and
+    /// reschedule while the run is still active.
     fn governor_tick(&mut self) {
-        let Governor::Ondemand {
-            interval_s,
-            up_threshold,
-            down_threshold,
-        } = self.spec.governor
-        else {
-            return;
-        };
         let now = self.queue.now();
         let window = (now - self.last_tick).max(1e-12);
         // Two utilization signals: busy time of chunks *completed* in the
@@ -347,9 +328,9 @@ impl<'a> NodeSim<'a> {
         self.busy_since_tick = 0.0;
         self.last_tick = now;
         let prev_idx = self.freq_idx;
-        if util > up_threshold && self.freq_idx + 1 < self.arch.platform.freqs.len() {
+        if util > ONDEMAND_UP_THRESHOLD && self.freq_idx + 1 < self.arch.platform.freqs.len() {
             self.freq_idx += 1;
-        } else if util < down_threshold && self.freq_idx > 0 {
+        } else if util < ONDEMAND_DOWN_THRESHOLD && self.freq_idx > 0 {
             self.freq_idx -= 1;
         }
         // A power-cap fault bounds what the governor may pick.
@@ -376,7 +357,8 @@ impl<'a> NodeSim<'a> {
             || self.nic_busy
             || self.nic_queue_bytes > 0.0;
         if active {
-            self.queue.schedule_in(interval_s, Ev::GovernorTick);
+            self.queue
+                .schedule_in(ONDEMAND_INTERVAL_S, Ev::GovernorTick);
         }
     }
 
@@ -463,7 +445,6 @@ impl<'a> NodeSim<'a> {
     fn execute_chunk(&mut self, core: u32, units: u64) -> f64 {
         let freq = self.cur_freq();
         let f_hz = freq.hz();
-        let f_ghz = freq.ghz();
         let cost = self.arch.isa.expand(&self.trace.demand, units as f64);
 
         // Per-chunk jitter on the two stall paths (work cycles are
@@ -549,7 +530,6 @@ impl<'a> NodeSim<'a> {
             });
         }
 
-        let _ = f_ghz;
         dur
     }
 
@@ -583,8 +563,8 @@ impl<'a> NodeSim<'a> {
 
     /// Schedule the initial events and drive the queue dry (or to a crash).
     fn run_loop(&mut self) {
-        if let Governor::Ondemand { interval_s, .. } = self.spec.governor {
-            self.queue.schedule(interval_s, Ev::GovernorTick);
+        if self.spec.governor == Governor::Ondemand {
+            self.queue.schedule(ONDEMAND_INTERVAL_S, Ev::GovernorTick);
         }
         for (i, f) in self.faults.iter().enumerate() {
             self.queue.schedule(f.at_s, Ev::Fault(i));
@@ -606,9 +586,7 @@ impl<'a> NodeSim<'a> {
                     self.busy_cores -= 1;
                     self.last_activity = t;
                     self.enqueue_io(units);
-                    if !self.try_start(core) && self.pending_units > 0 {
-                        // parked (or could not start): handled via events.
-                    }
+                    self.try_start(core);
                 }
                 Ev::NicDone => {
                     self.nic_busy = false;
@@ -1013,7 +991,7 @@ mod tests {
             &arch,
             &trace,
             &NodeRunSpec::new(4, hecmix_core::types::Frequency::from_ghz(0.2), units, 3)
-                .with_governor(Governor::ondemand()),
+                .with_governor(Governor::Ondemand),
         );
         let pinned_max = run_node(
             &arch,
@@ -1050,8 +1028,7 @@ mod tests {
         let governed = run_node(
             &arch,
             &trace,
-            &NodeRunSpec::new(4, arch.platform.fmax(), units, 5)
-                .with_governor(Governor::ondemand()),
+            &NodeRunSpec::new(4, arch.platform.fmax(), units, 5).with_governor(Governor::Ondemand),
         );
         let pinned = run_node(
             &arch,

@@ -391,7 +391,6 @@ fn cmd_selfcheck(flags: &HashMap<String, String>) -> ExitCode {
     let fuzz_cfg = hecmix_check::fuzz::FuzzConfig {
         seed,
         iters: fuzz_iters,
-        ..hecmix_check::fuzz::FuzzConfig::default()
     };
     let fuzz_failure = hecmix_check::fuzz::fuzz(&space, &models, &fuzz_cfg);
     match &fuzz_failure {
